@@ -1,6 +1,8 @@
 """Color-avoiding bond percolation on edge-colored random graphs:
 exact analytics cross-validated against Monte Carlo simulation."""
 
+__version__ = "0.1.0"
+
 from .analytic import (
     borel_pmf,
     classify_lambda,
@@ -16,26 +18,21 @@ from .analytic import (
     two_color_f_ell,
 )
 from .cap import CapDecomposition, brute_force_cap_partition, color_avoiding_partition
-from .chronology import build_atlas, core_and_boundary, enumerate_color_strings
+from .chronology import build_atlas, core_and_boundary
 from .ecbp import (
     FriendCountOutcome,
     mc_component_size_distribution,
     mc_f_infinity,
-    sample_core,
     sample_friend_count,
 )
 from .graph import (
     EdgeColoredGraph,
-    Partition,
     connected_components,
-    largest_component_union,
     project,
     sample_ecer,
 )
 from .params import LambdaVector
 from .trees import ColoredTree, sample_ecbp
-
-__version__ = "0.1.0"
 
 __all__ = [
     "CapDecomposition",
@@ -43,7 +40,6 @@ __all__ = [
     "EdgeColoredGraph",
     "FriendCountOutcome",
     "LambdaVector",
-    "Partition",
     "borel_pmf",
     "brute_force_cap_partition",
     "build_atlas",
@@ -51,18 +47,15 @@ __all__ = [
     "color_avoiding_partition",
     "connected_components",
     "core_and_boundary",
-    "enumerate_color_strings",
     "extended_type_distribution",
     "f_infinity_generating_function",
     "f_infinity_inclusion_exclusion",
     "lambert_w0",
-    "largest_component_union",
     "mc_component_size_distribution",
     "mc_f_infinity",
     "near_critical_constant",
     "phi_eval",
     "project",
-    "sample_core",
     "sample_ecbp",
     "sample_ecer",
     "sample_friend_count",

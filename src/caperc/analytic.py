@@ -275,18 +275,6 @@ def extended_type_distribution(lam, table: PTable | None = None,
     return out
 
 
-def g_product(gamma, beta, x) -> float:
-    """Product over coordinates of
-    (1 - (1-x_i)^{beta_i}) gamma_i + (1-x_i)^{beta_i} (1 - gamma_i)."""
-    if not (len(gamma) == len(beta) == len(x)):
-        raise ValueError("g_product: dimension mismatch")
-    out = 1.0
-    for g, b, xi in zip(gamma, beta, x):
-        miss = (1.0 - xi) ** b
-        out *= (1.0 - miss) if g else miss
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Borel law and total-progeny generating function
 # ---------------------------------------------------------------------------
@@ -328,7 +316,8 @@ def total_progeny_gf(mu: float, z: float) -> float:
 # ---------------------------------------------------------------------------
 
 def color_strings(k: int, h: int) -> list[tuple[int, ...]]:
-    """All length-h color strings without repetition, lexicographic order."""
+    """All length-h color strings without repetition, lexicographic order;
+    the count is the falling factorial k (k-1) ... (k-h+1)."""
     if h < 0 or h > k:
         raise ValueError("color_strings: need 0 <= h <= k")
     return sorted(permutations(range(k), h))

@@ -9,33 +9,30 @@ from typing import IO
 
 import numpy as np
 
-from .graph import EdgeColoredGraph, Partition, connected_components, project
+from .graph import EdgeColoredGraph, connected_components, project
 
 
-def color_avoiding_partition(g: EdgeColoredGraph) -> Partition:
+def color_avoiding_partition(g: EdgeColoredGraph) -> np.ndarray:
     """Meet of the k per-color partitions: v, w share a block iff for every
-    color i they are connected in the projection onto the other colors."""
-    n, k = g.n, g.k
-    all_colors = set(range(k))
-    meet = Partition(n)
-    if n == 0:
-        return meet
-    # k-tuple of per-color component roots per vertex; vertices with equal
-    # tuples are exactly the color-avoiding classes
-    root_matrix = np.empty((n, k), dtype=np.int64)
-    for i in range(k):
-        part = connected_components(project(g, all_colors - {i}))
-        root_matrix[:, i] = part.roots()
-    seen: dict[tuple, int] = {}
-    for v in range(n):
-        key = tuple(root_matrix[v])
-        w = seen.setdefault(key, v)
-        if w != v:
-            meet.union(w, v)
-    return meet
+    color i they are connected in the projection onto the other colors.
+
+    Returns labels with labels[v] the smallest vertex in v's block.
+    """
+    n = g.n
+    # key[v] numbers the distinct tuples of per-color component labels seen
+    # so far; vertices with equal full tuples are exactly the blocks
+    key = np.zeros(n, dtype=np.int64)
+    for i in range(g.k):
+        others = [e for c, e in enumerate(g.edge_sets) if c != i]
+        edges = np.concatenate(others) if others else np.empty((0, 2), int)
+        col = connected_components(n, edges)
+        # first[j] is the smallest vertex with key j
+        _, first, key = np.unique(key * n + col, return_index=True,
+                                  return_inverse=True)
+    return first[key]
 
 
-def brute_force_cap_partition(g: EdgeColoredGraph) -> Partition:
+def brute_force_cap_partition(g: EdgeColoredGraph) -> np.ndarray:
     """Same contract as color_avoiding_partition, but via independent
     BFS connectivity checks per pair and per color. Test oracle only."""
     if g.n > 12:
@@ -63,19 +60,22 @@ def brute_force_cap_partition(g: EdgeColoredGraph) -> Partition:
                     queue.append(w)
         return False
 
-    part = Partition(n)
-    for a in range(n):
-        for b in range(a + 1, n):
+    # the relation is an equivalence, so the first a < b it links b to is
+    # the smallest vertex of b's block
+    labels = np.arange(n, dtype=np.int64)
+    for b in range(n):
+        for a in range(b):
             if all(connected(a, b, i) for i in range(k)):
-                part.union(a, b)
-    return part
+                labels[b] = a
+                break
+    return labels
 
 
 @dataclass(frozen=True)
 class CapDecomposition:
     """Color-avoiding partition plus exact (rational) size bookkeeping."""
 
-    partition: Partition
+    labels: np.ndarray  # labels[v] = smallest vertex in v's block
     n: int
     size_histogram: dict[int, Fraction]  # size -> fraction of vertices
     size_counts: dict[int, int]          # size -> number of components
@@ -83,15 +83,14 @@ class CapDecomposition:
 
     @classmethod
     def from_graph(cls, g: EdgeColoredGraph) -> "CapDecomposition":
-        part = color_avoiding_partition(g)
-        sizes = part.block_size_table()
-        block_sizes = sizes[sizes > 0]
-        counts: dict[int, int] = {}
-        for s in block_sizes.tolist():
-            counts[s] = counts.get(s, 0) + 1
-        hist = {s: Fraction(s * c, g.n) for s, c in counts.items()}
-        max_size = int(block_sizes.max()) if block_sizes.size else 0
-        return cls(part, g.n, hist, counts, Fraction(max_size, g.n if g.n else 1))
+        labels = color_avoiding_partition(g)
+        _, block_sizes = np.unique(labels, return_counts=True)
+        sizes, counts = np.unique(block_sizes, return_counts=True)
+        size_counts = dict(zip(sizes.tolist(), counts.tolist()))
+        hist = {s: Fraction(s * c, g.n) for s, c in size_counts.items()}
+        max_size = int(sizes[-1]) if sizes.size else 0
+        return cls(labels, g.n, hist, size_counts,
+                   Fraction(max_size, g.n if g.n else 1))
 
     def component_size_density(self, ell: int) -> Fraction:
         """Fraction of vertices lying in color-avoiding components of size ell."""

@@ -6,21 +6,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Union
 
+from .analytic import color_strings
 from .graph import EdgeColoredGraph
 from .trees import ColoredTree
 
 ColorString = tuple[int, ...]
-
-
-def enumerate_color_strings(k: int, h: int) -> list[ColorString]:
-    """All length-h color strings without repetition, lexicographic order;
-    the count is the falling factorial k (k-1) ... (k-h+1)."""
-    if h < 0 or h > k:
-        raise ValueError("need 0 <= h <= k")
-    return sorted(permutations(range(k), h))
 
 
 @dataclass(frozen=True)
@@ -104,7 +96,7 @@ def build_atlas(g: Union[EdgeColoredGraph, ColoredTree], v: int,
     reached_le: set[int] = {v}
     for h in range(1, h_max + 1):
         new_reached: set[int] = set()
-        for s in enumerate_color_strings(k, h):
+        for s in color_strings(k, h):
             sm, i = s[:-1], s[-1]
             prev = r_sets[sm]
             fresh = {

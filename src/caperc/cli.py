@@ -100,8 +100,13 @@ def _cmd_components(args: argparse.Namespace) -> int:
     if not path.exists():
         print(f"config error: no such graph file {path}", file=sys.stderr)
         return 2
-    with path.open() as fh:
-        g = load_graph(fh)
+    try:
+        with path.open() as fh:
+            g = load_graph(fh)
+    except ValueError as exc:
+        print(f"config error: malformed graph file {path}: {exc}",
+              file=sys.stderr)
+        return 2
     dec = CapDecomposition.from_graph(g)
     if sum(dec.size_histogram.values()) != 1:
         print("normalization check failed", file=sys.stderr)

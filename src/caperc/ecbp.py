@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -27,43 +28,24 @@ class CoreOverflow(Exception):
     """Core exploration hit the node cap; the sample is censored."""
 
 
-class _PoissonStream:
-    """Buffered Poisson draws from a Generator."""
+class _Stream:
+    """Buffered draws: fill(size) returns `size` draws as a numpy array."""
 
-    __slots__ = ("lam", "rng", "buf", "_arr", "_i")
+    __slots__ = ("fill", "buf", "_vals", "_i")
 
-    def __init__(self, lam: float, rng: np.random.Generator, buf: int = 16384):
-        self.lam = lam
-        self.rng = rng
+    def __init__(self, fill, buf: int = 16384):
+        self.fill = fill
         self.buf = buf
-        self._arr = rng.poisson(lam, buf)
+        self._vals = fill(buf).tolist()
         self._i = 0
 
-    def draw(self) -> int:
+    def draw(self):
         i = self._i
         if i >= self.buf:
-            self._arr = self.rng.poisson(self.lam, self.buf)
+            self._vals = self.fill(self.buf).tolist()
             i = 0
         self._i = i + 1
-        return int(self._arr[i])
-
-
-class _UniformStream:
-    __slots__ = ("rng", "buf", "_arr", "_i")
-
-    def __init__(self, rng: np.random.Generator, buf: int = 16384):
-        self.rng = rng
-        self.buf = buf
-        self._arr = rng.random(buf)
-        self._i = 0
-
-    def draw(self) -> float:
-        i = self._i
-        if i >= self.buf:
-            self._arr = self.rng.random(self.buf)
-            i = 0
-        self._i = i + 1
-        return float(self._arr[i])
+        return self._vals[i]
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +76,8 @@ class CoreSampler:
                 "to have total intensity < 1")
         self.k = self.lam.k
         self.node_cap = node_cap
-        self._streams = [_PoissonStream(self.lam[c], rng) for c in range(self.k)]
+        self._streams = [_Stream(partial(rng.poisson, self.lam[c]))
+                         for c in range(self.k)]
 
     def sample(self) -> CoreSample:
         k = self.k
@@ -123,13 +106,6 @@ class CoreSampler:
                     missing = full & ~(smask | (1 << c))
                     b[missing.bit_length() - 1] += nch
         return CoreSample(rho, tuple(b), counts)
-
-
-def sample_core(lam, rng: np.random.Generator,
-                node_cap: int = 10**6) -> tuple[int, tuple[int, ...]]:
-    """One exact joint sample of (rho(r), b(r))."""
-    s = CoreSampler(lam, rng, node_cap).sample()
-    return s.rho, s.b
 
 
 def mc_f_infinity(lam, samples: int, rng: np.random.Generator,
@@ -272,8 +248,9 @@ class FriendCountSampler:
             cum.append(acc)
         self._type_masks = gmasks
         self._type_cum = cum
-        self._streams = [_PoissonStream(self.lam[c], rng) for c in range(self.k)]
-        self._uniform = _UniformStream(rng)
+        self._streams = [_Stream(partial(rng.poisson, self.lam[c]))
+                         for c in range(self.k)]
+        self._uniform = _Stream(rng.random)
 
     def sample(self) -> FriendCountOutcome:
         k = self.k

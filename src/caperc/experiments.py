@@ -12,14 +12,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytic
+from . import __version__, analytic
 from .cap import CapDecomposition
 from .ecbp import McHistogram, mc_component_size_distribution
 from .graph import sample_ecer
 from .localweak import ecbp_ball_counts, ecer_ball_counts, restricted_tv
 from .params import LambdaVector
-
-VERSION = "0.1.0"
 
 KINDS = ("ecer-convergence", "ecbp-mc", "analytic-report",
          "local-weak-check", "near-critical")
@@ -45,18 +43,26 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if len(self.lam) != self.k:
+        # the near-critical constant depends on k alone and reads no lambda
+        if self.kind != "near-critical" and len(self.lam) != self.k:
             raise ValueError("lambda length must equal k")
         if any(x <= 0 for x in self.lam):
             raise ValueError("lambda entries must be positive")
+        if (self.kind == "ecbp-mc"
+                and not analytic.classify_lambda(self.lam).assumption_holds):
+            raise ValueError(
+                "ecbp-mc requires every color subset of size <= k-2 to have "
+                "total intensity < 1")
         if any(n <= 0 for n in self.n_list):
             raise ValueError("n values must be positive")
         if self.replicas < 1 or self.samples < 1 or self.ell_max < 1:
             raise ValueError("replicas, samples, ell_max must be >= 1")
+        if self.k < 2 and self.kind in ("analytic-report", "near-critical"):
+            raise ValueError(f"{self.kind} needs k >= 2")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.d > 2:
-            raise ValueError("ball depth d must be <= 2")
+        if not 0 <= self.d <= 2:
+            raise ValueError("ball depth d must lie in [0, 2]")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -126,7 +132,7 @@ class RunRecord:
     config: ExperimentConfig
     results: dict
     elapsed_s: float
-    version: str = VERSION
+    version: str = __version__
     csv_lines: list[str] = field(default_factory=list)
     csv_name: str = "results.csv"
     checks_passed: bool = True

@@ -157,87 +157,29 @@ def project(g: EdgeColoredGraph, colors: Iterable[int]) -> UncoloredGraph:
     return UncoloredGraph(g.n, np.stack([uniq // g.n, uniq % g.n], axis=1))
 
 
-class Partition:
-    """Union-find over [n] with path compression, union by rank, and a lazily
-    built block-size table."""
+def connected_components(n: int, edges: np.ndarray) -> np.ndarray:
+    """Component labels: labels[v] is the smallest vertex in v's component.
 
-    def __init__(self, n: int):
-        self.n = n
-        self._parent = np.arange(n, dtype=np.int64)
-        self._rank = np.zeros(n, dtype=np.int8)
-        self._sizes: np.ndarray | None = None
-
-    def find(self, v: int) -> int:
-        parent = self._parent
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return int(root)
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self._rank[ra] < self._rank[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        if self._rank[ra] == self._rank[rb]:
-            self._rank[ra] += 1
-        self._sizes = None
-
-    def roots(self) -> np.ndarray:
-        """Array mapping each vertex to its canonical root."""
-        parent = self._parent
-        out = parent.copy()
+    `edges` is any (m, 2) integer array; repeated pairs and either endpoint
+    order are fine. Min-label hooking with pointer jumping (Shiloach-Vishkin
+    style): each round hooks the larger root of every edge whose endpoints
+    still differ onto the smallest root it meets, then jumps every label to
+    its root. labels[v] <= v throughout, so the roots left are the minima.
+    """
+    labels = np.arange(n, dtype=np.int64)
+    u, v = edges[:, 0], edges[:, 1]
+    while True:
+        lu, lv = labels[u], labels[v]
+        live = lu != lv
+        if not live.any():
+            return labels
+        u, v, lu, lv = u[live], v[live], lu[live], lv[live]
+        np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
         while True:
-            nxt = parent[out]
-            if np.array_equal(nxt, out):
-                return out
-            out = nxt
-
-    def size_of(self, v: int) -> int:
-        return int(self.block_size_table()[self.find(v)])
-
-    def block_size_table(self) -> np.ndarray:
-        """sizes[r] = block size for each root r (0 elsewhere)."""
-        if self._sizes is None:
-            self._sizes = np.bincount(self.roots(), minlength=self.n)
-        return self._sizes
-
-    @property
-    def n_blocks(self) -> int:
-        return int((self.block_size_table() > 0).sum())
-
-    def blocks(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for v, r in enumerate(self.roots()):
-            out.setdefault(int(r), []).append(v)
-        return out
-
-    def same_block(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
-
-
-def connected_components(g: UncoloredGraph) -> Partition:
-    """Partition of the vertex set into connected components."""
-    part = Partition(g.n)
-    for u, v in g.edges:
-        part.union(int(u), int(v))
-    return part
-
-
-def largest_component_union(g: UncoloredGraph) -> set[int]:
-    """Union of ALL components attaining the maximum size (ties included)."""
-    part = connected_components(g)
-    sizes = part.block_size_table()
-    if g.n == 0:
-        return set()
-    max_size = sizes.max()
-    winners = set(np.flatnonzero(sizes == max_size).tolist())
-    roots = part.roots()
-    return {v for v in range(g.n) if int(roots[v]) in winners}
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
 
 
 def dump_graph(g: EdgeColoredGraph, fh: IO[str]) -> None:

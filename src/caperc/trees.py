@@ -36,9 +36,6 @@ class ColoredTree:
         self.children[parent].append(node)
         return node
 
-    def nodes_at_depth(self, d: int) -> list[int]:
-        return [v for v in range(self.n_nodes) if self.depth[v] == d]
-
     def to_graph(self, k: int) -> EdgeColoredGraph:
         """View the arena as an edge-colored graph on its node indices."""
         edge_sets: list[list[tuple[int, int]]] = [[] for _ in range(k)]

@@ -20,7 +20,6 @@ from caperc.analytic import (
     extended_type_distribution,
     f_infinity_generating_function,
     f_infinity_inclusion_exclusion,
-    g_product,
     lambert_w0,
     near_critical_constant,
     phi_eval,
@@ -289,22 +288,15 @@ def test_extended_types_subcritical_degenerate():
     assert phat[0b00] == pytest.approx(1.0, abs=1e-12)
 
 
-# -- g product --------------------------------------------------------------
+# -- color strings ----------------------------------------------------------
 
-def test_g_product_examples():
-    assert g_product([1], [0], [0.5]) == 0.0
-    assert g_product([0, 0], [2, 3], [0.5, 0.5]) == pytest.approx(0.25 * 0.125)
-    assert g_product([1, 1, 1], [1, 1, 1], [0.3, 0.3, 0.3]) == pytest.approx(0.3 ** 3)
-
-
-@given(st.integers(1, 4), st.data())
-@settings(max_examples=100, deadline=None)
-def test_g_product_bounds_property(k, data):
-    gamma = data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
-    beta = data.draw(st.lists(st.integers(0, 10), min_size=k, max_size=k))
-    x = data.draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
-    val = g_product(gamma, beta, x)
-    assert 0.0 <= val <= 1.0
+def test_string_counts_are_falling_factorials():
+    assert color_strings(3, 0) == [()]
+    assert len(color_strings(3, 2)) == 6
+    assert len(color_strings(4, 3)) == 24
+    assert color_strings(2, 1) == [(0,), (1,)]
+    with pytest.raises(ValueError):
+        color_strings(3, 4)
 
 
 # -- Borel law and progeny GF -----------------------------------------------

@@ -18,38 +18,32 @@ from caperc.graph import EdgeColoredGraph, connected_components, project, sample
 from test_graph import colored_graphs
 
 
-def _blocks(part):
-    return sorted(sorted(b) for b in part.blocks().values())
-
-
 def test_triangle_example():
     # red edges 0-1 and 0-2, blue edge 1-2: removing red isolates vertex 0,
     # so only 1 and 2 are mutually color-avoiding connected
     g = EdgeColoredGraph(3, [[(0, 1), (0, 2)], [(1, 2)]])
-    part = color_avoiding_partition(g)
-    assert _blocks(part) == [[0], [1, 2]]
+    assert color_avoiding_partition(g).tolist() == [0, 1, 1]
 
 
 def test_single_color_graph_is_all_singletons():
     # with k = 1 the only avoidance set removes every edge
     g = EdgeColoredGraph(4, [[(0, 1), (1, 2), (2, 3)]])
-    part = color_avoiding_partition(g)
-    assert part.n_blocks == 4
+    assert color_avoiding_partition(g).tolist() == [0, 1, 2, 3]
 
 
 def test_one_colored_edge_does_not_connect():
     g = EdgeColoredGraph(2, [[(0, 1)], []])
-    assert not color_avoiding_partition(g).same_block(0, 1)
+    assert color_avoiding_partition(g).tolist() == [0, 1]
 
 
 def test_doubly_colored_pair_connects():
     g = EdgeColoredGraph(2, [[(0, 1)], [(0, 1)]])
-    assert color_avoiding_partition(g).same_block(0, 1)
+    assert color_avoiding_partition(g).tolist() == [0, 0]
 
 
 def test_edgeless_graph():
     g = EdgeColoredGraph(5, [[], []])
-    assert color_avoiding_partition(g).n_blocks == 5
+    assert color_avoiding_partition(g).tolist() == [0, 1, 2, 3, 4]
 
 
 def test_brute_force_size_limit():
@@ -66,19 +60,19 @@ def test_agrees_with_brute_force_on_random_instances():
         g = sample_ecer(n, n, tuple([2.0] * k), rng)
         fast = color_avoiding_partition(g)
         slow = brute_force_cap_partition(g)
-        assert _blocks(fast) == _blocks(slow)
+        assert np.array_equal(fast, slow)
 
 
 @given(colored_graphs())
 @settings(max_examples=60, deadline=None)
 def test_meet_refines_every_color_avoiding_partition(g):
-    part = color_avoiding_partition(g)
+    # each vertex shares its per-color component with its block's label
+    labels = color_avoiding_partition(g)
+    assert np.array_equal(labels, brute_force_cap_partition(g))
     all_colors = set(range(g.k))
     for i in range(g.k):
-        coarse = connected_components(project(g, all_colors - {i}))
-        for block in part.blocks().values():
-            v0 = block[0]
-            assert all(coarse.same_block(v0, v) for v in block)
+        coarse = connected_components(g.n, project(g, all_colors - {i}).edges)
+        assert np.array_equal(coarse[labels], coarse)
 
 
 def test_decomposition_exact_normalization():

@@ -1,21 +1,12 @@
-"""Chronology atlas tests: string enumeration, hand-built examples, and the
-first-appearance-order oracle on trees."""
+"""Chronology atlas tests: hand-built examples and the first-appearance-order
+oracle on trees."""
 
 import numpy as np
 import pytest
 
-from caperc.chronology import build_atlas, core_and_boundary, enumerate_color_strings
+from caperc.chronology import build_atlas, core_and_boundary
 from caperc.graph import EdgeColoredGraph, sample_ecer
 from caperc.trees import ColoredTree, sample_ecbp
-
-
-def test_string_counts_are_falling_factorials():
-    assert enumerate_color_strings(3, 0) == [()]
-    assert len(enumerate_color_strings(3, 2)) == 6
-    assert len(enumerate_color_strings(4, 3)) == 24
-    assert enumerate_color_strings(2, 1) == [(0,), (1,)]
-    with pytest.raises(ValueError):
-        enumerate_color_strings(3, 4)
 
 
 def test_isolated_vertex():

@@ -4,6 +4,8 @@ determinism of seeded runs."""
 import io
 import json
 
+import pytest
+
 from caperc.cli import main
 from caperc.graph import EdgeColoredGraph, dump_graph, load_graph
 
@@ -14,8 +16,19 @@ def test_invalid_config_exits_2(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    # the friend-count sampler needs every single color subcritical at k = 3
+    ["ecbp-mc", "--lambda", "0.5,0.6,2", "--samples", "10"],
+    ["local-weak", "--d", "-1"],
+    ["analytic", "--lambda", "2"],
+    ["near-critical", "--k", "1"],
+])
+def test_invalid_experiment_input_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_unknown_kind_protected_by_argparse():
-    import pytest
     with pytest.raises(SystemExit):
         main(["no-such-command"])
 
@@ -25,6 +38,12 @@ def test_near_critical_cli(capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["checks_passed"] is True
     assert abs(record["results"]["estimate"] - 4.0) < 0.1
+
+
+def test_near_critical_cli_reads_no_lambda(capsys):
+    # the README command: k = 3 alongside the default two-entry lambda
+    assert main(["near-critical", "--k", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["k"] == 3
 
 
 def test_analytic_cli_infers_k(capsys):
@@ -104,4 +123,17 @@ def test_components_cli(tmp_path, capsys):
 
 def test_components_cli_missing_file(capsys):
     assert main(["components", "/nonexistent/path.txt"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dump", [
+    "3\n0 0 1\n",      # header without k
+    "3 2\n2 0 1\n",    # color out of range
+    "3 2\n0 0 3\n",    # endpoint out of range
+    "3 2\n0 0 x\n",    # non-integer token
+])
+def test_components_cli_malformed_dump_exits_2(tmp_path, capsys, dump):
+    path = tmp_path / "bad.txt"
+    path.write_text(dump)
+    assert main(["components", str(path)]) == 2
     assert "config error" in capsys.readouterr().err

@@ -22,7 +22,6 @@ from caperc.ecbp import (
     mc_f_infinity,
     mc_phi1_estimate,
     mc_string_subtree_counts,
-    sample_core,
 )
 
 
@@ -61,10 +60,11 @@ def test_core_node_cap():
     rng = np.random.default_rng(0)
     # with a supercritical single-color subset the core would be infinite;
     # instead force overflow via a tiny cap on a legal parameter
+    sampler = CoreSampler((0.9, 0.9, 0.9), rng, node_cap=2)
     with pytest.raises(CoreOverflow):
         ok = 0
         for _ in range(2000):
-            sample_core((0.9, 0.9, 0.9), rng, node_cap=2)
+            sampler.sample()
             ok += 1
         pytest.fail(f"no overflow in {ok} samples")
 

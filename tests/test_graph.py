@@ -15,7 +15,6 @@ from caperc.graph import (
     _sample_pair_subset,
     connected_components,
     dump_graph,
-    largest_component_union,
     load_graph,
     project,
     sample_ecer,
@@ -156,25 +155,28 @@ def test_projection_monotone_property(g, data):
 # -- connectivity -----------------------------------------------------------
 
 def _bfs_components(n, edges):
+    """Smallest-vertex label of each vertex's component, by graph search."""
     nbrs = [[] for _ in range(n)]
     for u, v in edges:
         nbrs[u].append(v)
         nbrs[v].append(u)
     comp = [-1] * n
-    cur = 0
     for s in range(n):
         if comp[s] != -1:
             continue
         stack = [s]
-        comp[s] = cur
+        comp[s] = s
         while stack:
             u = stack.pop()
             for w in nbrs[u]:
                 if comp[w] == -1:
-                    comp[w] = cur
+                    comp[w] = s
                     stack.append(w)
-        cur += 1
     return comp
+
+
+def _edge_array(edges):
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
 def test_connected_components_against_bfs_oracle():
@@ -188,29 +190,30 @@ def test_connected_components_against_bfs_oracle():
             if u != v:
                 pairs.add((u, v))
         edges = sorted(pairs)
-        g = UncoloredGraph(n, np.array(edges or np.empty((0, 2))).reshape(-1, 2)
-                           .astype(np.int64))
-        part = connected_components(g)
-        oracle = _bfs_components(n, edges)
-        for a in range(n):
-            for b in range(a + 1, n):
-                assert part.same_block(a, b) == (oracle[a] == oracle[b])
+        # repeat some pairs, reversed, as a multigraph edge list
+        repeats = rng.integers(0, len(edges), 10) if edges else []
+        extra = [edges[i][::-1] for i in repeats]
+        labels = connected_components(n, _edge_array(edges + extra))
+        assert labels.dtype == np.int64
+        assert labels.tolist() == _bfs_components(n, edges)
+
+
+def test_connected_components_edge_cases():
+    assert connected_components(0, _edge_array([])).tolist() == []
+    assert connected_components(4, _edge_array([])).tolist() == [0, 1, 2, 3]
+    duplicates = _edge_array([(3, 4), (4, 3), (3, 4), (1, 4)])
+    assert connected_components(5, duplicates).tolist() == [0, 1, 2, 1, 1]
+    # 9 hooks onto 1, not 5, so 5 joins them only in a second round
+    labels = connected_components(10, _edge_array([(5, 9), (9, 1)]))
+    assert labels.tolist() == [0, 1, 2, 3, 4, 1, 6, 7, 8, 1]
+    path = [(v + 1, v) for v in range(30, -1, -1)]
+    assert connected_components(32, _edge_array(path)).tolist() == [0] * 32
 
 
 def test_partition_bookkeeping():
-    g = UncoloredGraph(5, np.array([[0, 1], [2, 3]], dtype=np.int64))
-    part = connected_components(g)
-    assert part.n_blocks == 3
-    assert part.size_of(0) == 2 and part.size_of(4) == 1
-    blocks = part.blocks()
-    assert sorted(map(sorted, blocks.values())) == [[0, 1], [2, 3], [4]]
-
-
-def test_largest_component_union_includes_ties():
-    g = UncoloredGraph(5, np.array([[0, 1], [2, 3]], dtype=np.int64))
-    assert largest_component_union(g) == {0, 1, 2, 3}
-    g2 = UncoloredGraph(4, np.array([[0, 1], [1, 2]], dtype=np.int64))
-    assert largest_component_union(g2) == {0, 1, 2}
+    labels = connected_components(5, _edge_array([(0, 1), (2, 3)]))
+    assert labels.tolist() == [0, 0, 2, 2, 4]
+    assert np.bincount(labels).tolist() == [2, 0, 2, 0, 1]
 
 
 # -- dump / load ------------------------------------------------------------

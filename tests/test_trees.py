@@ -20,7 +20,6 @@ def test_add_child_bookkeeping():
     assert tree.edge_color == [-1, 1, 0]
     assert tree.depth == [0, 1, 2]
     assert tree.children[0] == [a] and tree.children[a] == [b]
-    assert tree.nodes_at_depth(2) == [b]
 
 
 def test_to_graph_roundtrip():
