@@ -23,7 +23,6 @@ from .ecbp import (
     FriendCountOutcome,
     mc_component_size_distribution,
     mc_f_infinity,
-    sample_friend_count,
 )
 from .graph import (
     EdgeColoredGraph,
@@ -58,7 +57,6 @@ __all__ = [
     "project",
     "sample_ecbp",
     "sample_ecer",
-    "sample_friend_count",
     "solve_p_system",
     "survival_theta",
     "total_progeny_gf",

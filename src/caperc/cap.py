@@ -93,8 +93,9 @@ class CapDecomposition:
                    Fraction(max_size, g.n if g.n else 1))
 
     def component_size_density(self, ell: int) -> Fraction:
-        """Fraction of vertices lying in color-avoiding components of size ell."""
-        if not 1 <= ell <= self.n:
+        """Fraction of vertices lying in color-avoiding components of size ell
+        (zero for ell > n: no component is larger than the graph)."""
+        if ell < 1:
             raise ValueError("ell out of range")
         return self.size_histogram.get(ell, Fraction(0))
 

@@ -29,11 +29,15 @@ class CoreOverflow(Exception):
 
 
 class _Stream:
-    """Buffered draws: fill(size) returns `size` draws as a numpy array."""
+    """Buffered draws: fill(size) returns `size` draws as a numpy array.
+
+    The cost per draw is flat from about 1024 draws per fill up, while a
+    larger buffer only makes each sampler slower to build.
+    """
 
     __slots__ = ("fill", "buf", "_vals", "_i")
 
-    def __init__(self, fill, buf: int = 16384):
+    def __init__(self, fill, buf: int = 1024):
         self.fill = fill
         self.buf = buf
         self._vals = fill(buf).tolist()
@@ -202,6 +206,12 @@ class FriendCountOutcome:
         return FriendCountOutcome("censored", reason=reason)
 
 
+# a censored sample carries nothing but its reason, so every sample shares
+# one outcome object per reason
+DEPTH_CAPPED = FriendCountOutcome.censored("depth-cap")
+NODE_CAPPED = FriendCountOutcome.censored("node-cap")
+
+
 class FriendCountSampler:
     """Samples the root's friend count on the branching-process tree.
 
@@ -211,6 +221,13 @@ class FriendCountSampler:
     cluster is materialized by then, so friends are counted over the arena:
     v is a friend iff for every color i either the root path avoids i or both
     endpoints are i-avoiding connected to infinity through descendants.
+
+    Growth is counts-first: a level is its node count per avoid-mask, and
+    the children of all count_m nodes of mask m via color c number
+    Poisson(lambda_c * count_m) by Poisson additivity. Censoring depends on
+    these counts alone, so the per-node arena is built only once a cluster
+    dies, by splitting each total among its parents with uniform parent
+    choices (Poisson splitting: the same law as per-node draws).
 
     The alive_i flags are resolved by propagating through materialized
     children and drawing one memoized extended type per fully unrevealed
@@ -251,61 +268,103 @@ class FriendCountSampler:
         self._streams = [_Stream(partial(rng.poisson, self.lam[c]))
                          for c in range(self.k)]
         self._uniform = _Stream(rng.random)
+        self._poisson = rng.poisson
+        k = self.k
+        self._full = full = (1 << k) - 1
+        # per avoid-mask m: (color, child mask, intensity, buffered draw) for
+        # every admissible color c, i.e. m & ~(1 << c) != 0
+        self._growth = [
+            [(c, m & ~(1 << c), self.lam[c], self._streams[c].draw)
+             for c in range(k) if m & ~(1 << c)]
+            for m in range(full + 1)]
+        # per avoid-mask: the colors whose avoiding cluster it belongs to
+        self._clusters = [[i for i in range(k) if (m >> i) & 1]
+                          for m in range(full + 1)]
+        # reveal state of a grown node: every admissible color drawn
+        self._grown_drawn = [sum(1 << c for c, *_ in row)
+                             for row in self._growth]
 
     def sample(self) -> FriendCountOutcome:
         k = self.k
-        full = (1 << k) - 1
-        draws = [s.draw for s in self._streams]
-        cert = self.cert
-        masks = [full]
-        kids: dict[tuple[int, int], range] = {}
-        level = range(0, 1)
-        # counts of current-level nodes per avoid-mask value
-        mask_counts = [0] * (full + 1)
-        mask_counts[full] = 1
-        depth = 0
+        growth, clusters, cert = self._growth, self._clusters, self.cert
+        certifiable = None not in cert
+        poisson = self._poisson
+        depth_cap, node_cap = self.depth_cap, self.node_cap
+        # node count per avoid-mask on the current level
+        counts = {self._full: 1}
+        # per grown level: (mask, color, child mask, total) of each nonzero
+        # total of children
+        levels: list[list[tuple[int, int, int, int]]] = []
+        nodes = 1
         while True:
             cnt = [0] * k
-            for m, c in enumerate(mask_counts):
-                if c:
-                    for i in range(k):
-                        if (m >> i) & 1:
-                            cnt[i] += c
-            dead = [i for i in range(k) if cnt[i] == 0]
-            if dead:
-                return self._count_friends(masks, kids, level.start, dead)
-            if depth >= self.depth_cap:
-                return FriendCountOutcome.censored("depth-cap")
-            if len(masks) > self.node_cap:
-                return FriendCountOutcome.censored("node-cap")
-            if all(cert[i] is not None and cnt[i] >= cert[i] for i in range(k)):
+            for m, n in counts.items():
+                for i in clusters[m]:
+                    cnt[i] += n
+            if 0 in cnt:
+                dead = [i for i in range(k) if cnt[i] == 0]
+                masks, drawn, kids = self._materialize(levels)
+                return self._resolve_friends(masks, drawn, kids, dead)
+            if len(levels) >= depth_cap:
+                return DEPTH_CAPPED
+            if nodes > node_cap:
+                return NODE_CAPPED
+            if certifiable and all(cnt[i] >= cert[i] for i in range(k)):
                 # every avoiding cluster is certified to survive to depth_cap
-                return FriendCountOutcome.censored("depth-cap")
-            mask_counts = [0] * (full + 1)
-            for u in level:
-                a = masks[u]
-                for c in range(k):
-                    cm = a & ~(1 << c)
-                    if cm:
-                        nch = draws[c]()
-                        if nch:
-                            base = len(masks)
-                            masks.extend([cm] * nch)
-                            kids[(u, c)] = range(base, base + nch)
-                            mask_counts[cm] += nch
-            level = range(level.stop, len(masks))
-            depth += 1
+                return DEPTH_CAPPED
+            level = []
+            nxt: dict[int, int] = {}
+            for m, n in counts.items():
+                for c, cm, lam_c, draw in growth[m]:
+                    t = draw() if n == 1 else poisson(lam_c * n)
+                    if t:
+                        level.append((m, c, cm, t))
+                        nxt[cm] = nxt.get(cm, 0) + t
+                        nodes += t
+            levels.append(level)
+            counts = nxt
 
-    def _count_friends(self, masks, kids, frontier_start, dead) -> FriendCountOutcome:
-        # level-synchronous growth makes the reveal state implicit: nodes
-        # before the frontier have every admissible color drawn, frontier
-        # nodes have none
-        full = (1 << self.k) - 1
-        drawn = [
-            (full if m & (m - 1) else full & ~m) if u < frontier_start else 0
-            for u, m in enumerate(masks)
-        ]
-        return self._resolve_friends(masks, drawn, kids, dead)
+    def _materialize(self, levels):
+        """Per-node arena (masks, drawn, kids) of grown level totals.
+
+        Each (m, c) total is split among that level's mask-m nodes by one
+        uniform parent choice per child. Nodes of every grown level have all
+        admissible colors drawn; the last level is the unrevealed frontier.
+        """
+        uniform = self._uniform.draw
+        grown_drawn = self._grown_drawn
+        full = self._full
+        last = len(levels)
+        masks = [full]
+        drawn = [grown_drawn[full] if last else 0]
+        kids: dict[tuple[int, int], range] = {}
+        # node ids of the current level per avoid-mask
+        parents = {full: [0]}
+        for depth, level in enumerate(levels, 1):
+            frontier = depth == last
+            nxt: dict[int, list[int]] = {}
+            for m, c, cm, t in level:
+                ps = parents[m]
+                p = len(ps)
+                if p == 1:
+                    split = ((ps[0], t),)
+                else:
+                    per = [0] * p
+                    for _ in range(t):
+                        per[int(uniform() * p)] += 1
+                    split = zip(ps, per)
+                dv = 0 if frontier else grown_drawn[cm]
+                first = len(masks)
+                for u, n in split:
+                    if n:
+                        base = len(masks)
+                        masks.extend([cm] * n)
+                        drawn.extend([dv] * n)
+                        kids[(u, c)] = range(base, base + n)
+                if not frontier:
+                    nxt.setdefault(cm, []).extend(range(first, len(masks)))
+            parents = nxt
+        return masks, drawn, kids
 
     def _resolve_friends(self, masks, drawn, kids, dead) -> FriendCountOutcome:
         k = self.k
@@ -375,12 +434,6 @@ class FriendCountSampler:
             if ok:
                 count += 1
         return FriendCountOutcome.finite(count)
-
-
-def sample_friend_count(lam, rng: np.random.Generator, depth_cap: int = 40,
-                        node_cap: int = 10**6) -> FriendCountOutcome:
-    """One sample of the root's friend count (finite or censored)."""
-    return FriendCountSampler(lam, rng, depth_cap, node_cap).sample()
 
 
 @dataclass(frozen=True)

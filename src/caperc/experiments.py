@@ -230,6 +230,10 @@ def run_ecer_convergence(cfg: ExperimentConfig) -> RunRecord:
 # ECBP Monte Carlo
 # ---------------------------------------------------------------------------
 
+# samples per seeded ecbp-mc chunk
+_CHUNK = 16384
+
+
 def _ecbp_task(args):
     lam, samples, seed_seq, ell_max, depth_cap, node_cap = args
     rng = np.random.default_rng(seed_seq)
@@ -241,13 +245,12 @@ def _ecbp_task(args):
 def run_ecbp_mc(cfg: ExperimentConfig) -> RunRecord:
     cfg.validate()
     start = time.perf_counter()
-    chunks = min(cfg.workers, cfg.samples) if cfg.workers > 1 else 1
-    per_chunk = [cfg.samples // chunks] * chunks
-    per_chunk[0] += cfg.samples - sum(per_chunk)
+    # fixed-size chunks, one seed each: workers only map chunks to processes
+    chunks = -(-cfg.samples // _CHUNK)
     seeds = _replica_seeds(cfg.seed, chunks)
     tasks = [
-        (cfg.lam, per_chunk[i], seeds[i], cfg.ell_max,
-         cfg.depth_cap, cfg.node_cap)
+        (cfg.lam, min(_CHUNK, cfg.samples - i * _CHUNK), seeds[i],
+         cfg.ell_max, cfg.depth_cap, cfg.node_cap)
         for i in range(chunks)
     ]
     parts = _parallel_map(_ecbp_task, tasks, cfg.workers)

@@ -91,6 +91,7 @@ def test_decomposition_fields():
     assert dec.component_size_density(1) == Fraction(1, 3)
     assert dec.component_size_density(2) == Fraction(2, 3)
     assert dec.component_size_density(3) == Fraction(0)
+    assert dec.component_size_density(4) == Fraction(0)
     with pytest.raises(ValueError):
         dec.component_size_density(0)
 

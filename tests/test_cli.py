@@ -76,6 +76,21 @@ def test_convergence_cli_deterministic_csv(tmp_path, capsys):
     assert outs[0].startswith(b"# schema: caperc-convergence-v1\n")
 
 
+def test_convergence_cli_ell_max_above_n(tmp_path, capsys):
+    # no component is larger than the graph: f_ell = 0 for ell > n
+    assert main(["convergence", "--lambda", "2,2", "--n", "10",
+                 "--ell-max", "20", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = next(tmp_path.glob("*/convergence.csv")).read_text().splitlines()
+    rows = [line.split(",") for line in lines[2:]]
+    assert {int(row[2]) for row in rows} == set(range(1, 21))
+    assert all(float(row[3]) == 0.0 for row in rows if int(row[2]) > 10)
+    # sample-ecer goes through the same config with its default ell_max
+    assert main(["sample-ecer", "--lambda", "2,2", "--n", "3",
+                 "--seed", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "3 2"
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("lambda=2,2\nsamples=400\nseed=1\n")

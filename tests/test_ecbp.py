@@ -3,6 +3,7 @@ friend counting against the exact two-color series, and structural properties
 of the friend-resolution recursion."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -165,6 +166,15 @@ def test_friend_counts_match_two_color_series():
     assert abs(hist.censored_mass - target_inf) < 3.5 * hist.censored_stderr()
 
 
+def test_three_color_censored_mass_matches_f_infinity():
+    lam = (0.7, 0.7, 0.7)
+    target = f_infinity_inclusion_exclusion(lam)
+    assert abs(target - 0.20173) < 1e-5
+    hist = mc_component_size_distribution(
+        lam, 20000, 3, np.random.default_rng(14))
+    assert abs(hist.censored_mass - target) < 3.5 * hist.censored_stderr()
+
+
 def test_node_cap_censoring_reason():
     hist = mc_component_size_distribution(
         (2.0, 2.0), 500, 3, np.random.default_rng(12), node_cap=10)
@@ -189,6 +199,74 @@ def test_histogram_bookkeeping():
     assert hist.censored_mass == 0.3
     assert hist.dense(3) == [0.6, 0.0, 0.1]
     assert hist.to_json_dict()["histogram"] == {"1": 6, "3": 1}
+
+
+# -- materialization of grown level totals ----------------------------------
+
+def _arena_depths(masks, kids):
+    """Depth of every node, checking that each non-root node has exactly one
+    parent edge and the avoid-mask that edge implies."""
+    depth = [0] + [None] * (len(masks) - 1)
+    for (u, c), r in sorted(kids.items()):
+        assert isinstance(r, range) and r.step == 1 and len(r) > 0
+        for v in r:
+            assert depth[v] is None
+            depth[v] = depth[u] + 1
+            assert masks[v] == masks[u] & ~(1 << c)
+    assert None not in depth
+    return depth
+
+
+def test_materialized_arena_reproduces_level_totals():
+    sampler = FriendCountSampler((0.7, 0.7, 0.7), np.random.default_rng(15))
+    # (mask, color, child mask, total) per grown level; mask 0b100 nodes
+    # avoid color 2 only, so color 2 is not admissible for them
+    levels = [
+        [(0b111, 0, 0b110, 3), (0b111, 1, 0b101, 2), (0b111, 2, 0b011, 1)],
+        [(0b110, 1, 0b100, 5), (0b110, 2, 0b010, 4), (0b101, 0, 0b100, 3),
+         (0b011, 1, 0b001, 2)],
+        [(0b100, 0, 0b100, 7), (0b100, 1, 0b100, 6), (0b010, 2, 0b010, 9)],
+    ]
+    for _ in range(50):
+        masks, drawn, kids = sampler._materialize(levels)
+        assert masks[0] == 0b111 and len(drawn) == len(masks)
+        depth = _arena_depths(masks, kids)
+        totals = Counter()
+        for (u, c), r in kids.items():
+            totals[(depth[u], masks[u], c)] += len(r)
+        assert totals == Counter({(d, m, c): t
+                                  for d, level in enumerate(levels)
+                                  for m, c, _, t in level})
+        for v, m in enumerate(masks):
+            if depth[v] == len(levels):
+                assert drawn[v] == 0  # the unrevealed frontier
+            else:
+                admissible = sum(1 << c for c in range(3) if m & ~(1 << c))
+                assert drawn[v] == admissible
+
+
+def test_split_among_parents_is_uniform():
+    # the root's p color-0 children (mask 0b10) share t color-0 grandchildren
+    sampler = FriendCountSampler((2.0, 2.0), np.random.default_rng(16))
+    p, t, reps = 5, 12, 2000
+    levels = [[(0b11, 0, 0b10, p)], [(0b10, 0, 0b10, t)]]
+    per_parent = np.zeros((reps, p), dtype=int)
+    for rep in range(reps):
+        kids = sampler._materialize(levels)[2]
+        for i, u in enumerate(kids[(0, 0)]):
+            per_parent[rep, i] = len(kids.get((u, 0), ()))
+    assert (per_parent.sum(axis=1) == t).all()
+    # children pick parents uniformly: equal totals per parent ...
+    _, pvalue = scipy.stats.chisquare(per_parent.sum(axis=0))
+    assert pvalue > 0.01
+    # ... and each parent's share is Binomial(t, 1/p), as a multinomial
+    observed = np.bincount(per_parent[:, 0], minlength=t + 1).astype(float)
+    expected = scipy.stats.binom.pmf(np.arange(t + 1), t, 1 / p) * reps
+    cut = 6  # merge the tail so every expected cell is >= 5
+    obs = np.append(observed[:cut], observed[cut:].sum())
+    exp = np.append(expected[:cut], expected[cut:].sum())
+    _, pvalue = scipy.stats.chisquare(obs, exp * obs.sum() / exp.sum())
+    assert pvalue > 0.01
 
 
 # -- scripted resolution: monotonicity in the frontier types ----------------

@@ -109,6 +109,19 @@ def test_ecbp_mc_runner_counts_every_sample():
     assert len(rec.results["frequencies"]) == cfg.ell_max
 
 
+def test_ecbp_mc_results_independent_of_workers():
+    # 40 000 samples make three seeded chunks; workers only map them
+    records = []
+    for workers in (1, 2):
+        cfg = ExperimentConfig(kind="ecbp-mc", lam=(2.0, 2.0),
+                               samples=40_000, seed=3, workers=workers)
+        payload = run_ecbp_mc(cfg).to_json_dict()
+        del payload["elapsed_s"]
+        assert payload["config"].pop("workers") == str(workers)
+        records.append(payload)
+    assert records[0] == records[1]
+
+
 def test_analytic_report_route_agreement():
     rec = run_analytic_report(ExperimentConfig(kind="analytic-report",
                                                lam=(2.0, 2.0)))
