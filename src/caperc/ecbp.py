@@ -119,6 +119,8 @@ def mc_f_infinity(lam, samples: int, rng: np.random.Generator,
 
     Returns exactly (0.0, 0.0) outside the fully supercritical regime.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     lam = as_lambda(lam)
     if not classify_lambda(lam).fully_supercritical:
         return 0.0, 0.0
@@ -206,10 +208,15 @@ class FriendCountOutcome:
         return FriendCountOutcome("censored", reason=reason)
 
 
-# a censored sample carries nothing but its reason, so every sample shares
-# one outcome object per reason
+# a censored sample carries nothing but its reason, and a sample whose root
+# is its only candidate friend nothing but its count, so every such sample
+# shares one outcome object
 DEPTH_CAPPED = FriendCountOutcome.censored("depth-cap")
 NODE_CAPPED = FriendCountOutcome.censored("node-cap")
+ROOT_ONLY = FriendCountOutcome.finite(1)
+
+# samples FriendCountSampler grows together; divides experiments._CHUNK
+_BATCH = 1024
 
 
 class FriendCountSampler:
@@ -222,12 +229,15 @@ class FriendCountSampler:
     v is a friend iff for every color i either the root path avoids i or both
     endpoints are i-avoiding connected to infinity through descendants.
 
-    Growth is counts-first: a level is its node count per avoid-mask, and
-    the children of all count_m nodes of mask m via color c number
+    Growth is counts-first and batched: _BATCH samples grow together, each
+    level a (samples, 2^k) matrix of node counts per avoid-mask, and the
+    children of all count_m nodes of mask m via color c number
     Poisson(lambda_c * count_m) by Poisson additivity. Censoring depends on
-    these counts alone, so the per-node arena is built only once a cluster
-    dies, by splitting each total among its parents with uniform parent
-    choices (Poisson splitting: the same law as per-node draws).
+    these counts alone. So does a finite sample whose root is the only node
+    in every dead cluster: its friend count is 1. For any other finite
+    sample the per-node arena is built from its level totals, by splitting
+    each total among its parents with uniform parent choices (Poisson
+    splitting: the same law as per-node draws).
 
     The alive_i flags are resolved by propagating through materialized
     children and drawing one memoized extended type per fully unrevealed
@@ -244,11 +254,11 @@ class FriendCountSampler:
             raise ValueError(
                 "friend counting requires every color subset of size <= k-2 "
                 "to have total intensity < 1")
-        self.k = self.lam.k
+        self.k = k = self.lam.k
         self.depth_cap = depth_cap
         self.node_cap = node_cap
         self.theta = [survival_theta(self.lam.lambda_without(i))
-                      for i in range(self.k)]
+                      for i in range(k)]
         self.cert = []
         for t in self.theta:
             if t <= 0.0:
@@ -266,63 +276,110 @@ class FriendCountSampler:
         self._type_masks = gmasks
         self._type_cum = cum
         self._streams = [_Stream(partial(rng.poisson, self.lam[c]))
-                         for c in range(self.k)]
+                         for c in range(k)]
         self._uniform = _Stream(rng.random)
         self._poisson = rng.poisson
-        k = self.k
         self._full = full = (1 << k) - 1
-        # per avoid-mask m: (color, child mask, intensity, buffered draw) for
-        # every admissible color c, i.e. m & ~(1 << c) != 0
-        self._growth = [
-            [(c, m & ~(1 << c), self.lam[c], self._streams[c].draw)
-             for c in range(k) if m & ~(1 << c)]
-            for m in range(full + 1)]
-        # per avoid-mask: the colors whose avoiding cluster it belongs to
-        self._clusters = [[i for i in range(k) if (m >> i) & 1]
-                          for m in range(full + 1)]
+        # growth entries (mask, color, child mask): every admissible color c
+        # of every avoid-mask m, i.e. m & ~(1 << c) != 0
+        self._entries = entries = [(m, c, m & ~(1 << c))
+                                   for m in range(1, full + 1)
+                                   for c in range(k) if m & ~(1 << c)]
+        self._entry_mask = np.array([m for m, _, _ in entries])
+        self._entry_lam = np.array([self.lam[c] for _, c, _ in entries])
+        # entry -> child mask, as a 0/1 matrix that sums entry totals into
+        # the next level's counts
+        self._scatter = np.zeros((len(entries), full + 1), dtype=np.int64)
+        self._scatter[np.arange(len(entries)), [cm for *_, cm in entries]] = 1
+        masks = np.arange(full + 1)
+        # member[m, i]: mask-m nodes lie in color i's avoiding cluster
+        self._member = (masks[:, None] >> np.arange(k)) & 1
+        # superset[m, d]: mask-m nodes lie in every cluster that mask d names
+        self._superset = (masks[:, None] & masks) == masks
+        self._cert = None if None in self.cert else np.array(self.cert)
         # reveal state of a grown node: every admissible color drawn
-        self._grown_drawn = [sum(1 << c for c, *_ in row)
-                             for row in self._growth]
+        self._grown_drawn = [0] * (full + 1)
+        for m, c, _ in entries:
+            self._grown_drawn[m] |= 1 << c
+        # outcomes of the current block, or (levels, dead) for a sample
+        # whose friends are still to be resolved
+        self._block: list = []
+        self._next = 0
 
     def sample(self) -> FriendCountOutcome:
-        k = self.k
-        growth, clusters, cert = self._growth, self._clusters, self.cert
-        certifiable = None not in cert
-        poisson = self._poisson
-        depth_cap, node_cap = self.depth_cap, self.node_cap
-        # node count per avoid-mask on the current level
-        counts = {self._full: 1}
-        # per grown level: (mask, color, child mask, total) of each nonzero
-        # total of children
-        levels: list[list[tuple[int, int, int, int]]] = []
-        nodes = 1
+        if self._next == len(self._block):
+            self._block = self._grow_block()
+            self._next = 0
+        out = self._block[self._next]
+        self._next += 1
+        if isinstance(out, FriendCountOutcome):
+            return out
+        levels, dead = out
+        return self._resolve_friends(*self._materialize(levels), dead)
+
+    def _grow_block(self) -> list:
+        """Grows _BATCH samples from their roots. Each level settles, in
+        order: samples with a dead cluster, then every sample at depth_cap,
+        then samples over node_cap, then certified survivors; the rest grow
+        one level by a single Poisson draw over all (sample, entry) pairs."""
+        out = np.empty(_BATCH, dtype=object)
+        ids = np.arange(_BATCH)
+        counts = np.zeros((_BATCH, self._full + 1), dtype=np.int64)
+        counts[:, self._full] = 1
+        # nodes per avoid-mask grown so far, the root left out
+        grown = np.zeros_like(counts)
+        # per grown level: the ids of the samples grown and their totals of
+        # children per entry
+        history = []
         while True:
-            cnt = [0] * k
-            for m, n in counts.items():
-                for i in clusters[m]:
-                    cnt[i] += n
-            if 0 in cnt:
-                dead = [i for i in range(k) if cnt[i] == 0]
-                masks, drawn, kids = self._materialize(levels)
-                return self._resolve_friends(masks, drawn, kids, dead)
-            if len(levels) >= depth_cap:
-                return DEPTH_CAPPED
-            if nodes > node_cap:
-                return NODE_CAPPED
-            if certifiable and all(cnt[i] >= cert[i] for i in range(k)):
+            cnt = counts @ self._member
+            live = (cnt > 0).all(axis=1)
+            if not live.all():
+                self._settle_dead(out, ids[~live], cnt[~live], grown[~live],
+                                  history)
+            if len(history) >= self.depth_cap:
+                out[ids[live]] = DEPTH_CAPPED
+                break
+            # the root and the grown nodes number more than node_cap
+            over = live & (grown.sum(axis=1) >= self.node_cap)
+            out[ids[over]] = NODE_CAPPED
+            live &= ~over
+            if self._cert is not None:
                 # every avoiding cluster is certified to survive to depth_cap
-                return DEPTH_CAPPED
-            level = []
-            nxt: dict[int, int] = {}
-            for m, n in counts.items():
-                for c, cm, lam_c, draw in growth[m]:
-                    t = draw() if n == 1 else poisson(lam_c * n)
-                    if t:
-                        level.append((m, c, cm, t))
-                        nxt[cm] = nxt.get(cm, 0) + t
-                        nodes += t
-            levels.append(level)
-            counts = nxt
+                sure = live & (cnt >= self._cert).all(axis=1)
+                out[ids[sure]] = DEPTH_CAPPED
+                live &= ~sure
+            ids, counts, grown = ids[live], counts[live], grown[live]
+            if not ids.size:
+                break
+            draws = self._poisson(self._entry_lam
+                                  * counts[:, self._entry_mask])
+            counts = draws @ self._scatter
+            grown += counts
+            history.append((ids, draws))
+        return out.tolist()
+
+    def _settle_dead(self, out, ids, cnt, grown, history):
+        """Outcomes of samples with a dead cluster: finite(1) when no node
+        but the root lies in every dead cluster, else the sample's level
+        totals as (mask, color, child mask, total) entries for
+        _materialize, with its dead colors."""
+        deadmasks = (cnt == 0) @ (1 << np.arange(self.k))
+        # nodes other than the root in every dead cluster; frontier nodes
+        # are counted too, but none of them lies in a dead cluster
+        candidates = (grown * self._superset[:, deadmasks].T).sum(axis=1)
+        alone = candidates == 0
+        out[ids[alone]] = ROOT_ONLY
+        ids, deadmasks = ids[~alone], deadmasks[~alone]
+        entries = self._entries
+        per_sample = [[] for _ in range(ids.size)]
+        for grown_ids, draws in history:
+            rows = draws[np.searchsorted(grown_ids, ids)].tolist()
+            for levels, row in zip(per_sample, rows):
+                levels.append([(m, c, cm, t)
+                               for (m, c, cm), t in zip(entries, row) if t])
+        for i, levels, d in zip(ids.tolist(), per_sample, deadmasks.tolist()):
+            out[i] = (levels, [j for j in range(self.k) if (d >> j) & 1])
 
     def _materialize(self, levels):
         """Per-node arena (masks, drawn, kids) of grown level totals.
@@ -433,6 +490,9 @@ class FriendCountSampler:
                     break
             if ok:
                 count += 1
+        # alive refers to itself through its closure cell; clearing the cell
+        # frees the arena without waiting for the cyclic collector
+        del alive
         return FriendCountOutcome.finite(count)
 
 
@@ -487,6 +547,8 @@ def mc_component_size_distribution(lam, samples: int, ell_max: int,
     excluded from the finite numerators but kept in the denominator; the
     censored mass estimates the infinite-class density plus truncation bias.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     if ell_max < 1:
         raise ValueError("ell_max must be >= 1")
     sampler = FriendCountSampler(lam, rng, depth_cap, node_cap)

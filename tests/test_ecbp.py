@@ -2,6 +2,7 @@
 friend counting against the exact two-color series, and structural properties
 of the friend-resolution recursion."""
 
+import gc
 import math
 from collections import Counter
 
@@ -14,6 +15,9 @@ from caperc.analytic import (
     two_color_f_ell,
 )
 from caperc.ecbp import (
+    _BATCH,
+    DEPTH_CAPPED,
+    NODE_CAPPED,
     CoreOverflow,
     CoreSampler,
     FriendCountOutcome,
@@ -24,6 +28,7 @@ from caperc.ecbp import (
     mc_phi1_estimate,
     mc_string_subtree_counts,
 )
+from caperc.experiments import _CHUNK
 
 
 def test_two_color_core_is_root_only():
@@ -116,6 +121,11 @@ def test_mc_f_infinity_zero_when_not_supercritical():
     assert mc_f_infinity((0.8, 0.8), 10, rng) == (0.0, 0.0)
 
 
+def test_mc_f_infinity_rejects_zero_samples():
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        mc_f_infinity((2.0, 2.0), 0, np.random.default_rng(0))
+
+
 def test_mc_f_infinity_two_colors():
     target = f_infinity_inclusion_exclusion((2.0, 2.0))
     mean, se = mc_f_infinity((2.0, 2.0), 20000, np.random.default_rng(7))
@@ -173,6 +183,66 @@ def test_three_color_censored_mass_matches_f_infinity():
     hist = mc_component_size_distribution(
         lam, 20000, 3, np.random.default_rng(14))
     assert abs(hist.censored_mass - target) < 3.5 * hist.censored_stderr()
+
+
+def test_friend_counts_match_asymmetric_two_color_series():
+    # theta(0.5) = 0: every sample ends finite, and most are decided on
+    # counts alone because the root is the only candidate friend
+    samples = 20000
+    hist = mc_component_size_distribution(
+        (1.5, 0.5), samples, 5, np.random.default_rng(17))
+    assert hist.censored == 0
+    for ell in range(1, 6):
+        target = two_color_f_ell(1.5, 0.5, ell)
+        se = max(hist.stderr(ell), math.sqrt(target * (1 - target) / samples))
+        assert abs(hist.frequency(ell) - target) < 3.5 * se
+
+
+def test_component_size_distribution_rejects_zero_samples():
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        mc_component_size_distribution(
+            (2.0, 2.0), 0, 3, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("lam", [(2.0, 2.0), (0.8, 0.8)])
+def test_depth_cap_zero_censors_every_sample(lam):
+    hist = mc_component_size_distribution(
+        lam, 1500, 3, np.random.default_rng(20), depth_cap=0)
+    assert hist.censored_counts == {"depth-cap": 1500}
+
+
+@pytest.mark.parametrize("depth_cap", [1, 40])
+@pytest.mark.parametrize("lam", [(2.0, 2.0), (0.8, 0.8)])
+def test_node_cap_zero_censors_every_sample(lam, depth_cap):
+    # the root alone is over the cap
+    hist = mc_component_size_distribution(
+        lam, 1500, 3, np.random.default_rng(21), depth_cap=depth_cap,
+        node_cap=0)
+    assert hist.censored_counts == {"node-cap": 1500}
+
+
+def test_batch_divides_ecbp_mc_chunk():
+    assert _CHUNK % _BATCH == 0
+
+
+@pytest.mark.parametrize("samples", [1, 1023, 1025, 2049])
+def test_histograms_across_block_boundaries(samples):
+    hists = [mc_component_size_distribution(
+        (2.0, 2.0), samples, 3, np.random.default_rng(22)) for _ in range(2)]
+    assert sum(hists[0].finite_counts.values()) + hists[0].censored == samples
+    assert hists[0] == hists[1]
+
+
+def test_friend_resolution_leaves_no_cyclic_garbage():
+    sampler = FriendCountSampler((1.5, 0.5), np.random.default_rng(23))
+    gc.collect()
+    gc.disable()
+    try:
+        outs = [sampler.sample() for _ in range(1000)]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert any(out.ell > 1 for out in outs)  # some arenas were resolved
 
 
 def test_node_cap_censoring_reason():
@@ -267,6 +337,67 @@ def test_split_among_parents_is_uniform():
     exp = np.append(expected[:cut], expected[cut:].sum())
     _, pvalue = scipy.stats.chisquare(obs, exp * obs.sum() / exp.sum())
     assert pvalue > 0.01
+
+
+# -- settling a sample on its counts ----------------------------------------
+
+def _scripted(sampler, levels):
+    """Replaces the block's Poisson draws: every sample grows the given
+    totals, one {(mask, color): total} dict per level."""
+    entry = {(m, c): e for e, (m, c, _) in enumerate(sampler._entries)}
+    script = iter(levels)
+
+    def poisson(lam):
+        draws = np.zeros(lam.shape, dtype=np.int64)
+        for (m, c), t in next(script).items():
+            draws[:, entry[(m, c)]] = t
+        return draws
+    sampler._poisson = poisson
+
+
+def _no_materialize(levels):
+    raise AssertionError("materialized")
+
+
+def test_root_only_sample_is_settled_on_counts():
+    # the root's two color-0 children avoid color 1 only: the cluster
+    # avoiding color 0 dies at level 1 with the root as its only member
+    sampler = FriendCountSampler((2.0, 2.0), np.random.default_rng(24))
+    _scripted(sampler, [{(0b11, 0): 2}])
+    sampler._materialize = _no_materialize
+    assert [sampler.sample() for _ in range(3)] == [
+        FriendCountOutcome.finite(1)] * 3
+
+
+@pytest.mark.parametrize("caps, level, expected", [
+    # a dead cluster is tested before depth_cap ...
+    ((1, 10**6), {(0b11, 0): 2}, FriendCountOutcome.finite(1)),
+    # ... depth_cap before node_cap ...
+    ((1, 30), {(0b11, 0): 20, (0b11, 1): 20}, DEPTH_CAPPED),
+    # ... and node_cap before the certified shortcut
+    ((40, 30), {(0b11, 0): 20, (0b11, 1): 20}, NODE_CAPPED),
+])
+def test_order_of_checks(caps, level, expected):
+    sampler = FriendCountSampler((2.0, 2.0), np.random.default_rng(26), *caps)
+    assert max(sampler.cert) <= 20  # 20 nodes per cluster are certified
+    _scripted(sampler, [level])
+    assert sampler.sample() == expected
+
+
+def test_other_candidates_are_materialized():
+    # level 1 holds a mask-0b10 node, which lies in the cluster avoiding
+    # color 1; that cluster dies at level 2, so the node is a candidate
+    levels = [{(0b11, 0): 1, (0b11, 1): 1}, {(0b01, 1): 1}]
+    sampler = FriendCountSampler((2.0, 2.0), np.random.default_rng(25))
+    _scripted(sampler, levels)
+    sampler._materialize = _no_materialize
+    with pytest.raises(AssertionError, match="materialized"):
+        sampler.sample()
+    assert sampler._block[1] == (
+        [[(0b11, 0, 0b10, 1), (0b11, 1, 0b01, 1)], [(0b01, 1, 0b01, 1)]],
+        [1])
+    del sampler._materialize
+    assert sampler.sample().ell in (1, 2)
 
 
 # -- scripted resolution: monotonicity in the frontier types ----------------
