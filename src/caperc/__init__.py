@@ -27,7 +27,6 @@ from .ecbp import (
 from .graph import (
     EdgeColoredGraph,
     connected_components,
-    project,
     sample_ecer,
 )
 from .params import LambdaVector
@@ -54,7 +53,6 @@ __all__ = [
     "mc_f_infinity",
     "near_critical_constant",
     "phi_eval",
-    "project",
     "sample_ecbp",
     "sample_ecer",
     "solve_p_system",

@@ -474,6 +474,21 @@ def two_color_f_ell(lambda_red: float, lambda_blue: float, ell: int,
 DEFAULT_EPS_GRID = (1e-2, 5e-3, 2e-3, 1e-3)
 
 
+def check_eps_grid(k: int, eps_grid) -> tuple[float, ...]:
+    """The eps grid as floats, or ValueError unless it has at least two
+    positive, finite, strictly decreasing entries and, for k >= 3, keeps
+    every (k-2)-subset of the intensities (1+eps)/(k-1) below total 1."""
+    grid = tuple(float(e) for e in eps_grid)
+    if len(grid) < 2 or any(not 0 < e < math.inf for e in grid) or any(
+            a <= b for a, b in zip(grid, grid[1:])):
+        raise ValueError("eps grid needs at least two positive, finite, "
+                         "strictly decreasing entries")
+    if k >= 3 and grid[0] >= 1.0 / (k - 2):
+        raise ValueError("eps grid violates the small-subset assumption "
+                         f"(eps < {1.0 / (k - 2)!r} for k = {k})")
+    return grid
+
+
 @dataclass(frozen=True)
 class NearCriticalDiagnostics:
     eps_grid: tuple[float, ...]
@@ -488,12 +503,7 @@ def near_critical_constant(k: int, eps_grid=DEFAULT_EPS_GRID):
     """
     if k < 2:
         raise ValueError("need k >= 2")
-    grid = tuple(float(e) for e in eps_grid)
-    if len(grid) < 2 or any(e <= 0 for e in grid) or any(
-            a <= b for a, b in zip(grid, grid[1:])):
-        raise ValueError("eps grid must be decreasing and positive")
-    if k >= 3 and grid[0] >= 1.0 / (k - 2):
-        raise ValueError("eps grid violates the small-subset assumption")
+    grid = check_eps_grid(k, eps_grid)
     ratios = []
     for eps in grid:
         lam = LambdaVector([(1.0 + eps) / (k - 1)] * k)

@@ -9,7 +9,7 @@ from typing import IO
 
 import numpy as np
 
-from .graph import EdgeColoredGraph, connected_components, project
+from .graph import EdgeColoredGraph, connected_components
 
 
 def color_avoiding_partition(g: EdgeColoredGraph) -> np.ndarray:
@@ -38,13 +38,16 @@ def brute_force_cap_partition(g: EdgeColoredGraph) -> np.ndarray:
     if g.n > 12:
         raise ValueError("brute force limited to n <= 12")
     n, k = g.n, g.k
+    # adj[i][u]: u's neighbours via every color but i (a pair shared by
+    # two colors is listed twice, which the search does not mind)
     adj: list[list[list[int]]] = []
     for i in range(k):
-        proj = project(g, set(range(k)) - {i})
         nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in proj.edges:
-            nbrs[int(u)].append(int(v))
-            nbrs[int(v)].append(int(u))
+        for c, edges in enumerate(g.edge_sets):
+            if c != i:
+                for u, v in edges.tolist():
+                    nbrs[u].append(v)
+                    nbrs[v].append(u)
         adj.append(nbrs)
 
     def connected(a: int, b: int, i: int) -> bool:

@@ -5,13 +5,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .cap import CapDecomposition
 from .experiments import (
+    CONFIG_KEYS,
     RUNNERS,
+    ExperimentConfig,
     config_from_mapping,
     parse_config_file,
 )
@@ -19,76 +22,68 @@ from .graph import dump_graph, load_graph, sample_ecer
 from .params import LambdaVector
 
 
+class _InputError(Exception):
+    """Invalid input at any stage: `main` prints it and exits 2."""
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=int, default=None)
-    parser.add_argument("--lambda", dest="lam", type=str, default=None,
-                        help="comma-separated color intensities, e.g. 2,2")
-    parser.add_argument("--n", type=str, default=None,
-                        help="comma-separated vertex counts")
-    parser.add_argument("--replicas", type=int, default=None)
-    parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--depth-cap", type=int, default=None)
-    parser.add_argument("--node-cap", type=int, default=None)
-    parser.add_argument("--ell-max", type=int, default=None)
-    parser.add_argument("--eps", type=str, default=None,
-                        help="comma-separated decreasing epsilon grid")
-    parser.add_argument("--d", type=int, default=None, help="ball depth")
-    parser.add_argument("--config", type=str, default=None,
+    for key, f in CONFIG_KEYS.items():
+        if key != "kind":
+            parser.add_argument("--" + key.replace("_", "-"),
+                                help=f.metadata.get("help"))
+    parser.add_argument("--config",
                         help="flat key=value config file; flags override it")
 
 
-def _gather(args: argparse.Namespace, kind: str) -> dict[str, str]:
-    items: dict[str, str] = {}
-    if args.config:
-        items.update(parse_config_file(args.config))
-    items["kind"] = kind
-    mapping = {
-        "k": args.k, "lambda": args.lam, "n": args.n,
-        "replicas": args.replicas, "samples": args.samples,
-        "seed": args.seed, "out": args.out, "workers": args.workers,
-        "depth_cap": args.depth_cap, "node_cap": args.node_cap,
-        "ell_max": args.ell_max, "eps": args.eps, "d": args.d,
-    }
-    for key, val in mapping.items():
-        if val is not None:
-            items[key] = str(val)
+def _gather(args: argparse.Namespace) -> dict[str, str]:
+    items = parse_config_file(args.config) if args.config else {}
+    # kind comes from the subcommand's defaults, so it overrides the file
+    items.update({key: val for key, val in vars(args).items()
+                  if key in CONFIG_KEYS and val is not None})
     if "k" not in items and "lambda" in items:
         items["k"] = str(len(items["lambda"].split(",")))
     return items
 
 
-def _run_experiment(args: argparse.Namespace, kind: str) -> int:
+def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     try:
-        cfg = config_from_mapping(_gather(args, kind))
+        return config_from_mapping(_gather(args))
     except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    record = RUNNERS[kind](cfg)
+        raise _InputError(exc) from None
+
+
+@contextmanager
+def _writing(path):
+    """Report a failure to create or write `path` as invalid input."""
+    try:
+        yield
+    except OSError as exc:
+        raise _InputError(
+            f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _run_experiment(args: argparse.Namespace) -> int:
+    cfg = _load_config(args)
+    record = RUNNERS[cfg.kind](cfg)
     if cfg.out:
-        run_dir = record.write()
+        with _writing(cfg.out):
+            run_dir = record.write()
         print(f"wrote {run_dir}", file=sys.stderr)
     print(json.dumps(record.to_json_dict(), indent=2, sort_keys=True))
     return 0 if record.checks_passed else 1
 
 
 def _cmd_sample_ecer(args: argparse.Namespace) -> int:
-    try:
-        cfg = config_from_mapping(_gather(args, "ecer-convergence"))
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    cfg = _load_config(args)
     n = cfg.n_list[-1]
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     g = sample_ecer(n, n, LambdaVector(cfg.lam), rng)
     if cfg.out:
-        out_dir = Path(cfg.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / f"ecer-n{n}-seed{cfg.seed}.txt"
-        with path.open("w") as fh:
-            dump_graph(g, fh)
+        path = Path(cfg.out) / f"ecer-n{n}-seed{cfg.seed}.txt"
+        with _writing(path):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with path.open("w") as fh:
+                dump_graph(g, fh)
         print(f"wrote {path}", file=sys.stderr)
     else:
         dump_graph(g, sys.stdout)
@@ -97,26 +92,24 @@ def _cmd_sample_ecer(args: argparse.Namespace) -> int:
 
 def _cmd_components(args: argparse.Namespace) -> int:
     path = Path(args.graph)
-    if not path.exists():
-        print(f"config error: no such graph file {path}", file=sys.stderr)
-        return 2
     try:
         with path.open() as fh:
             g = load_graph(fh)
+    except OSError as exc:
+        raise _InputError(
+            f"cannot read graph file {path}: {exc.strerror or exc}") from None
     except ValueError as exc:
-        print(f"config error: malformed graph file {path}: {exc}",
-              file=sys.stderr)
-        return 2
+        raise _InputError(f"malformed graph file {path}: {exc}") from None
     dec = CapDecomposition.from_graph(g)
     if sum(dec.size_histogram.values()) != 1:
         print("normalization check failed", file=sys.stderr)
         return 1
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        out_path = out_dir / (path.stem + "-components.csv")
-        with out_path.open("w") as fh:
-            dec.to_csv(fh)
+        out_path = Path(args.out) / (path.stem + "-components.csv")
+        with _writing(out_path):
+            out_path.parent.mkdir(parents=True, exist_ok=True)
+            with out_path.open("w") as fh:
+                dec.to_csv(fh)
         print(f"wrote {out_path}", file=sys.stderr)
     else:
         dec.to_csv(sys.stdout)
@@ -131,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample-ecer", help="sample an ECER graph dump")
     _add_common(p)
-    p.set_defaults(fn=_cmd_sample_ecer)
+    p.set_defaults(fn=_cmd_sample_ecer, kind="ecer-convergence")
 
     p = sub.add_parser("components",
                        help="decompose a graph dump into color-avoiding components")
@@ -152,9 +145,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.fn is _run_experiment:
-        return _run_experiment(args, args.kind)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _InputError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -25,20 +25,36 @@ KINDS = ("ecer-convergence", "ecbp-mc", "analytic-report",
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A run's settings, valid once constructed. The fields are the config
+    schema: a field's flat key (its metadata "key", else its name) is its
+    config-file key, its record key (all but out) and, apart from kind,
+    which the subcommand sets, its CLI flag."""
+
     kind: str
     k: int = 2
-    lam: tuple[float, ...] = (2.0, 2.0)
-    n_list: tuple[int, ...] = (500, 1000, 2000, 4000)
+    lam: tuple[float, ...] = field(
+        default=(2.0, 2.0),
+        metadata={"key": "lambda",
+                  "help": "comma-separated color intensities, e.g. 2,2"})
+    n_list: tuple[int, ...] = field(
+        default=(500, 1000, 2000, 4000),
+        metadata={"key": "n", "help": "comma-separated vertex counts"})
     replicas: int = 30
     samples: int = 100_000
     seed: int = 0
     depth_cap: int = 40
     node_cap: int = 10**6
     ell_max: int = 5
-    eps_grid: tuple[float, ...] = analytic.DEFAULT_EPS_GRID
-    d: int = 1
+    eps_grid: tuple[float, ...] = field(
+        default=analytic.DEFAULT_EPS_GRID,
+        metadata={"key": "eps",
+                  "help": "comma-separated decreasing epsilon grid"})
+    d: int = field(default=1, metadata={"help": "ball depth"})
     workers: int = 1
     out: str | None = None
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if self.kind not in KINDS:
@@ -46,8 +62,10 @@ class ExperimentConfig:
         # the near-critical constant depends on k alone and reads no lambda
         if self.kind != "near-critical" and len(self.lam) != self.k:
             raise ValueError("lambda length must equal k")
-        if any(x <= 0 for x in self.lam):
-            raise ValueError("lambda entries must be positive")
+        # a finite total also keeps every subset sum finite
+        if not (all(x > 0 for x in self.lam) and sum(self.lam) < math.inf):
+            raise ValueError("lambda entries must be positive, with a "
+                             "finite sum")
         if (self.kind == "ecbp-mc"
                 and not analytic.classify_lambda(self.lam).assumption_holds):
             raise ValueError(
@@ -57,8 +75,12 @@ class ExperimentConfig:
             raise ValueError("n values must be positive")
         if self.replicas < 1 or self.samples < 1 or self.ell_max < 1:
             raise ValueError("replicas, samples, ell_max must be >= 1")
+        if self.depth_cap < 0 or self.node_cap < 0:
+            raise ValueError("depth_cap and node_cap must be >= 0")
         if self.k < 2 and self.kind in ("analytic-report", "near-critical"):
             raise ValueError(f"{self.kind} needs k >= 2")
+        if self.kind == "near-critical":
+            analytic.check_eps_grid(self.k, self.eps_grid)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if not 0 <= self.d <= 2:
@@ -67,21 +89,11 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
 
     def to_flat_dict(self) -> dict[str, str]:
-        return {
-            "kind": self.kind,
-            "k": str(self.k),
-            "lambda": ",".join(repr(x) for x in self.lam),
-            "n": ",".join(str(n) for n in self.n_list),
-            "replicas": str(self.replicas),
-            "samples": str(self.samples),
-            "seed": str(self.seed),
-            "depth_cap": str(self.depth_cap),
-            "node_cap": str(self.node_cap),
-            "ell_max": str(self.ell_max),
-            "eps": ",".join(repr(e) for e in self.eps_grid),
-            "d": str(self.d),
-            "workers": str(self.workers),
-        }
+        # out says where a record goes, not what it holds
+        flat = {key: getattr(self, f.name)
+                for key, f in CONFIG_KEYS.items() if key != "out"}
+        return {key: ",".join(map(repr, val)) if isinstance(val, tuple)
+                else str(val) for key, val in flat.items()}
 
     def config_hash(self) -> str:
         # workers and output location do not affect results
@@ -89,6 +101,11 @@ class ExperimentConfig:
                  if key != "workers"}
         blob = "\n".join(f"{key}={val}" for key, val in sorted(items.items()))
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+# flat key -> field, in field order
+CONFIG_KEYS = {f.metadata.get("key", f.name): f
+               for f in fields(ExperimentConfig)}
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -105,26 +122,25 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return out
 
 
+def _parse_value(default, text: str):
+    """Parse a flat value as the type of its field's default."""
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(x) for x in text.split(","))
+    return int(text) if isinstance(default, int) else text
+
+
 def config_from_mapping(items: dict[str, str]) -> ExperimentConfig:
-    cfg = ExperimentConfig(kind=items.get("kind", ""))
-    updates: dict = {}
-    if "k" in items:
-        updates["k"] = int(items["k"])
-    if "lambda" in items:
-        updates["lam"] = tuple(float(x) for x in items["lambda"].split(","))
-    if "n" in items:
-        updates["n_list"] = tuple(int(x) for x in items["n"].split(","))
-    for key in ("replicas", "samples", "seed", "depth_cap", "node_cap",
-                "ell_max", "d", "workers"):
-        if key in items:
-            updates[key] = int(items[key])
-    if "eps" in items:
-        updates["eps_grid"] = tuple(float(x) for x in items["eps"].split(","))
-    if "out" in items:
-        updates["out"] = items["out"]
-    cfg = replace(cfg, **updates)
-    cfg.validate()
-    return cfg
+    unknown = sorted(set(items) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    kwargs = {}
+    for key, text in items.items():
+        f = CONFIG_KEYS[key]
+        try:
+            kwargs[f.name] = _parse_value(f.default, text)
+        except ValueError:
+            raise ValueError(f"bad value for {key}: {text!r}") from None
+    return ExperimentConfig(**kwargs)
 
 
 @dataclass
@@ -184,7 +200,6 @@ def _convergence_task(args):
 
 
 def run_ecer_convergence(cfg: ExperimentConfig) -> RunRecord:
-    cfg.validate()
     start = time.perf_counter()
     lam = LambdaVector(cfg.lam)
     target_f_inf = analytic.f_infinity_inclusion_exclusion(lam)
@@ -243,7 +258,6 @@ def _ecbp_task(args):
 
 
 def run_ecbp_mc(cfg: ExperimentConfig) -> RunRecord:
-    cfg.validate()
     start = time.perf_counter()
     # fixed-size chunks, one seed each: workers only map chunks to processes
     chunks = -(-cfg.samples // _CHUNK)
@@ -288,7 +302,6 @@ def _mask_name(mask: int, k: int) -> str:
 
 
 def run_analytic_report(cfg: ExperimentConfig) -> RunRecord:
-    cfg.validate()
     start = time.perf_counter()
     lam = LambdaVector(cfg.lam)
     regime = analytic.classify_lambda(lam)
@@ -339,7 +352,6 @@ def _local_weak_task(args):
 
 
 def run_local_weak_check(cfg: ExperimentConfig) -> RunRecord:
-    cfg.validate()
     start = time.perf_counter()
     lam = LambdaVector(cfg.lam)
     n = cfg.n_list[-1]
@@ -385,7 +397,6 @@ def run_local_weak_check(cfg: ExperimentConfig) -> RunRecord:
 # ---------------------------------------------------------------------------
 
 def run_near_critical(cfg: ExperimentConfig) -> RunRecord:
-    cfg.validate()
     start = time.perf_counter()
     estimate, diag = analytic.near_critical_constant(cfg.k, cfg.eps_grid)
     results = {

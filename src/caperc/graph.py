@@ -1,8 +1,7 @@
-"""Edge-colored graphs, ECER sampling, projections, and plain connectivity."""
+"""Edge-colored graphs, ECER sampling, and plain connectivity."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -32,18 +31,6 @@ def _canonical_edges(edges, n: int, color: int) -> np.ndarray:
     if np.any(key[1:] == key[:-1]):
         raise ValueError(f"color {color}: duplicate edge within one color")
     return arr[order]
-
-
-@dataclass(frozen=True)
-class UncoloredGraph:
-    """Simple uncolored graph: vertex count plus a sorted unique edge array."""
-
-    n: int
-    edges: np.ndarray  # (m, 2) int64, u < v, unique, sorted
-
-    @property
-    def edge_count(self) -> int:
-        return int(self.edges.shape[0])
 
 
 class EdgeColoredGraph:
@@ -140,21 +127,6 @@ def sample_ecer(n: int, vertex_count: int, lam, rng: np.random.Generator) -> Edg
         u, v = _pair_index_to_edge(idx, vertex_count)
         edge_sets.append(np.stack([u, v], axis=1))
     return EdgeColoredGraph(vertex_count, edge_sets)
-
-
-def project(g: EdgeColoredGraph, colors: Iterable[int]) -> UncoloredGraph:
-    """Simple uncolored union of the given colors' edge sets."""
-    cs = sorted(set(colors))
-    if any(c < 0 or c >= g.k for c in cs):
-        raise ValueError("color index out of range")
-    if not cs:
-        return UncoloredGraph(g.n, np.empty((0, 2), dtype=np.int64))
-    stacked = np.concatenate([g.edge_sets[c] for c in cs], axis=0)
-    if stacked.shape[0] == 0:
-        return UncoloredGraph(g.n, stacked)
-    key = stacked[:, 0] * g.n + stacked[:, 1]
-    uniq = np.unique(key)
-    return UncoloredGraph(g.n, np.stack([uniq // g.n, uniq % g.n], axis=1))
 
 
 def connected_components(n: int, edges: np.ndarray) -> np.ndarray:

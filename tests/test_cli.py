@@ -7,6 +7,7 @@ import json
 import pytest
 
 from caperc.cli import main
+from caperc.experiments import CONFIG_KEYS, ExperimentConfig
 from caperc.graph import EdgeColoredGraph, dump_graph, load_graph
 
 
@@ -22,10 +23,66 @@ def test_invalid_config_exits_2(capsys):
     ["local-weak", "--d", "-1"],
     ["analytic", "--lambda", "2"],
     ["near-critical", "--k", "1"],
+    # lambda must be positive with a finite sum
+    ["analytic", "--lambda", "nan,nan"],
+    ["analytic", "--lambda", "inf,2"],
+    # the eps grid: two or more entries, decreasing, below 1/(k-2)
+    ["near-critical", "--k", "2", "--eps", "0.1,0.2"],
+    ["near-critical", "--k", "2", "--eps", "0.05"],
+    ["near-critical", "--k", "3", "--eps", "2,1"],
+    ["ecbp-mc", "--depth-cap", "-3", "--samples", "10"],
+    ["ecbp-mc", "--node-cap", "-5", "--samples", "10"],
+    ["ecbp-mc", "--k", "two"],
+    # unreadable config file, unwritable output
+    ["sample-ecer", "--config", "{missing}"],
+    ["ecbp-mc", "--config", "{missing}"],
+    ["ecbp-mc", "--samples", "10", "--out", "{file}/sub"],
+    ["sample-ecer", "--n", "50", "--out", "{file}/sub"],
+    ["components", "{graph}", "--out", "{file}/sub"],
 ])
-def test_invalid_experiment_input_exits_2(capsys, argv):
+def test_invalid_experiment_input_exits_2(tmp_path, capsys, argv):
+    missing, file, graph = (tmp_path / name
+                            for name in ("missing.cfg", "file", "graph.txt"))
+    file.write_text("")
+    with graph.open("w") as fh:
+        dump_graph(EdgeColoredGraph(3, [[(0, 1)], [(1, 2)]]), fh)
+    argv = [arg.format(missing=missing, file=file, graph=graph) for arg in argv]
     assert main(argv) == 2
-    assert "config error" in capsys.readouterr().err
+    # one line, no traceback
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("lambda=2,2\nsample=500\n")
+    assert main(["ecbp-mc", "--config", str(path)]) == 2
+    assert "unknown config key(s): sample" in capsys.readouterr().err
+
+
+def _other_value(default) -> str:
+    if isinstance(default, tuple):
+        return ",".join(str(x // 2 if isinstance(x, int) else x / 2)
+                        for x in default)
+    return str(default + 1)
+
+
+@pytest.mark.parametrize(
+    "key", [key for key in CONFIG_KEYS if key not in ("kind", "out")])
+def test_flag_and_config_line_give_the_same_config(tmp_path, capsys, key):
+    # near-critical reads none of lambda, n, samples or workers, so one
+    # cheap run checks every key
+    value = _other_value(CONFIG_KEYS[key].default)
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {value}\n")
+    configs = []
+    for argv in (["--" + key.replace("_", "-"), value],
+                 ["--config", str(path)]):
+        assert main(["near-critical", *argv]) == 0
+        configs.append(json.loads(capsys.readouterr().out)["config"])
+    assert configs[0] == configs[1]
+    default = ExperimentConfig(kind="near-critical").to_flat_dict()
+    assert {k for k in default if configs[0][k] != default[k]} == {key}
 
 
 def test_unknown_kind_protected_by_argparse():

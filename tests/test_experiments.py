@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from caperc.analytic import near_critical_constant
 from caperc.experiments import (
+    CONFIG_KEYS,
     ExperimentConfig,
     config_from_mapping,
     parse_config_file,
@@ -46,6 +48,55 @@ def test_config_from_mapping_and_file(tmp_path):
     bad.write_text("this is not key value\n")
     with pytest.raises(ValueError):
         parse_config_file(bad)
+
+
+def test_record_keys_are_the_config_keys():
+    assert set(ExperimentConfig(kind="ecbp-mc").to_flat_dict()) == (
+        set(CONFIG_KEYS) - {"out"})
+
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(kind="near-critical"),
+    ExperimentConfig(kind="ecbp-mc", k=3, lam=(0.1 + 0.2, 0.5, 0.7),
+                     samples=7, depth_cap=0, node_cap=0, workers=2),
+    ExperimentConfig(kind="local-weak-check", n_list=(10, 30), replicas=2,
+                     seed=11, ell_max=9, eps_grid=(0.3, 0.1), d=0),
+])
+def test_flat_dict_round_trip(cfg):
+    assert config_from_mapping(cfg.to_flat_dict()) == cfg
+
+
+def test_unknown_config_key_rejected():
+    with pytest.raises(ValueError, match="sample"):
+        config_from_mapping({"kind": "ecbp-mc", "sample": "500"})
+
+
+# values computed by the hand-written key lists that preceded CONFIG_KEYS;
+# k as the CLI infers it from lambda
+@pytest.mark.parametrize("items, expected", [
+    ({"kind": "ecbp-mc", "k": "2", "lambda": "2,2", "samples": "1000",
+      "seed": "3"}, "ac7926917dc1"),
+    ({"kind": "ecer-convergence", "k": "2", "lambda": "2,2", "n": "200000",
+      "replicas": "1", "seed": "5", "workers": "1"}, "49ed2a7be11b"),
+    ({"kind": "near-critical", "k": "3"}, "1692fb66effb"),
+    ({"kind": "analytic-report", "k": "3", "lambda": "0.31,0.29,0.333333"},
+     "68f03404d379"),
+    ({"kind": "near-critical", "k": "2", "eps": "0.02,0.01"},
+     "255ac62f7d74"),
+])
+def test_config_hash_pinned(items, expected):
+    assert config_from_mapping(items).config_hash() == expected
+
+
+@pytest.mark.parametrize("k, grid", [
+    (2, (0.1, 0.2)), (2, (0.05,)), (3, (2.0, 1.0)), (2, (0.1, 0.1)),
+    (2, (0.1, -0.1)),
+])
+def test_config_and_constant_reject_the_same_eps_grids(k, grid):
+    with pytest.raises(ValueError):
+        near_critical_constant(k, grid)
+    with pytest.raises(ValueError):
+        ExperimentConfig(kind="near-critical", k=k, eps_grid=grid)
 
 
 def test_config_hash_ignores_workers_and_out():

@@ -1,22 +1,19 @@
-"""Graph container, ECER sampling, projection, and connectivity tests."""
+"""Graph container, ECER sampling, color unions, and connectivity tests."""
 
 import io
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caperc.graph import (
     EdgeColoredGraph,
-    UncoloredGraph,
     _pair_index_to_edge,
     _sample_pair_subset,
     connected_components,
     dump_graph,
     load_graph,
-    project,
     sample_ecer,
 )
 
@@ -100,17 +97,7 @@ def test_ecer_deterministic_given_seed():
         assert np.array_equal(a.edge_sets[c], b.edge_sets[c])
 
 
-# -- projection -------------------------------------------------------------
-
-def test_project_trivial_cases():
-    g = EdgeColoredGraph(3, [[(0, 1)], [(0, 1), (1, 2)]])
-    assert project(g, []).edge_count == 0
-    assert project(g, [0]).edges.tolist() == [[0, 1]]
-    # the shared pair collapses to a single uncolored edge
-    assert project(g, [0, 1]).edges.tolist() == [[0, 1], [1, 2]]
-    with pytest.raises(ValueError):
-        project(g, [2])
-
+# -- color unions -----------------------------------------------------------
 
 def test_project_union_matches_er_oracle():
     # the union of independent colors I is itself an ER graph whose edge
@@ -121,7 +108,9 @@ def test_project_union_matches_er_oracle():
     total = 0
     for _ in range(reps):
         g = sample_ecer(n, n, lam, rng)
-        total += project(g, [0, 1]).edge_count
+        # a pair drawn in both colors is one edge of the union
+        union = np.unique(np.concatenate(g.edge_sets), axis=0)
+        total += union.shape[0]
     pairs = n * (n - 1) // 2
     p = -np.expm1(-(lam[0] + lam[1]) / n)
     mean = reps * pairs * p
@@ -139,17 +128,6 @@ def colored_graphs(draw):
         subset = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8))
         edge_sets.append(subset)
     return EdgeColoredGraph(n, edge_sets)
-
-
-@given(colored_graphs(), st.data())
-@settings(max_examples=60, deadline=None)
-def test_projection_monotone_property(g, data):
-    big = data.draw(st.sets(st.integers(0, g.k - 1)))
-    small = data.draw(st.sets(st.sampled_from(sorted(big)) if big else st.nothing(),
-                              max_size=len(big)))
-    sub = {tuple(e) for e in project(g, small).edges.tolist()}
-    sup = {tuple(e) for e in project(g, big).edges.tolist()}
-    assert sub <= sup
 
 
 # -- connectivity -----------------------------------------------------------
