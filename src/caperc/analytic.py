@@ -224,7 +224,7 @@ def solve_p_system(lam, residual_tol: float = 1e-8) -> PTable:
     return PTable(lam, p, relevant=relevant, max_residual=max_res)
 
 
-def f_infinity_inclusion_exclusion(lam) -> float:
+def f_infinity_inclusion_exclusion(lam, table: PTable | None = None) -> float:
     """Density of the infinite friend class via the alternating-subset sum.
 
     Mathematically sum_I (-1)^{|I|} (1 - p_I); evaluated as
@@ -235,7 +235,8 @@ def f_infinity_inclusion_exclusion(lam) -> float:
     lam = as_lambda(lam)
     if not classify_lambda(lam).fully_supercritical:
         return 0.0
-    table = solve_p_system(lam)
+    if table is None:
+        table = solve_p_system(lam)
     total = 0.0
     for mask in range(1 << lam.k):
         sign = -1.0 if bin(mask).count("1") % 2 == 0 else 1.0
@@ -437,7 +438,7 @@ def _borel_binomial_series(mu: float, q: float, ell: int, tol: float,
 
 
 def two_color_f_ell(lambda_red: float, lambda_blue: float, ell: int,
-                    tol: float = 1e-12) -> float:
+                    tol: float = 1e-12, table: PTable | None = None) -> float:
     """Exact probability that the root has exactly ell friends, k = 2.
 
     Three parts: the isolated-type atom at ell = 1, plus two Borel-weighted
@@ -452,7 +453,7 @@ def two_color_f_ell(lambda_red: float, lambda_blue: float, ell: int,
     lam = LambdaVector((lambda_red, lambda_blue))
     theta_red = survival_theta(lambda_red)
     theta_blue = survival_theta(lambda_blue)
-    phat = extended_type_distribution(lam)
+    phat = extended_type_distribution(lam, table)
     # gamma bit 0 = red-avoiding (pure blue) alive, bit 1 = blue-avoiding alive
     p00 = phat[0b00]
     p10 = phat[0b01]  # red-avoiding alive only: finite pure-red cluster

@@ -55,15 +55,6 @@ class ChronologyAtlas:
             b.append(len(union))
         return tuple(b)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "root": self.root,
-            "r_sets": {"".join(map(str, s)): sorted(vs)
-                       for s, vs in self.r_sets.items()},
-            "n_sets": {"".join(map(str, s)): sorted(vs)
-                       for s, vs in self.n_sets.items()},
-        }
-
 
 def _adjacency(g: EdgeColoredGraph) -> list[dict[int, list[int]]]:
     adj: list[dict[int, list[int]]] = [dict() for _ in range(g.k)]

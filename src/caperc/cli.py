@@ -64,6 +64,10 @@ def _writing(path):
 
 def _run_experiment(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    # an unwritable --out is reported before the run, not after it
+    if cfg.out:
+        with _writing(cfg.out):
+            cfg.run_dir().mkdir(parents=True, exist_ok=True)
     record = RUNNERS[cfg.kind](cfg)
     if cfg.out:
         with _writing(cfg.out):

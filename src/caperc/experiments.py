@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from multiprocessing import get_context
 from pathlib import Path
@@ -16,7 +17,12 @@ from . import __version__, analytic
 from .cap import CapDecomposition
 from .ecbp import McHistogram, mc_component_size_distribution
 from .graph import sample_ecer
-from .localweak import ecbp_ball_counts, ecer_ball_counts, restricted_tv
+from .localweak import (
+    ISOLATED_ROOT_KEY,
+    ecbp_ball_counts,
+    ecer_ball_counts,
+    restricted_tv,
+)
 from .params import LambdaVector
 
 KINDS = ("ecer-convergence", "ecbp-mc", "analytic-report",
@@ -102,6 +108,10 @@ class ExperimentConfig:
         blob = "\n".join(f"{key}={val}" for key, val in sorted(items.items()))
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
+    def run_dir(self) -> Path:
+        """The directory a run's record goes to, under out (default: .)."""
+        return Path(self.out or ".") / f"{self.kind}-{self.config_hash()}"
+
 
 # flat key -> field, in field order
 CONFIG_KEYS = {f.metadata.get("key", f.name): f
@@ -163,9 +173,8 @@ class RunRecord:
             "results": self.results,
         }
 
-    def write(self, out_dir: str | Path | None = None) -> Path:
-        base = Path(out_dir or self.config.out or ".")
-        run_dir = base / f"{self.config.kind}-{self.config.config_hash()}"
+    def write(self) -> Path:
+        run_dir = self.config.run_dir()
         run_dir.mkdir(parents=True, exist_ok=True)
         (run_dir / "record.json").write_text(
             json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
@@ -323,7 +332,8 @@ def run_analytic_report(cfg: ExperimentConfig) -> RunRecord:
         "p_table_max_residual": table.max_residual,
         "phat": {format(g, f"0{cfg.k}b")[::-1]: v
                  for g, v in sorted(phat.items())},
-        "f_inf_inclusion_exclusion": analytic.f_infinity_inclusion_exclusion(lam),
+        "f_inf_inclusion_exclusion":
+            analytic.f_infinity_inclusion_exclusion(lam, table),
     }
     checks = table.max_residual <= 1e-10 and abs(sum(phat.values()) - 1.0) < 1e-9
     if regime.fully_supercritical and regime.assumption_holds:
@@ -332,7 +342,7 @@ def run_analytic_report(cfg: ExperimentConfig) -> RunRecord:
         checks = checks and abs(
             gf - results["f_inf_inclusion_exclusion"]) <= 1e-9
     if cfg.k == 2:
-        results["f_ell"] = [analytic.two_color_f_ell(lam[0], lam[1], ell)
+        results["f_ell"] = [analytic.two_color_f_ell(*lam, ell, table=table)
                             for ell in range(1, cfg.ell_max + 1)]
     record = RunRecord(cfg, results, time.perf_counter() - start)
     record.checks_passed = bool(checks)
@@ -359,7 +369,6 @@ def run_local_weak_check(cfg: ExperimentConfig) -> RunRecord:
     tasks = [(cfg.lam, n, seeds[i], cfg.d)
              for i in range(cfg.replicas)]
     parts = _parallel_map(_local_weak_task, tasks, cfg.workers)
-    from collections import Counter
     ecer_counts: Counter = Counter()
     ecer_out = 0
     for counts, out in parts:
@@ -369,7 +378,13 @@ def run_local_weak_check(cfg: ExperimentConfig) -> RunRecord:
     rng = np.random.default_rng(seeds[-1])
     ecbp_counts, ecbp_out = ecbp_ball_counts(lam, cfg.d, cfg.samples, rng)
     tv = restricted_tv(ecer_counts, ecer_total, ecbp_counts, cfg.samples)
-    from .localweak import ISOLATED_ROOT_KEY
+    # a root is isolated with probability exp(-lambda_uc) on the tree, and
+    # exp(-lambda_uc (n-1)/n) in the graph, where each color joins a pair
+    # with probability 1 - exp(-lambda_i/n); at d = 0 every ball is the root
+    iso_ecer = ecer_counts.get(ISOLATED_ROOT_KEY, 0) / ecer_total
+    iso_ecbp = ecbp_counts.get(ISOLATED_ROOT_KEY, 0) / cfg.samples
+    target_ecer = math.exp(-lam.lambda_uc * (n - 1) / n) if cfg.d else 1.0
+    target_ecbp = math.exp(-lam.lambda_uc) if cfg.d else 1.0
     results = {
         "n": n,
         "d": cfg.d,
@@ -378,18 +393,25 @@ def run_local_weak_check(cfg: ExperimentConfig) -> RunRecord:
         "restricted_tv": tv,
         "ecer_out_of_catalog": ecer_out / ecer_total,
         "ecbp_out_of_catalog": ecbp_out / cfg.samples,
-        "ecer_isolated_root_freq":
-            ecer_counts.get(ISOLATED_ROOT_KEY, 0) / ecer_total,
-        "ecbp_isolated_root_freq":
-            ecbp_counts.get(ISOLATED_ROOT_KEY, 0) / cfg.samples,
-        "isolated_root_target": math.exp(-lam.lambda_uc),
+        "ecer_isolated_root_freq": iso_ecer,
+        "ecbp_isolated_root_freq": iso_ecbp,
+        "ecer_isolated_root_target": target_ecer,
+        "ecbp_isolated_root_target": target_ecbp,
         "catalog_size": len(set(ecer_counts) | set(ecbp_counts)),
     }
     record = RunRecord(cfg, results, time.perf_counter() - start)
     record.checks_passed = (
         ecer_counts.total() / ecer_total <= 1.0 + 1e-12
-        and ecbp_counts.total() / cfg.samples <= 1.0 + 1e-12)
+        and ecbp_counts.total() / cfg.samples <= 1.0 + 1e-12
+        and _within_binomial_se(iso_ecer, target_ecer, ecer_total)
+        and _within_binomial_se(iso_ecbp, target_ecbp, cfg.samples))
     return record
+
+
+def _within_binomial_se(freq: float, target: float, trials: int) -> bool:
+    """|freq - target| within 5 binomial standard errors of the target."""
+    return abs(freq - target) <= 5.0 * math.sqrt(
+        target * (1.0 - target) / trials)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from caperc.cli import main
-from caperc.experiments import CONFIG_KEYS, ExperimentConfig
+from caperc.experiments import CONFIG_KEYS, RUNNERS, ExperimentConfig
 from caperc.graph import EdgeColoredGraph, dump_graph, load_graph
 
 
@@ -51,6 +51,22 @@ def test_invalid_experiment_input_exits_2(tmp_path, capsys, argv):
     # one line, no traceback
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_unwritable_out_is_reported_before_the_run(tmp_path, capsys,
+                                                   monkeypatch):
+    file = tmp_path / "file"
+    file.write_text("")
+
+    def runner(cfg):
+        raise AssertionError("the runner ran")
+    monkeypatch.setitem(RUNNERS, "ecbp-mc", runner)
+    argv = ["ecbp-mc", "--lambda", "2,2", "--samples", "10",
+            "--out", f"{file}/sub"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write ")
+    assert err.count("\n") == 1
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

@@ -1,6 +1,6 @@
-"""Branching-process Monte Carlo tests: core sampling against Poisson oracles,
-friend counting against the exact two-color series, and structural properties
-of the friend-resolution recursion."""
+"""Branching-process Monte Carlo tests: core growth against Poisson and
+chronology-atlas oracles, friend counting against the exact two-color series,
+and structural properties of the friend-resolution recursion."""
 
 import gc
 import math
@@ -14,33 +14,52 @@ from caperc.analytic import (
     f_infinity_inclusion_exclusion,
     two_color_f_ell,
 )
+from caperc.chronology import core_and_boundary
 from caperc.ecbp import (
     _BATCH,
     DEPTH_CAPPED,
     NODE_CAPPED,
     CoreOverflow,
-    CoreSampler,
     FriendCountOutcome,
     FriendCountSampler,
     McHistogram,
+    _growth_table,
+    core_counts,
     mc_component_size_distribution,
     mc_f_infinity,
     mc_phi1_estimate,
-    mc_string_subtree_counts,
 )
 from caperc.experiments import _CHUNK
+from caperc.params import LambdaVector
+from caperc.trees import sample_ecbp
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_growth_table(k):
+    lam = LambdaVector([0.1 * (c + 1) for c in range(k)])
+    full = (1 << k) - 1
+    friend = _growth_table(lam, 1)
+    core = _growth_table(lam, 2)
+    # every admissible (mask, color) pair, mask-major and color-minor
+    assert friend[0] == [(m, c, m & ~(1 << c)) for m in range(1, full + 1)
+                         for c in range(k) if m & ~(1 << c)]
+    # core nodes keep two avoided colors; all their children avoid one
+    assert core[0] == [e for e in friend[0] if bin(e[0]).count("1") >= 2]
+    for entries, entry_mask, entry_lam, scatter in (friend, core):
+        assert entry_mask.tolist() == [m for m, _, _ in entries]
+        assert entry_lam.tolist() == [lam[c] for _, c, _ in entries]
+        assert scatter.argmax(axis=1).tolist() == [cm for *_, cm in entries]
+        assert (scatter.sum(axis=1) == 1).all()
 
 
 def test_two_color_core_is_root_only():
     # with k = 2 the core is always just the root and b_i counts the root's
     # opposite-color children, so b_0 ~ Poisson(lam_1), b_1 ~ Poisson(lam_0)
     rng = np.random.default_rng(3)
-    sampler = CoreSampler((0.7, 1.3), rng)
-    draws = [sampler.sample() for _ in range(30000)]
-    assert all(s.rho == 1 for s in draws)
-    assert all(s.string_counts == {(): 1} for s in draws)
+    counts = core_counts((0.7, 1.3), 30000, rng)
+    assert (counts[:, 0b11] == 1).all() and (counts[:, 0] == 0).all()
     for coord, mu in ((0, 1.3), (1, 0.7)):
-        vals = np.array([s.b[coord] for s in draws])
+        vals = counts[:, 1 << coord]
         hi = int(vals.max()) + 1
         observed = np.bincount(vals, minlength=hi).astype(float)
         expected = np.array([scipy.stats.poisson.pmf(x, mu) for x in range(hi)])
@@ -57,7 +76,7 @@ def test_two_color_core_is_root_only():
 def test_core_assumption_gate():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        CoreSampler((1.2, 0.4, 0.4), rng)
+        core_counts((1.2, 0.4, 0.4), 10, rng)
     with pytest.raises(ValueError):
         FriendCountSampler((1.2, 0.4, 0.4), rng)
 
@@ -66,13 +85,10 @@ def test_core_node_cap():
     rng = np.random.default_rng(0)
     # with a supercritical single-color subset the core would be infinite;
     # instead force overflow via a tiny cap on a legal parameter
-    sampler = CoreSampler((0.9, 0.9, 0.9), rng, node_cap=2)
     with pytest.raises(CoreOverflow):
-        ok = 0
-        for _ in range(2000):
-            sampler.sample()
-            ok += 1
-        pytest.fail(f"no overflow in {ok} samples")
+        core_counts((0.9, 0.9, 0.9), 2000, rng, node_cap=2)
+    # the root alone is within a cap of 1 at k = 2
+    assert core_counts((2.0, 2.0), 2000, rng, node_cap=1).shape == (2000, 4)
 
 
 def test_three_color_layer_means_match_formula():
@@ -80,40 +96,55 @@ def test_three_color_layer_means_match_formula():
     # Poisson(lam_i) process started from Poisson(lam_i) root children
     lam = (0.5, 0.6, 0.7)
     rng = np.random.default_rng(5)
-    sampler = CoreSampler(lam, rng)
     reps = 30000
-    sums = np.zeros(3)
-    sq = np.zeros(3)
-    for _ in range(reps):
-        s = sampler.sample()
-        for i in range(3):
-            c = s.string_counts.get((i,), 0)
-            sums[i] += c
-            sq[i] += c * c
+    counts = core_counts(lam, reps, rng)
     for i in range(3):
-        mean = sums[i] / reps
-        se = math.sqrt(max(sq[i] / reps - mean * mean, 0.0) / reps)
+        layer = counts[:, 0b111 ^ (1 << i)]
+        mean = layer.mean()
+        se = layer.std() / math.sqrt(reps)
         assert abs(mean - lam[i] / (1 - lam[i])) < 3.5 * se
 
 
-def test_vectorized_layers_match_core_sampler():
-    lam = (0.5, 0.6, 0.7)
-    counts = mc_string_subtree_counts(lam, 30000, np.random.default_rng(6))
-    for i in range(3):
-        mean = counts[:, i].mean()
-        se = counts[:, i].std(ddof=1) / math.sqrt(counts.shape[0])
-        assert abs(mean - lam[i] / (1 - lam[i])) < 3.5 * se
+@pytest.mark.parametrize("lam", [(0.2, 0.3, 0.4), (0.2, 0.2, 0.2, 0.2)])
+def test_core_and_boundary_law_matches_chronology_atlas(lam):
+    # lambda_uc < 1: the whole tree is finite, so the atlas of the root sees
+    # every core and boundary node
+    k = len(lam)
+    trees = 2000
+    rng = np.random.default_rng(27)
+    oracle = []
+    for _ in range(trees):
+        tree = sample_ecbp(lam, 400, rng)
+        assert max(tree.depth) < 400
+        rho, b = core_and_boundary(tree, 0, k=k)
+        oracle.append((rho, *b))
+    oracle = np.array(oracle)
+    counts = core_counts(lam, 20000, np.random.default_rng(28))
+    core = [m for m in range(1 << k) if bin(m).count("1") >= 2]
+    grown = np.column_stack([counts[:, core].sum(axis=1)]
+                            + [counts[:, 1 << i] for i in range(k)])
+    se = np.sqrt(oracle.var(axis=0, ddof=1) / len(oracle)
+                 + grown.var(axis=0, ddof=1) / len(grown))
+    assert (np.abs(oracle.mean(axis=0) - grown.mean(axis=0)) < 3.5 * se).all()
 
 
-def test_vectorized_layers_require_subcritical_colors():
-    with pytest.raises(ValueError):
-        mc_string_subtree_counts((1.0, 0.5), 10, np.random.default_rng(0))
+def test_phi1_estimate_rejects_invalid_lambda():
+    rng = np.random.default_rng(0)
+    z = {(0,): 0.5, (1,): 0.5, (2,): 0.5}
+    # Phi_1 needs strings of length 1 <= k - 2
+    with pytest.raises(ValueError, match="k >= 3"):
+        mc_phi1_estimate((0.5, 0.5), z, 10, rng)
+    # the (0,) layer of a Poisson(1.0) color is a.s. finite but outside the
+    # small-subset assumption
+    with pytest.raises(ValueError, match="size <= k-2"):
+        mc_phi1_estimate((1.0, 0.5, 0.5), z, 10, rng)
 
 
 def test_phi1_mc_input_validation():
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        mc_phi1_estimate((0.5, 0.5), {(0,): 0.0, (1,): 0.5}, 10, rng)
+    with pytest.raises(ValueError, match="z values"):
+        mc_phi1_estimate((0.5, 0.5, 0.5), {(0,): 0.0, (1,): 0.5, (2,): 0.5},
+                         10, rng)
 
 
 def test_mc_f_infinity_zero_when_not_supercritical():

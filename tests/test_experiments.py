@@ -1,9 +1,12 @@
 """Experiment runner tests: config parsing, hashing, determinism, artifacts."""
 
 import json
+import math
+from collections import Counter
 
 import pytest
 
+from caperc import analytic, experiments
 from caperc.analytic import near_critical_constant
 from caperc.experiments import (
     CONFIG_KEYS,
@@ -13,8 +16,10 @@ from caperc.experiments import (
     run_analytic_report,
     run_ecbp_mc,
     run_ecer_convergence,
+    run_local_weak_check,
     run_near_critical,
 )
+from caperc.localweak import ISOLATED_ROOT_KEY
 
 
 def test_config_defaults_and_validation():
@@ -183,6 +188,56 @@ def test_analytic_report_route_agreement():
                - res["f_inf_generating_function"]) <= 1e-9
     assert abs(sum(res["phat"].values()) - 1.0) < 1e-9
     assert len(res["f_ell"]) == 5
+
+
+@pytest.mark.parametrize("lam", [(2.0, 2.0), (0.9, 0.9, 0.9), (0.5, 0.5)])
+def test_analytic_report_solves_the_p_system_once(monkeypatch, lam):
+    calls = []
+    solve = analytic.solve_p_system
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(analytic, "solve_p_system", counted)
+    rec = run_analytic_report(ExperimentConfig(kind="analytic-report",
+                                               k=len(lam), lam=lam))
+    assert rec.checks_passed
+    assert len(calls) == 1
+
+
+def _local_weak_cfg(**kw):
+    return ExperimentConfig(kind="local-weak-check", lam=(1.0, 1.0),
+                            n_list=(2000,), replicas=2, samples=4000, seed=3,
+                            **kw)
+
+
+def test_local_weak_isolated_root_targets():
+    rec = run_local_weak_check(_local_weak_cfg())
+    res = rec.results
+    assert rec.checks_passed
+    assert res["ecbp_isolated_root_target"] == math.exp(-2.0)
+    assert res["ecer_isolated_root_target"] == math.exp(-2.0 * 1999 / 2000)
+    # at d = 0 every ball is the bare root
+    rec = run_local_weak_check(_local_weak_cfg(d=0))
+    assert rec.checks_passed
+    for side in ("ecer", "ecbp"):
+        assert rec.results[f"{side}_isolated_root_freq"] == 1.0
+        assert rec.results[f"{side}_isolated_root_target"] == 1.0
+
+
+def test_local_weak_check_fails_on_wrong_isolated_frequency(monkeypatch):
+    # graph balls that never show an isolated root
+    ball_counts = experiments.ecer_ball_counts
+
+    def no_isolated(g, d):
+        counts, out = ball_counts(g, d)
+        counts = Counter(counts)
+        counts[((1, ()),)] += counts.pop(ISOLATED_ROOT_KEY, 0)
+        return counts, out
+    monkeypatch.setattr(experiments, "ecer_ball_counts", no_isolated)
+    rec = run_local_weak_check(_local_weak_cfg())
+    assert rec.results["ecer_isolated_root_freq"] == 0.0
+    assert not rec.checks_passed
 
 
 def test_near_critical_runner():
