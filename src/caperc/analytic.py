@@ -13,8 +13,10 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
+
+import numpy as np
 
 from .params import LambdaVector, as_lambda
 
@@ -71,47 +73,54 @@ def lambert_w0(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Survival probability and fixed-point helpers
+# Subset tables and the fixed-point Newton iteration
 # ---------------------------------------------------------------------------
 
-def _polish_fixed_point(p: float, c: float, mu: float) -> float:
-    """Newton-polish a root of p = -expm1(-c - mu p).
+def subset_sums(values) -> np.ndarray:
+    """sums[m] = the sum of values[i] over the bits i of mask m, added in
+    increasing i; subset_sums([1] * k) are the popcounts."""
+    sums = np.zeros(1 << len(values), dtype=np.asarray(values).dtype)
+    for i, x in enumerate(values):
+        sums[1 << i:2 << i] = sums[:1 << i] + x
+    return sums
 
-    The closed-form W solution loses roughly half the significant digits near
-    the branch point (near-critical mu); the implicit form evaluated with
-    expm1 is conditioned at machine precision, so a few Newton steps restore
-    full accuracy.
-    """
-    for _ in range(60):
-        e = math.exp(-c - mu * p)
-        f = -math.expm1(-c - mu * p) - p
-        fp = mu * e - 1.0
-        if fp == 0.0:
-            break
-        step = f / fp
-        p -= step
-        if abs(step) <= 1e-16 * max(1e-300, abs(p)):
-            break
-    if p < 0.0:
-        p = 0.0
+
+def _newton_step(p, c, mu, xp):
+    """One Newton step on p = -expm1(-c - mu p), on floats (xp = math) or
+    arrays (xp = numpy). The expm1 form is conditioned at machine
+    precision, also near criticality."""
+    x = -c - mu * p
+    return p - (-xp.expm1(x) - p) / (mu * xp.exp(x) - 1.0)
+
+
+def _largest_roots(c: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Largest root in [0, 1] of p = -expm1(-c - mu p), elementwise, for
+    mu > 0: exactly 0 when c = 0 and mu <= 1. The right-hand side is
+    concave, so Newton from p = 1 decreases monotonically to the root; an
+    entry stops at its first step that does not decrease it, which cannot
+    cycle at the ulp level."""
+    p = np.where((c == 0.0) & (mu <= 1.0), 0.0, 1.0)
+    idx = np.flatnonzero(p)
+    while idx.size:
+        new = _newton_step(p[idx], c[idx], mu[idx], np)
+        down = new < p[idx]
+        idx = idx[down]
+        p[idx] = new[down]
     return p
 
 
 def survival_theta(mu: float) -> float:
-    """Survival probability of a Poisson(mu) branching process.
-
-    0 for mu <= 1; otherwise the unique root in (0,1) of
-    theta = 1 - exp(-mu theta), computed as 1 + W(-mu e^{-mu})/mu and
-    Newton-polished on the expm1 form.
-    """
+    """Survival probability of a Poisson(mu) branching process: 0 for
+    mu <= 1, otherwise the root in (0,1) of theta = 1 - exp(-mu theta), by
+    the Newton iteration of the p_I system with c = 0."""
     if mu <= 0.0:
         raise ValueError("survival_theta: mu must be positive")
     if mu <= 1.0:
         return 0.0
-    theta = 1.0 + lambert_w0(-mu * math.exp(-mu)) / mu
-    if theta <= 0.0:
-        theta = min(1.0, 2.0 * (mu - 1.0))  # fallback start near criticality
-    return _polish_fixed_point(theta, 0.0, mu)
+    theta = 1.0
+    while (new := _newton_step(theta, 0.0, mu, math)) < theta:
+        theta = new
+    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +136,7 @@ class RegimeReport:
 
 
 def classify_lambda(lam) -> RegimeReport:
-    """Exact threshold comparisons for the regime of a LambdaVector.
+    """Exact threshold comparisons on the subset sums of a LambdaVector.
 
     * fully supercritical: lambda^{\\i} > 1 for every color i
     * fully critical-subcritical: lambda^{\\i} <= 1 for every color i
@@ -136,19 +145,12 @@ def classify_lambda(lam) -> RegimeReport:
     """
     lam = as_lambda(lam)
     k = lam.k
-    sup = frozenset(i for i in range(k) if lam.lambda_without(i) > 1.0)
-    fully_super = len(sup) == k
-    fully_cs = len(sup) == 0
-    if k < 2:
-        assumption = False
-    else:
-        assumption = True
-        for mask in range(1 << k):
-            if 1 <= bin(mask).count("1") <= k - 2:
-                if lam.lambda_mask(mask) >= 1.0:
-                    assumption = False
-                    break
-    return RegimeReport(fully_super, fully_cs, assumption, sup)
+    sums, bits = subset_sums(lam.lam), subset_sums([1] * k)
+    full = (1 << k) - 1
+    sup = frozenset(i for i in range(k) if sums[full ^ (1 << i)] > 1.0)
+    small = (bits >= 1) & (bits <= k - 2)
+    assumption = k >= 2 and bool(np.all(sums[small] < 1.0))
+    return RegimeReport(len(sup) == k, not sup, assumption, sup)
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +161,27 @@ class PSystemError(Exception):
     """Numerical-consistency failure while solving the p_I system."""
 
 
+def _incoming(lam: LambdaVector, p: np.ndarray) -> np.ndarray:
+    """c[m] = sum over colors j in m of lam_j p[m without j], every mask m."""
+    c = np.zeros_like(p)
+    for j, x in enumerate(lam):
+        c.reshape(-1, 2, 1 << j)[:, 1] += x * p.reshape(-1, 2, 1 << j)[:, 0]
+    return c
+
+
+def _residuals(lam: LambdaVector, p: np.ndarray) -> np.ndarray:
+    """|p_I - (1 - exp(-sum_{j in I} lam_j p_{I\\{j}} - p_I lam_{[k]\\I}))|."""
+    mu = subset_sums(lam.lam)[::-1]
+    return np.abs(p + np.expm1(-_incoming(lam, p) - mu * p))
+
+
 @dataclass(frozen=True)
 class PTable:
     """Solved p_I table: p[mask] = P(root is i-avoiding connected to infinity
     for at least one i in I), for every subset mask I of [k]."""
 
     lam: LambdaVector
-    p: dict[int, float]
+    p: np.ndarray
     relevant: bool
     max_residual: float
 
@@ -174,54 +190,47 @@ class PTable:
         return self.lam.k
 
     def residual(self, mask: int) -> float:
-        """|p_I - (1 - exp(-sum_{j in I} lam_j p_{I\\{j}} - p_I lam_{[k]\\I}))|."""
-        lam = self.lam
-        k = lam.k
-        full = (1 << k) - 1
-        c = sum(
-            lam[j] * self.p[mask & ~(1 << j)]
-            for j in range(k)
-            if (mask >> j) & 1
-        )
-        mu = lam.lambda_mask(full & ~mask)
-        return abs(self.p[mask] - (-math.expm1(-c - mu * self.p[mask])))
+        return float(_residuals(self.lam, self.p)[mask])
 
 
 def solve_p_system(lam, residual_tol: float = 1e-8) -> PTable:
-    """Solve the p_I fixed-point system for all subsets, in nondecreasing |I|.
+    """Solve the p_I fixed-point system one popcount layer at a time.
 
-    Each strict subset uses the principal-branch Lambert W closed form with a
-    Newton polish; the full set uses the closed exponential form. The table is
-    produced for any positive lambda; `relevant` records whether all nonempty
-    p_I lie in (0,1), which holds exactly in the fully supercritical regime.
+    Each strict subset takes the largest root of p = -expm1(-c - mu p),
+    where c comes from the layer below and mu is the intensity outside I
+    (for c = 0 the survival probability theta(mu), the probabilistic root
+    since mu never exceeds lambda^{\\i} for i in I); the full set uses the
+    closed exponential form. The table is produced for any positive lambda;
+    `relevant` records whether all nonempty p_I lie in (0,1), which holds
+    exactly in the fully supercritical regime.
     """
     lam = as_lambda(lam)
-    k = lam.k
-    full = (1 << k) - 1
-    p: dict[int, float] = {0: 0.0}
-    masks = sorted(range(1, 1 << k), key=lambda m: bin(m).count("1"))
-    for mask in masks:
-        c = sum(lam[j] * p[mask & ~(1 << j)] for j in range(k) if (mask >> j) & 1)
-        if mask == full:
-            p[mask] = -math.expm1(-c)
-            continue
-        mu = lam.lambda_mask(full & ~mask)
-        if c == 0.0:
-            # reduces to the survival fixed point; the subset sum
-            # lambda_{[k]\I} never exceeds lambda^{\i} for i in I, so the
-            # zero solution is the probabilistically correct one when
-            # mu <= 1 and the positive root is correct otherwise
-            p[mask] = survival_theta(mu)
-            continue
-        w = lambert_w0(-mu * math.exp(-c - mu))
-        p[mask] = _polish_fixed_point(1.0 + w / mu, c, mu)
-
-    table = PTable(lam, p, relevant=False, max_residual=0.0)
-    max_res = max(table.residual(m) for m in range(1 << k))
+    full = (1 << lam.k) - 1
+    bits = subset_sums([1] * lam.k)
+    mu = subset_sums(lam.lam)[::-1]
+    p = np.zeros(full + 1)
+    for layer in range(1, lam.k):
+        masks = np.flatnonzero(bits == layer)
+        p[masks] = _largest_roots(_incoming(lam, p)[masks], mu[masks])
+    p[full] = -math.expm1(-_incoming(lam, p)[full])
+    max_res = float(_residuals(lam, p).max())
     if max_res > residual_tol:
         raise PSystemError(f"p_I residual {max_res:.3e} exceeds {residual_tol:.1e}")
-    relevant = all(0.0 < p[m] < 1.0 for m in range(1, 1 << k))
+    relevant = bool(np.all((p[1:] > 0.0) & (p[1:] < 1.0)))
     return PTable(lam, p, relevant=relevant, max_residual=max_res)
+
+
+def _type_law(p: np.ndarray) -> np.ndarray:
+    """phat[A] = [A empty] - M(p)(complement of A), where M is the superset
+    Moebius transform, M(p)(S) = sum_{T >= S} (-1)^{|T \\ S|} p_T, taken in
+    one pass per color. phat[full] = -M(p)(empty) is the alternating sum."""
+    m = p.copy()
+    for i in range(len(p).bit_length() - 1):
+        pairs = m.reshape(-1, 2, 1 << i)
+        pairs[:, 0] -= pairs[:, 1]
+    phat = -m[::-1]
+    phat[0] += 1.0
+    return phat
 
 
 def f_infinity_inclusion_exclusion(lam, table: PTable | None = None) -> float:
@@ -232,16 +241,11 @@ def f_infinity_inclusion_exclusion(lam, table: PTable | None = None) -> float:
     full precision near criticality where the result is ~eps^k).
     Returns exactly 0 outside the fully supercritical regime.
     """
-    lam = as_lambda(lam)
-    if not classify_lambda(lam).fully_supercritical:
+    table = table or solve_p_system(lam)
+    # p_{i} > 0 exactly when lambda^{\i} > 1, the comparison of classify_lambda
+    if not table.p[1 << np.arange(table.k)].all():
         return 0.0
-    if table is None:
-        table = solve_p_system(lam)
-    total = 0.0
-    for mask in range(1 << lam.k):
-        sign = -1.0 if bin(mask).count("1") % 2 == 0 else 1.0
-        total += sign * table.p[mask]
-    return max(0.0, total)
+    return max(0.0, float(_type_law(table.p)[-1]))
 
 
 def extended_type_distribution(lam, table: PTable | None = None,
@@ -251,29 +255,13 @@ def extended_type_distribution(lam, table: PTable | None = None,
     p_hat*(alive exactly on A) = sum_{B subseteq A} (-1)^{|B|}
     (1 - p_{([k]\\A) u B}).  Tiny negative round-off is clamped at 0.
     """
-    lam = as_lambda(lam)
-    if table is None:
-        table = solve_p_system(lam)
-    k = lam.k
-    full = (1 << k) - 1
-    out: dict[int, float] = {}
-    for a in range(1 << k):
-        comp = full & ~a
-        val = 0.0
-        b = a
-        while True:  # iterate over submasks of a
-            sign = -1.0 if bin(b).count("1") % 2 else 1.0
-            val += sign * (1.0 - table.p[comp | b])
-            if b == 0:
-                break
-            b = (b - 1) & a
-        if val < 0.0:
-            if val < -clamp_tol:
-                raise PSystemError(
-                    f"extended type inversion gave {val:.3e} for mask {a:b}")
-            val = 0.0
-        out[a] = val
-    return out
+    table = table or solve_p_system(lam)
+    phat = _type_law(table.p)
+    worst = int(np.argmin(phat))
+    if phat[worst] < -clamp_tol:
+        raise PSystemError(f"extended type inversion gave {phat[worst]:.3e} "
+                           f"for mask {worst:b}")
+    return dict(enumerate(np.maximum(phat, 0.0).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +480,15 @@ def check_eps_grid(k: int, eps_grid) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class NearCriticalDiagnostics:
+    """noise_floors[j] = 2^k ulp(max_I p_I) / eps_j^k bounds the rounding
+    error of ratios[j]: the alternating sum cancels 2^k terms of size up to
+    max_I p_I down to about C(k) eps^k."""
+
     eps_grid: tuple[float, ...]
     ratios: tuple[float, ...]
     monotone: bool
-    pair_extrapolants: tuple[float, ...] = field(default=())
+    pair_extrapolants: tuple[float, ...]
+    noise_floors: tuple[float, ...]
 
 
 def near_critical_constant(k: int, eps_grid=DEFAULT_EPS_GRID):
@@ -505,10 +498,12 @@ def near_critical_constant(k: int, eps_grid=DEFAULT_EPS_GRID):
     if k < 2:
         raise ValueError("need k >= 2")
     grid = check_eps_grid(k, eps_grid)
-    ratios = []
+    ratios, floors = [], []
     for eps in grid:
         lam = LambdaVector([(1.0 + eps) / (k - 1)] * k)
-        ratios.append(f_infinity_inclusion_exclusion(lam) / eps ** k)
+        table = solve_p_system(lam)
+        ratios.append(f_infinity_inclusion_exclusion(lam, table) / eps ** k)
+        floors.append(2 ** k * math.ulp(table.p.max()) / eps ** k)
     diffs = [b - a for a, b in zip(ratios, ratios[1:])]
     monotone = all(d >= 0 for d in diffs) or all(d <= 0 for d in diffs)
     pairs = tuple(
@@ -516,4 +511,5 @@ def near_critical_constant(k: int, eps_grid=DEFAULT_EPS_GRID):
         for (e1, r1), (e2, r2) in zip(zip(grid, ratios), zip(grid[1:], ratios[1:]))
     )
     estimate = pairs[-1]
-    return estimate, NearCriticalDiagnostics(grid, tuple(ratios), monotone, pairs)
+    return estimate, NearCriticalDiagnostics(grid, tuple(ratios), monotone,
+                                             pairs, tuple(floors))

@@ -9,12 +9,14 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
 from .analytic import (
     classify_lambda,
     extended_type_distribution,
+    subset_sums,
     survival_theta,
 )
 from .params import LambdaVector, as_lambda
@@ -63,8 +65,9 @@ def _growth_table(lam: LambdaVector, min_bits: int):
     with their masks, their intensities lambda_c, and the entry -> child
     mask 0/1 matrix that sums entry totals into counts per mask."""
     full = (1 << lam.k) - 1
+    bits = subset_sums([1] * lam.k)
     entries = [(m, c, m & ~(1 << c)) for m in range(1, full + 1)
-               if bin(m).count("1") >= min_bits
+               if bits[m] >= min_bits
                for c in range(lam.k) if m & ~(1 << c)]
     entry_mask = np.array([m for m, _, _ in entries])
     entry_lam = np.array([lam[c] for _, c, _ in entries])
@@ -99,7 +102,7 @@ def core_counts(lam, samples: int, rng: np.random.Generator,
     full = (1 << lam.k) - 1
     entries, entry_mask, entry_lam, scatter = _growth_table(lam, 2)
     child = np.array([cm for *_, cm in entries])
-    bits = np.array([bin(m).count("1") for m in range(full + 1)])
+    bits = subset_sums([1] * lam.k)
     stay = child == entry_mask
     # mean children that stay in a mask: the colors it has used
     mu = np.bincount(entry_mask[stay], entry_lam[stay], minlength=full + 1)
@@ -137,6 +140,16 @@ def _progeny(start: np.ndarray, mean: np.ndarray,
     return total
 
 
+def _per_core_sample(lam, samples: int, rng: np.random.Generator, cols,
+                     value, node_cap: int = 10**6) -> np.ndarray:
+    """value(core_counts(lam, samples, rng, node_cap)[:, cols]), drawn and
+    evaluated one block at a time so that only the values are kept."""
+    return np.concatenate([
+        value(core_counts(lam, min(_CORE_BLOCK, samples - lo), rng,
+                          node_cap)[:, cols])
+        for lo in range(0, samples, _CORE_BLOCK)])
+
+
 def mc_f_infinity(lam, samples: int, rng: np.random.Generator,
                   node_cap: int = 10**6) -> tuple[float, float]:
     """Monte Carlo estimate of the infinite-class density: the sample mean of
@@ -151,8 +164,9 @@ def mc_f_infinity(lam, samples: int, rng: np.random.Generator,
         return 0.0, 0.0
     miss = np.array([1.0 - survival_theta(lam.lambda_without(i))
                      for i in range(lam.k)])
-    b = core_counts(lam, samples, rng, node_cap)[:, 1 << np.arange(lam.k)]
-    vals = np.prod(1.0 - miss ** b, axis=1)
+    vals = _per_core_sample(lam, samples, rng, 1 << np.arange(lam.k),
+                            lambda b: np.prod(1.0 - miss ** b, axis=1),
+                            node_cap)
     return float(vals.mean()), float(vals.std() / math.sqrt(samples))
 
 
@@ -160,6 +174,8 @@ def mc_phi1_estimate(lam, z: dict[tuple[int, ...], float], samples: int,
                      rng: np.random.Generator) -> tuple[float, float]:
     """MC estimate of E[prod_i z_(i)^{|R_(i)(r)|}] with its standard error,
     from the (i,) chronology layers of core samples."""
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
     lam = as_lambda(lam)
     if lam.k < 3:
         raise ValueError("Phi_1 needs k >= 3")
@@ -167,8 +183,8 @@ def mc_phi1_estimate(lam, z: dict[tuple[int, ...], float], samples: int,
     if np.any(zvec <= 0.0) or np.any(zvec > 1.0):
         raise ValueError("z values must lie in (0, 1]")
     full = (1 << lam.k) - 1
-    layers = core_counts(lam, samples, rng)[:, full ^ (1 << np.arange(lam.k))]
-    vals = np.exp(layers @ np.log(zvec))
+    vals = _per_core_sample(lam, samples, rng, full ^ (1 << np.arange(lam.k)),
+                            lambda layers: np.exp(layers @ np.log(zvec)))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
 
@@ -248,22 +264,12 @@ class FriendCountSampler:
         self.node_cap = node_cap
         self.theta = [survival_theta(self.lam.lambda_without(i))
                       for i in range(k)]
-        self.cert = []
-        for t in self.theta:
-            if t <= 0.0:
-                self.cert.append(None)  # this cluster dies almost surely
-            else:
-                self.cert.append(max(1, math.ceil(math.log(CERT_EPS)
-                                                  / math.log1p(-t))))
+        # None: this cluster dies almost surely
+        self.cert = [max(1, math.ceil(math.log(CERT_EPS) / math.log1p(-t)))
+                     if t > 0.0 else None for t in self.theta]
         phat = extended_type_distribution(self.lam)
-        gmasks = sorted(phat)
-        cum = []
-        acc = 0.0
-        for gm in gmasks:
-            acc += phat[gm]
-            cum.append(acc)
-        self._type_masks = gmasks
-        self._type_cum = cum
+        self._type_masks = sorted(phat)
+        self._type_cum = list(accumulate(phat[g] for g in self._type_masks))
         self._streams = [_Stream(partial(rng.poisson, self.lam[c]))
                          for c in range(k)]
         self._uniform = _Stream(rng.random)

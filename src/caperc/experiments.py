@@ -219,12 +219,8 @@ def run_ecer_convergence(cfg: ExperimentConfig) -> RunRecord:
         targets = [math.nan] * cfg.ell_max
 
     seeds = _replica_seeds(cfg.seed, len(cfg.n_list) * cfg.replicas)
-    tasks = []
-    pos = 0
-    for n in cfg.n_list:
-        for rep in range(cfg.replicas):
-            tasks.append((tuple(lam), n, rep, seeds[pos], cfg.ell_max))
-            pos += 1
+    tasks = [(tuple(lam), n, rep, seeds[i * cfg.replicas + rep], cfg.ell_max)
+             for i, n in enumerate(cfg.n_list) for rep in range(cfg.replicas)]
     rows = _parallel_map(_convergence_task, tasks, cfg.workers)
 
     csv_lines = ["# schema: caperc-convergence-v1",
@@ -277,14 +273,12 @@ def run_ecbp_mc(cfg: ExperimentConfig) -> RunRecord:
         for i in range(chunks)
     ]
     parts = _parallel_map(_ecbp_task, tasks, cfg.workers)
-    finite: dict[int, int] = {}
-    censored: dict[str, int] = {}
+    finite: Counter = Counter()
+    censored: Counter = Counter()
     for fin, cen in parts:
-        for ell, c in fin.items():
-            finite[ell] = finite.get(ell, 0) + c
-        for reason, c in cen.items():
-            censored[reason] = censored.get(reason, 0) + c
-    hist = McHistogram(cfg.samples, finite, censored)
+        finite.update(fin)
+        censored.update(cen)
+    hist = McHistogram(cfg.samples, dict(finite), dict(censored))
     results = {
         "lambda": list(cfg.lam),
         "samples": cfg.samples,
@@ -326,8 +320,8 @@ def run_analytic_report(cfg: ExperimentConfig) -> RunRecord:
         },
         "theta_avoid": [analytic.survival_theta(lam.lambda_without(i))
                         for i in range(cfg.k)],
-        "p_table": {_mask_name(m, cfg.k): table.p[m]
-                    for m in sorted(table.p)},
+        "p_table": {_mask_name(m, cfg.k): v
+                    for m, v in enumerate(table.p.tolist())},
         "p_table_relevant": table.relevant,
         "p_table_max_residual": table.max_residual,
         "phat": {format(g, f"0{cfg.k}b")[::-1]: v
@@ -428,9 +422,12 @@ def run_near_critical(cfg: ExperimentConfig) -> RunRecord:
         "ratios": list(diag.ratios),
         "pair_extrapolants": list(diag.pair_extrapolants),
         "monotone": diag.monotone,
+        "noise_floors": list(diag.noise_floors),
     }
     record = RunRecord(cfg, results, time.perf_counter() - start)
-    record.checks_passed = diag.monotone
+    # each ratio must stand well clear of its rounding noise
+    record.checks_passed = diag.monotone and all(
+        f <= 1e-4 * abs(r) for f, r in zip(diag.noise_floors, diag.ratios))
     return record
 
 

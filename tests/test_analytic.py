@@ -10,6 +10,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from caperc import analytic
 from caperc.analytic import (
     DEFAULT_EPS_GRID,
     PSystemError,
@@ -53,6 +54,24 @@ def damped_theta(mu: float, tol: float = 1e-12) -> float:
             return nxt
         theta = nxt
     return theta
+
+
+def submask_inversion(p, k: int) -> dict[int, float]:
+    """Extended type law by direct inclusion-exclusion over the 3^k
+    (mask, submask) pairs: p_hat*(A) = sum_{B subseteq A} (-1)^{|B|}
+    (1 - p_{([k]\\A) u B})."""
+    full = (1 << k) - 1
+    out = {}
+    for a in range(1 << k):
+        val, b = 0.0, a
+        while True:
+            sign = -1.0 if bin(b).count("1") % 2 else 1.0
+            val += sign * (1.0 - p[(full & ~a) | b])
+            if b == 0:
+                break
+            b = (b - 1) & a
+        out[a] = val
+    return out
 
 
 THETA2 = damped_theta(2.0)  # 0.79681213...
@@ -130,6 +149,24 @@ def test_theta_near_critical_precision():
         assert abs(th - expansion) < 10.0 * eps ** 3
 
 
+@pytest.mark.parametrize("eps", [1e-7, 1e-8])
+def test_theta_within_1e7_of_criticality(eps):
+    expansion = 2.0 * eps - 8.0 / 3.0 * eps ** 2
+    assert abs(survival_theta(1.0 + eps) - expansion) <= 1e-6 * eps
+
+
+def test_no_lambert_w_outside_the_progeny_route(monkeypatch):
+    def refuse(x):
+        raise AssertionError("lambert_w0 called")
+    monkeypatch.setattr(analytic, "lambert_w0", refuse)
+    for lam in [(2.0, 2.0), (0.9, 0.8, 0.7), (0.3,) * 8, (0.5, 0.5, 0.5)]:
+        table = solve_p_system(lam)
+        extended_type_distribution(lam, table)
+        f_infinity_inclusion_exclusion(lam, table)
+    near_critical_constant(3)
+    assert survival_theta(1.5) > 0.0
+
+
 # -- regime classification --------------------------------------------------
 
 def test_classify_examples():
@@ -148,6 +185,22 @@ def test_classify_examples():
     r = classify_lambda((0.5, 0.5, 0.9))
     assert 0 in r.supercritical_indices and 2 not in r.supercritical_indices
     assert not r.fully_supercritical and not r.fully_critical_subcritical
+
+
+def test_regime_and_relevance_agree_at_ties():
+    # a grid on multiples of 0.05 with many subset sums at or next to 1,
+    # among them exact ties such as (0.5, 0.5, 0.5) and (0.05, 0.95, 1.2)
+    steps = [round(0.05 * i, 2) for i in range(1, 30)]
+    grid = [(a, b) for a in steps for b in steps if abs(a - 1.0) < 0.3]
+    grid += [(a, b, c) for a in steps for b in steps for c in steps
+             if abs(a + b - 1.0) < 0.1]
+    grid += [(0.5, 0.5, 0.5), (0.25, 0.25, 0.25, 0.25), (1.0, 1.0)]
+    n_relevant = 0
+    for lam in grid:
+        relevant = solve_p_system(lam).relevant
+        assert classify_lambda(lam).fully_supercritical == relevant, lam
+        n_relevant += relevant
+    assert 0 < n_relevant < len(grid)
 
 
 def test_assumption_violation_detected():
@@ -288,6 +341,28 @@ def test_extended_types_subcritical_degenerate():
     assert phat[0b00] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("k", range(2, 9))
+def test_type_law_matches_submask_inversion(k):
+    # scale 0.8 is fully subcritical, 1.3 fully supercritical, 1.0 mixed
+    rng = np.random.default_rng(100 + k)
+    regimes = set()
+    for scale in (0.8, 0.8, 1.0, 1.0, 1.3, 1.3):
+        lam = tuple(rng.uniform(0.9, 1.1, k) * scale / (k - 1))
+        table = solve_p_system(lam)
+        phat = extended_type_distribution(lam, table)
+        oracle = submask_inversion(table.p, k)
+        assert max(abs(phat[a] - max(oracle[a], 0.0)) for a in oracle) <= 1e-13
+        assert abs(sum(phat.values()) - 1.0) <= 1e-13
+        alternating = -sum((-1) ** bin(m).count("1") * table.p[m]
+                           for m in range(1 << k))
+        regime = classify_lambda(lam)
+        regimes.add(regime.fully_supercritical)
+        expected = max(alternating, 0.0) if regime.fully_supercritical else 0.0
+        assert abs(f_infinity_inclusion_exclusion(lam, table)
+                   - expected) <= 1e-13
+    assert regimes == {True, False}
+
+
 # -- color strings ----------------------------------------------------------
 
 def test_string_counts_are_falling_factorials():
@@ -387,6 +462,18 @@ def test_near_critical_diagnostics_monotone():
     _, diag = near_critical_constant(2, DEFAULT_EPS_GRID)
     assert diag.monotone
     assert len(diag.ratios) == len(DEFAULT_EPS_GRID)
+
+
+def test_near_critical_noise_floors():
+    for k in (2, 3, 4, 5):
+        grid = (1e-3, 5e-4)
+        _, diag = near_critical_constant(k, grid)
+        for eps, floor in zip(grid, diag.noise_floors):
+            lam = [(1.0 + eps) / (k - 1)] * k
+            p_max = max(solve_p_system(lam).p)
+            assert floor == 2 ** k * math.ulp(p_max) / eps ** k
+        assert all(f <= 1e-4 * r for f, r in zip(diag.noise_floors,
+                                                  diag.ratios))
 
 
 def test_near_critical_grid_validation():

@@ -113,6 +113,31 @@ def test_near_critical_cli(capsys):
     assert abs(record["results"]["estimate"] - 4.0) < 0.1
 
 
+def test_near_critical_cli_close_to_criticality(capsys):
+    assert main(["near-critical", "--k", "2", "--eps", "2e-8,1e-8"]) == 0
+    estimate = json.loads(capsys.readouterr().out)["results"]["estimate"]
+    assert abs(estimate - 4.0) <= 1e-6 * 4.0
+
+
+@pytest.mark.parametrize("argv, passed", [
+    (["--k", "5"], True),
+    (["--k", "5", "--eps", "2e-4,1e-4"], False),
+    # its floor at eps = 2e-4 is 1.9e-3 of the ratio
+    (["--k", "5", "--eps", "5e-4,2e-4"], False),
+    (["--k", "3", "--eps", "2e-8,1e-8"], False),
+])
+def test_near_critical_cli_checks_noise_floors(capsys, argv, passed):
+    # a grid whose ratios sink into their cancellation noise fails
+    assert main(["near-critical", *argv]) == (0 if passed else 1)
+    record = json.loads(capsys.readouterr().out)
+    res = record["results"]
+    assert record["checks_passed"] is passed
+    assert res["monotone"]
+    assert len(res["noise_floors"]) == len(res["ratios"])
+    assert passed == all(f <= 1e-4 * r for f, r in zip(res["noise_floors"],
+                                                       res["ratios"]))
+
+
 def test_near_critical_cli_reads_no_lambda(capsys):
     # the README command: k = 3 alongside the default two-entry lambda
     assert main(["near-critical", "--k", "3"]) == 0

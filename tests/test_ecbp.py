@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from caperc import ecbp
 from caperc.analytic import (
     f_infinity_inclusion_exclusion,
+    survival_theta,
     two_color_f_ell,
 )
 from caperc.chronology import core_and_boundary
@@ -147,6 +149,13 @@ def test_phi1_mc_input_validation():
                          10, rng)
 
 
+@pytest.mark.parametrize("samples", [0, 1])
+def test_phi1_estimate_needs_two_samples_for_its_error(samples):
+    z = {(0,): 0.5, (1,): 0.5, (2,): 0.5}
+    with pytest.raises(ValueError, match="samples must be >= 2"):
+        mc_phi1_estimate((0.5, 0.5, 0.5), z, samples, np.random.default_rng(0))
+
+
 def test_mc_f_infinity_zero_when_not_supercritical():
     rng = np.random.default_rng(0)
     assert mc_f_infinity((0.8, 0.8), 10, rng) == (0.0, 0.0)
@@ -168,6 +177,32 @@ def test_mc_f_infinity_three_colors():
     target = f_infinity_inclusion_exclusion((0.9, 0.9, 0.9))
     mean, se = mc_f_infinity((0.9, 0.9, 0.9), 30000, np.random.default_rng(8))
     assert abs(mean - target) < 3.5 * se
+
+
+def test_core_estimators_grow_one_block_at_a_time(monkeypatch):
+    # 2.5 blocks from one rng give the draws of one core_counts call on the
+    # whole array, while no call holds more than a block
+    lam, samples = (0.9, 0.9, 0.9), 5 * ecbp._CORE_BLOCK // 2
+    colors = np.arange(3)
+    miss = np.array([1.0 - survival_theta(sum(lam) - x) for x in lam])
+    z = {(0,): 0.5, (1,): 0.6, (2,): 0.7}
+    counts = core_counts(lam, samples, np.random.default_rng(4))
+    vals = np.prod(1.0 - miss ** counts[:, 1 << colors], axis=1)
+    f_inf = (vals.mean(), vals.std() / math.sqrt(samples))
+    counts = core_counts(lam, samples, np.random.default_rng(5))
+    vals = np.exp(counts[:, 7 ^ (1 << colors)] @ np.log([0.5, 0.6, 0.7]))
+    phi1 = (vals.mean(), vals.std(ddof=1) / math.sqrt(samples))
+
+    sizes = []
+
+    def recorded(lam, samples, *args):
+        sizes.append(samples)
+        return core_counts(lam, samples, *args)
+    monkeypatch.setattr(ecbp, "core_counts", recorded)
+    assert mc_f_infinity(lam, samples, np.random.default_rng(4)) == f_inf
+    assert mc_phi1_estimate(lam, z, samples, np.random.default_rng(5)) == phi1
+    assert max(sizes) == ecbp._CORE_BLOCK
+    assert sum(sizes) == 2 * samples
 
 
 # -- friend counting --------------------------------------------------------

@@ -205,6 +205,23 @@ def test_analytic_report_solves_the_p_system_once(monkeypatch, lam):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("lam", [(0.3,) * 8, (0.5, 0.5), (0.5, 0.5, 0.5)])
+def test_analytic_report_classifies_once(monkeypatch, lam):
+    # without the generating-function route, which checks its own input
+    calls = []
+    classify = analytic.classify_lambda
+
+    def counted(*args):
+        calls.append(args)
+        return classify(*args)
+    monkeypatch.setattr(analytic, "classify_lambda", counted)
+    rec = run_analytic_report(ExperimentConfig(kind="analytic-report",
+                                               k=len(lam), lam=lam))
+    assert rec.checks_passed
+    assert "f_inf_generating_function" not in rec.results
+    assert len(calls) == 1
+
+
 def _local_weak_cfg(**kw):
     return ExperimentConfig(kind="local-weak-check", lam=(1.0, 1.0),
                             n_list=(2000,), replicas=2, samples=4000, seed=3,
