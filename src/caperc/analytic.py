@@ -201,8 +201,9 @@ def solve_p_system(lam, residual_tol: float = 1e-8) -> PTable:
     (for c = 0 the survival probability theta(mu), the probabilistic root
     since mu never exceeds lambda^{\\i} for i in I); the full set uses the
     closed exponential form. The table is produced for any positive lambda;
-    `relevant` records whether all nonempty p_I lie in (0,1), which holds
-    exactly in the fully supercritical regime.
+    `relevant` records whether all nonempty p_I are positive, which holds
+    exactly in the fully supercritical regime (p_I < 1 always holds, though
+    p_I may round to 1.0).
     """
     lam = as_lambda(lam)
     full = (1 << lam.k) - 1
@@ -216,7 +217,7 @@ def solve_p_system(lam, residual_tol: float = 1e-8) -> PTable:
     max_res = float(_residuals(lam, p).max())
     if max_res > residual_tol:
         raise PSystemError(f"p_I residual {max_res:.3e} exceeds {residual_tol:.1e}")
-    relevant = bool(np.all((p[1:] > 0.0) & (p[1:] < 1.0)))
+    relevant = bool(np.all(p[1:] > 0.0))
     return PTable(lam, p, relevant=relevant, max_residual=max_res)
 
 

@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -120,7 +121,10 @@ def _cmd_components(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse returns a fresh
+    namespace."""
     parser = argparse.ArgumentParser(
         prog="caperc",
         description="Color-avoiding percolation: simulation and analytics")

@@ -1,15 +1,13 @@
 """Edge-colored Poisson branching-process estimators: counts-first core
-growth, friend counting with exact frontier typing, and Monte Carlo
-estimators of the friend-count distribution and of the infinite-class
-density."""
+growth, batched friend counting resolved in numpy with exact typing of the
+unrevealed subtrees, and Monte Carlo estimators of the friend-count
+distribution and of the infinite-class density."""
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import accumulate
+from functools import cache
 
 import numpy as np
 
@@ -21,38 +19,14 @@ from .analytic import (
 )
 from .params import LambdaVector, as_lambda
 
-# per-sample probability that the certified-alive shortcut or a typing
-# shortcut mislabels an outcome; far below MC noise at any feasible sample
-# count
+# probability that a certified avoiding cluster still dies, so that the
+# certified-alive shortcut mislabels an outcome; far below MC noise at any
+# feasible sample count
 CERT_EPS = 1e-12
 
 
 class CoreOverflow(Exception):
     """A core sample has more nodes than the node cap."""
-
-
-class _Stream:
-    """Buffered draws: fill(size) returns `size` draws as a numpy array.
-
-    The cost per draw is flat from about 1024 draws per fill up, while a
-    larger buffer only makes each sampler slower to build.
-    """
-
-    __slots__ = ("fill", "buf", "_vals", "_i")
-
-    def __init__(self, fill, buf: int = 1024):
-        self.fill = fill
-        self.buf = buf
-        self._vals = fill(buf).tolist()
-        self._i = 0
-
-    def draw(self):
-        i = self._i
-        if i >= self.buf:
-            self._vals = self.fill(self.buf).tolist()
-            i = 0
-        self._i = i + 1
-        return self._vals[i]
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +187,18 @@ class FriendCountOutcome:
         return FriendCountOutcome("censored", reason=reason)
 
 
-# a censored sample carries nothing but its reason, and a sample whose root
-# is its only candidate friend nothing but its count, so every such sample
-# shares one outcome object
+# a censored sample carries nothing but its reason, and a finite one nothing
+# but its count, so samples share their outcome objects
 DEPTH_CAPPED = FriendCountOutcome.censored("depth-cap")
 NODE_CAPPED = FriendCountOutcome.censored("node-cap")
-ROOT_ONLY = FriendCountOutcome.finite(1)
+_finite = cache(FriendCountOutcome.finite)
+ROOT_ONLY = _finite(1)
 
 # samples FriendCountSampler grows together; divides experiments._CHUNK
 _BATCH = 1024
+# grown nodes one friend-resolution pass holds at most, unless a single
+# sample has more; bounds the memory of the per-node arrays
+_PASS_NODES = 1 << 18
 
 
 class FriendCountSampler:
@@ -230,7 +207,7 @@ class FriendCountSampler:
     Growth is restricted to nodes whose root path avoids at least one color
     (k-bit avoid-mask per node); color i's avoiding cluster is declared dead
     at the first level with no mask-bit-i node. Every member of a dead
-    cluster is materialized by then, so friends are counted over the arena:
+    cluster is grown by then, so friends are counted over the grown tree:
     v is a friend iff for every color i either the root path avoids i or both
     endpoints are i-avoiding connected to infinity through descendants.
 
@@ -239,14 +216,19 @@ class FriendCountSampler:
     children of all count_m nodes of mask m via color c number
     Poisson(lambda_c * count_m) by Poisson additivity. Censoring depends on
     these counts alone. So does a finite sample whose root is the only node
-    in every dead cluster: its friend count is 1. For any other finite
-    sample the per-node arena is built from its level totals, by splitting
-    each total among its parents with uniform parent choices (Poisson
-    splitting: the same law as per-node draws).
+    in every dead cluster: its friend count is 1.
 
-    The alive_i flags are resolved by propagating through materialized
-    children and drawing one memoized extended type per fully unrevealed
-    node (typing is exact: the type is a function of the node's own subtree).
+    The other samples with a dead cluster are resolved together in numpy
+    once their block has grown. Their per-node trees are built level by level
+    from the level totals, each child picking its parent uniformly among the
+    previous level's nodes of its parent mask (Poisson splitting: the same law as
+    per-node draws). Every unrevealed node gets an extended type, whose bit
+    i says the node is i-avoiding connected to infinity: the frontier, and
+    the color-i children of each grown node that avoids color i only, which
+    growth never draws. Typing is exact, because a type depends on its own
+    unrevealed subtree alone. The alive bits then propagate up one level at
+    a time.
+
     When every cluster's frontier reaches a size whose total extinction
     probability is below CERT_EPS, the sample is censored immediately instead
     of growing to depth_cap; the mislabel probability is <= k * CERT_EPS.
@@ -267,14 +249,11 @@ class FriendCountSampler:
         # None: this cluster dies almost surely
         self.cert = [max(1, math.ceil(math.log(CERT_EPS) / math.log1p(-t)))
                      if t > 0.0 else None for t in self.theta]
-        phat = extended_type_distribution(self.lam)
-        self._type_masks = sorted(phat)
-        self._type_cum = list(accumulate(phat[g] for g in self._type_masks))
-        self._streams = [_Stream(partial(rng.poisson, self.lam[c]))
-                         for c in range(k)]
-        self._uniform = _Stream(rng.random)
+        self._rng = rng
         self._poisson = rng.poisson
         self._full = full = (1 << k) - 1
+        phat = extended_type_distribution(self.lam)
+        self._type_cdf = np.cumsum([phat[g] for g in range(full + 1)])
         # every node that avoids a color grows
         (self._entries, self._entry_mask, self._entry_lam,
          self._scatter) = _growth_table(self.lam, 1)
@@ -284,12 +263,18 @@ class FriendCountSampler:
         # superset[m, d]: mask-m nodes lie in every cluster that mask d names
         self._superset = (masks[:, None] & masks) == masks
         self._cert = None if None in self.cert else np.array(self.cert)
-        # reveal state of a grown node: every admissible color drawn
-        self._grown_drawn = [0] * (full + 1)
-        for m, c, _ in self._entries:
-            self._grown_drawn[m] |= 1 << c
-        # outcomes of the current block, or (levels, dead) for a sample
-        # whose friends are still to be resolved
+        # per entry (m, c, child mask): the child mask, and the bits of a
+        # child's type that it passes up the color-c edge
+        dtype = np.min_scalar_type(full)
+        self._entry_child = np.array([cm for *_, cm in self._entries], dtype)
+        self._entry_keep = np.array([full & ~(1 << c)
+                                     for _, c, _ in self._entries], dtype)
+        # entries ordered by child mask: a level's nodes then come grouped
+        # by (sample, mask)
+        self._by_child = np.argsort(self._entry_child, kind="stable")
+        # lambda_i for the mask {i} (its nodes' undrawn color), else 0
+        self._lone_lam = np.zeros(full + 1)
+        self._lone_lam[1 << np.arange(k)] = self.lam.lam
         self._block: list = []
         self._next = 0
 
@@ -299,16 +284,15 @@ class FriendCountSampler:
             self._next = 0
         out = self._block[self._next]
         self._next += 1
-        if isinstance(out, FriendCountOutcome):
-            return out
-        levels, dead = out
-        return self._resolve_friends(*self._materialize(levels), dead)
+        return out
 
     def _grow_block(self) -> list:
-        """Grows _BATCH samples from their roots. Each level settles, in
-        order: samples with a dead cluster, then every sample at depth_cap,
-        then samples over node_cap, then certified survivors; the rest grow
-        one level by a single Poisson draw over all (sample, entry) pairs."""
+        """Outcomes of _BATCH samples grown from their roots. Each level
+        settles, in order: samples with a dead cluster, then every sample at
+        depth_cap, then samples over node_cap, then certified survivors; the
+        rest grow one level by a single Poisson draw over all (sample, entry)
+        pairs. Dead samples with other candidate friends are resolved at the
+        end, from the level history."""
         out = np.empty(_BATCH, dtype=object)
         ids = np.arange(_BATCH)
         counts = np.zeros((_BATCH, self._full + 1), dtype=np.int64)
@@ -318,12 +302,15 @@ class FriendCountSampler:
         # per grown level: the ids of the samples grown and their totals of
         # children per entry
         history = []
+        # per level with dead samples to resolve: their ids, dead masks,
+        # levels grown and nodes grown
+        pending = []
         while True:
             cnt = counts @ self._member
             live = (cnt > 0).all(axis=1)
             if not live.all():
-                self._settle_dead(out, ids[~live], cnt[~live], grown[~live],
-                                  history)
+                pending.append(self._settle_dead(
+                    out, ids[~live], cnt[~live], grown[~live], len(history)))
             if len(history) >= self.depth_cap:
                 out[ids[live]] = DEPTH_CAPPED
                 break
@@ -344,143 +331,116 @@ class FriendCountSampler:
             counts = draws @ self._scatter
             grown += counts
             history.append((ids, draws))
+        if pending:
+            self._resolve(out, *map(np.concatenate, zip(*pending)), history)
         return out.tolist()
 
-    def _settle_dead(self, out, ids, cnt, grown, history):
-        """Outcomes of samples with a dead cluster: finite(1) when no node
-        but the root lies in every dead cluster, else the sample's level
-        totals as (mask, color, child mask, total) entries for
-        _materialize, with its dead colors."""
+    def _settle_dead(self, out, ids, cnt, grown, depth):
+        """Settles the samples with a dead cluster whose root is the only
+        node in every dead cluster as finite(1); returns the ids, dead masks,
+        depths and grown node totals of the others."""
         deadmasks = (cnt == 0) @ (1 << np.arange(self.k))
         # nodes other than the root in every dead cluster; frontier nodes
         # are counted too, but none of them lies in a dead cluster
         candidates = (grown * self._superset[:, deadmasks].T).sum(axis=1)
         alone = candidates == 0
         out[ids[alone]] = ROOT_ONLY
-        ids, deadmasks = ids[~alone], deadmasks[~alone]
-        entries = self._entries
-        per_sample = [[] for _ in range(ids.size)]
-        for grown_ids, draws in history:
-            rows = draws[np.searchsorted(grown_ids, ids)].tolist()
-            for levels, row in zip(per_sample, rows):
-                levels.append([(m, c, cm, t)
-                               for (m, c, cm), t in zip(entries, row) if t])
-        for i, levels, d in zip(ids.tolist(), per_sample, deadmasks.tolist()):
-            out[i] = (levels, [j for j in range(self.k) if (d >> j) & 1])
+        rest = ~alone
+        return (ids[rest], deadmasks[rest], np.full(rest.sum(), depth),
+                grown[rest].sum(axis=1))
 
-    def _materialize(self, levels):
-        """Per-node arena (masks, drawn, kids) of grown level totals.
+    def _resolve(self, out, ids, deadmasks, depths, sizes, history):
+        """Friend counts of the dead samples `ids`, in block order and in
+        passes of at most _PASS_NODES grown nodes (or one sample)."""
+        order = np.argsort(ids)
+        ids, deadmasks, depths = ids[order], deadmasks[order], depths[order]
+        ends = np.cumsum(sizes[order])
+        lo = 0
+        while lo < ids.size:
+            base = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, base + _PASS_NODES,
+                                                 side="right")))
+            part = slice(lo, hi)
+            friends = self._friend_counts(
+                self._arena(ids[part], depths[part], history),
+                deadmasks[part])
+            out[ids[part]] = [_finite(ell) for ell in friends.tolist()]
+            lo = hi
 
-        Each (m, c) total is split among that level's mask-m nodes by one
-        uniform parent choice per child. Nodes of every grown level have all
-        admissible colors drawn; the last level is the unrevealed frontier.
+    def _arena(self, ids, depths, history):
+        """Per-node arrays (sample, mask, keep, parent, frontier) of the
+        samples `ids`, each grown depths[s] levels, and each level's first
+        node.
+
+        Level 0 holds the roots, so the root of sample s is node s. A level's
+        nodes come grouped by (sample, mask), and each entry total of a
+        sample is split among its nodes of the entry's mask on the level
+        above by one uniform parent choice per child. keep masks out the
+        color of the edge from the parent; frontier marks the last level of
+        each sample, whose nodes are unrevealed.
         """
-        uniform = self._uniform.draw
-        grown_drawn = self._grown_drawn
+        n = ids.size
         full = self._full
-        last = len(levels)
-        masks = [full]
-        drawn = [grown_drawn[full] if last else 0]
-        kids: dict[tuple[int, int], range] = {}
-        # node ids of the current level per avoid-mask
-        parents = {full: [0]}
-        for depth, level in enumerate(levels, 1):
-            frontier = depth == last
-            nxt: dict[int, list[int]] = {}
-            for m, c, cm, t in level:
-                ps = parents[m]
-                p = len(ps)
-                if p == 1:
-                    split = ((ps[0], t),)
-                else:
-                    per = [0] * p
-                    for _ in range(t):
-                        per[int(uniform() * p)] += 1
-                    split = zip(ps, per)
-                dv = 0 if frontier else grown_drawn[cm]
-                first = len(masks)
-                for u, n in split:
-                    if n:
-                        base = len(masks)
-                        masks.extend([cm] * n)
-                        drawn.extend([dv] * n)
-                        kids[(u, c)] = range(base, base + n)
-                if not frontier:
-                    nxt.setdefault(cm, []).extend(range(first, len(masks)))
-            parents = nxt
-        return masks, drawn, kids
+        by_child = self._by_child
+        counts = np.zeros((n, full + 1), dtype=np.int64)
+        counts[:, full] = 1
+        roots = np.full(n, full, self._entry_child.dtype)
+        sample, mask, keep = [np.arange(n, dtype=np.int32)], [roots], [roots]
+        parent, frontier = [np.full(n, -1)], [np.zeros(n, bool)]
+        starts = [0, n]
+        for d, (grown_ids, draws) in enumerate(history[:depths.max()], 1):
+            rows = np.flatnonzero(depths >= d).astype(np.int32)
+            draws = draws[np.searchsorted(grown_ids, ids[rows])]
+            # one cell per (sample, entry), the entries by child mask
+            nodes = draws[:, by_child].ravel()
+            row = np.repeat(rows, by_child.size)
+            entry = np.tile(by_child, rows.size)
+            pm = self._entry_mask[entry]
+            # the cell's parent group on the level above: first node, size
+            first = (starts[-2] + np.cumsum(counts).reshape(counts.shape)
+                     - counts)[row, pm]
+            pick = self._rng.random(nodes.sum())
+            pick *= np.repeat(counts[row, pm], nodes)
+            parent.append(np.repeat(first, nodes) + pick.astype(np.int64))
+            sample.append(np.repeat(row, nodes))
+            mask.append(np.repeat(self._entry_child[entry], nodes))
+            keep.append(np.repeat(self._entry_keep[entry], nodes))
+            frontier.append(np.repeat(depths[row] == d, nodes))
+            starts.append(starts[-1] + pick.size)
+            counts = np.zeros_like(counts)
+            counts[rows] = draws @ self._scatter
+        return (*map(np.concatenate, (sample, mask, keep, parent, frontier)),
+                starts)
 
-    def _resolve_friends(self, masks, drawn, kids, dead) -> FriendCountOutcome:
-        k = self.k
-        streams = self._streams
-        deadmask = 0
-        for i in dead:
-            deadmask |= 1 << i
-        n0 = len(masks)
-        type_memo: dict[int, int] = {}
-        alive_memo: dict[tuple[int, int], bool] = {}
-        tmasks, tcum = self._type_masks, self._type_cum
+    def _types(self, size: int) -> np.ndarray:
+        """`size` draws from the extended-type law, as type masks."""
+        return np.minimum(np.searchsorted(self._type_cdf,
+                                          self._rng.random(size)),
+                          self._full).astype(self._entry_child.dtype)
 
-        def typed(u: int) -> int:
-            gm = type_memo.get(u)
-            if gm is None:
-                gm = tmasks[bisect_left(tcum, self._uniform.draw())]
-                type_memo[u] = gm
-            return gm
-
-        def alive(j: int, u: int) -> bool:
-            key = (u, j)
-            res = alive_memo.get(key)
-            if res is not None:
-                return res
-            if drawn[u] == 0:
-                res = bool((typed(u) >> j) & 1)
-            else:
-                # reveal any not-yet-drawn colors; their children are fully
-                # unrevealed and will be typed on demand
-                du = drawn[u]
-                for c in range(k):
-                    if not (du >> c) & 1:
-                        nch = streams[c].draw()
-                        du |= 1 << c
-                        if nch:
-                            base = len(masks)
-                            cm = masks[u] & ~(1 << c)
-                            masks.extend([cm] * nch)
-                            drawn.extend([0] * nch)
-                            kids[(u, c)] = list(range(base, base + nch))
-                drawn[u] = du
-                res = False
-                for c in range(k):
-                    if c == j:
-                        continue
-                    for w in kids.get((u, c), ()):
-                        if alive(j, w):
-                            res = True
-                            break
-                    if res:
-                        break
-            alive_memo[key] = res
-            return res
-
-        count = 0
-        for v in range(n0):
-            mv = masks[v]
-            if mv & deadmask != deadmask:
-                continue
-            ok = True
-            for j in range(k):
-                if (mv >> j) & 1:
-                    continue
-                if not (alive(j, 0) and alive(j, v)):
-                    ok = False
-                    break
-            if ok:
-                count += 1
-        # alive refers to itself through its closure cell; clearing the cell
-        # frees the arena without waiting for the cyclic collector
-        del alive
-        return FriendCountOutcome.finite(count)
+    def _friend_counts(self, arena, deadmasks) -> np.ndarray:
+        """Friend counts of the samples of an arena (see _arena) whose dead
+        clusters are named by deadmasks."""
+        sample, mask, keep, parent, frontier, starts = arena
+        full = self._full
+        lone = np.flatnonzero(~frontier & (self._lone_lam[mask] > 0.0))
+        kids = self._rng.poisson(self._lone_lam[mask[lone]])
+        # one type per unrevealed node: the frontier, then the lone nodes'
+        # children; alive bit i: i-avoiding connected to infinity through
+        # descendants
+        unrevealed = np.count_nonzero(frontier)
+        types = self._types(unrevealed + kids.sum())
+        alive = np.zeros_like(mask)
+        alive[frontier] = types[:unrevealed]
+        np.bitwise_or.at(alive, np.repeat(lone, kids), types[unrevealed:]
+                         & np.repeat(full & ~mask[lone], kids))
+        for d in range(len(starts) - 2, 0, -1):
+            lo, hi = starts[d], starts[d + 1]
+            np.bitwise_or.at(alive, parent[lo:hi], alive[lo:hi] & keep[lo:hi])
+        dead = deadmasks.astype(mask.dtype)[sample]
+        friend = ((mask & dead) == dead) & (
+            (full & ~mask & ~(alive & alive[sample])) == 0)
+        return np.bincount(sample[friend], minlength=deadmasks.size)
 
 
 @dataclass(frozen=True)

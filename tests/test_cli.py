@@ -3,9 +3,14 @@ determinism of seeded runs."""
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import caperc
 from caperc.cli import main
 from caperc.experiments import CONFIG_KEYS, RUNNERS, ExperimentConfig
 from caperc.graph import EdgeColoredGraph, dump_graph, load_graph
@@ -149,6 +154,40 @@ def test_analytic_cli_infers_k(capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["config"]["k"] == "2"
     assert record["results"]["regime"]["fully_supercritical"]
+
+
+@pytest.mark.parametrize("lam", ["20,20", "40,40"])
+def test_analytic_cli_relevance_when_p_rounds_to_one(capsys, lam):
+    # p_[k] rounds to 1.0 at these lambdas, yet the table is relevant
+    assert main(["analytic", "--lambda", lam]) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["p_table_relevant"] is res["regime"]["fully_supercritical"]
+    assert res["p_table_relevant"]
+
+
+def _record_without_timing(text: str) -> dict:
+    record = json.loads(text)
+    del record["elapsed_s"]
+    return record
+
+
+def test_successive_calls_match_fresh_processes(capsys):
+    # the parser is built once per process; no flag value may leak from one
+    # call into the next
+    runs = [["ecbp-mc", "--lambda", "2,2", "--samples", "300", "--seed", "5"],
+            ["ecbp-mc", "--lambda", "2,2", "--samples", "300"]]
+    in_process = []
+    for argv in runs:
+        assert main(argv) == 0
+        in_process.append(_record_without_timing(capsys.readouterr().out))
+    src = str(Path(caperc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh = [_record_without_timing(subprocess.run(
+        [sys.executable, "-m", "caperc.cli", *argv], env=env, check=True,
+        capture_output=True, text=True).stdout) for argv in runs]
+    assert in_process == fresh
+    assert in_process[1]["config"]["seed"] == "0"
 
 
 def test_ecbp_mc_cli(capsys):

@@ -1,10 +1,11 @@
 """Branching-process Monte Carlo tests: core growth against Poisson and
 chronology-atlas oracles, friend counting against the exact two-color series,
-and structural properties of the friend-resolution recursion."""
+and the numpy friend resolution against the memoized recursion it replaced."""
 
 import gc
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -251,7 +252,7 @@ def test_three_color_censored_mass_matches_f_infinity():
     assert abs(hist.censored_mass - target) < 3.5 * hist.censored_stderr()
 
 
-def test_friend_counts_match_asymmetric_two_color_series():
+def _assert_asymmetric_two_color_law():
     # theta(0.5) = 0: every sample ends finite, and most are decided on
     # counts alone because the root is the only candidate friend
     samples = 20000
@@ -262,6 +263,10 @@ def test_friend_counts_match_asymmetric_two_color_series():
         target = two_color_f_ell(1.5, 0.5, ell)
         se = max(hist.stderr(ell), math.sqrt(target * (1 - target) / samples))
         assert abs(hist.frequency(ell) - target) < 3.5 * se
+
+
+def test_friend_counts_match_asymmetric_two_color_series():
+    _assert_asymmetric_two_color_law()
 
 
 def test_component_size_distribution_rejects_zero_samples():
@@ -337,60 +342,95 @@ def test_histogram_bookkeeping():
     assert hist.to_json_dict()["histogram"] == {"1": 6, "3": 1}
 
 
-# -- materialization of grown level totals ----------------------------------
 
-def _arena_depths(masks, kids):
-    """Depth of every node, checking that each non-root node has exactly one
-    parent edge and the avoid-mask that edge implies."""
-    depth = [0] + [None] * (len(masks) - 1)
-    for (u, c), r in sorted(kids.items()):
-        assert isinstance(r, range) and r.step == 1 and len(r) > 0
-        for v in r:
-            assert depth[v] is None
-            depth[v] = depth[u] + 1
-            assert masks[v] == masks[u] & ~(1 << c)
-    assert None not in depth
-    return depth
+
+def test_one_sample_per_pass(monkeypatch):
+    # with a node budget of 1 every pass resolves a single sample
+    monkeypatch.setattr(ecbp, "_PASS_NODES", 1)
+    for samples in (1, 1025):
+        hist = mc_component_size_distribution(
+            (2.0, 2.0), samples, 3, np.random.default_rng(22))
+        assert sum(hist.finite_counts.values()) + hist.censored == samples
+    _assert_asymmetric_two_color_law()
+
+
+# -- the arena of grown level totals -----------------------------------------
+
+def _history(sampler, levels, samples=1):
+    """Level history of `samples` samples that all grow the given totals, one
+    {(mask, color): total} dict per level."""
+    entry = {(m, c): e for e, (m, c, _) in enumerate(sampler._entries)}
+    history = []
+    for level in levels:
+        draws = np.zeros((samples, len(entry)), dtype=np.int64)
+        for (m, c), t in level.items():
+            draws[:, entry[(m, c)]] = t
+        history.append((np.arange(samples), draws))
+    return history
+
+
+def _edge_color(full, keep):
+    return (full ^ int(keep)).bit_length() - 1
 
 
 def test_materialized_arena_reproduces_level_totals():
     sampler = FriendCountSampler((0.7, 0.7, 0.7), np.random.default_rng(15))
-    # (mask, color, child mask, total) per grown level; mask 0b100 nodes
-    # avoid color 2 only, so color 2 is not admissible for them
-    levels = [
-        [(0b111, 0, 0b110, 3), (0b111, 1, 0b101, 2), (0b111, 2, 0b011, 1)],
-        [(0b110, 1, 0b100, 5), (0b110, 2, 0b010, 4), (0b101, 0, 0b100, 3),
-         (0b011, 1, 0b001, 2)],
-        [(0b100, 0, 0b100, 7), (0b100, 1, 0b100, 6), (0b010, 2, 0b010, 9)],
-    ]
+    # {(mask, color): total} per grown level and sample; mask 0b100 nodes
+    # avoid color 2 only, so color 2 is not admissible for them; sample 1
+    # stops a level earlier
+    levels = [[
+        {(0b111, 0): 3, (0b111, 1): 2, (0b111, 2): 1},
+        {(0b110, 1): 5, (0b110, 2): 4, (0b101, 0): 3, (0b011, 1): 2},
+        {(0b100, 0): 7, (0b100, 1): 6, (0b010, 2): 9},
+    ], [
+        {(0b111, 0): 1, (0b111, 2): 2},
+        {(0b110, 1): 2, (0b011, 0): 1},
+    ]]
+    depths = np.array([3, 2])
+    history = [(np.arange(2), np.vstack([a[1], b[1]])) for a, b in
+               zip(*(_history(sampler, sample_levels)
+                     for sample_levels in levels))]
+    history.append(_history(sampler, levels[0])[2])
     for _ in range(50):
-        masks, drawn, kids = sampler._materialize(levels)
-        assert masks[0] == 0b111 and len(drawn) == len(masks)
-        depth = _arena_depths(masks, kids)
+        sample, mask, keep, parent, frontier, starts = sampler._arena(
+            np.arange(2), depths, history)
+        # the roots, then one level per grown level
+        assert starts[:2] == [0, 2] and len(starts) == len(levels[0]) + 2
+        assert mask[:2].tolist() == [0b111] * 2 and sample[:2].tolist() == [0, 1]
+        depth = np.repeat(np.arange(4), np.diff(starts))
         totals = Counter()
-        for (u, c), r in kids.items():
-            totals[(depth[u], masks[u], c)] += len(r)
-        assert totals == Counter({(d, m, c): t
-                                  for d, level in enumerate(levels)
-                                  for m, c, _, t in level})
-        for v, m in enumerate(masks):
-            if depth[v] == len(levels):
-                assert drawn[v] == 0  # the unrevealed frontier
-            else:
-                admissible = sum(1 << c for c in range(3) if m & ~(1 << c))
-                assert drawn[v] == admissible
+        for v, u, m, kp in zip(range(2, len(mask)), parent[2:].tolist(),
+                               mask[2:].tolist(), keep[2:].tolist()):
+            c = _edge_color(0b111, kp)
+            assert kp == 0b111 & ~(1 << c)
+            assert depth[u] == depth[v] - 1 and sample[u] == sample[v]
+            assert m == int(mask[u]) & ~(1 << c)
+            totals[(int(sample[v]), int(depth[u]), int(mask[u]), c)] += 1
+        assert totals == Counter({(s, d, m, c): t
+                                  for s, sample_levels in enumerate(levels)
+                                  for d, level in enumerate(sample_levels)
+                                  for (m, c), t in level.items()})
+        # the last level of each sample is its unrevealed frontier
+        assert (frontier == (depth == depths[sample])).all()
+        # each level's nodes come grouped by (sample, mask)
+        for lo, hi in zip(starts[1:], starts[2:]):
+            key = sample[lo:hi] * 8 + mask[lo:hi]
+            assert (np.diff(key) >= 0).all()
 
 
 def test_split_among_parents_is_uniform():
-    # the root's p color-0 children (mask 0b10) share t color-0 grandchildren
+    # the root's p color-0 children (mask 0b10) share t color-0 grandchildren;
+    # reps samples of the same totals are split in one arena
     sampler = FriendCountSampler((2.0, 2.0), np.random.default_rng(16))
     p, t, reps = 5, 12, 2000
-    levels = [[(0b11, 0, 0b10, p)], [(0b10, 0, 0b10, t)]]
+    history = _history(sampler, [{(0b11, 0): p}, {(0b10, 0): t}], reps)
+    sample, _, _, parent, _, starts = sampler._arena(
+        np.arange(reps), np.full(reps, 2), history)
+    grand = slice(starts[2], starts[3])
+    local = parent[grand] - starts[1] - p * sample[grand]
+    assert ((local >= 0) & (local < p)).all()  # a parent of the same sample
     per_parent = np.zeros((reps, p), dtype=int)
-    for rep in range(reps):
-        kids = sampler._materialize(levels)[2]
-        for i, u in enumerate(kids[(0, 0)]):
-            per_parent[rep, i] = len(kids.get((u, 0), ()))
+    np.add.at(per_parent, (sample[grand], local), 1)
     assert (per_parent.sum(axis=1) == t).all()
     # children pick parents uniformly: equal totals per parent ...
     _, pvalue = scipy.stats.chisquare(per_parent.sum(axis=0))
@@ -410,18 +450,14 @@ def test_split_among_parents_is_uniform():
 def _scripted(sampler, levels):
     """Replaces the block's Poisson draws: every sample grows the given
     totals, one {(mask, color): total} dict per level."""
-    entry = {(m, c): e for e, (m, c, _) in enumerate(sampler._entries)}
-    script = iter(levels)
+    script = iter(_history(sampler, levels, _BATCH))
 
     def poisson(lam):
-        draws = np.zeros(lam.shape, dtype=np.int64)
-        for (m, c), t in next(script).items():
-            draws[:, entry[(m, c)]] = t
-        return draws
+        return next(script)[1][:len(lam)]
     sampler._poisson = poisson
 
 
-def _no_materialize(levels):
+def _no_arena(ids, depths, history):
     raise AssertionError("materialized")
 
 
@@ -430,7 +466,7 @@ def test_root_only_sample_is_settled_on_counts():
     # avoiding color 0 dies at level 1 with the root as its only member
     sampler = FriendCountSampler((2.0, 2.0), np.random.default_rng(24))
     _scripted(sampler, [{(0b11, 0): 2}])
-    sampler._materialize = _no_materialize
+    sampler._arena = _no_arena
     assert [sampler.sample() for _ in range(3)] == [
         FriendCountOutcome.finite(1)] * 3
 
@@ -456,37 +492,242 @@ def test_other_candidates_are_materialized():
     levels = [{(0b11, 0): 1, (0b11, 1): 1}, {(0b01, 1): 1}]
     sampler = FriendCountSampler((2.0, 2.0), np.random.default_rng(25))
     _scripted(sampler, levels)
-    sampler._materialize = _no_materialize
+    sampler._arena = _no_arena
     with pytest.raises(AssertionError, match="materialized"):
         sampler.sample()
-    assert sampler._block[1] == (
-        [[(0b11, 0, 0b10, 1), (0b11, 1, 0b01, 1)], [(0b01, 1, 0b01, 1)]],
-        [1])
-    del sampler._materialize
+    del sampler._arena
+    _scripted(sampler, levels)
+    handed = []
+    arena, friend_counts = sampler._arena, sampler._friend_counts
+
+    def recorded(ids, depths, history):
+        handed.append((ids, depths, history))
+        return arena(ids, depths, history)
+    sampler._arena = recorded
+    sampler._friend_counts = lambda arena, deadmasks: (
+        handed.append(deadmasks) or friend_counts(arena, deadmasks))
     assert sampler.sample().ell in (1, 2)
+    # the whole block in one pass: every sample grew the two scripted
+    # levels, and the cluster avoiding color 1 died
+    (ids, depths, history), deadmasks = handed
+    assert ids.tolist() == list(range(_BATCH))
+    assert depths.tolist() == [2] * _BATCH
+    assert deadmasks.tolist() == [0b10] * _BATCH
+    expected = _history(sampler, levels, _BATCH)
+    assert len(history) == len(expected)
+    for (ids, draws), (_, want) in zip(history, expected):
+        assert (draws == want[ids]).all()
+
+
+# -- numpy resolution against the recursion it replaced ----------------------
+
+def _materialize(levels, k, uniform):
+    """Per-node arena (masks, drawn, kids) of one sample's grown level
+    totals, (mask, color, child mask, total) entries per level.
+
+    Each (m, c) total is split among that level's mask-m nodes by one
+    uniform parent choice per child. Nodes of every grown level have all
+    admissible colors drawn; the last level is the unrevealed frontier.
+    """
+    full = (1 << k) - 1
+    grown_drawn = [sum(1 << c for c in range(k) if m & ~(1 << c))
+                   for m in range(full + 1)]
+    last = len(levels)
+    masks = [full]
+    drawn = [grown_drawn[full] if last else 0]
+    kids = {}
+    # node ids of the current level per avoid-mask
+    parents = {full: [0]}
+    for depth, level in enumerate(levels, 1):
+        frontier = depth == last
+        nxt = {}
+        for m, c, cm, t in level:
+            ps = parents[m]
+            per = [0] * len(ps)
+            for _ in range(t):
+                per[int(uniform() * len(ps))] += 1
+            dv = 0 if frontier else grown_drawn[cm]
+            first = len(masks)
+            for u, n in zip(ps, per):
+                if n:
+                    base = len(masks)
+                    masks.extend([cm] * n)
+                    drawn.extend([dv] * n)
+                    kids[(u, c)] = range(base, base + n)
+            if not frontier:
+                nxt.setdefault(cm, []).extend(range(first, len(masks)))
+        parents = nxt
+    return masks, drawn, kids
+
+
+def _resolve_friends(k, masks, drawn, kids, dead, typed, reveal):
+    """Friend count of one arena by the memoized recursion: typed(u) is the
+    extended type of the unrevealed node u, and reveal(u, c) lists the types
+    of the children that node u gets via its undrawn color c."""
+    deadmask = sum(1 << i for i in dead)
+    n0 = len(masks)
+    type_memo = {}
+    alive_memo = {}
+
+    def alive(j, u):
+        key = (u, j)
+        res = alive_memo.get(key)
+        if res is not None:
+            return res
+        if drawn[u] == 0:
+            if u not in type_memo:
+                type_memo[u] = typed(u)
+            res = bool((type_memo[u] >> j) & 1)
+        else:
+            # reveal any not-yet-drawn colors; their children are fully
+            # unrevealed
+            du = drawn[u]
+            for c in range(k):
+                if not (du >> c) & 1:
+                    du |= 1 << c
+                    base = len(masks)
+                    for gamma in reveal(u, c):
+                        type_memo[len(masks)] = gamma
+                        masks.append(masks[u] & ~(1 << c))
+                        drawn.append(0)
+                    if len(masks) > base:
+                        kids[(u, c)] = range(base, len(masks))
+            drawn[u] = du
+            res = any(alive(j, w) for c in range(k) if c != j
+                      for w in kids.get((u, c), ()))
+        alive_memo[key] = res
+        return res
+
+    count = sum(1 for v in range(n0)
+                if masks[v] & deadmask == deadmask
+                and all(alive(j, 0) and alive(j, v)
+                        for j in range(k) if not (masks[v] >> j) & 1))
+    # alive refers to itself through its closure cell
+    del alive
+    return count
+
+
+def _arena_as_recursion_input(arena, k):
+    """(masks, drawn, kids) of a one-sample arena, in the arena's node
+    order."""
+    _, mask, keep, parent, frontier, _ = arena
+    full = (1 << k) - 1
+    kids = {}
+    for v in range(1, len(mask)):
+        kids.setdefault((int(parent[v]), _edge_color(full, keep[v])),
+                        []).append(v)
+    drawn = [0 if f else sum(1 << c for c in range(k) if m & ~(1 << c))
+             for m, f in zip(mask.tolist(), frontier.tolist())]
+    return mask.tolist(), drawn, kids
+
+
+@pytest.mark.parametrize("lam", [(2.0, 2.0), (1.5, 0.5), (0.7, 0.7, 0.7)])
+def test_resolution_matches_the_recursion_on_fixed_draws(monkeypatch, lam):
+    # 200 one-sample arenas of real growth; every frontier type and every
+    # revealed child is fixed in advance, so both resolvers see one tree
+    monkeypatch.setattr(ecbp, "_PASS_NODES", 1)
+    sampler = FriendCountSampler(lam, np.random.default_rng(30))
+    passes = []
+    sampler._friend_counts = lambda arena, deadmasks: (
+        passes.append((arena, deadmasks)) or np.ones(1, dtype=int))
+    while len(passes) < 200:
+        sampler.sample()
+    k = len(lam)
+    full = (1 << k) - 1
+    one_bit = np.array([bin(m).count("1") == 1 for m in range(full + 1)])
+    rng = np.random.default_rng(31)
+    counts = []
+    for arena, deadmasks in passes[:200]:
+        mask, frontier = arena[1], arena[4]
+        lone = np.flatnonzero(~frontier & one_bit[mask])
+        types = rng.integers(0, full + 1, np.count_nonzero(frontier))
+        revealed = rng.integers(0, 3, lone.size)
+        kid_types = rng.integers(0, full + 1, revealed.sum())
+
+        # the numpy pass, fed the fixed draws: the children of the lone
+        # grown nodes, then the types of the frontier and of those children
+        monkeypatch.setattr(sampler, "_rng", SimpleNamespace(
+            poisson=lambda lam: revealed))
+        def fixed_types(size):
+            assert size == types.size + kid_types.size
+            return np.concatenate([types, kid_types]).astype(mask.dtype)
+        monkeypatch.setattr(sampler, "_types", fixed_types)
+        ell = FriendCountSampler._friend_counts(sampler, arena, deadmasks)
+
+        # the recursion, given the same types by node
+        frontier_type = dict(zip(np.flatnonzero(frontier).tolist(),
+                                 types.tolist()))
+        kids_of = dict(zip(lone.tolist(),
+                           np.split(kid_types, np.cumsum(revealed)[:-1])))
+        dead = [i for i in range(k) if (int(deadmasks[0]) >> i) & 1]
+        oracle = _resolve_friends(
+            k, *_arena_as_recursion_input(arena, k), dead,
+            frontier_type.__getitem__,
+            lambda u, c: kids_of[u].tolist())
+        assert ell.tolist() == [oracle]
+        counts.append(oracle)
+    assert max(counts) > 1  # the arenas hold other friends than the root
+
+
+@pytest.mark.parametrize("lam", [(2.0, 2.0), (1.5, 0.5)])
+def test_resolution_law_matches_the_recursion(lam):
+    # the samples the numpy pass resolves, resolved again by the recursion on
+    # its own per-node arena of the same level totals, with independent draws
+    sampler = FriendCountSampler(lam, np.random.default_rng(32))
+    k = sampler.k
+    rng = np.random.default_rng(33)
+    cdf = sampler._type_cdf
+
+    def typed(_u=None):
+        return min(int(np.searchsorted(cdf, rng.random())), len(cdf) - 1)
+
+    def reveal(_u, c):
+        return [typed() for _ in range(rng.poisson(lam[c]))]
+    pairs = []
+    resolve = sampler._resolve
+
+    def both(out, ids, deadmasks, depths, sizes, history):
+        resolve(out, ids, deadmasks, depths, sizes, history)
+        for i, d, depth in zip(ids.tolist(), deadmasks.tolist(),
+                               depths.tolist()):
+            levels = []
+            for grown_ids, draws in history[:depth]:
+                row = draws[np.searchsorted(grown_ids, i)].tolist()
+                levels.append([(m, c, cm, t) for (m, c, cm), t
+                               in zip(sampler._entries, row) if t])
+            arena = _materialize(levels, k, rng.random)
+            dead = [j for j in range(k) if (d >> j) & 1]
+            pairs.append((out[i].ell,
+                          _resolve_friends(k, *arena, dead, typed, reveal)))
+    sampler._resolve = both
+    for _ in range(10 * _BATCH):
+        sampler.sample()
+    pairs = np.minimum(np.array(pairs), 6)
+    table = np.array([np.bincount(col, minlength=7)[1:] for col in pairs.T])
+    table = table[:, table.min(axis=0) >= 5]
+    assert table.shape[1] >= 3
+    assert scipy.stats.chi2_contingency(table)[1] > 0.01
 
 
 # -- scripted resolution: monotonicity in the frontier types ----------------
 
 def _resolve_with_fixed_type(gamma_mask):
-    """Run the friend-resolution recursion on a fixed two-color arena where
-    every frontier node is forced to the given extended type."""
+    """Friend count of a fixed two-color arena where every unrevealed node
+    has the given extended type."""
     sampler = FriendCountSampler((2.0, 2.0), np.random.default_rng(0))
-    sampler._type_masks = [gamma_mask]
-    sampler._type_cum = [1.0]
-    # root (avoids both colors), one color-0 child, one color-1 child; the
-    # cluster avoiding color 0 died, so candidates are the root and node 2
-    masks = [0b11, 0b10, 0b01]
-    drawn = [0b11, 0, 0]
-    kids = {(0, 0): [1], (0, 1): [2]}
-    out = sampler._resolve_friends(masks, drawn, kids, dead=[0])
-    assert out.kind == "finite"
-    return out.ell
+    sampler._types = lambda size: np.full(size, gamma_mask, dtype=np.uint8)
+    # root (avoids both colors), one color-0 child and one color-1 child, both
+    # on the frontier; the cluster avoiding color 0 died, so candidates are
+    # the root and the color-1 child (mask 0b01)
+    history = _history(sampler, [{(0b11, 0): 1, (0b11, 1): 1}])
+    arena = sampler._arena(np.arange(1), np.array([1]), history)
+    assert arena[1].tolist() == [0b11, 0b01, 0b10]
+    return int(sampler._friend_counts(arena, np.array([0b01]))[0])
 
 
 def test_resolution_hand_example():
     # with type 00 nothing is alive: the root keeps only itself; once bit 1
-    # (blue-avoiding alive) is set on the frontier, node 2 joins
+    # (blue-avoiding alive) is set on the frontier, the color-1 child joins
     assert _resolve_with_fixed_type(0b00) == 1
     assert _resolve_with_fixed_type(0b01) == 1
     assert _resolve_with_fixed_type(0b10) == 2
