@@ -27,49 +27,47 @@ _INV_E = math.exp(-1.0)
 # Lambert W, principal branch
 # ---------------------------------------------------------------------------
 
-def lambert_w0(x: float) -> float:
-    """Principal branch of the Lambert W function on [-1/e, inf).
+def lambert_w0(x: float | np.ndarray) -> float | np.ndarray:
+    """Principal branch of the Lambert W function on [-1/e, inf), elementwise:
+    a float gives a float, an array an array of its shape.
 
     Halley iteration; initial guess from the branch-point series for x near
     -1/e, from w=x for small x, and from log asymptotics for large x.
     Values slightly below -1/e (within 1e-12) are clamped to the branch point.
+    An entry stops at its first step that does not shrink |step|, which
+    cannot cycle at the ulp level.
     """
-    if math.isnan(x):
+    xs = np.asarray(x, dtype=float)
+    if np.isnan(xs).any():
         raise ValueError("lambert_w0: nan input")
-    if x < -_INV_E:
-        if x < -_INV_E - 1e-12:
-            raise ValueError(f"lambert_w0: {x} below -1/e")
-        x = -_INV_E
-    if x == 0.0:
-        return 0.0
+    if (xs < -_INV_E - 1e-12).any():
+        raise ValueError(f"lambert_w0: {xs.min()} below -1/e")
+    xs = np.maximum(xs, -_INV_E).ravel()
 
-    # initial guess
-    if x < -0.25:
-        # branch-point series in p = sqrt(2(e x + 1))
-        p = math.sqrt(2.0 * (math.e * x + 1.0))
-        w = -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p ** 3
-    elif x < 1.0:
-        w = x * (1.0 - x + 1.5 * x * x) if abs(x) < 0.5 else 0.5
-    else:
-        lx = math.log(x)
-        llx = math.log(lx) if lx > 1.0 else 0.0
-        w = lx - llx
+    # initial guess; p = sqrt(2(e x + 1)) for the branch-point series
+    p = np.sqrt(2.0 * np.maximum(math.e * xs + 1.0, 0.0))
+    lx = np.log(np.maximum(xs, 1.0))
+    w = np.select(
+        [xs < -0.25, xs < 0.5, xs < 1.0],
+        [-1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p ** 3,
+         xs * (1.0 - xs + 1.5 * xs * xs), 0.5],
+        lx - np.log(np.maximum(lx, 1.0)))
 
-    for _ in range(60):
-        ew = math.exp(w)
-        f = w * ew - x
-        wp1 = w + 1.0
-        if wp1 == 0.0:
-            break
-        # Halley step
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        step = f / denom
-        w -= step
-        if abs(step) <= 1e-16 * max(1.0, abs(w)):
-            break
-    if w < -1.0:
-        w = -1.0
-    return w
+    last = np.full(xs.shape, np.inf)
+    idx = np.arange(xs.size)
+    while idx.size:
+        idx = idx[w[idx] != -1.0]  # the branch point is exact
+        wi = w[idx]
+        ew = np.exp(wi)
+        f = wi * ew - xs[idx]
+        wp1 = wi + 1.0
+        step = f / (ew * wp1 - (wi + 2.0) * f / (2.0 * wp1))  # Halley
+        shrinks = np.abs(step) < last[idx]
+        idx = idx[shrinks]
+        w[idx] -= step[shrinks]
+        last[idx] = np.abs(step[shrinks])
+    w = np.maximum(w, -1.0).reshape(np.shape(x))
+    return float(w) if w.ndim == 0 else w
 
 
 # ---------------------------------------------------------------------------
@@ -285,20 +283,23 @@ def borel_pmf(mu: float, m: int) -> float:
     return math.exp(borel_log_pmf(mu, m))
 
 
-def total_progeny_gf(mu: float, z: float) -> float:
-    """Generating function of the Borel(mu) total-progeny law:
-    -W(-mu e^{-mu} z)/mu.
+def total_progeny_gf(mu, z) -> float | np.ndarray:
+    """Generating function of the Borel(mu) total-progeny law,
+    -W(-mu e^{-mu} z)/mu, elementwise: floats give a float, arrays (which
+    broadcast) an array.
 
     z = 1.0 is treated as the one-sided limit at 1: exactly 1 for mu <= 1 and
     the extinction probability 1 - theta(mu) otherwise.
     """
-    if mu <= 0.0:
+    mu, z = np.broadcast_arrays(np.asarray(mu, dtype=float), z)
+    if not np.all(mu > 0.0):
         raise ValueError("total_progeny_gf: mu must be positive")
-    if not 0.0 <= z <= 1.0:
+    if not np.all((z >= 0.0) & (z <= 1.0)):
         raise ValueError("total_progeny_gf: z must lie in [0, 1]")
-    if z == 1.0:
-        return 1.0 - survival_theta(mu) if mu > 1.0 else 1.0
-    return -lambert_w0(-mu * math.exp(-mu) * z) / mu
+    g = np.where(z == 1.0, 1.0, -lambert_w0(-mu * np.exp(-mu) * z) / mu)
+    past = (z == 1.0) & (mu > 1.0)
+    g[past] -= [survival_theta(m) for m in mu[past]]
+    return float(g) if g.ndim == 0 else g
 
 
 # ---------------------------------------------------------------------------
@@ -333,18 +334,13 @@ def phi_eval(lam, h: int, z: dict[tuple[int, ...], float]) -> float:
             raise ValueError("phi_eval: z values must lie in [0, 1]")
     cur = dict(z)
     for level in range(h, 0, -1):
-        nxt: dict[tuple[int, ...], float] = {}
-        for s in color_strings(k, level - 1):
-            used = set(s)
-            val = 1.0
-            for i in range(k):
-                if i in used:
-                    continue
-                si = s + (i,)
-                mu = lam.lambda_subset(si)
-                val *= math.exp(lam[i] * (total_progeny_gf(mu, cur[si]) - 1.0))
-            nxt[s] = val
-        cur = nxt
+        # F_{s i}(z_{s i}), one entry per string s i of this level
+        f = total_progeny_gf([lam.lambda_subset(si) for si in cur],
+                             list(cur.values()))
+        f = dict(zip(cur, f.tolist()))
+        cur = {s: math.prod(math.exp(lam[i] * (f[s + (i,)] - 1.0))
+                            for i in range(k) if i not in s)
+               for s in color_strings(k, level - 1)}
     return cur[()]
 
 
@@ -352,9 +348,18 @@ def f_infinity_generating_function(lam) -> float:
     """Density of the infinite friend class via the Phi_{k-2} route.
 
     Alternating sum over color subsets J of Phi_{k-2} evaluated at arguments
-    prod_{i not in set(s)} q_{L_J, s i}, where q_{L, s i} is
-    exp(lambda_i (F_{s i}(1-) - 1)) when set(s i) misses exactly one color
-    belonging to J, and 1 otherwise.
+    z_s = prod_{i not in set(s)} q_{J, s i}, where q_{J, s i} is
+    exp(lambda_i (F_{s i}(1-) - 1)) = exp(-lambda_i theta(lambda^{\\m})) when
+    the one color m missing from set(s i) belongs to J, and 1 otherwise.
+
+    The recursion runs on color sets, not strings, with the 2^k sets J as
+    the columns of one array. This is exact: z_s depends on s only through
+    the two colors it misses, and each level of Phi substitutes at s a value
+    built from mu = lambda_{set(s i)} and the value at s i, so by induction
+    every level's value at s depends only on set(s). The k!/(k-h)! strings
+    of level h collapse to its C(k, h) sets, and a level is one elementwise
+    Lambert W over a (sets, J) array; the columns J are independent, so they
+    are taken in blocks that bound the memory.
     """
     lam = as_lambda(lam)
     k = lam.k
@@ -363,25 +368,31 @@ def f_infinity_generating_function(lam) -> float:
         raise ValueError("generating-function route requires fully supercritical lambda")
     if not regime.assumption_holds:
         raise ValueError("generating-function route requires the small-subset assumption")
-    full_set = frozenset(range(k))
+    full = (1 << k) - 1
+    bits, mu = subset_sums([1] * k), subset_sums(lam.lam)
+    layers = [np.flatnonzero(bits == h) for h in range(k + 1)]
+    row = np.empty(full + 1, dtype=np.intp)  # position of a set in its layer
+    for masks in layers:
+        row[masks] = np.arange(masks.size)
+    theta = np.array([survival_theta(lam.lambda_without(m)) for m in range(k)])
     total = 0.0
-    for jmask in range(1 << k):
-        in_j = {j for j in range(k) if (jmask >> j) & 1}
-        z: dict[tuple[int, ...], float] = {}
-        for s in color_strings(k, k - 2):
-            val = 1.0
-            for i in range(k):
-                if i in s:
-                    continue
-                si_set = set(s) | {i}
-                (missing,) = full_set - si_set
-                if missing in in_j:
-                    mu = lam.lambda_subset(si_set)
-                    f1 = total_progeny_gf(mu, 1.0)
-                    val *= math.exp(lam[i] * (f1 - 1.0))
-            z[s] = val
-        sign = -1.0 if len(in_j) % 2 else 1.0
-        total += sign * phi_eval(lam, k - 2, z)
+    width = max(1, (1 << 18) // layers[k // 2].size)
+    for js in np.split(np.arange(full + 1), np.arange(width, full + 1, width)):
+        # F_U(1-) - 1 on the (k-1)-sets U = [k] \ {m}: -theta(lambda_U) when
+        # m is in J, else 0 (q = 1)
+        f_minus_1 = np.empty((k, js.size))
+        f_minus_1[row[full ^ (1 << np.arange(k))]] = (
+            -theta[:, None] * ((js >> np.arange(k)[:, None]) & 1))
+        for h in range(k - 2, -1, -1):
+            masks = layers[h]
+            log_z = np.zeros((masks.size, js.size))
+            for i, x in enumerate(lam):
+                miss = (masks >> i) & 1 == 0
+                log_z[miss] += x * f_minus_1[row[masks[miss] | (1 << i)]]
+            z = np.exp(log_z)
+            if h:
+                f_minus_1 = total_progeny_gf(mu[masks][:, None], z) - 1.0
+        total += float((1 - 2 * (bits[js] & 1)) @ z[0])  # (-1)^|J|
     return max(0.0, total)
 
 

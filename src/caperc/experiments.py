@@ -300,8 +300,13 @@ def run_ecbp_mc(cfg: ExperimentConfig) -> RunRecord:
 # Analytic report
 # ---------------------------------------------------------------------------
 
-def _mask_name(mask: int, k: int) -> str:
-    return "{" + ",".join(str(i) for i in range(k) if (mask >> i) & 1) + "}"
+def _mask_names(k: int) -> list[str]:
+    """names[m] = "{i,j,...}", the colors of mask m in increasing order,
+    built by doubling: mask m | 2^i extends the name of m by i."""
+    names = [""]
+    for i in range(k):
+        names += [s + "," + str(i) for s in names]
+    return ["{" + s[1:] + "}" for s in names]
 
 
 def run_analytic_report(cfg: ExperimentConfig) -> RunRecord:
@@ -320,8 +325,7 @@ def run_analytic_report(cfg: ExperimentConfig) -> RunRecord:
         },
         "theta_avoid": [analytic.survival_theta(lam.lambda_without(i))
                         for i in range(cfg.k)],
-        "p_table": {_mask_name(m, cfg.k): v
-                    for m, v in enumerate(table.p.tolist())},
+        "p_table": dict(zip(_mask_names(cfg.k), table.p.tolist())),
         "p_table_relevant": table.relevant,
         "p_table_max_residual": table.max_residual,
         "phat": {format(g, f"0{cfg.k}b")[::-1]: v

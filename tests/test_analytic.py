@@ -74,6 +74,39 @@ def submask_inversion(p, k: int) -> dict[int, float]:
     return out
 
 
+def string_gf_route(lam) -> float:
+    """The generating-function density on color strings: sum over sign sets
+    J of (-1)^{|J|} phi_eval(Phi_{k-2}) at z_s = prod_{i not in s} q_{s i}
+    over the i whose string s i misses a color of J, where q_{s i} =
+    exp(lambda_i (F_{s i}(1-) - 1))."""
+    lam = LambdaVector(lam)
+    k = lam.k
+    strings = color_strings(k, k - 2)
+    q = {}  # s -> [(the color s i misses, q_{s i}) for i not in s]
+    for s in strings:
+        rest = set(range(k)) - set(s)
+        q[s] = [(min(rest - {i}), math.exp(lam[i] * (total_progeny_gf(
+            lam.lambda_subset(s + (i,)), 1.0) - 1.0))) for i in sorted(rest)]
+    total = 0.0
+    for jmask in range(1 << k):
+        z = {s: math.prod(v for m, v in q[s] if (jmask >> m) & 1)
+             for s in strings}
+        total += (-1.0) ** bin(jmask).count("1") * phi_eval(lam, k - 2, z)
+    return max(0.0, total)
+
+
+def gf_regime_points(k: int, count: int, seed: int) -> list[tuple]:
+    """Random fully supercritical intensities with the small-subset
+    assumption: every (k-1)-sum above 1, every (k-2)-sum below 1."""
+    rng = np.random.default_rng(seed)
+    lo, hi = (1.05, 3.0) if k == 2 else (1.01 / (k - 1), 0.99 / (k - 2))
+    points = [tuple(rng.uniform(lo, hi, k)) for _ in range(count)]
+    for lam in points:
+        regime = classify_lambda(lam)
+        assert regime.fully_supercritical and regime.assumption_holds
+    return points
+
+
 THETA2 = damped_theta(2.0)  # 0.79681213...
 
 
@@ -111,6 +144,31 @@ def test_lambert_residual_sweep():
 def test_lambert_matches_scipy():
     for x in [-0.3, -0.1, -0.01, 0.5, 3.0, 100.0, 1e6]:
         assert abs(lambert_w0(x) - float(scipy.special.lambertw(x).real)) < 1e-12
+
+
+def test_lambert_array_matches_scipy():
+    # points near the branch point, on both sides of 0, and large; at the
+    # branch point W has relative condition number 1/(1 + W), which sets
+    # the tolerance there
+    xs = np.concatenate([
+        -1.0 / math.e + np.logspace(-12, -1, 12),
+        -np.logspace(-300, -1, 12), [0.0], np.logspace(-300, 6, 15),
+    ]).reshape(5, 8)
+    w = lambert_w0(xs)
+    assert w.shape == xs.shape
+    ref = scipy.special.lambertw(xs).real
+    tol = 1e-15 * np.maximum(1.0, 1.0 / (1.0 + ref))
+    assert np.all(np.abs(w - ref) <= tol * np.abs(ref))
+
+
+def test_lambert_array_equals_scalar_elementwise():
+    # an entry stops on its own steps, whatever the other entries do
+    rng = np.random.default_rng(7)
+    mu, z = rng.uniform(0.1, 0.99, 2000), rng.uniform(0.3, 1.0, 2000)
+    xs = np.concatenate([-mu * np.exp(-mu) * z, [-1.0 / math.e, 0.0, 5.0]])
+    w = lambert_w0(xs)
+    assert [lambert_w0(float(x)) for x in xs] == w.tolist()
+    assert isinstance(lambert_w0(0.5), float)
 
 
 @given(st.floats(min_value=-0.36787944117144, max_value=1e6,
@@ -272,6 +330,21 @@ def test_f_inf_monotone_in_lambda():
 def test_gf_route_requires_supercritical():
     with pytest.raises(ValueError):
         f_infinity_generating_function((0.8, 0.8))
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_gf_route_matches_string_oracle(k):
+    for lam in gf_regime_points(k, 3, 500 + k):
+        assert abs(f_infinity_generating_function(lam)
+                   - string_gf_route(lam)) <= 1e-14
+
+
+# k = 11 takes its sign sets J in several column blocks
+@pytest.mark.parametrize("k, count", [(7, 3), (8, 3), (11, 1)])
+def test_gf_route_matches_inclusion_exclusion_beyond_the_strings(k, count):
+    for lam in gf_regime_points(k, count, 700 + k):
+        assert abs(f_infinity_generating_function(lam)
+                   - f_infinity_inclusion_exclusion(lam)) <= 1e-12
 
 
 # -- extended types ---------------------------------------------------------

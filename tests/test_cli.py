@@ -156,6 +156,19 @@ def test_analytic_cli_infers_k(capsys):
     assert record["results"]["regime"]["fully_supercritical"]
 
 
+def test_analytic_cli_runs_the_generating_function_route_at_k7(capsys):
+    # every 6-sum above 1 and every 5-sum below 1
+    assert main(["analytic", "--lambda",
+                 "0.18,0.17,0.19,0.18,0.18,0.175,0.185"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["checks_passed"]
+    res = record["results"]
+    assert res["regime"]["fully_supercritical"]
+    assert res["regime"]["assumption_holds"]
+    assert abs(res["f_inf_generating_function"]
+               - res["f_inf_inclusion_exclusion"]) <= 1e-12
+
+
 @pytest.mark.parametrize("lam", ["20,20", "40,40"])
 def test_analytic_cli_relevance_when_p_rounds_to_one(capsys, lam):
     # p_[k] rounds to 1.0 at these lambdas, yet the table is relevant

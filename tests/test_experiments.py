@@ -190,6 +190,15 @@ def test_analytic_report_route_agreement():
     assert len(res["f_ell"]) == 5
 
 
+def test_p_table_names_match_per_mask_names():
+    def mask_name(mask, k):
+        colors = (str(i) for i in range(k) if (mask >> i) & 1)
+        return "{" + ",".join(colors) + "}"
+    for k in range(1, 7):
+        assert experiments._mask_names(k) == [mask_name(m, k)
+                                              for m in range(1 << k)]
+
+
 @pytest.mark.parametrize("lam", [(2.0, 2.0), (0.9, 0.9, 0.9), (0.5, 0.5)])
 def test_analytic_report_solves_the_p_system_once(monkeypatch, lam):
     calls = []
