@@ -9,7 +9,6 @@ from .analytic import (
     extended_type_distribution,
     f_infinity_generating_function,
     f_infinity_inclusion_exclusion,
-    lambert_w0,
     near_critical_constant,
     phi_eval,
     solve_p_system,
@@ -48,7 +47,6 @@ __all__ = [
     "extended_type_distribution",
     "f_infinity_generating_function",
     "f_infinity_inclusion_exclusion",
-    "lambert_w0",
     "mc_component_size_distribution",
     "mc_f_infinity",
     "near_critical_constant",

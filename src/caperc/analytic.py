@@ -1,6 +1,6 @@
-"""Closed-form engine: Lambert W, survival probabilities, the p_I system,
-generating functions, the Borel law, exact two-color friend-count
-probabilities, and the near-critical constant C(k).
+"""Closed-form engine: survival probabilities, the p_I system, generating
+functions, the Borel law, exact two-color friend-count probabilities, and
+the near-critical constant C(k).
 
 Conventions used throughout:
   * color subsets I of [k] are k-bit integer masks (bit i = color i in I)
@@ -20,55 +20,6 @@ import numpy as np
 
 from .params import LambdaVector, as_lambda
 
-_INV_E = math.exp(-1.0)
-
-
-# ---------------------------------------------------------------------------
-# Lambert W, principal branch
-# ---------------------------------------------------------------------------
-
-def lambert_w0(x: float | np.ndarray) -> float | np.ndarray:
-    """Principal branch of the Lambert W function on [-1/e, inf), elementwise:
-    a float gives a float, an array an array of its shape.
-
-    Halley iteration; initial guess from the branch-point series for x near
-    -1/e, from w=x for small x, and from log asymptotics for large x.
-    Values slightly below -1/e (within 1e-12) are clamped to the branch point.
-    An entry stops at its first step that does not shrink |step|, which
-    cannot cycle at the ulp level.
-    """
-    xs = np.asarray(x, dtype=float)
-    if np.isnan(xs).any():
-        raise ValueError("lambert_w0: nan input")
-    if (xs < -_INV_E - 1e-12).any():
-        raise ValueError(f"lambert_w0: {xs.min()} below -1/e")
-    xs = np.maximum(xs, -_INV_E).ravel()
-
-    # initial guess; p = sqrt(2(e x + 1)) for the branch-point series
-    p = np.sqrt(2.0 * np.maximum(math.e * xs + 1.0, 0.0))
-    lx = np.log(np.maximum(xs, 1.0))
-    w = np.select(
-        [xs < -0.25, xs < 0.5, xs < 1.0],
-        [-1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p ** 3,
-         xs * (1.0 - xs + 1.5 * xs * xs), 0.5],
-        lx - np.log(np.maximum(lx, 1.0)))
-
-    last = np.full(xs.shape, np.inf)
-    idx = np.arange(xs.size)
-    while idx.size:
-        idx = idx[w[idx] != -1.0]  # the branch point is exact
-        wi = w[idx]
-        ew = np.exp(wi)
-        f = wi * ew - xs[idx]
-        wp1 = wi + 1.0
-        step = f / (ew * wp1 - (wi + 2.0) * f / (2.0 * wp1))  # Halley
-        shrinks = np.abs(step) < last[idx]
-        idx = idx[shrinks]
-        w[idx] -= step[shrinks]
-        last[idx] = np.abs(step[shrinks])
-    w = np.maximum(w, -1.0).reshape(np.shape(x))
-    return float(w) if w.ndim == 0 else w
-
 
 # ---------------------------------------------------------------------------
 # Subset tables and the fixed-point Newton iteration
@@ -83,42 +34,35 @@ def subset_sums(values) -> np.ndarray:
     return sums
 
 
-def _newton_step(p, c, mu, xp):
-    """One Newton step on p = -expm1(-c - mu p), on floats (xp = math) or
-    arrays (xp = numpy). The expm1 form is conditioned at machine
-    precision, also near criticality."""
-    x = -c - mu * p
-    return p - (-xp.expm1(x) - p) / (mu * xp.exp(x) - 1.0)
-
-
-def _largest_roots(c: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Largest root in [0, 1] of p = -expm1(-c - mu p), elementwise, for
-    mu > 0: exactly 0 when c = 0 and mu <= 1. The right-hand side is
-    concave, so Newton from p = 1 decreases monotonically to the root; an
-    entry stops at its first step that does not decrease it, which cannot
-    cycle at the ulp level."""
+def _largest_roots(c, mu) -> np.ndarray:
+    """Largest root in [0, 1] of p = -expm1(-c - mu p), elementwise over the
+    broadcast of c >= 0 and mu > 0: exactly 0 when c = 0 and mu <= 1, and
+    exactly 1 when c = +inf. The right-hand side is concave, so Newton from
+    p = 1 decreases monotonically to the root; an entry stops at its first
+    step that does not decrease it, which cannot cycle at the ulp level. The
+    expm1 form is conditioned at machine precision, also near criticality."""
+    c, mu = np.broadcast_arrays(np.asarray(c, dtype=float), mu)
     p = np.where((c == 0.0) & (mu <= 1.0), 0.0, 1.0)
-    idx = np.flatnonzero(p)
+    c, mu, flat = c.ravel(), mu.ravel(), p.reshape(-1)
+    idx = np.flatnonzero(flat)
     while idx.size:
-        new = _newton_step(p[idx], c[idx], mu[idx], np)
-        down = new < p[idx]
+        p_i, mu_i = flat[idx], mu[idx]
+        x = -c[idx] - mu_i * p_i
+        new = p_i - (-np.expm1(x) - p_i) / (mu_i * np.exp(x) - 1.0)
+        down = new < p_i
         idx = idx[down]
-        p[idx] = new[down]
+        flat[idx] = new[down]
     return p
 
 
-def survival_theta(mu: float) -> float:
-    """Survival probability of a Poisson(mu) branching process: 0 for
-    mu <= 1, otherwise the root in (0,1) of theta = 1 - exp(-mu theta), by
-    the Newton iteration of the p_I system with c = 0."""
-    if mu <= 0.0:
+def survival_theta(mu) -> float | np.ndarray:
+    """Survival probability of a Poisson(mu) branching process, elementwise
+    (a float gives a float, an array an array): 0 for mu <= 1, otherwise the
+    root in (0,1) of theta = 1 - exp(-mu theta), the p_I layer root at c = 0."""
+    if not np.all(np.asarray(mu) > 0.0):
         raise ValueError("survival_theta: mu must be positive")
-    if mu <= 1.0:
-        return 0.0
-    theta = 1.0
-    while (new := _newton_step(theta, 0.0, mu, math)) < theta:
-        theta = new
-    return theta
+    theta = _largest_roots(0.0, mu)
+    return float(theta) if theta.ndim == 0 else theta
 
 
 # ---------------------------------------------------------------------------
@@ -284,21 +228,21 @@ def borel_pmf(mu: float, m: int) -> float:
 
 
 def total_progeny_gf(mu, z) -> float | np.ndarray:
-    """Generating function of the Borel(mu) total-progeny law,
-    -W(-mu e^{-mu} z)/mu, elementwise: floats give a float, arrays (which
-    broadcast) an array.
+    """Generating function G(z) = E[z^M] of the Borel(mu) total-progeny law,
+    elementwise: floats give a float, arrays (which broadcast) an array.
 
-    z = 1.0 is treated as the one-sided limit at 1: exactly 1 for mu <= 1 and
-    the extinction probability 1 - theta(mu) otherwise.
+    G solves G = z exp(mu (G - 1)), so p = 1 - G is the p_I layer root at
+    c = -log z, unique in [0, 1] for z < 1. At z = 1.0 the largest root
+    gives the one-sided limit at 1: exactly 1 for mu <= 1 and the extinction
+    probability 1 - theta(mu) otherwise.
     """
-    mu, z = np.broadcast_arrays(np.asarray(mu, dtype=float), z)
+    mu, z = np.asarray(mu, dtype=float), np.asarray(z, dtype=float)
     if not np.all(mu > 0.0):
         raise ValueError("total_progeny_gf: mu must be positive")
     if not np.all((z >= 0.0) & (z <= 1.0)):
         raise ValueError("total_progeny_gf: z must lie in [0, 1]")
-    g = np.where(z == 1.0, 1.0, -lambert_w0(-mu * np.exp(-mu) * z) / mu)
-    past = (z == 1.0) & (mu > 1.0)
-    g[past] -= [survival_theta(m) for m in mu[past]]
+    with np.errstate(divide="ignore"):  # z = 0 gives c = +inf, so G = 0
+        g = 1.0 - _largest_roots(-np.log(z), mu)
     return float(g) if g.ndim == 0 else g
 
 
@@ -358,8 +302,9 @@ def f_infinity_generating_function(lam) -> float:
     built from mu = lambda_{set(s i)} and the value at s i, so by induction
     every level's value at s depends only on set(s). The k!/(k-h)! strings
     of level h collapse to its C(k, h) sets, and a level is one elementwise
-    Lambert W over a (sets, J) array; the columns J are independent, so they
-    are taken in blocks that bound the memory.
+    root of G = z exp(mu (G - 1)) over a (sets, J) array, taken in log z
+    (see total_progeny_gf); the columns J are independent, so they are
+    taken in blocks that bound the memory.
     """
     lam = as_lambda(lam)
     k = lam.k
@@ -374,7 +319,7 @@ def f_infinity_generating_function(lam) -> float:
     row = np.empty(full + 1, dtype=np.intp)  # position of a set in its layer
     for masks in layers:
         row[masks] = np.arange(masks.size)
-    theta = np.array([survival_theta(lam.lambda_without(m)) for m in range(k)])
+    theta = survival_theta(lam.lambda_uc - np.array(lam.lam))
     total = 0.0
     width = max(1, (1 << 18) // layers[k // 2].size)
     for js in np.split(np.arange(full + 1), np.arange(width, full + 1, width)):
@@ -389,10 +334,9 @@ def f_infinity_generating_function(lam) -> float:
             for i, x in enumerate(lam):
                 miss = (masks >> i) & 1 == 0
                 log_z[miss] += x * f_minus_1[row[masks[miss] | (1 << i)]]
-            z = np.exp(log_z)
-            if h:
-                f_minus_1 = total_progeny_gf(mu[masks][:, None], z) - 1.0
-        total += float((1 - 2 * (bits[js] & 1)) @ z[0])  # (-1)^|J|
+            if h:  # F(z) - 1 = -p at c = -log z
+                f_minus_1 = -_largest_roots(-log_z, mu[masks][:, None])
+        total += float((1 - 2 * (bits[js] & 1)) @ np.exp(log_z[0]))  # (-1)^|J|
     return max(0.0, total)
 
 
@@ -451,8 +395,8 @@ def two_color_f_ell(lambda_red: float, lambda_blue: float, ell: int,
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     lam = LambdaVector((lambda_red, lambda_blue))
-    theta_red = survival_theta(lambda_red)
-    theta_blue = survival_theta(lambda_blue)
+    theta_red, theta_blue = survival_theta(
+        np.array([lambda_red, lambda_blue])).tolist()
     phat = extended_type_distribution(lam, table)
     # gamma bit 0 = red-avoiding (pure blue) alive, bit 1 = blue-avoiding alive
     p00 = phat[0b00]

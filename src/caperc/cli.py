@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .analytic import PSystemError, SeriesTruncationError
 from .cap import CapDecomposition
 from .experiments import (
     CONFIG_KEYS,
@@ -155,7 +156,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _InputError as exc:
+    # the closed forms reject a lambda they cannot evaluate to tolerance
+    except (_InputError, PSystemError, SeriesTruncationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

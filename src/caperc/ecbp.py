@@ -136,8 +136,7 @@ def mc_f_infinity(lam, samples: int, rng: np.random.Generator,
     lam = as_lambda(lam)
     if not classify_lambda(lam).fully_supercritical:
         return 0.0, 0.0
-    miss = np.array([1.0 - survival_theta(lam.lambda_without(i))
-                     for i in range(lam.k)])
+    miss = 1.0 - survival_theta(lam.lambda_uc - np.array(lam.lam))
     vals = _per_core_sample(lam, samples, rng, 1 << np.arange(lam.k),
                             lambda b: np.prod(1.0 - miss ** b, axis=1),
                             node_cap)
@@ -244,8 +243,7 @@ class FriendCountSampler:
         self.k = k = self.lam.k
         self.depth_cap = depth_cap
         self.node_cap = node_cap
-        self.theta = [survival_theta(self.lam.lambda_without(i))
-                      for i in range(k)]
+        self.theta = survival_theta(self.lam.lambda_uc - np.array(self.lam.lam))
         # None: this cluster dies almost surely
         self.cert = [max(1, math.ceil(math.log(CERT_EPS) / math.log1p(-t)))
                      if t > 0.0 else None for t in self.theta]

@@ -10,8 +10,8 @@ from typing import Iterable, Sequence
 class LambdaVector:
     """Vector of k strictly positive color intensities.
 
-    Derived sums: lambda_I over a color subset I, lambda_uc over all colors,
-    and lambda_without(i) over all colors except i.
+    Derived sums: lambda_I over a color subset I and lambda_uc over all
+    colors.
     """
 
     lam: tuple[float, ...]
@@ -48,18 +48,6 @@ class LambdaVector:
         if any(c < 0 or c >= self.k for c in cs):
             raise ValueError("color index out of range")
         return sum(self.lam[c] for c in cs)
-
-    def lambda_mask(self, mask: int) -> float:
-        """Sum of intensities over a subset given as a k-bit mask."""
-        if mask < 0 or mask >= (1 << self.k):
-            raise ValueError("mask out of range")
-        return sum(self.lam[i] for i in range(self.k) if (mask >> i) & 1)
-
-    def lambda_without(self, i: int) -> float:
-        """Sum of intensities over all colors except i."""
-        if i < 0 or i >= self.k:
-            raise ValueError("color index out of range")
-        return self.lambda_uc - self.lam[i]
 
 
 def as_lambda(lam) -> LambdaVector:

@@ -1,6 +1,7 @@
 """Closed-form engine tests. Derived values are checked against independent
-oracles (bisection, damped fixed-point iteration, series summation, scipy)
-computed here rather than against the implementation itself."""
+oracles (damped fixed-point iteration, series summation, scipy, pinned
+high-precision values) computed here rather than against the implementation
+itself."""
 
 import math
 
@@ -10,7 +11,6 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caperc import analytic
 from caperc.analytic import (
     DEFAULT_EPS_GRID,
     PSystemError,
@@ -21,10 +21,10 @@ from caperc.analytic import (
     extended_type_distribution,
     f_infinity_generating_function,
     f_infinity_inclusion_exclusion,
-    lambert_w0,
     near_critical_constant,
     phi_eval,
     solve_p_system,
+    subset_sums,
     survival_theta,
     two_color_f_ell,
     total_progeny_gf,
@@ -33,17 +33,6 @@ from caperc.params import LambdaVector
 
 
 # -- oracles ----------------------------------------------------------------
-
-def bisection_w(x: float, lo: float = -1.0, hi: float = 0.0) -> float:
-    """Bisection on w e^w - x; oracle for principal-branch W on [-1/e, 0]."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid * math.exp(mid) - x <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
 
 def damped_theta(mu: float, tol: float = 1e-12) -> float:
     """Damped fixed-point iteration for theta = 1 - exp(-mu theta)."""
@@ -110,75 +99,6 @@ def gf_regime_points(k: int, count: int, seed: int) -> list[tuple]:
 THETA2 = damped_theta(2.0)  # 0.79681213...
 
 
-# -- Lambert W --------------------------------------------------------------
-
-def test_lambert_trivial_points():
-    assert lambert_w0(0.0) == 0.0
-    assert abs(lambert_w0(math.e) - 1.0) < 1e-14
-    assert abs(lambert_w0(-1.0 / math.e) - (-1.0)) < 1e-8
-
-
-def test_lambert_branch_choice_against_bisection():
-    x = -2.0 * math.exp(-2.0)
-    oracle = bisection_w(x)
-    assert abs(oracle - (-0.40637573995996)) < 1e-11
-    assert abs(lambert_w0(x) - oracle) < 1e-12
-
-
-def test_lambert_domain_error():
-    with pytest.raises(ValueError):
-        lambert_w0(-1.0 / math.e - 1e-6)
-
-
-def test_lambert_residual_sweep():
-    xs = np.concatenate([
-        -1.0 / math.e + np.logspace(-14, -0.5, 60),
-        np.logspace(-12, 8, 80),
-    ])
-    for x in xs:
-        w = lambert_w0(float(x))
-        assert abs(w * math.exp(w) - x) <= 1e-13 * max(1.0, abs(x))
-        assert w >= -1.0
-
-
-def test_lambert_matches_scipy():
-    for x in [-0.3, -0.1, -0.01, 0.5, 3.0, 100.0, 1e6]:
-        assert abs(lambert_w0(x) - float(scipy.special.lambertw(x).real)) < 1e-12
-
-
-def test_lambert_array_matches_scipy():
-    # points near the branch point, on both sides of 0, and large; at the
-    # branch point W has relative condition number 1/(1 + W), which sets
-    # the tolerance there
-    xs = np.concatenate([
-        -1.0 / math.e + np.logspace(-12, -1, 12),
-        -np.logspace(-300, -1, 12), [0.0], np.logspace(-300, 6, 15),
-    ]).reshape(5, 8)
-    w = lambert_w0(xs)
-    assert w.shape == xs.shape
-    ref = scipy.special.lambertw(xs).real
-    tol = 1e-15 * np.maximum(1.0, 1.0 / (1.0 + ref))
-    assert np.all(np.abs(w - ref) <= tol * np.abs(ref))
-
-
-def test_lambert_array_equals_scalar_elementwise():
-    # an entry stops on its own steps, whatever the other entries do
-    rng = np.random.default_rng(7)
-    mu, z = rng.uniform(0.1, 0.99, 2000), rng.uniform(0.3, 1.0, 2000)
-    xs = np.concatenate([-mu * np.exp(-mu) * z, [-1.0 / math.e, 0.0, 5.0]])
-    w = lambert_w0(xs)
-    assert [lambert_w0(float(x)) for x in xs] == w.tolist()
-    assert isinstance(lambert_w0(0.5), float)
-
-
-@given(st.floats(min_value=-0.36787944117144, max_value=1e6,
-                 allow_nan=False, allow_infinity=False))
-@settings(max_examples=200, deadline=None)
-def test_lambert_identity_property(x):
-    w = lambert_w0(x)
-    assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
-
-
 # -- survival theta ---------------------------------------------------------
 
 def test_theta_sub_and_critical_are_zero():
@@ -211,18 +131,6 @@ def test_theta_near_critical_precision():
 def test_theta_within_1e7_of_criticality(eps):
     expansion = 2.0 * eps - 8.0 / 3.0 * eps ** 2
     assert abs(survival_theta(1.0 + eps) - expansion) <= 1e-6 * eps
-
-
-def test_no_lambert_w_outside_the_progeny_route(monkeypatch):
-    def refuse(x):
-        raise AssertionError("lambert_w0 called")
-    monkeypatch.setattr(analytic, "lambert_w0", refuse)
-    for lam in [(2.0, 2.0), (0.9, 0.8, 0.7), (0.3,) * 8, (0.5, 0.5, 0.5)]:
-        table = solve_p_system(lam)
-        extended_type_distribution(lam, table)
-        f_infinity_inclusion_exclusion(lam, table)
-    near_critical_constant(3)
-    assert survival_theta(1.5) > 0.0
 
 
 # -- regime classification --------------------------------------------------
@@ -286,7 +194,7 @@ def test_p_system_direct_substitution_k3():
     for mask in range(8):
         c = sum(lam[j] * table.p[mask & ~(1 << j)]
                 for j in range(3) if (mask >> j) & 1)
-        mu = lam.lambda_mask(full & ~mask)
+        mu = subset_sums(lam.lam)[full & ~mask]
         assert abs(table.p[mask]
                    - (1.0 - math.exp(-c - mu * table.p[mask]))) <= 1e-10
 
@@ -315,9 +223,7 @@ def test_f_inf_k2_value_and_factorization():
 def test_f_inf_bounds():
     for lam in [(2.0, 2.0), (1.5, 3.0), (0.9, 0.9, 0.9), (0.8, 0.9, 0.6)]:
         v = f_infinity_inclusion_exclusion(lam)
-        lamv = LambdaVector(lam)
-        theta_min = min(survival_theta(lamv.lambda_without(i))
-                        for i in range(lamv.k))
+        theta_min = survival_theta(sum(lam) - np.array(lam)).min()
         assert 0.0 <= v <= theta_min + 1e-12
 
 
@@ -483,6 +389,56 @@ def test_total_progeny_gf_points():
     # series oracle at z = 0.5
     series = sum(borel_pmf(0.5, m) * 0.5 ** m for m in range(1, 200))
     assert abs(total_progeny_gf(0.5, 0.5) - series) < 1e-10
+
+
+def test_total_progeny_gf_matches_scipy_lambert():
+    # the closed form -W(-mu e^{-mu} z)/mu, principal branch, on a grid that
+    # stays away from the branch point mu = z = 1
+    mu, z = np.meshgrid([0.05, 0.3, 0.6, 0.9, 0.99, 1.5, 2.0, 5.0, 12.0],
+                        [0.0, 0.01, 0.2, 0.5, 0.8, 0.9, 0.95])
+    ref = -scipy.special.lambertw(-mu * np.exp(-mu) * z).real / mu
+    assert np.abs(total_progeny_gf(mu, z) - ref).max() <= 1e-14
+
+
+@pytest.mark.parametrize("mu,z", [(0.2, 1.0), (0.5, 0.9), (0.8, 1.0),
+                                  (0.95, 0.7), (0.99, 0.5)])
+def test_total_progeny_gf_matches_borel_series(mu, z):
+    # sum_m Borel(mu, m) z^m; the terms fall at least as fast as
+    # (mu e^{1-mu} z)^m, at most 0.98^m here, so 2000 terms leave < 1e-16
+    series = math.fsum(borel_pmf(mu, m) * z ** m for m in range(1, 2000))
+    assert abs(total_progeny_gf(mu, z) - series) <= 1e-14
+
+
+def test_total_progeny_gf_pinned_near_criticality():
+    # G at mu = 1 - 1e-6, z = 1 - 1e-9 (the nearest doubles), solved once
+    # with mpmath at 50 digits; the Lambert W closed form loses about 1e-13
+    # to cancellation here
+    g = total_progeny_gf(1.0 - 1e-6, 1.0 - 1e-9)
+    assert abs(g - 0.999956268085386534644811) <= 1e-15
+
+
+@given(st.floats(min_value=0.01, max_value=20.0),
+       st.floats(min_value=0.0, max_value=1.0))
+@settings(max_examples=300, deadline=None)
+def test_total_progeny_gf_residual_property(mu, z):
+    g = total_progeny_gf(mu, z)
+    assert 0.0 <= g <= 1.0
+    assert abs(g - z * math.exp(mu * (g - 1.0))) <= 1e-15 * (1.0 + mu)
+
+
+def test_array_equals_scalar_elementwise():
+    # an entry stops on its own Newton steps, whatever the other entries do
+    rng = np.random.default_rng(7)
+    mu, z = rng.uniform(0.1, 3.0, 2000), rng.uniform(0.0, 1.0, 2000)
+    z[:100], z[100:110] = 1.0, 0.0
+    g = total_progeny_gf(mu, z)
+    assert [total_progeny_gf(float(m), float(x))
+            for m, x in zip(mu, z)] == g.tolist()
+    assert total_progeny_gf(mu[:, None], z[:3]).shape == (2000, 3)
+    theta = survival_theta(mu)
+    assert [survival_theta(float(m)) for m in mu] == theta.tolist()
+    assert isinstance(total_progeny_gf(0.5, 0.5), float)
+    assert isinstance(survival_theta(2.0), float)
 
 
 # -- Phi recursion ----------------------------------------------------------

@@ -44,6 +44,9 @@ def test_invalid_config_exits_2(capsys):
     ["ecbp-mc", "--samples", "10", "--out", "{file}/sub"],
     ["sample-ecer", "--n", "50", "--out", "{file}/sub"],
     ["components", "{graph}", "--out", "{file}/sub"],
+    # the two-color series tail is not certified this close to criticality
+    ["analytic", "--lambda", "1.0000001,1.0000001"],
+    ["convergence", "--lambda", "1.0000001,1.0000001"],
 ])
 def test_invalid_experiment_input_exits_2(tmp_path, capsys, argv):
     missing, file, graph = (tmp_path / name
@@ -167,6 +170,18 @@ def test_analytic_cli_runs_the_generating_function_route_at_k7(capsys):
     assert res["regime"]["assumption_holds"]
     assert abs(res["f_inf_generating_function"]
                - res["f_inf_inclusion_exclusion"]) <= 1e-12
+
+
+def test_analytic_cli_skips_the_generating_function_route_above_k10(capsys):
+    # every 10-sum above 1 and every 9-sum below 1; the route costs 4^k
+    assert main(["analytic", "--lambda", ",".join(["0.101"] * 11)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["checks_passed"]
+    res = record["results"]
+    assert res["regime"]["fully_supercritical"]
+    assert res["regime"]["assumption_holds"]
+    assert res["f_inf_generating_function"] is None
+    assert res["f_inf_inclusion_exclusion"] > 0.0
 
 
 @pytest.mark.parametrize("lam", ["20,20", "40,40"])
