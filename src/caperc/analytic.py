@@ -381,17 +381,19 @@ def _borel_binomial_series(mu: float, q: float, ell: int, tol: float,
         f"two-color series tail not certified below {tol:.1e} within {m_max} terms")
 
 
-def two_color_f_ell(lambda_red: float, lambda_blue: float, ell: int,
-                    tol: float = 1e-12, table: PTable | None = None) -> float:
-    """Exact probability that the root has exactly ell friends, k = 2.
+def two_color_f_ell(lambda_red: float, lambda_blue: float, ell_max: int,
+                    tol: float = 1e-12,
+                    table: PTable | None = None) -> list[float]:
+    """Exact probabilities f_1..f_ell_max of exactly ell friends, k = 2.
 
     Three parts: the isolated-type atom at ell = 1, plus two Borel-weighted
-    binomial series (one per color playing the finite-cluster role).
+    binomial series (one per color playing the finite-cluster role), each
+    cut for every ell where its certified tail bound drops below tol.
     theta_red = theta(lambda_red) is the survival probability of the pure-red
     process, i.e. of blue-avoiding connection to infinity.
     """
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    if ell_max < 1:
+        raise ValueError("ell_max must be >= 1")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     lam = LambdaVector((lambda_red, lambda_blue))
@@ -402,14 +404,17 @@ def two_color_f_ell(lambda_red: float, lambda_blue: float, ell: int,
     p00 = phat[0b00]
     p10 = phat[0b01]  # red-avoiding alive only: finite pure-red cluster
     p01 = phat[0b10]  # blue-avoiding alive only: finite pure-blue cluster
-    out = p00 if ell == 1 else 0.0
-    if p10 > 0.0:
-        out += p10 * _borel_binomial_series(
-            lambda_red * (1.0 - theta_red), theta_blue, ell, tol)
-    if p01 > 0.0:
-        out += p01 * _borel_binomial_series(
-            lambda_blue * (1.0 - theta_blue), theta_red, ell, tol)
-    return out
+    mu_red = lambda_red * (1.0 - theta_red)
+    mu_blue = lambda_blue * (1.0 - theta_blue)
+    f_ell = []
+    for ell in range(1, ell_max + 1):
+        out = p00 if ell == 1 else 0.0
+        if p10 > 0.0:
+            out += p10 * _borel_binomial_series(mu_red, theta_blue, ell, tol)
+        if p01 > 0.0:
+            out += p01 * _borel_binomial_series(mu_blue, theta_red, ell, tol)
+        f_ell.append(out)
+    return f_ell
 
 
 # ---------------------------------------------------------------------------

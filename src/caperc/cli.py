@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager
 from functools import cache
@@ -73,9 +72,11 @@ def _run_experiment(args: argparse.Namespace) -> int:
     record = RUNNERS[cfg.kind](cfg)
     if cfg.out:
         with _writing(cfg.out):
-            run_dir = record.write()
-        print(f"wrote {run_dir}", file=sys.stderr)
-    print(json.dumps(record.to_json_dict(), indent=2, sort_keys=True))
+            text = record.write()
+        print(f"wrote {cfg.run_dir()}", file=sys.stderr)
+    else:
+        text = record.to_json()
+    sys.stdout.write(text)
     return 0 if record.checks_passed else 1
 
 

@@ -114,16 +114,6 @@ def _progeny(start: np.ndarray, mean: np.ndarray,
     return total
 
 
-def _per_core_sample(lam, samples: int, rng: np.random.Generator, cols,
-                     value, node_cap: int = 10**6) -> np.ndarray:
-    """value(core_counts(lam, samples, rng, node_cap)[:, cols]), drawn and
-    evaluated one block at a time so that only the values are kept."""
-    return np.concatenate([
-        value(core_counts(lam, min(_CORE_BLOCK, samples - lo), rng,
-                          node_cap)[:, cols])
-        for lo in range(0, samples, _CORE_BLOCK)])
-
-
 def mc_f_infinity(lam, samples: int, rng: np.random.Generator,
                   node_cap: int = 10**6) -> tuple[float, float]:
     """Monte Carlo estimate of the infinite-class density: the sample mean of
@@ -137,28 +127,14 @@ def mc_f_infinity(lam, samples: int, rng: np.random.Generator,
     if not classify_lambda(lam).fully_supercritical:
         return 0.0, 0.0
     miss = 1.0 - survival_theta(lam.lambda_uc - np.array(lam.lam))
-    vals = _per_core_sample(lam, samples, rng, 1 << np.arange(lam.k),
-                            lambda b: np.prod(1.0 - miss ** b, axis=1),
-                            node_cap)
+    boundary = 1 << np.arange(lam.k)
+    # drawn and evaluated one block at a time, so only the values are kept
+    vals = np.concatenate([
+        np.prod(1.0 - miss ** core_counts(
+            lam, min(_CORE_BLOCK, samples - lo), rng, node_cap)[:, boundary],
+            axis=1)
+        for lo in range(0, samples, _CORE_BLOCK)])
     return float(vals.mean()), float(vals.std() / math.sqrt(samples))
-
-
-def mc_phi1_estimate(lam, z: dict[tuple[int, ...], float], samples: int,
-                     rng: np.random.Generator) -> tuple[float, float]:
-    """MC estimate of E[prod_i z_(i)^{|R_(i)(r)|}] with its standard error,
-    from the (i,) chronology layers of core samples."""
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    lam = as_lambda(lam)
-    if lam.k < 3:
-        raise ValueError("Phi_1 needs k >= 3")
-    zvec = np.array([z[(i,)] for i in range(lam.k)])
-    if np.any(zvec <= 0.0) or np.any(zvec > 1.0):
-        raise ValueError("z values must lie in (0, 1]")
-    full = (1 << lam.k) - 1
-    vals = _per_core_sample(lam, samples, rng, full ^ (1 << np.arange(lam.k)),
-                            lambda layers: np.exp(layers @ np.log(zvec)))
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
 
 # ---------------------------------------------------------------------------

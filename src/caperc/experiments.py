@@ -153,6 +153,33 @@ def config_from_mapping(items: dict[str, str]) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
+def dumps(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte. indent turns
+    off json's C encoder, so each container of scalars goes to it in one
+    call, with the line break and indent as item separator; only the nesting
+    above those containers runs in Python."""
+    return _dumps(obj, "\n")
+
+
+def _dumps(obj, newline: str) -> str:
+    """obj's JSON text, its inner lines indented two spaces past newline."""
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    inner = newline + "  "
+    is_dict = isinstance(obj, dict)
+    # the distinct types, not every value, are tested: a C-level pass
+    if not any(issubclass(t, (dict, list, tuple)) for t in
+               set(map(type, obj.values() if is_dict else obj))):
+        text = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
+    elif is_dict:  # each key as json writes it, read off a one-item dict
+        text = "{" + ("," + inner).join(
+            json.dumps({key: 0})[1:-len(": 0}")] + ": " + _dumps(v, inner)
+            for key, v in sorted(obj.items())) + "}"
+    else:
+        text = "[" + ("," + inner).join(_dumps(v, inner) for v in obj) + "]"
+    return text[0] + inner + text[1:-1] + newline + text[-1]
+
+
 @dataclass
 class RunRecord:
     config: ExperimentConfig
@@ -173,14 +200,18 @@ class RunRecord:
             "results": self.results,
         }
 
-    def write(self) -> Path:
+    def to_json(self) -> str:
+        return dumps(self.to_json_dict()) + "\n"
+
+    def write(self) -> str:
+        """Write record.json and the CSV; returns the record's JSON text."""
         run_dir = self.config.run_dir()
         run_dir.mkdir(parents=True, exist_ok=True)
-        (run_dir / "record.json").write_text(
-            json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        text = self.to_json()
+        (run_dir / "record.json").write_text(text)
         if self.csv_lines:
             (run_dir / self.csv_name).write_text("\n".join(self.csv_lines) + "\n")
-        return run_dir
+        return text
 
 
 def _replica_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
@@ -213,9 +244,8 @@ def run_ecer_convergence(cfg: ExperimentConfig) -> RunRecord:
     lam = LambdaVector(cfg.lam)
     target_f_inf = analytic.f_infinity_inclusion_exclusion(lam)
     if cfg.k == 2:
-        targets = [analytic.two_color_f_ell(lam[0], lam[1], ell)
-                   for ell in range(1, cfg.ell_max + 1)]
-    else:
+        targets = analytic.two_color_f_ell(lam[0], lam[1], cfg.ell_max)
+    else:  # no closed form: nan in the CSV, null in the record
         targets = [math.nan] * cfg.ell_max
 
     seeds = _replica_seeds(cfg.seed, len(cfg.n_list) * cfg.replicas)
@@ -236,7 +266,7 @@ def run_ecer_convergence(cfg: ExperimentConfig) -> RunRecord:
                 f"{max_frac!r},{target_f_inf!r}")
     results = {
         "target_f_inf": target_f_inf,
-        "target_f_ell": targets,
+        "target_f_ell": targets if cfg.k == 2 else [None] * cfg.ell_max,
         "mean_abs_max_fraction_deviation": {
             str(n): sum(vals) / len(vals) for n, vals in per_n_dev.items()},
         "mean_f1": {str(n): sum(vals) / len(vals)
@@ -320,6 +350,10 @@ def run_analytic_report(cfg: ExperimentConfig) -> RunRecord:
     regime = analytic.classify_lambda(lam)
     table = analytic.solve_p_system(lam)
     phat = analytic.extended_type_distribution(lam, table)
+    # names[g]: character i is bit i of the type mask g, built by doubling
+    names = [""]
+    for _ in range(cfg.k):
+        names = [s + "0" for s in names] + [s + "1" for s in names]
     results: dict = {
         "lambda": list(cfg.lam),
         "regime": {
@@ -333,8 +367,7 @@ def run_analytic_report(cfg: ExperimentConfig) -> RunRecord:
         "p_table": dict(zip(_mask_names(cfg.k), table.p.tolist())),
         "p_table_relevant": table.relevant,
         "p_table_max_residual": table.max_residual,
-        "phat": {format(g, f"0{cfg.k}b")[::-1]: v
-                 for g, v in sorted(phat.items())},
+        "phat": dict(zip(names, phat.values())),
         "f_inf_inclusion_exclusion":
             analytic.f_infinity_inclusion_exclusion(lam, table),
     }
@@ -346,8 +379,8 @@ def run_analytic_report(cfg: ExperimentConfig) -> RunRecord:
         checks = checks and (gf is None or abs(
             gf - results["f_inf_inclusion_exclusion"]) <= 1e-9)
     if cfg.k == 2:
-        results["f_ell"] = [analytic.two_color_f_ell(*lam, ell, table=table)
-                            for ell in range(1, cfg.ell_max + 1)]
+        results["f_ell"] = analytic.two_color_f_ell(*lam, cfg.ell_max,
+                                                    table=table)
     record = RunRecord(cfg, results, time.perf_counter() - start)
     record.checks_passed = bool(checks)
     return record

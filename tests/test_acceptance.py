@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from caperc import ecbp
 from caperc.analytic import (
     DEFAULT_EPS_GRID,
     classify_lambda,
@@ -25,13 +26,14 @@ from caperc.cap import (
     brute_force_cap_partition,
     color_avoiding_partition,
 )
-from caperc.ecbp import mc_component_size_distribution, mc_phi1_estimate
+from caperc.ecbp import mc_component_size_distribution
 from caperc.experiments import (
     ExperimentConfig,
     run_ecer_convergence,
     run_local_weak_check,
 )
 from caperc.graph import sample_ecer
+from caperc.params import as_lambda
 
 
 def _report(name: str, detail: str) -> None:
@@ -106,8 +108,7 @@ def test_criterion_04_friend_count_mc_matches_closed_form():
     hist = mc_component_size_distribution((2.0, 2.0), samples, 5, rng)
     assert sum(hist.finite_counts.values()) + hist.censored == samples
     lines = []
-    for ell in range(1, 6):
-        target = two_color_f_ell(2.0, 2.0, ell)
+    for ell, target in enumerate(two_color_f_ell(2.0, 2.0, 5), start=1):
         se = max(hist.stderr(ell), math.sqrt(target * (1 - target) / samples))
         dev = abs(hist.frequency(ell) - target)
         lines.append(f"ell={ell} dev={dev / se:.2f}se")
@@ -171,10 +172,30 @@ def test_criterion_07_densities_are_complete():
         dec = CapDecomposition.from_graph(g)
         assert sum(dec.size_histogram.values()) == Fraction(1)
     total = f_infinity_inclusion_exclusion((2.0, 2.0))
-    total += sum(two_color_f_ell(2.0, 2.0, ell) for ell in range(1, 201))
+    total += sum(two_color_f_ell(2.0, 2.0, 200))
     _report("completeness", f"1 - total mass = {1.0 - total:.3e}")
     assert total >= 1.0 - 1e-6
     assert total <= 1.0 + 1e-12
+
+
+def mc_phi1_estimate(lam, z: dict[tuple[int, ...], float], samples: int,
+                     rng: np.random.Generator) -> tuple[float, float]:
+    """Monte Carlo oracle for Phi_1: E[prod_i z_(i)^{|R_(i)(r)|}] with its
+    standard error, from the (i,) chronology layers of core samples."""
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
+    lam = as_lambda(lam)
+    if lam.k < 3:
+        raise ValueError("Phi_1 needs k >= 3")
+    zvec = np.array([z[(i,)] for i in range(lam.k)])
+    if np.any(zvec <= 0.0) or np.any(zvec > 1.0):
+        raise ValueError("z values must lie in (0, 1]")
+    layers = ((1 << lam.k) - 1) ^ (1 << np.arange(lam.k))
+    vals = np.concatenate([
+        np.exp(ecbp.core_counts(lam, min(ecbp._CORE_BLOCK, samples - lo),
+                                rng)[:, layers] @ np.log(zvec))
+        for lo in range(0, samples, ecbp._CORE_BLOCK)])
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
 
 def test_criterion_08_phi_recursion():

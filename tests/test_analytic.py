@@ -463,17 +463,25 @@ def test_phi_dimension_mismatch():
 # -- two-color series -------------------------------------------------------
 
 def test_two_color_subcritical_is_point_mass():
-    assert two_color_f_ell(0.5, 0.5, 1) == pytest.approx(1.0, abs=1e-9)
+    f_ell = two_color_f_ell(0.5, 0.5, 10)
+    assert f_ell[0] == pytest.approx(1.0, abs=1e-9)
     for ell in (2, 3, 10):
-        assert two_color_f_ell(0.5, 0.5, ell) == pytest.approx(0.0, abs=1e-9)
+        assert f_ell[ell - 1] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_two_color_asymmetric_sums_to_one():
     lam_r, lam_b = 1.7, 2.4
     f_inf = f_infinity_inclusion_exclusion((lam_r, lam_b))
-    total = f_inf + sum(two_color_f_ell(lam_r, lam_b, ell)
-                        for ell in range(1, 220))
+    total = f_inf + sum(two_color_f_ell(lam_r, lam_b, 219))
     assert abs(total - 1.0) < 1e-6
+
+
+def test_two_color_f_ell_prefixes_agree():
+    # each ell's series is cut on its own tail bound, whatever ell_max is
+    f_ell = two_color_f_ell(1.7, 2.4, 12)
+    assert [two_color_f_ell(1.7, 2.4, m)[-1] for m in range(1, 13)] == f_ell
+    with pytest.raises(ValueError, match="ell_max"):
+        two_color_f_ell(1.7, 2.4, 0)
 
 
 def test_series_truncation_error_reported():

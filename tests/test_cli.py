@@ -317,3 +317,27 @@ def test_components_cli_malformed_dump_exits_2(tmp_path, capsys, dump):
     path.write_text(dump)
     assert main(["components", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analytic", "--lambda", "0.9,0.8,0.7"],
+    ["ecbp-mc", "--lambda", "2,2", "--samples", "300"],
+    # no closed-form f_ell targets at k = 3: they are null, not NaN
+    ["convergence", "--lambda", "0.9,0.8,0.7", "--n", "200", "--replicas",
+     "2"],
+    ["local-weak", "--lambda", "1,1", "--n", "300", "--replicas", "2",
+     "--samples", "2000"],
+    ["near-critical", "--k", "2"],
+], ids=lambda argv: argv[0])
+def test_experiment_stdout_is_strict_json(capsys, tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    record = json.loads(out, parse_constant=_reject_constant)
+    if argv[0] == "convergence":
+        assert record["results"]["target_f_ell"] == [None] * 5
+    # one serialization goes to stdout and to record.json
+    assert next(tmp_path.glob("*/record.json")).read_text() == out

@@ -30,11 +30,11 @@ from caperc.ecbp import (
     core_counts,
     mc_component_size_distribution,
     mc_f_infinity,
-    mc_phi1_estimate,
 )
 from caperc.experiments import _CHUNK
 from caperc.params import LambdaVector
 from caperc.trees import sample_ecbp
+from test_acceptance import mc_phi1_estimate
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -235,8 +235,7 @@ def test_friend_counts_match_two_color_series():
     hist = mc_component_size_distribution(
         (2.0, 2.0), samples, 5, np.random.default_rng(11))
     assert sum(hist.finite_counts.values()) + hist.censored == samples
-    for ell in range(1, 6):
-        target = two_color_f_ell(2.0, 2.0, ell)
+    for ell, target in enumerate(two_color_f_ell(2.0, 2.0, 5), start=1):
         se = max(hist.stderr(ell), math.sqrt(target * (1 - target) / samples))
         assert abs(hist.frequency(ell) - target) < 3.5 * se
     target_inf = f_infinity_inclusion_exclusion((2.0, 2.0))
@@ -259,8 +258,7 @@ def _assert_asymmetric_two_color_law():
     hist = mc_component_size_distribution(
         (1.5, 0.5), samples, 5, np.random.default_rng(17))
     assert hist.censored == 0
-    for ell in range(1, 6):
-        target = two_color_f_ell(1.5, 0.5, ell)
+    for ell, target in enumerate(two_color_f_ell(1.5, 0.5, 5), start=1):
         se = max(hist.stderr(ell), math.sqrt(target * (1 - target) / samples))
         assert abs(hist.frequency(ell) - target) < 3.5 * se
 

@@ -5,13 +5,17 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caperc import analytic, experiments
 from caperc.analytic import near_critical_constant
 from caperc.experiments import (
     CONFIG_KEYS,
+    RUNNERS,
     ExperimentConfig,
     config_from_mapping,
+    dumps,
     parse_config_file,
     run_analytic_report,
     run_ecbp_mc,
@@ -146,7 +150,9 @@ def test_convergence_csv_row_contents():
 def test_record_write(tmp_path):
     cfg = _small_convergence_cfg(out=str(tmp_path))
     rec = run_ecer_convergence(cfg)
-    run_dir = rec.write()
+    text = rec.write()
+    run_dir = cfg.run_dir()
+    assert (run_dir / "record.json").read_text() == text
     assert run_dir.name == f"ecer-convergence-{cfg.config_hash()}"
     payload = json.loads((run_dir / "record.json").read_text())
     assert payload["checks_passed"] is True
@@ -271,3 +277,54 @@ def test_near_critical_runner():
     assert rec.checks_passed
     assert rec.results["monotone"]
     assert abs(rec.results["estimate"] - 4.0) < 0.1
+
+
+# -- record serialization ----------------------------------------------------
+
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.floats(allow_nan=True, allow_infinity=True)
+            | st.sampled_from([-0.0, 1e-300, -1e-300, 5e-324])
+            | st.text() | st.sampled_from(['"quoted"', "\\ \n\t", "é∞𝄞"]))
+# json sorts a dict's keys as they are, so one dict's keys must compare:
+# str keys, numeric keys, a lone None key, or a tuple key (a TypeError)
+_NUMBER_KEYS = st.integers() | st.floats(allow_nan=True) | st.booleans()
+
+
+def _json_values(children):
+    return (st.lists(children, max_size=4)
+            | st.lists(children, max_size=4).map(tuple)
+            | st.dictionaries(st.text(max_size=4), children, max_size=4)
+            | st.dictionaries(_NUMBER_KEYS, children, max_size=4)
+            | st.dictionaries(st.none(), children, max_size=1)
+            | st.dictionaries(st.tuples(st.integers()), children, max_size=1))
+
+
+@given(st.recursive(_SCALARS, _json_values, max_leaves=30))
+@settings(max_examples=200, deadline=None)
+def test_dumps_matches_json_indent_2_sorted(obj):
+    try:
+        expected = json.dumps(obj, indent=2, sort_keys=True)
+    except TypeError:
+        with pytest.raises(TypeError):
+            dumps(obj)
+        return
+    assert dumps(obj) == expected
+
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(kind="ecer-convergence", lam=(2.0, 2.0), n_list=(200,),
+                     replicas=2),
+    ExperimentConfig(kind="ecer-convergence", k=3, lam=(0.9, 0.8, 0.7),
+                     n_list=(200,), replicas=2),
+    ExperimentConfig(kind="ecbp-mc", samples=500),
+    ExperimentConfig(kind="analytic-report", lam=(2.0, 2.0)),
+    ExperimentConfig(kind="analytic-report", k=3, lam=(0.9, 0.8, 0.7)),
+    ExperimentConfig(kind="analytic-report", k=8, lam=(0.3,) * 8),
+    ExperimentConfig(kind="local-weak-check", n_list=(300,), replicas=2,
+                     samples=2000),
+    ExperimentConfig(kind="near-critical"),
+], ids=lambda cfg: f"{cfg.kind}-k{cfg.k}")
+def test_every_runner_record_serializes_as_json_does(cfg):
+    record = RUNNERS[cfg.kind](cfg)
+    assert record.to_json() == json.dumps(
+        record.to_json_dict(), indent=2, sort_keys=True) + "\n"
