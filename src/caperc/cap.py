@@ -20,15 +20,18 @@ def color_avoiding_partition(g: EdgeColoredGraph) -> np.ndarray:
     """
     n = g.n
     # key[v] numbers the distinct tuples of per-color component labels seen
-    # so far; vertices with equal full tuples are exactly the blocks
-    key = np.zeros(n, dtype=np.int64)
+    # so far; vertices with equal full tuples are exactly the blocks. The
+    # first color's labels are block minima, so they serve as its key as is.
+    first = np.arange(n, dtype=np.int64)
     for i in range(g.k):
         others = [e for c, e in enumerate(g.edge_sets) if c != i]
         edges = np.concatenate(others) if others else np.empty((0, 2), int)
         col = connected_components(n, edges)
-        # first[j] is the smallest vertex with key j
-        _, first, key = np.unique(key * n + col, return_index=True,
-                                  return_inverse=True)
+        if i == 0:
+            key = col
+        else:  # first[j] is the smallest vertex with key j
+            _, first, key = np.unique(key * n + col, return_index=True,
+                                      return_inverse=True)
     return first[key]
 
 

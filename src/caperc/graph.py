@@ -11,15 +11,19 @@ from .params import LambdaVector, as_lambda
 
 def _canonical_edges(edges, n: int, color: int) -> np.ndarray:
     """Validate and canonicalize one color's edge list to a sorted (m, 2)
-    int64 array with u < v per row, unique rows."""
-    arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                     dtype=np.int64)
+    int64 array with u < v per row, unique rows, never a view of `edges`."""
+    arr = np.array(edges if isinstance(edges, np.ndarray) else list(edges),
+                   dtype=np.int64)
     if arr.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"color {color}: edge list must be pairs")
     if arr.min() < 0 or arr.max() >= n:
         raise ValueError(f"color {color}: endpoint out of range")
+    # u < v rows with strictly rising keys (sample_ecer's) are canonical
+    key = arr[:, 0] * n + arr[:, 1]
+    if np.all(arr[:, 0] < arr[:, 1]) and np.all(key[1:] > key[:-1]):
+        return arr
     lo = np.minimum(arr[:, 0], arr[:, 1])
     hi = np.maximum(arr[:, 0], arr[:, 1])
     if np.any(lo == hi):
@@ -49,6 +53,8 @@ class EdgeColoredGraph:
         self.edge_sets = tuple(
             _canonical_edges(es, self.n, c) for c, es in enumerate(edge_sets)
         )
+        for arr in self.edge_sets:
+            arr.setflags(write=False)
 
     @property
     def k(self) -> int:
@@ -134,32 +140,33 @@ def connected_components(n: int, edges: np.ndarray) -> np.ndarray:
 
     `edges` is any (m, 2) integer array; repeated pairs and either endpoint
     order are fine. Min-label hooking with pointer jumping (Shiloach-Vishkin
-    style): each round hooks the larger root of every edge whose endpoints
-    still differ onto the smallest root it meets, then jumps every label to
-    its root. labels[v] <= v throughout, so the roots left are the minima.
+    style): each round hooks the larger root of every edge whose roots still
+    differ onto the smallest root it meets, then jumps every label to its
+    root; the next round sees each such edge as its new pair of roots (the
+    first sees the edges themselves). labels[v] <= v throughout, so the
+    roots left are the minima.
     """
     labels = np.arange(n, dtype=np.int64)
-    u, v = edges[:, 0], edges[:, 1]
+    lu, lv = edges[:, 0], edges[:, 1]
     while True:
-        lu, lv = labels[u], labels[v]
         live = lu != lv
         if not live.any():
             return labels
-        u, v, lu, lv = u[live], v[live], lu[live], lv[live]
+        lu, lv = lu[live], lv[live]
         np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
         while True:
             jumped = labels[labels]
             if np.array_equal(jumped, labels):
                 break
             labels = jumped
+        lu, lv = labels[lu], labels[lv]
 
 
 def dump_graph(g: EdgeColoredGraph, fh: IO[str]) -> None:
     """Text dump: header `n k`, then one `color u v` line per colored edge."""
     fh.write(f"{g.n} {g.k}\n")
     for c in range(g.k):
-        for u, v in g.edge_sets[c]:
-            fh.write(f"{c} {u} {v}\n")
+        fh.writelines(f"{c} {u} {v}\n" for u, v in g.edge_sets[c].tolist())
 
 
 def load_graph(fh: IO[str]) -> EdgeColoredGraph:

@@ -15,7 +15,21 @@ from caperc.cap import (
 )
 from caperc.graph import EdgeColoredGraph, connected_components, sample_ecer
 
-from test_graph import colored_graphs
+from test_graph import colored_graphs, ecer_graphs
+
+
+def _meet_from_zero_key(g):
+    """The meet as computed before it started from the first color: one
+    renumbering per color, from an all-zero key. Test oracle only."""
+    n = g.n
+    key = np.zeros(n, dtype=np.int64)
+    for i in range(g.k):
+        others = [e for c, e in enumerate(g.edge_sets) if c != i]
+        edges = np.concatenate(others) if others else np.empty((0, 2), int)
+        col = connected_components(n, edges)
+        _, first, key = np.unique(key * n + col, return_index=True,
+                                  return_inverse=True)
+    return first[key]
 
 
 def test_triangle_example():
@@ -61,6 +75,13 @@ def test_agrees_with_brute_force_on_random_instances():
         fast = color_avoiding_partition(g)
         slow = brute_force_cap_partition(g)
         assert np.array_equal(fast, slow)
+
+
+def test_meet_matches_zero_key_oracle():
+    for g in ecer_graphs():
+        labels = color_avoiding_partition(g)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, _meet_from_zero_key(g))
 
 
 @given(colored_graphs())

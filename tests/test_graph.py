@@ -5,10 +5,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caperc.graph import (
     EdgeColoredGraph,
+    _canonical_edges,
     _pair_index_to_edge,
     _sample_pair_subset,
     connected_components,
@@ -35,6 +37,79 @@ def test_construction_errors():
         EdgeColoredGraph(3, [[(0, 1), (1, 0)]])  # duplicate within a color
     with pytest.raises(ValueError):
         EdgeColoredGraph(3, [])  # no colors
+
+
+def _sorted_canonical_edges(edges, n, color):
+    """Canonicalization by sorting every input, as before the already-sorted
+    shortcut: the oracle for `_canonical_edges` and its error messages."""
+    arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
+                     dtype=np.int64)
+    if arr.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"color {color}: edge list must be pairs")
+    if arr.min() < 0 or arr.max() >= n:
+        raise ValueError(f"color {color}: endpoint out of range")
+    lo = np.minimum(arr[:, 0], arr[:, 1])
+    hi = np.maximum(arr[:, 0], arr[:, 1])
+    if np.any(lo == hi):
+        raise ValueError(f"color {color}: self-loop")
+    arr = np.stack([lo, hi], axis=1)
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    if np.any(key[1:] == key[:-1]):
+        raise ValueError(f"color {color}: duplicate edge within one color")
+    return arr[order]
+
+
+def _error_or_edges(fn, edges, n):
+    try:
+        return fn(edges, n, 2).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 12))
+def test_canonical_edges_matches_sorting_oracle(data, n):
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                               max_size=12))
+    canonical = sorted(edges)
+    shuffled = data.draw(st.permutations(canonical))
+    flipped = [(v, u) if data.draw(st.booleans()) else (u, v)
+               for u, v in shuffled]
+    for variant in (canonical, canonical[::-1], shuffled, flipped):
+        arr = np.array(variant, dtype=np.int64).reshape(-1, 2)
+        got = _canonical_edges(arr, n, 2)
+        assert got.dtype == np.int64 and got.tolist() == [list(e) for e in canonical]
+    # a self-loop or a repeat inside otherwise sorted input must fail as the
+    # sorting path fails, so the sorted-input check may not let it through
+    if canonical:
+        i = data.draw(st.integers(0, len(canonical) - 1))
+        u, v = canonical[i]
+        bad_inputs = [canonical[:i] + [(u, u)] + canonical[i:],
+                      canonical[:i + 1] + [(u, v)] + canonical[i + 1:],
+                      canonical[:i + 1] + [(v, u)] + canonical[i + 1:],
+                      canonical[:i] + [(u, n)] + canonical[i:]]
+        for bad in bad_inputs:
+            arr = np.array(bad, dtype=np.int64)
+            want = _error_or_edges(_sorted_canonical_edges, arr, n)
+            assert isinstance(want, str)
+            assert _error_or_edges(_canonical_edges, arr, n) == want
+
+
+def test_edge_arrays_are_owned_and_read_only():
+    edges = np.array([[0, 1], [1, 2]], dtype=np.int64)  # already canonical
+    g = EdgeColoredGraph(3, [edges, [(2, 0)]])
+    edges[0, 0] = 2
+    assert g.edge_sets[0].tolist() == [[0, 1], [1, 2]]
+    for c in range(g.k):
+        with pytest.raises(ValueError):
+            g.edge_sets[c][0, 0] = 5
+    sampled = sample_ecer(50, 50, (2.0, 2.0), np.random.default_rng(3))
+    assert not any(e.flags.writeable for e in sampled.edge_sets)
 
 
 def test_same_pair_in_two_colors_is_allowed():
@@ -153,6 +228,34 @@ def _bfs_components(n, edges):
     return comp
 
 
+def _connected_components_regather(n, edges):
+    """Min-label hooking that re-reads the labels at the original endpoints
+    every round, as before the hooking rounds were contracted: the oracle
+    for `connected_components`."""
+    labels = np.arange(n, dtype=np.int64)
+    u, v = edges[:, 0], edges[:, 1]
+    while True:
+        lu, lv = labels[u], labels[v]
+        live = lu != lv
+        if not live.any():
+            return labels
+        u, v, lu, lv = u[live], v[live], lu[live], lv[live]
+        np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+
+
+def ecer_graphs():
+    """Sampled graphs with k = 1..4 colors at small and large n."""
+    rng = np.random.default_rng(29)
+    for k in range(1, 5):
+        for n in (1, 2, 1000, 20000):
+            yield sample_ecer(n, n, tuple(rng.uniform(0.5, 2.5, k)), rng)
+
+
 def _edge_array(edges):
     return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
@@ -188,6 +291,26 @@ def test_connected_components_edge_cases():
     assert connected_components(32, _edge_array(path)).tolist() == [0] * 32
 
 
+def test_connected_components_matches_regather_oracle():
+    for g in ecer_graphs():
+        # all colors, then each color left out in turn
+        unions = [np.concatenate(g.edge_sets)]
+        if g.k > 1:
+            unions += [np.concatenate(g.edge_sets[:i] + g.edge_sets[i + 1:])
+                       for i in range(g.k)]
+        for edges in unions:
+            assert np.array_equal(connected_components(g.n, edges),
+                                  _connected_components_regather(g.n, edges))
+    n = 5000
+    perm = np.random.default_rng(4).permutation(n)
+    path = np.stack([perm[:-1], perm[1:]], axis=1)
+    star = np.stack([np.full(n - 1, n - 1), np.arange(n - 1)], axis=1)
+    for edges in (path, path[::-1], star, star[:, ::-1]):
+        labels = connected_components(n, edges)
+        assert np.array_equal(labels, _connected_components_regather(n, edges))
+        assert labels.tolist() == [0] * n
+
+
 def test_partition_bookkeeping():
     labels = connected_components(5, _edge_array([(0, 1), (2, 3)]))
     assert labels.tolist() == [0, 0, 2, 2, 4]
@@ -206,6 +329,17 @@ def test_dump_load_roundtrip():
     assert g2.n == 4 and g2.k == 3
     for c in range(3):
         assert np.array_equal(g.edge_sets[c], g2.edge_sets[c])
+
+
+def test_dump_text_matches_per_row_format():
+    g = sample_ecer(3000, 3000, (1.0, 2.0, 0.5), np.random.default_rng(8))
+    buf = io.StringIO()
+    dump_graph(g, buf)
+    rows = [f"{g.n} {g.k}\n"]
+    for c in range(g.k):
+        for u, v in g.edge_sets[c]:
+            rows.append(f"{c} {u} {v}\n")
+    assert buf.getvalue() == "".join(rows)
 
 
 def test_load_rejects_bad_input():
