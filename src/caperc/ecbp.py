@@ -169,8 +169,10 @@ NODE_CAPPED = FriendCountOutcome.censored("node-cap")
 _finite = cache(FriendCountOutcome.finite)
 ROOT_ONLY = _finite(1)
 
-# samples FriendCountSampler grows together; divides experiments._CHUNK
+# samples per FriendCountSampler block, unless the caller sizes the blocks
 _BATCH = 1024
+# (sample, entry) cells of a level's draws (512 KB) that callers size blocks to
+_CELLS = 1 << 16
 # grown nodes one friend-resolution pass holds at most, unless a single
 # sample has more; bounds the memory of the per-node arrays
 _PASS_NODES = 1 << 18
@@ -186,12 +188,13 @@ class FriendCountSampler:
     v is a friend iff for every color i either the root path avoids i or both
     endpoints are i-avoiding connected to infinity through descendants.
 
-    Growth is counts-first and batched: _BATCH samples grow together, each
-    level a (samples, 2^k) matrix of node counts per avoid-mask, and the
+    Growth is counts-first and batched: a block of samples grows together,
+    each level a (samples, 2^k) matrix of node counts per avoid-mask, and the
     children of all count_m nodes of mask m via color c number
     Poisson(lambda_c * count_m) by Poisson additivity. Censoring depends on
     these counts alone. So does a finite sample whose root is the only node
-    in every dead cluster: its friend count is 1.
+    in every dead cluster: its friend count is 1. A block holds _BATCH
+    samples, unless its caller sizes the blocks (see _CELLS).
 
     The other samples with a dead cluster are resolved together in numpy
     once their block has grown. Their per-node trees are built level by level
@@ -251,25 +254,26 @@ class FriendCountSampler:
         self._lone_lam[1 << np.arange(k)] = self.lam.lam
         self._block: list = []
         self._next = 0
+        self._sizes = iter(())  # block sizes a caller gave, then _BATCH
 
     def sample(self) -> FriendCountOutcome:
         if self._next == len(self._block):
-            self._block = self._grow_block()
+            self._block = self._grow_block(next(self._sizes, _BATCH))
             self._next = 0
         out = self._block[self._next]
         self._next += 1
         return out
 
-    def _grow_block(self) -> list:
-        """Outcomes of _BATCH samples grown from their roots. Each level
+    def _grow_block(self, size: int) -> list:
+        """Outcomes of `size` samples grown from their roots. Each level
         settles, in order: samples with a dead cluster, then every sample at
         depth_cap, then samples over node_cap, then certified survivors; the
         rest grow one level by a single Poisson draw over all (sample, entry)
         pairs. Dead samples with other candidate friends are resolved at the
         end, from the level history."""
-        out = np.empty(_BATCH, dtype=object)
-        ids = np.arange(_BATCH)
-        counts = np.zeros((_BATCH, self._full + 1), dtype=np.int64)
+        out = np.empty(size, dtype=object)
+        ids = np.arange(size)
+        counts = np.zeros((size, self._full + 1), dtype=np.int64)
         counts[:, self._full] = 1
         # nodes per avoid-mask grown so far, the root left out
         grown = np.zeros_like(counts)
@@ -473,6 +477,9 @@ def mc_component_size_distribution(lam, samples: int, ell_max: int,
     if ell_max < 1:
         raise ValueError("ell_max must be >= 1")
     sampler = FriendCountSampler(lam, rng, depth_cap, node_cap)
+    # the fewest blocks _CELLS allows (16384 samples each at k=2), none unused
+    size = max(_BATCH, _CELLS // len(sampler._entries))
+    sampler._sizes = (min(size, samples - lo) for lo in range(0, samples, size))
     finite: dict[int, int] = {}
     censored: dict[str, int] = {}
     for _ in range(samples):

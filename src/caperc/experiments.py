@@ -8,6 +8,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from functools import cache
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -330,13 +331,21 @@ def run_ecbp_mc(cfg: ExperimentConfig) -> RunRecord:
 # Analytic report
 # ---------------------------------------------------------------------------
 
-def _mask_names(k: int) -> list[str]:
-    """names[m] = "{i,j,...}", the colors of mask m in increasing order,
-    built by doubling: mask m | 2^i extends the name of m by i."""
-    names = [""]
-    for i in range(k):
-        names += [s + "," + str(i) for s in names]
-    return ["{" + s[1:] + "}" for s in names]
+@cache
+def _record_keys(k: int) -> tuple:
+    """p_table's keys and masks, then phat's, in key order, so that sort_keys
+    finds them sorted: "{i,j,...}" lists a mask's colors, and character i of
+    a type key is bit i. Kept small: a spaced string and a read-only array."""
+    sets, types = [""], [""]
+    for i in range(k):  # by doubling: mask m | 2^i extends the name of m
+        sets += [s + "," + str(i) for s in sets]
+        types = [s + "0" for s in types] + [s + "1" for s in types]
+    out = []
+    for names in (["{" + s[1:] + "}" for s in sets], types):
+        keys, masks = zip(*sorted(zip(names, range(1 << k))))
+        out += [" ".join(keys), np.array(masks)]
+        out[-1].setflags(write=False)
+    return tuple(out)
 
 
 # the generating-function cross-check costs about 4^k (0.2 s at k = 10,
@@ -350,10 +359,7 @@ def run_analytic_report(cfg: ExperimentConfig) -> RunRecord:
     regime = analytic.classify_lambda(lam)
     table = analytic.solve_p_system(lam)
     phat = analytic.extended_type_distribution(lam, table)
-    # names[g]: character i is bit i of the type mask g, built by doubling
-    names = [""]
-    for _ in range(cfg.k):
-        names = [s + "0" for s in names] + [s + "1" for s in names]
+    sets, set_masks, types, type_masks = _record_keys(cfg.k)
     results: dict = {
         "lambda": list(cfg.lam),
         "regime": {
@@ -364,10 +370,10 @@ def run_analytic_report(cfg: ExperimentConfig) -> RunRecord:
         },
         "theta_avoid": analytic.survival_theta(
             lam.lambda_uc - np.array(lam.lam)).tolist(),
-        "p_table": dict(zip(_mask_names(cfg.k), table.p.tolist())),
+        "p_table": dict(zip(sets.split(), table.p[set_masks].tolist())),
         "p_table_relevant": table.relevant,
         "p_table_max_residual": table.max_residual,
-        "phat": dict(zip(names, phat.values())),
+        "phat": dict(zip(types.split(), map(phat.get, type_masks.tolist()))),
         "f_inf_inclusion_exclusion":
             analytic.f_infinity_inclusion_exclusion(lam, table),
     }

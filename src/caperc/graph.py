@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -170,18 +171,19 @@ def dump_graph(g: EdgeColoredGraph, fh: IO[str]) -> None:
 
 
 def load_graph(fh: IO[str]) -> EdgeColoredGraph:
-    """Inverse of dump_graph."""
+    """Inverse of dump_graph: the header `n k`, then `color u v` lines of
+    integers in any order; blank lines are skipped."""
     header = fh.readline().split()
     if len(header) != 2:
         raise ValueError("bad graph header, expected 'n k'")
     n, k = int(header[0]), int(header[1])
-    edge_sets: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        c, u, v = (int(x) for x in line.split())
-        if not 0 <= c < k:
-            raise ValueError(f"color {c} out of range")
-        edge_sets[c].append((u, v))
-    return EdgeColoredGraph(n, edge_sets)
+    with warnings.catch_warnings():  # a graph without edges has no data
+        warnings.simplefilter("ignore", UserWarning)
+        rows = np.loadtxt(fh, dtype=np.int64, ndmin=2, comments=None)
+    if rows.size and rows.shape[1] != 3:
+        raise ValueError("expected 'color u v' lines")
+    bad = (rows[:, 0] < 0) | (rows[:, 0] >= k)
+    if bad.any():
+        raise ValueError(f"color {rows[bad.argmax(), 0]} out of range")
+    # each color's edges in file order
+    return EdgeColoredGraph(n, [rows[rows[:, 0] == c, 1:] for c in range(k)])

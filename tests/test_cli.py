@@ -8,12 +8,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import caperc
+from caperc import cli
 from caperc.cli import main
 from caperc.experiments import CONFIG_KEYS, RUNNERS, ExperimentConfig
-from caperc.graph import EdgeColoredGraph, dump_graph, load_graph
+from caperc.graph import EdgeColoredGraph, dump_graph, load_graph, sample_ecer
+from test_graph import load_graph_by_line
 
 
 def test_invalid_config_exits_2(capsys):
@@ -311,12 +314,45 @@ def test_components_cli_missing_file(capsys):
     "3 2\n2 0 1\n",    # color out of range
     "3 2\n0 0 3\n",    # endpoint out of range
     "3 2\n0 0 x\n",    # non-integer token
+    "3 2\n0\n",        # one field
+    "3 2\n0 0\n",      # two fields
+    "3 2\n0 0 1 2\n",  # four fields
+    "3 2\n0 0 1\n1 1\n",  # two fields after three
+    "3 2\n0 0 1.0\n",  # float token
+    "3 2\n0 0 2e0\n",  # float token
+    "3 2\n0 0 #\n",    # comment token
+    "3 2\n# edges\n",  # comment line
+    "3 2\n0 0 1 # e\n",  # trailing comment
+    "3 2\n-1 0 1\n",   # negative color
+    "3 2\n0 0 99999999999999999999\n",  # beyond int64
+    "",                 # no header
+    "3 x\n0 0 1\n",    # non-integer k
+    "3 2 1\n0 0 1\n",  # three header fields
+    "3 0\n",           # no colors
+    "-3 2\n",          # negative n
 ])
 def test_components_cli_malformed_dump_exits_2(tmp_path, capsys, dump):
     path = tmp_path / "bad.txt"
     path.write_text(dump)
     assert main(["components", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_components_csv_matches_per_line_loader(tmp_path, monkeypatch,
+                                               capsys):
+    g = sample_ecer(200000, 200000, (1.0, 1.0), np.random.default_rng(10))
+    graph_path = tmp_path / "g.txt"
+    with graph_path.open("w") as fh:
+        dump_graph(g, fh)
+    assert main(["components", str(graph_path), "--out",
+                 str(tmp_path / "new")]) == 0
+    monkeypatch.setattr(cli, "load_graph", load_graph_by_line)
+    assert main(["components", str(graph_path), "--out",
+                 str(tmp_path / "old")]) == 0
+    capsys.readouterr()
+    new, old = ((tmp_path / d / "g-components.csv").read_bytes()
+                for d in ("new", "old"))
+    assert new == old
 
 
 def _reject_constant(name):

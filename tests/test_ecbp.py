@@ -20,6 +20,7 @@ from caperc.analytic import (
 from caperc.chronology import core_and_boundary
 from caperc.ecbp import (
     _BATCH,
+    _CELLS,
     DEPTH_CAPPED,
     NODE_CAPPED,
     CoreOverflow,
@@ -290,16 +291,76 @@ def test_node_cap_zero_censors_every_sample(lam, depth_cap):
     assert hist.censored_counts == {"node-cap": 1500}
 
 
-def test_batch_divides_ecbp_mc_chunk():
-    assert _CHUNK % _BATCH == 0
+def _block_sizes(monkeypatch):
+    """The sizes FriendCountSampler._grow_block is called with, from now on."""
+    sizes = []
+    grow = FriendCountSampler._grow_block
+
+    def recorded(self, size):
+        sizes.append(size)
+        return grow(self, size)
+    monkeypatch.setattr(FriendCountSampler, "_grow_block", recorded)
+    return sizes
 
 
-@pytest.mark.parametrize("samples", [1, 1023, 1025, 2049])
+@pytest.mark.parametrize("samples", [1, 1023, 16384, 16385, 10**5])
+def test_blocks_grow_exactly_the_samples_asked_for(monkeypatch, samples):
+    # at k = 2 the cell budget holds 16384 samples per block: an ecbp-mc
+    # chunk grows as one block, and no call grows a sample it does not use
+    sizes = _block_sizes(monkeypatch)
+    hist = mc_component_size_distribution(
+        (2.0, 2.0), samples, 3, np.random.default_rng(30))
+    assert hist.samples == sum(sizes) == samples
+    assert len(sizes) == -(-samples // 16384)
+    assert max(sizes) <= max(_BATCH, _CELLS // 4) == _CHUNK
+
+
+def test_direct_sampler_grows_batch_blocks(monkeypatch):
+    sizes = _block_sizes(monkeypatch)
+    sampler = FriendCountSampler((2.0, 2.0), np.random.default_rng(31))
+    for _ in range(_BATCH + 1):
+        sampler.sample()
+    assert sizes == [_BATCH, _BATCH]
+
+
+@pytest.mark.parametrize("samples", [1, 16383, 16384, 16385])
 def test_histograms_across_block_boundaries(samples):
     hists = [mc_component_size_distribution(
         (2.0, 2.0), samples, 3, np.random.default_rng(22)) for _ in range(2)]
     assert sum(hists[0].finite_counts.values()) + hists[0].censored == samples
     assert hists[0] == hists[1]
+
+
+@pytest.mark.parametrize("samples", [3639, 3640, 3641])
+def test_three_color_histograms_across_block_boundaries(samples):
+    # 18 growth entries at k = 3: 3640 samples per block
+    hists = [mc_component_size_distribution(
+        (0.7, 0.7, 0.7), samples, 3, np.random.default_rng(22))
+        for _ in range(2)]
+    assert sum(hists[0].finite_counts.values()) + hists[0].censored == samples
+    assert hists[0] == hists[1]
+
+
+@pytest.mark.parametrize("lam", [(2.0, 2.0), (1.5, 0.5), (0.7, 0.7, 0.7)])
+def test_block_size_leaves_the_law_unchanged(monkeypatch, lam):
+    # the same law from 1024-sample blocks and from blocks at the cell
+    # budget: cells l = 1..5, l > 5 and censored, two-sample chi-square
+    def cells(seed):
+        hist = mc_component_size_distribution(
+            lam, 20000, 5, np.random.default_rng(seed))
+        finite = [hist.finite_counts.get(ell, 0) for ell in range(1, 6)]
+        return finite + [hist.samples - sum(finite) - hist.censored,
+                         hist.censored]
+    sizes = _block_sizes(monkeypatch)
+    shipped = cells(32)
+    assert max(sizes) > _BATCH
+    sizes.clear()
+    monkeypatch.setattr(ecbp, "_CELLS", 0)
+    batched = cells(33)
+    assert max(sizes) == _BATCH
+    table = np.array([shipped, batched])
+    table = table[:, table.sum(axis=0) > 0]
+    assert scipy.stats.chi2_contingency(table)[1] > 1e-3
 
 
 def test_friend_resolution_leaves_no_cyclic_garbage():

@@ -200,9 +200,32 @@ def test_p_table_names_match_per_mask_names():
     def mask_name(mask, k):
         colors = (str(i) for i in range(k) if (mask >> i) & 1)
         return "{" + ",".join(colors) + "}"
-    for k in range(1, 7):
-        assert experiments._mask_names(k) == [mask_name(m, k)
-                                              for m in range(1 << k)]
+    for k in range(1, 13):
+        sets, set_masks, types, type_masks = experiments._record_keys(k)
+        sets, types = sets.split(), types.split()
+        assert sets == sorted(sets) and types == sorted(types)
+        assert sorted(set_masks) == sorted(type_masks) == list(range(1 << k))
+        assert not set_masks.flags.writeable
+        assert sets == [mask_name(m, k) for m in set_masks]
+        assert types == [format(g, f"0{k}b")[::-1] for g in type_masks]
+
+
+@pytest.mark.parametrize("k, lam_i", [(2, 2.0), (10, 0.115), (11, 0.095),
+                                      (12, 0.095)])
+def test_analytic_record_is_built_in_key_order(k, lam_i):
+    # two digits in a color make "{0,10}" sort before "{0,1}" from k = 11 on
+    cfg = ExperimentConfig(kind="analytic-report", k=k, lam=(lam_i,) * k)
+    record = run_analytic_report(cfg)
+    assert record.checks_passed
+    results = record.results
+    for key in ("p_table", "phat"):
+        assert list(results[key]) == sorted(results[key])
+    # the keys of mask 0b1 name its value
+    assert results["p_table"]["{0}"] == analytic.solve_p_system(cfg.lam).p[1]
+    assert results["phat"]["1" + "0" * (k - 1)] == (
+        analytic.extended_type_distribution(cfg.lam)[1])
+    assert record.to_json() == json.dumps(
+        record.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("lam", [(2.0, 2.0), (0.9, 0.9, 0.9), (0.5, 0.5)])

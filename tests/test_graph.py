@@ -342,6 +342,38 @@ def test_dump_text_matches_per_row_format():
     assert buf.getvalue() == "".join(rows)
 
 
+def load_graph_by_line(fh):
+    """The per-line loader that load_graph replaced, kept as its oracle."""
+    header = fh.readline().split()
+    if len(header) != 2:
+        raise ValueError("bad graph header, expected 'n k'")
+    n, k = int(header[0]), int(header[1])
+    edge_sets = [[] for _ in range(k)]
+    for line in fh:
+        line = line.strip()
+        if not line:
+            continue
+        c, u, v = (int(x) for x in line.split())
+        if not 0 <= c < k:
+            raise ValueError(f"color {c} out of range")
+        edge_sets[c].append((u, v))
+    return EdgeColoredGraph(n, edge_sets)
+
+
+@pytest.mark.parametrize("text", [
+    "4 2\n",                                  # no edges
+    "4 2\n\n1 2 3\n  \n0 0 1\n\n",            # blank lines, colors mixed
+    "4 3\n2 3 1\n0 1 0\n2 0 2\n1 3 2\n0 2 1\n",  # any order, either orient
+    "5 1\n0\t1 4\n 0 0 3 \n",                 # any whitespace
+])
+def test_load_matches_per_line_loader(text):
+    g, want = (load(io.StringIO(text)) for load in (load_graph,
+                                                    load_graph_by_line))
+    assert (g.n, g.k) == (want.n, want.k)
+    for c in range(g.k):
+        assert np.array_equal(g.edge_sets[c], want.edge_sets[c])
+
+
 def test_load_rejects_bad_input():
     with pytest.raises(ValueError):
         load_graph(io.StringIO("3\n"))
