@@ -65,6 +65,15 @@ def survival_theta(mu) -> float | np.ndarray:
     return float(theta) if theta.ndim == 0 else theta
 
 
+def theta_avoid(lam) -> np.ndarray:
+    """theta_i for every color i: survival at the sum of the other colors'
+    intensities, added in increasing color order as subset_sums adds them
+    (the total minus lambda_i cancels when lambda_i dominates)."""
+    lam = as_lambda(lam)
+    others = ((1 << lam.k) - 1) ^ (1 << np.arange(lam.k))
+    return survival_theta(subset_sums(lam.lam)[others])
+
+
 # ---------------------------------------------------------------------------
 # Regime classification
 # ---------------------------------------------------------------------------
@@ -319,7 +328,7 @@ def f_infinity_generating_function(lam) -> float:
     row = np.empty(full + 1, dtype=np.intp)  # position of a set in its layer
     for masks in layers:
         row[masks] = np.arange(masks.size)
-    theta = survival_theta(lam.lambda_uc - np.array(lam.lam))
+    theta = theta_avoid(lam)
     total = 0.0
     width = max(1, (1 << 18) // layers[k // 2].size)
     for js in np.split(np.arange(full + 1), np.arange(width, full + 1, width)):

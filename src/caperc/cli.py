@@ -20,6 +20,7 @@ from .experiments import (
     parse_config_file,
 )
 from .graph import dump_graph, load_graph, sample_ecer
+from .localweak import EmptyCatalogError
 from .params import LambdaVector
 
 
@@ -157,8 +158,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    # the closed forms reject a lambda they cannot evaluate to tolerance
-    except (_InputError, PSystemError, SeriesTruncationError) as exc:
+    # the closed forms reject a lambda they cannot evaluate to tolerance, and
+    # local-weak one whose balls all fall outside the catalog
+    except (_InputError, PSystemError, SeriesTruncationError,
+            EmptyCatalogError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,7 +1,8 @@
 """Edge-colored Poisson branching-process estimators: counts-first core
-growth, batched friend counting resolved in numpy with exact typing of the
-unrevealed subtrees, and Monte Carlo estimators of the friend-count
-distribution and of the infinite-class density."""
+growth, batched friend counting (at k = 2 drawn from the level counts, at
+k >= 3 resolved in numpy with exact typing of the unrevealed subtrees), and
+Monte Carlo estimators of the friend-count distribution and of the
+infinite-class density."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from .analytic import (
     classify_lambda,
     extended_type_distribution,
     subset_sums,
-    survival_theta,
+    theta_avoid,
 )
 from .params import LambdaVector, as_lambda
 
@@ -126,7 +127,7 @@ def mc_f_infinity(lam, samples: int, rng: np.random.Generator,
     lam = as_lambda(lam)
     if not classify_lambda(lam).fully_supercritical:
         return 0.0, 0.0
-    miss = 1.0 - survival_theta(lam.lambda_uc - np.array(lam.lam))
+    miss = 1.0 - theta_avoid(lam)
     boundary = 1 << np.arange(lam.k)
     # drawn and evaluated one block at a time, so only the values are kept
     vals = np.concatenate([
@@ -193,19 +194,22 @@ class FriendCountSampler:
     children of all count_m nodes of mask m via color c number
     Poisson(lambda_c * count_m) by Poisson additivity. Censoring depends on
     these counts alone. So does a finite sample whose root is the only node
-    in every dead cluster: its friend count is 1. A block holds _BATCH
+    in every dead cluster: its friend count is 1. So, at k = 2, does every
+    other sample with a dead cluster: the cluster holds single-color paths
+    only, so its friends are independent given two counts, and two draws
+    give their number (see _two_color_friends). A block holds _BATCH
     samples, unless its caller sizes the blocks (see _CELLS).
 
-    The other samples with a dead cluster are resolved together in numpy
-    once their block has grown. Their per-node trees are built level by level
-    from the level totals, each child picking its parent uniformly among the
-    previous level's nodes of its parent mask (Poisson splitting: the same law as
-    per-node draws). Every unrevealed node gets an extended type, whose bit
-    i says the node is i-avoiding connected to infinity: the frontier, and
-    the color-i children of each grown node that avoids color i only, which
-    growth never draws. Typing is exact, because a type depends on its own
-    unrevealed subtree alone. The alive bits then propagate up one level at
-    a time.
+    At k >= 3 the other samples with a dead cluster are resolved together in
+    numpy once their block has grown. Their per-node trees are built level
+    by level from the level totals, each child picking its parent uniformly
+    among the previous level's nodes of its parent mask (Poisson splitting:
+    the same law as per-node draws). Every unrevealed node gets an extended
+    type, whose bit i says the node is i-avoiding connected to infinity: the
+    frontier, and the color-i children of each grown node that avoids color
+    i only, which growth never draws. Typing is exact, because a type
+    depends on its own unrevealed subtree alone. The alive bits then
+    propagate up one level at a time.
 
     When every cluster's frontier reaches a size whose total extinction
     probability is below CERT_EPS, the sample is censored immediately instead
@@ -222,10 +226,11 @@ class FriendCountSampler:
         self.k = k = self.lam.k
         self.depth_cap = depth_cap
         self.node_cap = node_cap
-        self.theta = survival_theta(self.lam.lambda_uc - np.array(self.lam.lam))
-        # None: this cluster dies almost surely
-        self.cert = [max(1, math.ceil(math.log(CERT_EPS) / math.log1p(-t)))
-                     if t > 0.0 else None for t in self.theta]
+        self.theta = theta_avoid(self.lam)
+        # None: this cluster dies almost surely; 1: theta rounds to 1.0
+        self.cert = [None if t == 0.0 else 1 if t == 1.0 else
+                     max(1, math.ceil(math.log(CERT_EPS) / math.log1p(-t)))
+                     for t in self.theta]
         self._rng = rng
         self._poisson = rng.poisson
         self._full = full = (1 << k) - 1
@@ -269,8 +274,8 @@ class FriendCountSampler:
         settles, in order: samples with a dead cluster, then every sample at
         depth_cap, then samples over node_cap, then certified survivors; the
         rest grow one level by a single Poisson draw over all (sample, entry)
-        pairs. Dead samples with other candidate friends are resolved at the
-        end, from the level history."""
+        pairs. At k >= 3, dead samples with other candidate friends are
+        resolved at the end, from the level history."""
         out = np.empty(size, dtype=object)
         ids = np.arange(size)
         counts = np.zeros((size, self._full + 1), dtype=np.int64)
@@ -287,8 +292,10 @@ class FriendCountSampler:
             cnt = counts @ self._member
             live = (cnt > 0).all(axis=1)
             if not live.all():
-                pending.append(self._settle_dead(
-                    out, ids[~live], cnt[~live], grown[~live], len(history)))
+                dead = self._settle_dead(out, ids[~live], cnt[~live],
+                                         grown[~live], history)
+                if dead is not None:
+                    pending.append(dead)
             if len(history) >= self.depth_cap:
                 out[ids[live]] = DEPTH_CAPPED
                 break
@@ -313,10 +320,11 @@ class FriendCountSampler:
             self._resolve(out, *map(np.concatenate, zip(*pending)), history)
         return out.tolist()
 
-    def _settle_dead(self, out, ids, cnt, grown, depth):
+    def _settle_dead(self, out, ids, cnt, grown, history):
         """Settles the samples with a dead cluster whose root is the only
-        node in every dead cluster as finite(1); returns the ids, dead masks,
-        depths and grown node totals of the others."""
+        node in every dead cluster as finite(1), and at k = 2 the others too
+        (see _two_color_friends); at k >= 3 returns the ids, dead masks,
+        depths and grown node totals of the others, for _resolve."""
         deadmasks = (cnt == 0) @ (1 << np.arange(self.k))
         # nodes other than the root in every dead cluster; frontier nodes
         # are counted too, but none of them lies in a dead cluster
@@ -324,8 +332,32 @@ class FriendCountSampler:
         alone = candidates == 0
         out[ids[alone]] = ROOT_ONLY
         rest = ~alone
-        return (ids[rest], deadmasks[rest], np.full(rest.sum(), depth),
+        if self.k == 2:
+            friends = self._two_color_friends(deadmasks[rest], cnt[rest],
+                                              grown[rest])
+            out[ids[rest]] = [_finite(ell) for ell in friends.tolist()]
+            return None
+        return (ids[rest], deadmasks[rest], np.full(rest.sum(), len(history)),
                 grown[rest].sum(axis=1))
+
+    def _two_color_friends(self, deadmasks, cnt, grown) -> np.ndarray:
+        """Friend counts at k = 2 of samples whose cluster j (deadmasks =
+        1 << j) died with N = grown[:, 1 << j] non-root nodes while cluster
+        i = 1 - j holds F = cnt[:, i] frontier nodes: 1 + B Binomial(N,
+        theta_i), B ~ Bernoulli(1 - (1 - theta_i)^F).
+
+        A non-root node of cluster j reaches the root by color-i edges, so it
+        is a friend iff both it and the root are i-avoiding connected to
+        infinity. The root is iff one of the F frontier types has bit i. The
+        node is iff one of its undrawn Poisson(lambda_j) color-j children
+        is: probability 1 - exp(-lambda_j theta(lambda_j)) = theta_i, for
+        each node independently of the others and of the root.
+        """
+        rows = np.arange(deadmasks.size)
+        i = 2 - deadmasks  # the live color
+        theta = self.theta[i]
+        rooted = self._rng.random(rows.size) >= (1.0 - theta) ** cnt[rows, i]
+        return 1 + rooted * self._rng.binomial(grown[rows, deadmasks], theta)
 
     def _resolve(self, out, ids, deadmasks, depths, sizes, history):
         """Friend counts of the dead samples `ids`, in block order and in

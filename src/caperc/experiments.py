@@ -20,6 +20,7 @@ from .ecbp import McHistogram, mc_component_size_distribution
 from .graph import sample_ecer
 from .localweak import (
     ISOLATED_ROOT_KEY,
+    EmptyCatalogError,
     ecbp_ball_counts,
     ecer_ball_counts,
     restricted_tv,
@@ -368,8 +369,7 @@ def run_analytic_report(cfg: ExperimentConfig) -> RunRecord:
             "assumption_holds": regime.assumption_holds,
             "supercritical_indices": sorted(regime.supercritical_indices),
         },
-        "theta_avoid": analytic.survival_theta(
-            lam.lambda_uc - np.array(lam.lam)).tolist(),
+        "theta_avoid": analytic.theta_avoid(lam).tolist(),
         "p_table": dict(zip(sets.split(), table.p[set_masks].tolist())),
         "p_table_relevant": table.relevant,
         "p_table_max_residual": table.max_residual,
@@ -420,6 +420,10 @@ def run_local_weak_check(cfg: ExperimentConfig) -> RunRecord:
     ecer_total = cfg.replicas * n
     rng = np.random.default_rng(seeds[-1])
     ecbp_counts, ecbp_out = ecbp_ball_counts(lam, cfg.d, cfg.samples, rng)
+    if not (ecer_counts or ecbp_counts):
+        raise EmptyCatalogError(
+            f"no depth-{cfg.d} ball was tree-like within the catalog's size "
+            "cap, so there is nothing to compare; lower lambda or d")
     tv = restricted_tv(ecer_counts, ecer_total, ecbp_counts, cfg.samples)
     # a root is isolated with probability exp(-lambda_uc) on the tree, and
     # exp(-lambda_uc (n-1)/n) in the graph, where each color joins a pair

@@ -19,6 +19,10 @@ from .trees import NodeCapExceeded, sample_ecbp
 BallKey = tuple
 
 
+class EmptyCatalogError(Exception):
+    """No ball of either sample fell in the catalog: nothing to compare."""
+
+
 def _ecer_adjacency(g: EdgeColoredGraph) -> list[dict[int, int]]:
     """Per-vertex map neighbor -> color mask (multi-color edges merged)."""
     adj: list[dict[int, int]] = [dict() for _ in range(g.n)]

@@ -26,6 +26,7 @@ from caperc.analytic import (
     solve_p_system,
     subset_sums,
     survival_theta,
+    theta_avoid,
     two_color_f_ell,
     total_progeny_gf,
 )
@@ -439,6 +440,20 @@ def test_array_equals_scalar_elementwise():
     assert [survival_theta(float(m)) for m in mu] == theta.tolist()
     assert isinstance(total_progeny_gf(0.5, 0.5), float)
     assert isinstance(survival_theta(2.0), float)
+
+
+@pytest.mark.parametrize("lam", [(2.0, 2.0), (1.5, 0.5), (0.1, 0.2, 0.3),
+                                 (0.9, 0.8, 0.7, 0.6), (1e17, 1.0),
+                                 (1e308, 2.0)])
+def test_theta_avoid_sums_the_other_colors(lam):
+    # theta of the other colors' sum, added in increasing color order as
+    # subset_sums adds them; the total minus lambda_i would cancel to 0 at
+    # (1e17, 1) and (1e308, 2)
+    full = (1 << len(lam)) - 1
+    others = subset_sums(np.array(lam))[full ^ (1 << np.arange(len(lam)))]
+    assert theta_avoid(lam).tolist() == survival_theta(others).tolist()
+    assert theta_avoid(LambdaVector(lam)).tolist() == [
+        survival_theta(sum(lam[:i] + lam[i + 1:])) for i in range(len(lam))]
 
 
 # -- Phi recursion ----------------------------------------------------------

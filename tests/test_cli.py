@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 import caperc
 from caperc import cli
+from caperc.analytic import f_infinity_inclusion_exclusion
 from caperc.cli import main
 from caperc.experiments import CONFIG_KEYS, RUNNERS, ExperimentConfig
 from caperc.graph import EdgeColoredGraph, dump_graph, load_graph, sample_ecer
@@ -50,6 +52,9 @@ def test_invalid_config_exits_2(capsys):
     # the two-color series tail is not certified this close to criticality
     ["analytic", "--lambda", "1.0000001,1.0000001"],
     ["convergence", "--lambda", "1.0000001,1.0000001"],
+    # no depth-1 ball is tree-like within the catalog's size cap
+    ["local-weak", "--lambda", "40,40", "--n", "50", "--replicas", "1",
+     "--samples", "100"],
 ])
 def test_invalid_experiment_input_exits_2(tmp_path, capsys, argv):
     missing, file, graph = (tmp_path / name
@@ -194,6 +199,33 @@ def test_analytic_cli_relevance_when_p_rounds_to_one(capsys, lam):
     res = json.loads(capsys.readouterr().out)["results"]
     assert res["p_table_relevant"] is res["regime"]["fully_supercritical"]
     assert res["p_table_relevant"]
+
+
+def test_local_weak_empty_catalog_names_the_depth(capsys):
+    assert main(["local-weak", "--lambda", "40,40", "--n", "50", "--d", "2",
+                 "--replicas", "1", "--samples", "100"]) == 2
+    assert "no depth-2 ball was tree-like" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    # one intensity dwarfs the other: the total minus it cancels
+    ["analytic", "--lambda", "1e17,1"],
+    ["ecbp-mc", "--lambda", "1e17,1", "--samples", "10"],
+    ["analytic", "--lambda", "1e308,2"],
+])
+def test_dominant_intensity_runs_or_exits_2(capsys, argv):
+    assert main(argv) in (0, 2)
+
+
+def test_ecbp_mc_when_theta_rounds_to_one(capsys):
+    # theta(40) rounds to 1.0: every cluster is certified from its first
+    # node, so every sample is censored, and f_inf rounds to 1.0 as well
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["ecbp-mc", "--lambda", "40,40", "--samples", "10"]) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["censored_mass"] == 1.0
+    assert f_infinity_inclusion_exclusion((40.0, 40.0)) == 1.0
 
 
 def _record_without_timing(text: str) -> dict:

@@ -13,8 +13,9 @@ import scipy.stats
 
 from caperc import ecbp
 from caperc.analytic import (
+    extended_type_distribution,
     f_infinity_inclusion_exclusion,
-    survival_theta,
+    theta_avoid,
     two_color_f_ell,
 )
 from caperc.chronology import core_and_boundary
@@ -186,7 +187,7 @@ def test_core_estimators_grow_one_block_at_a_time(monkeypatch):
     # whole array, while no call holds more than a block
     lam, samples = (0.9, 0.9, 0.9), 5 * ecbp._CORE_BLOCK // 2
     colors = np.arange(3)
-    miss = np.array([1.0 - survival_theta(sum(lam) - x) for x in lam])
+    miss = 1.0 - theta_avoid(lam)
     z = {(0,): 0.5, (1,): 0.6, (2,): 0.7}
     counts = core_counts(lam, samples, np.random.default_rng(4))
     vals = np.prod(1.0 - miss ** counts[:, 1 << colors], axis=1)
@@ -341,38 +342,49 @@ def test_three_color_histograms_across_block_boundaries(samples):
     assert hists[0] == hists[1]
 
 
+def _law_cells(lam, seed):
+    """Friend-count cells l = 1..5, l > 5 and censored of 20000 samples."""
+    hist = mc_component_size_distribution(
+        lam, 20000, 5, np.random.default_rng(seed))
+    finite = [hist.finite_counts.get(ell, 0) for ell in range(1, 6)]
+    return finite + [hist.samples - sum(finite) - hist.censored,
+                     hist.censored]
+
+
+def _same_law(*cells):
+    """Two-sample chi-square p-value of the given cell counts."""
+    table = np.array(cells)
+    table = table[:, table.sum(axis=0) > 0]
+    return scipy.stats.chi2_contingency(table)[1]
+
+
 @pytest.mark.parametrize("lam", [(2.0, 2.0), (1.5, 0.5), (0.7, 0.7, 0.7)])
 def test_block_size_leaves_the_law_unchanged(monkeypatch, lam):
     # the same law from 1024-sample blocks and from blocks at the cell
     # budget: cells l = 1..5, l > 5 and censored, two-sample chi-square
-    def cells(seed):
-        hist = mc_component_size_distribution(
-            lam, 20000, 5, np.random.default_rng(seed))
-        finite = [hist.finite_counts.get(ell, 0) for ell in range(1, 6)]
-        return finite + [hist.samples - sum(finite) - hist.censored,
-                         hist.censored]
     sizes = _block_sizes(monkeypatch)
-    shipped = cells(32)
+    shipped = _law_cells(lam, 32)
     assert max(sizes) > _BATCH
     sizes.clear()
     monkeypatch.setattr(ecbp, "_CELLS", 0)
-    batched = cells(33)
+    batched = _law_cells(lam, 33)
     assert max(sizes) == _BATCH
-    table = np.array([shipped, batched])
-    table = table[:, table.sum(axis=0) > 0]
-    assert scipy.stats.chi2_contingency(table)[1] > 1e-3
+    assert _same_law(shipped, batched) > 1e-3
 
 
 def test_friend_resolution_leaves_no_cyclic_garbage():
-    sampler = FriendCountSampler((1.5, 0.5), np.random.default_rng(23))
-    gc.collect()
-    gc.disable()
-    try:
-        outs = [sampler.sample() for _ in range(1000)]
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
-    assert any(out.ell > 1 for out in outs)  # some arenas were resolved
+    # some samples have other friends than the root: at k = 2 drawn on the
+    # counts, at k = 3 resolved on an arena
+    for lam in ((1.5, 0.5), (0.9, 0.8, 0.7)):
+        sampler = FriendCountSampler(lam, np.random.default_rng(23))
+        gc.collect()
+        gc.disable()
+        try:
+            outs = [sampler.sample() for _ in range(1000)]
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert any(out.kind == "finite" and out.ell > 1 for out in outs)
 
 
 def test_node_cap_censoring_reason():
@@ -404,13 +416,16 @@ def test_histogram_bookkeeping():
 
 
 def test_one_sample_per_pass(monkeypatch):
-    # with a node budget of 1 every pass resolves a single sample
+    # with a node budget of 1 every pass resolves a single sample, and the
+    # law is that of the default passes
+    lam = (0.9, 0.8, 0.7)
+    shipped = _law_cells(lam, 34)
     monkeypatch.setattr(ecbp, "_PASS_NODES", 1)
-    for samples in (1, 1025):
+    for samples in (1, 3641):
         hist = mc_component_size_distribution(
-            (2.0, 2.0), samples, 3, np.random.default_rng(22))
+            (0.7, 0.7, 0.7), samples, 3, np.random.default_rng(22))
         assert sum(hist.finite_counts.values()) + hist.censored == samples
-    _assert_asymmetric_two_color_law()
+    assert _same_law(shipped, _law_cells(lam, 35)) > 1e-3
 
 
 # -- the arena of grown level totals -----------------------------------------
@@ -546,10 +561,12 @@ def test_order_of_checks(caps, level, expected):
 
 
 def test_other_candidates_are_materialized():
-    # level 1 holds a mask-0b10 node, which lies in the cluster avoiding
-    # color 1; that cluster dies at level 2, so the node is a candidate
-    levels = [{(0b11, 0): 1, (0b11, 1): 1}, {(0b01, 1): 1}]
-    sampler = FriendCountSampler((2.0, 2.0), np.random.default_rng(25))
+    # level 1 holds mask-0b101 and mask-0b011 nodes, which lie in the
+    # cluster avoiding color 0; that cluster dies at level 2, so they are
+    # candidates, and at k = 3 their sample is resolved on an arena
+    levels = [{(0b111, 0): 1, (0b111, 1): 1, (0b111, 2): 1},
+              {(0b110, 1): 1, (0b110, 2): 1}]
+    sampler = FriendCountSampler((0.7, 0.7, 0.7), np.random.default_rng(25))
     _scripted(sampler, levels)
     sampler._arena = _no_arena
     with pytest.raises(AssertionError, match="materialized"):
@@ -565,17 +582,74 @@ def test_other_candidates_are_materialized():
     sampler._arena = recorded
     sampler._friend_counts = lambda arena, deadmasks: (
         handed.append(deadmasks) or friend_counts(arena, deadmasks))
-    assert sampler.sample().ell in (1, 2)
+    assert sampler.sample().ell in (1, 2, 3)
     # the whole block in one pass: every sample grew the two scripted
-    # levels, and the cluster avoiding color 1 died
+    # levels, and the cluster avoiding color 0 died
     (ids, depths, history), deadmasks = handed
     assert ids.tolist() == list(range(_BATCH))
     assert depths.tolist() == [2] * _BATCH
-    assert deadmasks.tolist() == [0b10] * _BATCH
+    assert deadmasks.tolist() == [0b001] * _BATCH
     expected = _history(sampler, levels, _BATCH)
     assert len(history) == len(expected)
     for (ids, draws), (_, want) in zip(history, expected):
         assert (draws == want[ids]).all()
+
+
+def _no_resolve(*args):
+    raise AssertionError("resolved on an arena")
+
+
+@pytest.mark.parametrize("lam", [(2.0, 2.0), (1.5, 0.5)])
+def test_two_color_samples_build_no_arena(lam):
+    sampler = FriendCountSampler(lam, np.random.default_rng(27))
+    sampler._arena = _no_arena
+    sampler._resolve = _no_resolve
+    outs = [sampler.sample() for _ in range(2 * _BATCH)]
+    assert any(out.kind == "finite" and out.ell > 1 for out in outs)
+
+
+def _count_route(u, theta):
+    """The friend counts of a scripted k = 2 block whose cluster avoiding
+    color 1 dies at level 2 with N = 3 non-root nodes, while the cluster
+    avoiding color 0 holds F = 2 frontier nodes; rng.random returns u and
+    rng.binomial(n, p) returns n - 1, and the binomial arguments are kept."""
+    sampler = FriendCountSampler((2.0, 2.0), np.random.default_rng(28))
+    sampler.theta = theta
+    # the root's three color-0 children (mask 0b10) grow nothing; its
+    # color-1 child (mask 0b01) has two color-1 children
+    _scripted(sampler, [{(0b11, 0): 3, (0b11, 1): 1}, {(0b01, 1): 2}])
+    binomial = []
+    sampler._rng = SimpleNamespace(
+        random=lambda size: np.full(size, u),
+        binomial=lambda n, p: binomial.append((n, p)) or n - 1)
+    sampler._arena = _no_arena
+    sampler._resolve = _no_resolve
+    outs = [sampler.sample() for _ in range(_BATCH)]
+    (n, p), = binomial
+    assert n.tolist() == [3] * _BATCH and p.tolist() == [theta[0]] * _BATCH
+    return {out.ell for out in outs}
+
+
+@pytest.mark.parametrize("theta", [(0.25, 0.5), (1.0, 0.5)])
+def test_two_color_count_route_draws(theta):
+    # B = 1 iff u >= (1 - theta_0)^F: one of the F frontier types has bit 0
+    theta = np.array(theta)
+    miss = ((1.0 - theta[[0]]) ** np.array([2]))[0]
+    if miss > 0.0:
+        assert _count_route(np.nextafter(miss, 0.0), theta) == {1}
+    assert _count_route(miss, theta) == {1 + 2}
+
+
+def test_type_law_marginals_are_the_avoiding_thetas():
+    # bit i of an extended type is set with probability theta_i, the
+    # counts route's chance that a node is i-avoiding connected to infinity
+    rng = np.random.default_rng(29)
+    for lam in rng.uniform(0.3, 6.0, (40, 2)).tolist():
+        phat = extended_type_distribution(lam)
+        theta = theta_avoid(lam)
+        for i in range(2):
+            marginal = sum(p for g, p in phat.items() if (g >> i) & 1)
+            assert abs(marginal - theta[i]) <= 1e-12
 
 
 # -- numpy resolution against the recursion it replaced ----------------------
@@ -680,7 +754,8 @@ def _arena_as_recursion_input(arena, k):
     return mask.tolist(), drawn, kids
 
 
-@pytest.mark.parametrize("lam", [(2.0, 2.0), (1.5, 0.5), (0.7, 0.7, 0.7)])
+@pytest.mark.parametrize("lam", [(0.7, 0.7, 0.7), (0.9, 0.8, 0.7),
+                                 (0.9, 0.3, 0.3)])
 def test_resolution_matches_the_recursion_on_fixed_draws(monkeypatch, lam):
     # 200 one-sample arenas of real growth; every frontier type and every
     # revealed child is fixed in advance, so both resolvers see one tree
@@ -728,44 +803,101 @@ def test_resolution_matches_the_recursion_on_fixed_draws(monkeypatch, lam):
     assert max(counts) > 1  # the arenas hold other friends than the root
 
 
-@pytest.mark.parametrize("lam", [(2.0, 2.0), (1.5, 0.5)])
+class _Recursion:
+    """Friend counts by the recursion, on a per-node arena of one sample's
+    level history with its own parent choices, frontier types and revealed
+    children, all drawn from rng."""
+
+    def __init__(self, sampler, rng):
+        self.sampler, self.rng = sampler, rng
+        self.pairs = []
+
+    def typed(self, _u=None):
+        cdf = self.sampler._type_cdf
+        return min(int(np.searchsorted(cdf, self.rng.random())), len(cdf) - 1)
+
+    def reveal(self, _u, c):
+        return [self.typed()
+                for _ in range(self.rng.poisson(self.sampler.lam[c]))]
+
+    def add(self, ell, i, deadmask, history):
+        """Pairs ell with the recursion's count for sample i, grown over
+        history, its dead clusters named by deadmask."""
+        k = self.sampler.k
+        levels = []
+        for grown_ids, draws in history:
+            row = draws[np.searchsorted(grown_ids, i)].tolist()
+            levels.append([(m, c, cm, t) for (m, c, cm), t
+                           in zip(self.sampler._entries, row) if t])
+        arena = _materialize(levels, k, self.rng.random)
+        dead = [j for j in range(k) if (deadmask >> j) & 1]
+        self.pairs.append((ell, _resolve_friends(k, *arena, dead, self.typed,
+                                                 self.reveal)))
+
+
+
+def _paired_law_p_value(pairs):
+    """Chi-square p-value of the two columns of paired friend counts, 6 and
+    above pooled."""
+    pairs = np.minimum(np.array(pairs), 6)
+    table = np.array([np.bincount(col, minlength=7)[1:] for col in pairs.T])
+    table = table[:, table.min(axis=0) >= 5]
+    assert table.shape[1] >= 3
+    return scipy.stats.chi2_contingency(table)[1]
+
+
+@pytest.mark.parametrize("lam", [(0.7, 0.7, 0.7), (0.9, 0.8, 0.7)])
 def test_resolution_law_matches_the_recursion(lam):
     # the samples the numpy pass resolves, resolved again by the recursion on
     # its own per-node arena of the same level totals, with independent draws
     sampler = FriendCountSampler(lam, np.random.default_rng(32))
-    k = sampler.k
-    rng = np.random.default_rng(33)
-    cdf = sampler._type_cdf
-
-    def typed(_u=None):
-        return min(int(np.searchsorted(cdf, rng.random())), len(cdf) - 1)
-
-    def reveal(_u, c):
-        return [typed() for _ in range(rng.poisson(lam[c]))]
-    pairs = []
+    oracle = _Recursion(sampler, np.random.default_rng(33))
     resolve = sampler._resolve
 
     def both(out, ids, deadmasks, depths, sizes, history):
         resolve(out, ids, deadmasks, depths, sizes, history)
         for i, d, depth in zip(ids.tolist(), deadmasks.tolist(),
                                depths.tolist()):
-            levels = []
-            for grown_ids, draws in history[:depth]:
-                row = draws[np.searchsorted(grown_ids, i)].tolist()
-                levels.append([(m, c, cm, t) for (m, c, cm), t
-                               in zip(sampler._entries, row) if t])
-            arena = _materialize(levels, k, rng.random)
-            dead = [j for j in range(k) if (d >> j) & 1]
-            pairs.append((out[i].ell,
-                          _resolve_friends(k, *arena, dead, typed, reveal)))
+            oracle.add(out[i].ell, i, d, history[:depth])
     sampler._resolve = both
     for _ in range(10 * _BATCH):
         sampler.sample()
-    pairs = np.minimum(np.array(pairs), 6)
-    table = np.array([np.bincount(col, minlength=7)[1:] for col in pairs.T])
-    table = table[:, table.min(axis=0) >= 5]
-    assert table.shape[1] >= 3
-    assert scipy.stats.chi2_contingency(table)[1] > 0.01
+    assert _paired_law_p_value(oracle.pairs) > 0.01
+
+
+@pytest.mark.parametrize("lam", [(2.0, 2.0), (1.5, 0.5), (1.5, 1.2)])
+def test_two_color_count_law_matches_the_recursion(lam):
+    # the k = 2 samples with other candidates than the root, settled on
+    # their counts, resolved again on the same level history by the numpy
+    # arena pass (of a second sampler) and by the recursion
+    sampler = FriendCountSampler(lam, np.random.default_rng(34))
+    oracle = _Recursion(sampler, np.random.default_rng(35))
+    resolver = FriendCountSampler(lam, np.random.default_rng(36))
+    arena_pairs = []
+    settle = sampler._settle_dead
+
+    def both(out, ids, cnt, grown, history):
+        assert settle(out, ids, cnt, grown, history) is None
+        deadmasks = (cnt == 0) @ np.array([1, 2])
+        n = grown[np.arange(ids.size), deadmasks]
+        other = (deadmasks != 0b11) & (n > 0)
+        if other.any():
+            ells = [out[i].ell for i in ids[other].tolist()]
+            arena = resolver._arena(ids[other],
+                                    np.full(len(ells), len(history)), history)
+            arena_pairs.extend(zip(ells, resolver._friend_counts(
+                arena, deadmasks[other]).tolist()))
+        # the law is compared given the history, so the recursion may skip
+        # the rare histories of more than 500 nodes, which cost it most
+        small = grown.sum(axis=1) <= 500
+        for i, d in zip(ids[other & small].tolist(),
+                        deadmasks[other & small].tolist()):
+            oracle.add(out[i].ell, i, d, history)
+    sampler._settle_dead = both
+    while len(oracle.pairs) < 3000:
+        sampler.sample()
+    assert _paired_law_p_value(arena_pairs) > 0.01
+    assert _paired_law_p_value(oracle.pairs) > 0.01
 
 
 # -- scripted resolution: monotonicity in the frontier types ----------------
