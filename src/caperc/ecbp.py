@@ -1,8 +1,9 @@
 """Edge-colored Poisson branching-process estimators: counts-first core
-growth, batched friend counting (at k = 2 drawn from the level counts, at
-k >= 3 resolved in numpy with exact typing of the unrevealed subtrees), and
-Monte Carlo estimators of the friend-count distribution and of the
-infinite-class density."""
+growth, batched friend counting (at k = 2 grown as two single-color
+Galton-Watson clusters and drawn from their counts, at k >= 3 resolved in
+numpy with exact typing of the unrevealed subtrees), and Monte Carlo
+estimators of the friend-count distribution and of the infinite-class
+density."""
 
 from __future__ import annotations
 
@@ -24,6 +25,9 @@ from .params import LambdaVector, as_lambda
 # certified-alive shortcut mislabels an outcome; far below MC noise at any
 # feasible sample count
 CERT_EPS = 1e-12
+
+# the largest mean numpy's Poisson draw accepts, about 9.2e18
+POISSON_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
 
 class CoreOverflow(Exception):
@@ -169,6 +173,9 @@ DEPTH_CAPPED = FriendCountOutcome.censored("depth-cap")
 NODE_CAPPED = FriendCountOutcome.censored("node-cap")
 _finite = cache(FriendCountOutcome.finite)
 ROOT_ONLY = _finite(1)
+# codes of the censored outcomes among the friend counts of a k = 2 block
+_DEPTH, _NODE = 0, -1
+_OUTCOMES = {_DEPTH: DEPTH_CAPPED, _NODE: NODE_CAPPED}
 
 # samples per FriendCountSampler block, unless the caller sizes the blocks
 _BATCH = 1024
@@ -199,6 +206,12 @@ class FriendCountSampler:
     only, so its friends are independent given two counts, and two draws
     give their number (see _two_color_friends). A block holds _BATCH
     samples, unless its caller sizes the blocks (see _CELLS).
+
+    At k = 2 every non-root node avoids exactly one color, so the two
+    avoiding clusters grow independently, each through the one color it
+    does not avoid, and a block grows on four counts per sample (see
+    _grow_clusters). Its draws are those of the general loop, so the
+    outcomes are too; the general loop is its test reference.
 
     At k >= 3 the other samples with a dead cluster are resolved together in
     numpy once their block has grown. Their per-node trees are built level
@@ -257,19 +270,87 @@ class FriendCountSampler:
         # lambda_i for the mask {i} (its nodes' undrawn color), else 0
         self._lone_lam = np.zeros(full + 1)
         self._lone_lam[1 << np.arange(k)] = self.lam.lam
-        self._block: list = []
-        self._next = 0
+        self._outs = iter(())  # the current block's outcomes not yet taken
         self._sizes = iter(())  # block sizes a caller gave, then _BATCH
 
     def sample(self) -> FriendCountOutcome:
-        if self._next == len(self._block):
-            self._block = self._grow_block(next(self._sizes, _BATCH))
-            self._next = 0
-        out = self._block[self._next]
-        self._next += 1
+        out = next(self._outs, None)
+        if out is None:
+            self._outs = iter(self._grow_block(next(self._sizes, _BATCH)))
+            out = next(self._outs)
         return out
 
     def _grow_block(self, size: int) -> list:
+        """Outcomes of `size` samples grown from their roots."""
+        if self.k == 2:
+            return self._grow_clusters(size)
+        return self._grow_levels(size)
+
+    def _grow_clusters(self, size: int) -> list:
+        """Outcomes of `size` samples at k = 2, where every non-root node
+        avoids exactly one color: cluster i, the root and the nodes avoiding
+        color i, is a Poisson(lambda_{1-i}) Galton-Watson process grown
+        through color 1 - i alone. A sample is its two level counts and two
+        non-root totals, and each level one Poisson draw on them.
+
+        The checks, their order and the draws are those of _grow_levels:
+        its draws of mean 0, for the masks that hold no node, use no random
+        numbers, and the others come per sample in the same order, from the
+        root its color-0 children (cluster 1) first, below it cluster 0's
+        children first. Outcomes are int codes until the block is done: a
+        friend count, or _DEPTH or _NODE for the censored."""
+        codes = np.empty(size, dtype=np.int64)
+        ids = np.arange(size)
+        # columns c0, c1, N0, N1; the root counts in both levels, not totals
+        state = np.zeros((size, 4), dtype=np.int64)
+        state[:, :2] = 1
+        lam = np.array(self.lam.lam[::-1])  # cluster i grows via 1 - i
+        cols = slice(1, None, -1)  # the root's children: cluster 1 first
+        for depth in range(self.depth_cap + 1):
+            c0, c1, n0, n1 = state.T
+            live = np.minimum(c0, c1) > 0
+            if not live.all():
+                dead = ~live
+                codes[ids[dead]] = self._settle_clusters(
+                    np.compress(dead, state, axis=0))
+            if depth == self.depth_cap:
+                codes[ids[live]] = _DEPTH
+                break
+            # the root and the grown nodes number more than node_cap
+            over = live & (n0 + n1 >= self.node_cap)
+            codes[ids[over]] = _NODE
+            live &= ~over
+            if self._cert is not None:
+                # both clusters are certified to survive to depth_cap
+                sure = live & (c0 >= self.cert[0]) & (c1 >= self.cert[1])
+                codes[ids[sure]] = _DEPTH
+                live &= ~sure
+            ids, state = ids[live], np.compress(live, state, axis=0)
+            if not ids.size:
+                break
+            state[:, cols] = self._poisson(lam[cols] * state[:, cols])
+            state[:, 2:] += state[:, :2]
+            cols = slice(0, 2)
+        kinds, at = np.unique(codes, return_inverse=True)
+        outcomes = np.array([_OUTCOMES.get(c) or _finite(c)
+                             for c in kinds.tolist()], dtype=object)
+        return outcomes[at].tolist()
+
+    def _settle_clusters(self, state) -> np.ndarray:
+        """Friend counts at k = 2 of samples with a dead cluster, from their
+        (c0, c1, N0, N1) rows: 1 when the dead clusters hold the root alone,
+        else drawn by _two_color_friends, in block order."""
+        c0, c1, n0, n1 = state.T
+        live = (c1 > 0).astype(np.intp)  # the live cluster, if any
+        frontier = c0 + c1
+        nodes = np.where(live, n0, n1)  # non-root nodes of the dead cluster
+        rest = (frontier > 0) & (nodes > 0)
+        friends = np.ones(live.size, dtype=np.int64)
+        friends[rest] = self._two_color_friends(live[rest], frontier[rest],
+                                                nodes[rest])
+        return friends
+
+    def _grow_levels(self, size: int) -> list:
         """Outcomes of `size` samples grown from their roots. Each level
         settles, in order: samples with a dead cluster, then every sample at
         depth_cap, then samples over node_cap, then certified survivors; the
@@ -333,31 +414,31 @@ class FriendCountSampler:
         out[ids[alone]] = ROOT_ONLY
         rest = ~alone
         if self.k == 2:
-            friends = self._two_color_friends(deadmasks[rest], cnt[rest],
-                                              grown[rest])
+            rows = np.flatnonzero(rest)
+            live = 2 - deadmasks[rows]
+            friends = self._two_color_friends(
+                live, cnt[rows, live], grown[rows, deadmasks[rows]])
             out[ids[rest]] = [_finite(ell) for ell in friends.tolist()]
             return None
         return (ids[rest], deadmasks[rest], np.full(rest.sum(), len(history)),
                 grown[rest].sum(axis=1))
 
-    def _two_color_friends(self, deadmasks, cnt, grown) -> np.ndarray:
-        """Friend counts at k = 2 of samples whose cluster j (deadmasks =
-        1 << j) died with N = grown[:, 1 << j] non-root nodes while cluster
-        i = 1 - j holds F = cnt[:, i] frontier nodes: 1 + B Binomial(N,
-        theta_i), B ~ Bernoulli(1 - (1 - theta_i)^F).
+    def _two_color_friends(self, live, frontier, nodes) -> np.ndarray:
+        """Friend counts at k = 2 of samples whose cluster j = 1 - i died
+        with `nodes` non-root nodes while cluster i = live holds `frontier`
+        nodes: 1 + B Binomial(nodes, theta_i), B ~ Bernoulli(1 - (1 -
+        theta_i)^frontier).
 
         A non-root node of cluster j reaches the root by color-i edges, so it
         is a friend iff both it and the root are i-avoiding connected to
-        infinity. The root is iff one of the F frontier types has bit i. The
+        infinity. The root is iff one of the frontier types has bit i. The
         node is iff one of its undrawn Poisson(lambda_j) color-j children
         is: probability 1 - exp(-lambda_j theta(lambda_j)) = theta_i, for
         each node independently of the others and of the root.
         """
-        rows = np.arange(deadmasks.size)
-        i = 2 - deadmasks  # the live color
-        theta = self.theta[i]
-        rooted = self._rng.random(rows.size) >= (1.0 - theta) ** cnt[rows, i]
-        return 1 + rooted * self._rng.binomial(grown[rows, deadmasks], theta)
+        theta = self.theta[live]
+        rooted = self._rng.random(live.size) >= (1.0 - theta) ** frontier
+        return 1 + rooted * self._rng.binomial(nodes, theta)
 
     def _resolve(self, out, ids, deadmasks, depths, sizes, history):
         """Friend counts of the dead samples `ids`, in block order and in

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__, analytic
 from .cap import CapDecomposition
-from .ecbp import McHistogram, mc_component_size_distribution
+from .ecbp import POISSON_MAX, McHistogram, mc_component_size_distribution
 from .graph import sample_ecer
 from .localweak import (
     ISOLATED_ROOT_KEY,
@@ -79,6 +79,13 @@ class ExperimentConfig:
             raise ValueError(
                 "ecbp-mc requires every color subset of size <= k-2 to have "
                 "total intensity < 1")
+        # a growing sample draws Poisson(lambda_c * nodes) for fewer than
+        # node_cap nodes, or for the root alone
+        if (self.kind == "ecbp-mc"
+                and max(self.lam) * max(self.node_cap, 1) >= POISSON_MAX):
+            raise ValueError(
+                "ecbp-mc needs max lambda * max(node_cap, 1) below numpy's "
+                f"Poisson limit {POISSON_MAX:.3g}")
         if any(n <= 0 for n in self.n_list):
             raise ValueError("n values must be positive")
         if self.replicas < 1 or self.samples < 1 or self.ell_max < 1:

@@ -212,9 +212,15 @@ def test_local_weak_empty_catalog_names_the_depth(capsys):
     ["analytic", "--lambda", "1e17,1"],
     ["ecbp-mc", "--lambda", "1e17,1", "--samples", "10"],
     ["analytic", "--lambda", "1e308,2"],
+    # the first level's Poisson mean is beyond numpy's limit
+    ["ecbp-mc", "--lambda", "1e19,1", "--samples", "10"],
 ])
 def test_dominant_intensity_runs_or_exits_2(capsys, argv):
-    assert main(argv) in (0, 2)
+    code = main(argv)
+    assert code in (0, 2)
+    if argv[2] == "1e19,1":
+        assert code == 2
+        assert "Poisson limit" in capsys.readouterr().err
 
 
 def test_ecbp_mc_when_theta_rounds_to_one(capsys):

@@ -523,11 +523,21 @@ def test_split_among_parents_is_uniform():
 
 def _scripted(sampler, levels):
     """Replaces the block's Poisson draws: every sample grows the given
-    totals, one {(mask, color): total} dict per level."""
-    script = iter(_history(sampler, levels, _BATCH))
+    totals, one {(mask, color): total} dict per level. At k = 2 a level is
+    drawn as the two clusters' columns: the root's color-0 children
+    (cluster 1) and color-1 children (cluster 0), then the children of
+    cluster 0's nodes (via color 1) and of cluster 1's (via color 0)."""
+    script = [draws for _, draws in _history(sampler, levels, _BATCH)]
+    if sampler.k == 2:
+        # the entries are (0b01, 1), (0b10, 0), (0b11, 0), (0b11, 1)
+        assert [e[:2] for e in sampler._entries] == [(1, 1), (2, 0), (3, 0),
+                                                     (3, 1)]
+        script = [draws[:, [2, 3] if d == 0 else [0, 1]]
+                  for d, draws in enumerate(script)]
+    script = iter(script)
 
     def poisson(lam):
-        return next(script)[1][:len(lam)]
+        return next(script)[:len(lam)]
     sampler._poisson = poisson
 
 
@@ -606,6 +616,21 @@ def test_two_color_samples_build_no_arena(lam):
     sampler._resolve = _no_resolve
     outs = [sampler.sample() for _ in range(2 * _BATCH)]
     assert any(out.kind == "finite" and out.ell > 1 for out in outs)
+
+
+@pytest.mark.parametrize("caps", [(40, 10**6), (1, 30), (3, 50), (0, 0),
+                                  (40, 1)])
+@pytest.mark.parametrize("lam", [(2.0, 2.0), (1.5, 0.5), (1.2, 3.0),
+                                 (1.5, 1.2), (40.0, 40.0)])
+def test_cluster_growth_matches_the_level_loop(lam, caps):
+    # at k = 2 the cluster loop makes the draws of the level loop, in its
+    # order, and settles the same samples: from identical seeds, identical
+    # outcomes and generator states over two consecutive blocks
+    clusters, levels = (FriendCountSampler(lam, np.random.default_rng(37),
+                                           *caps) for _ in range(2))
+    for size in (_BATCH, _CHUNK):
+        assert clusters._grow_block(size) == levels._grow_levels(size)
+    assert clusters._rng.bit_generator.state == levels._rng.bit_generator.state
 
 
 def _count_route(u, theta):
@@ -868,34 +893,48 @@ def test_resolution_law_matches_the_recursion(lam):
 @pytest.mark.parametrize("lam", [(2.0, 2.0), (1.5, 0.5), (1.5, 1.2)])
 def test_two_color_count_law_matches_the_recursion(lam):
     # the k = 2 samples with other candidates than the root, settled on
-    # their counts, resolved again on the same level history by the numpy
-    # arena pass (of a second sampler) and by the recursion
+    # their counts by the cluster loop, resolved again on their level
+    # history by the numpy arena pass (of a third sampler) and by the
+    # recursion; the history is that of the level loop of a twin sampler,
+    # which makes the same draws and settles the same samples
     sampler = FriendCountSampler(lam, np.random.default_rng(34))
+    twin = FriendCountSampler(lam, np.random.default_rng(34))
     oracle = _Recursion(sampler, np.random.default_rng(35))
     resolver = FriendCountSampler(lam, np.random.default_rng(36))
     arena_pairs = []
-    settle = sampler._settle_dead
+    settled = []
+    settle_clusters = sampler._settle_clusters
+    sampler._settle_clusters = lambda state: (
+        settled.append(settle_clusters(state)) or settled[-1])
+    settle_dead = twin._settle_dead
 
     def both(out, ids, cnt, grown, history):
-        assert settle(out, ids, cnt, grown, history) is None
+        assert settle_dead(out, ids, cnt, grown, history) is None
+        ells = settled.pop(0)
+        assert [out[i].ell for i in ids.tolist()] == ells.tolist()
         deadmasks = (cnt == 0) @ np.array([1, 2])
         n = grown[np.arange(ids.size), deadmasks]
         other = (deadmasks != 0b11) & (n > 0)
         if other.any():
-            ells = [out[i].ell for i in ids[other].tolist()]
             arena = resolver._arena(ids[other],
-                                    np.full(len(ells), len(history)), history)
-            arena_pairs.extend(zip(ells, resolver._friend_counts(
-                arena, deadmasks[other]).tolist()))
+                                    np.full(other.sum(), len(history)),
+                                    history)
+            arena_pairs.extend(zip(ells[other].tolist(),
+                                   resolver._friend_counts(
+                                       arena, deadmasks[other]).tolist()))
         # the law is compared given the history, so the recursion may skip
         # the rare histories of more than 500 nodes, which cost it most
-        small = grown.sum(axis=1) <= 500
-        for i, d in zip(ids[other & small].tolist(),
-                        deadmasks[other & small].tolist()):
-            oracle.add(out[i].ell, i, d, history)
-    sampler._settle_dead = both
-    while len(oracle.pairs) < 3000:
-        sampler.sample()
+        small = other & (grown.sum(axis=1) <= 500)
+        for i, ell, d in zip(ids[small].tolist(), ells[small].tolist(),
+                             deadmasks[small].tolist()):
+            oracle.add(ell, i, d, history)
+    twin._settle_dead = both
+    for _ in range(60):
+        assert sampler._grow_block(_BATCH) == twin._grow_levels(_BATCH)
+        assert not settled
+        if len(oracle.pairs) >= 3000:
+            break
+    assert len(oracle.pairs) >= 3000
     assert _paired_law_p_value(arena_pairs) > 0.01
     assert _paired_law_p_value(oracle.pairs) > 0.01
 
