@@ -209,9 +209,10 @@ class FriendCountSampler:
 
     At k = 2 every non-root node avoids exactly one color, so the two
     avoiding clusters grow independently, each through the one color it
-    does not avoid, and a block grows on four counts per sample (see
-    _grow_clusters). Its draws are those of the general loop, so the
-    outcomes are too; the general loop is its test reference.
+    does not avoid: a block grows on four counts per sample, settles its
+    dead samples once it is done and reads no k-generic table (see
+    _grow_clusters). Its draws are those of the general loop, which defers
+    the same samples, so the outcomes are too; that loop is its reference.
 
     At k >= 3 the other samples with a dead cluster are resolved together in
     numpy once their block has grown. Their per-node trees are built level
@@ -246,7 +247,17 @@ class FriendCountSampler:
                      for t in self.theta]
         self._rng = rng
         self._poisson = rng.poisson
-        self._full = full = (1 << k) - 1
+        self._full = (1 << k) - 1
+        self._cert = None if None in self.cert else np.array(self.cert)
+        self._outs = iter(())  # the current block's outcomes not yet taken
+        self._sizes = iter(())  # block sizes a caller gave, then _BATCH
+
+    def _build_tables(self) -> None:
+        """The k-generic tables, built on first use by _grow_levels and
+        _arena (_friend_counts and _types follow it); k = 2 reads none."""
+        if hasattr(self, "_type_cdf"):
+            return
+        k, full = self.k, self._full
         phat = extended_type_distribution(self.lam)
         self._type_cdf = np.cumsum([phat[g] for g in range(full + 1)])
         # every node that avoids a color grows
@@ -257,7 +268,6 @@ class FriendCountSampler:
         self._member = (masks[:, None] >> np.arange(k)) & 1
         # superset[m, d]: mask-m nodes lie in every cluster that mask d names
         self._superset = (masks[:, None] & masks) == masks
-        self._cert = None if None in self.cert else np.array(self.cert)
         # per entry (m, c, child mask): the child mask, and the bits of a
         # child's type that it passes up the color-c edge
         dtype = np.min_scalar_type(full)
@@ -270,8 +280,6 @@ class FriendCountSampler:
         # lambda_i for the mask {i} (its nodes' undrawn color), else 0
         self._lone_lam = np.zeros(full + 1)
         self._lone_lam[1 << np.arange(k)] = self.lam.lam
-        self._outs = iter(())  # the current block's outcomes not yet taken
-        self._sizes = iter(())  # block sizes a caller gave, then _BATCH
 
     def sample(self) -> FriendCountOutcome:
         out = next(self._outs, None)
@@ -291,56 +299,56 @@ class FriendCountSampler:
         avoids exactly one color: cluster i, the root and the nodes avoiding
         color i, is a Poisson(lambda_{1-i}) Galton-Watson process grown
         through color 1 - i alone. A sample is its two level counts and two
-        non-root totals, and each level one Poisson draw on them.
+        non-root totals, one array each, and a level one Poisson draw.
 
         The checks, their order and the draws are those of _grow_levels:
         its draws of mean 0, for the masks that hold no node, use no random
         numbers, and the others come per sample in the same order, from the
         root its color-0 children (cluster 1) first, below it cluster 0's
-        children first. Outcomes are int codes until the block is done: a
-        friend count, or _DEPTH or _NODE for the censored."""
-        codes = np.empty(size, dtype=np.int64)
+        children first. Dead samples are settled at the end, in the order
+        they died. Outcomes are int codes: ell, _DEPTH or _NODE."""
+        codes = np.full(size, _DEPTH)  # at depth_cap, or certified
         ids = np.arange(size)
-        # columns c0, c1, N0, N1; the root counts in both levels, not totals
-        state = np.zeros((size, 4), dtype=np.int64)
-        state[:, :2] = 1
-        lam = np.array(self.lam.lam[::-1])  # cluster i grows via 1 - i
-        cols = slice(1, None, -1)  # the root's children: cluster 1 first
+        c0 = c1 = np.ones(size, dtype=np.int64)  # the root, in both levels
+        n0, n1 = np.zeros((2, size), dtype=np.int64)
+        lam0, lam1 = self.lam.lam[::-1]  # cluster i grows via 1 - i
+        flip = slice(None, None, -1)  # the root's children: cluster 1 first
+        dead = []  # per level with dead samples: their ids and columns
         for depth in range(self.depth_cap + 1):
-            c0, c1, n0, n1 = state.T
             live = np.minimum(c0, c1) > 0
             if not live.all():
-                dead = ~live
-                codes[ids[dead]] = self._settle_clusters(
-                    np.compress(dead, state, axis=0))
+                rows = np.flatnonzero(~live)
+                dead.append([col[rows] for col in (ids, c0, c1, n0, n1)])
             if depth == self.depth_cap:
-                codes[ids[live]] = _DEPTH
                 break
-            # the root and the grown nodes number more than node_cap
-            over = live & (n0 + n1 >= self.node_cap)
-            codes[ids[over]] = _NODE
-            live &= ~over
+            if (n0 + n1).max(initial=0) >= self.node_cap:
+                # the root and the grown nodes number more than node_cap
+                over = live & (n0 + n1 >= self.node_cap)
+                codes[ids[over]] = _NODE
+                live &= ~over
             if self._cert is not None:
                 # both clusters are certified to survive to depth_cap
-                sure = live & (c0 >= self.cert[0]) & (c1 >= self.cert[1])
-                codes[ids[sure]] = _DEPTH
-                live &= ~sure
-            ids, state = ids[live], np.compress(live, state, axis=0)
+                live &= (c0 < self.cert[0]) | (c1 < self.cert[1])
+            rows = np.flatnonzero(live)
+            ids, c0, c1, n0, n1 = (col[rows] for col in (ids, c0, c1, n0, n1))
             if not ids.size:
                 break
-            state[:, cols] = self._poisson(lam[cols] * state[:, cols])
-            state[:, 2:] += state[:, :2]
-            cols = slice(0, 2)
+            means = np.stack((lam0 * c0, lam1 * c1)[flip], axis=1)
+            c0, c1 = self._poisson(means)[:, flip].T
+            n0, n1 = n0 + c0, n1 + c1
+            flip = slice(None)
+        if dead:
+            ids, *cols = map(np.concatenate, zip(*dead))
+            codes[ids] = self._settle_clusters(*cols)
         kinds, at = np.unique(codes, return_inverse=True)
         outcomes = np.array([_OUTCOMES.get(c) or _finite(c)
                              for c in kinds.tolist()], dtype=object)
         return outcomes[at].tolist()
 
-    def _settle_clusters(self, state) -> np.ndarray:
+    def _settle_clusters(self, c0, c1, n0, n1) -> np.ndarray:
         """Friend counts at k = 2 of samples with a dead cluster, from their
-        (c0, c1, N0, N1) rows: 1 when the dead clusters hold the root alone,
-        else drawn by _two_color_friends, in block order."""
-        c0, c1, n0, n1 = state.T
+        level counts and non-root totals at its death: 1 when the dead
+        clusters hold the root alone, else drawn by _two_color_friends."""
         live = (c1 > 0).astype(np.intp)  # the live cluster, if any
         frontier = c0 + c1
         nodes = np.where(live, n0, n1)  # non-root nodes of the dead cluster
@@ -355,8 +363,9 @@ class FriendCountSampler:
         settles, in order: samples with a dead cluster, then every sample at
         depth_cap, then samples over node_cap, then certified survivors; the
         rest grow one level by a single Poisson draw over all (sample, entry)
-        pairs. At k >= 3, dead samples with other candidate friends are
-        resolved at the end, from the level history."""
+        pairs. Dead samples with other candidate friends are settled at the
+        end, in the order they died (at k >= 3 from the level history)."""
+        self._build_tables()
         out = np.empty(size, dtype=object)
         ids = np.arange(size)
         counts = np.zeros((size, self._full + 1), dtype=np.int64)
@@ -366,17 +375,14 @@ class FriendCountSampler:
         # per grown level: the ids of the samples grown and their totals of
         # children per entry
         history = []
-        # per level with dead samples to resolve: their ids, dead masks,
-        # levels grown and nodes grown
+        # per level with dead samples to settle: what _settle_dead returns
         pending = []
         while True:
             cnt = counts @ self._member
             live = (cnt > 0).all(axis=1)
             if not live.all():
-                dead = self._settle_dead(out, ids[~live], cnt[~live],
-                                         grown[~live], history)
-                if dead is not None:
-                    pending.append(dead)
+                pending.append(self._settle_dead(out, ids[~live], cnt[~live],
+                                                 grown[~live], history))
             if len(history) >= self.depth_cap:
                 out[ids[live]] = DEPTH_CAPPED
                 break
@@ -398,14 +404,19 @@ class FriendCountSampler:
             grown += counts
             history.append((ids, draws))
         if pending:
-            self._resolve(out, *map(np.concatenate, zip(*pending)), history)
+            ids, *rest = map(np.concatenate, zip(*pending))
+            if self.k == 2:
+                out[ids] = [_finite(ell) for ell in
+                            self._two_color_friends(*rest).tolist()]
+            else:
+                self._resolve(out, ids, *rest, history)
         return out.tolist()
 
     def _settle_dead(self, out, ids, cnt, grown, history):
         """Settles the samples with a dead cluster whose root is the only
-        node in every dead cluster as finite(1), and at k = 2 the others too
-        (see _two_color_friends); at k >= 3 returns the ids, dead masks,
-        depths and grown node totals of the others, for _resolve."""
+        node in every dead cluster as finite(1); returns the others' ids with
+        the arguments of _two_color_friends at k = 2, and at k >= 3 with
+        their dead masks, depths and grown node totals, for _resolve."""
         deadmasks = (cnt == 0) @ (1 << np.arange(self.k))
         # nodes other than the root in every dead cluster; frontier nodes
         # are counted too, but none of them lies in a dead cluster
@@ -416,10 +427,8 @@ class FriendCountSampler:
         if self.k == 2:
             rows = np.flatnonzero(rest)
             live = 2 - deadmasks[rows]
-            friends = self._two_color_friends(
-                live, cnt[rows, live], grown[rows, deadmasks[rows]])
-            out[ids[rest]] = [_finite(ell) for ell in friends.tolist()]
-            return None
+            return (ids[rows], live, cnt[rows, live],
+                    grown[rows, deadmasks[rows]])
         return (ids[rest], deadmasks[rest], np.full(rest.sum(), len(history)),
                 grown[rest].sum(axis=1))
 
@@ -470,6 +479,7 @@ class FriendCountSampler:
         color of the edge from the parent; frontier marks the last level of
         each sample, whose nodes are unrevealed.
         """
+        self._build_tables()
         n = ids.size
         full = self._full
         by_child = self._by_child
@@ -591,7 +601,7 @@ def mc_component_size_distribution(lam, samples: int, ell_max: int,
         raise ValueError("ell_max must be >= 1")
     sampler = FriendCountSampler(lam, rng, depth_cap, node_cap)
     # the fewest blocks _CELLS allows (16384 samples each at k=2), none unused
-    size = max(_BATCH, _CELLS // len(sampler._entries))
+    size = max(_BATCH, _CELLS // (sampler.k * (sampler._full - 1)))
     sampler._sizes = (min(size, samples - lo) for lo in range(0, samples, size))
     finite: dict[int, int] = {}
     censored: dict[str, int] = {}

@@ -39,7 +39,7 @@ from caperc.trees import sample_ecbp
 from test_acceptance import mc_phi1_estimate
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_growth_table(k):
     lam = LambdaVector([0.1 * (c + 1) for c in range(k)])
     full = (1 << k) - 1
@@ -48,6 +48,8 @@ def test_growth_table(k):
     # every admissible (mask, color) pair, mask-major and color-minor
     assert friend[0] == [(m, c, m & ~(1 << c)) for m in range(1, full + 1)
                          for c in range(k) if m & ~(1 << c)]
+    # the entry count mc_component_size_distribution sizes blocks from
+    assert len(friend[0]) == k * (2**k - 2)
     # core nodes keep two avoided colors; all their children avoid one
     assert core[0] == [e for e in friend[0] if bin(e[0]).count("1") >= 2]
     for entries, entry_mask, entry_lam, scatter in (friend, core):
@@ -433,6 +435,7 @@ def test_one_sample_per_pass(monkeypatch):
 def _history(sampler, levels, samples=1):
     """Level history of `samples` samples that all grow the given totals, one
     {(mask, color): total} dict per level."""
+    sampler._build_tables()
     entry = {(m, c): e for e, (m, c, _) in enumerate(sampler._entries)}
     history = []
     for level in levels:
@@ -521,13 +524,21 @@ def test_split_among_parents_is_uniform():
 
 # -- settling a sample on its counts ----------------------------------------
 
-def _scripted(sampler, levels):
+def _scripted(sampler, *groups):
     """Replaces the block's Poisson draws: every sample grows the given
-    totals, one {(mask, color): total} dict per level. At k = 2 a level is
-    drawn as the two clusters' columns: the root's color-0 children
-    (cluster 1) and color-1 children (cluster 0), then the children of
-    cluster 0's nodes (via color 1) and of cluster 1's (via color 0)."""
-    script = [draws for _, draws in _history(sampler, levels, _BATCH)]
+    totals, one {(mask, color): total} dict per level. With several groups
+    of levels the block's samples follow them in equal parts, in order;
+    each group grows at least the levels of the next, so the samples still
+    growing come first. At k = 2 a level is drawn as the two clusters'
+    columns: the root's color-0 children (cluster 1) and color-1 children
+    (cluster 0), then the children of cluster 0's nodes (via color 1) and of
+    cluster 1's (via color 0)."""
+    depth = len(groups[0])
+    histories = [_history(sampler, levels + [{}] * (depth - len(levels)),
+                          _BATCH // len(groups)) for levels in groups]
+    # each level's draws, the groups stacked in block order
+    script = [np.vstack([draws for _, draws in level])
+              for level in zip(*histories)]
     if sampler.k == 2:
         # the entries are (0b01, 1), (0b10, 0), (0b11, 0), (0b11, 1)
         assert [e[:2] for e in sampler._entries] == [(1, 1), (2, 0), (3, 0),
@@ -618,6 +629,22 @@ def test_two_color_samples_build_no_arena(lam):
     assert any(out.kind == "finite" and out.ell > 1 for out in outs)
 
 
+def test_two_color_samples_build_no_k_generic_tables(monkeypatch):
+    # k = 2 blocks read lambda, theta and the certificates only; the level
+    # loop's tables are built on first use
+    def refuse(*args):
+        raise AssertionError("k-generic set-up")
+    monkeypatch.setattr(ecbp, "extended_type_distribution", refuse)
+    monkeypatch.setattr(ecbp, "_growth_table", refuse)
+    hist = mc_component_size_distribution((1.5, 0.5), 5000, 5,
+                                          np.random.default_rng(38))
+    assert hist.samples == sum(hist.finite_counts.values()) == 5000
+    sampler = FriendCountSampler((1.5, 0.5), np.random.default_rng(39))
+    assert not hasattr(sampler, "_entries")
+    with pytest.raises(AssertionError, match="k-generic"):
+        sampler._arena(np.arange(1), np.array([1]), [])
+
+
 @pytest.mark.parametrize("caps", [(40, 10**6), (1, 30), (3, 50), (0, 0),
                                   (40, 1)])
 @pytest.mark.parametrize("lam", [(2.0, 2.0), (1.5, 0.5), (1.2, 3.0),
@@ -635,14 +662,22 @@ def test_cluster_growth_matches_the_level_loop(lam, caps):
 
 def _count_route(u, theta):
     """The friend counts of a scripted k = 2 block whose cluster avoiding
-    color 1 dies at level 2 with N = 3 non-root nodes, while the cluster
-    avoiding color 0 holds F = 2 frontier nodes; rng.random returns u and
-    rng.binomial(n, p) returns n - 1, and the binomial arguments are kept."""
+    color 1 dies with N non-root nodes, while the cluster avoiding color 0
+    holds F = 2 frontier nodes: at level 3 with N = 5 in the block's first
+    half, at level 2 with N = 3 in its second half. rng.random returns u
+    and rng.binomial(n, p) returns n - 1, and the binomial arguments are
+    kept: one call for the whole block, in the order the samples died.
+    Returns the friend counts of either half."""
     sampler = FriendCountSampler((2.0, 2.0), np.random.default_rng(28))
     sampler.theta = theta
-    # the root's three color-0 children (mask 0b10) grow nothing; its
-    # color-1 child (mask 0b01) has two color-1 children
-    _scripted(sampler, [{(0b11, 0): 3, (0b11, 1): 1}, {(0b01, 1): 2}])
+    half = _BATCH // 2
+    # the root's color-0 children (mask 0b10) have four color-0 children
+    # or none; its color-1 child (mask 0b01) has two color-1 descendants
+    # on the last level
+    _scripted(sampler,
+              [{(0b11, 0): 1, (0b11, 1): 1}, {(0b10, 0): 4, (0b01, 1): 1},
+               {(0b01, 1): 2}],
+              [{(0b11, 0): 3, (0b11, 1): 1}, {(0b01, 1): 2}])
     binomial = []
     sampler._rng = SimpleNamespace(
         random=lambda size: np.full(size, u),
@@ -651,8 +686,9 @@ def _count_route(u, theta):
     sampler._resolve = _no_resolve
     outs = [sampler.sample() for _ in range(_BATCH)]
     (n, p), = binomial
-    assert n.tolist() == [3] * _BATCH and p.tolist() == [theta[0]] * _BATCH
-    return {out.ell for out in outs}
+    assert n.tolist() == [3] * half + [5] * half
+    assert p.tolist() == [theta[0]] * _BATCH
+    return {out.ell for out in outs[:half]}, {out.ell for out in outs[half:]}
 
 
 @pytest.mark.parametrize("theta", [(0.25, 0.5), (1.0, 0.5)])
@@ -661,8 +697,8 @@ def test_two_color_count_route_draws(theta):
     theta = np.array(theta)
     miss = ((1.0 - theta[[0]]) ** np.array([2]))[0]
     if miss > 0.0:
-        assert _count_route(np.nextafter(miss, 0.0), theta) == {1}
-    assert _count_route(miss, theta) == {1 + 2}
+        assert _count_route(np.nextafter(miss, 0.0), theta) == ({1}, {1})
+    assert _count_route(miss, theta) == ({1 + 4}, {1 + 2})
 
 
 def test_type_law_marginals_are_the_avoiding_thetas():
@@ -834,6 +870,7 @@ class _Recursion:
     children, all drawn from rng."""
 
     def __init__(self, sampler, rng):
+        sampler._build_tables()
         self.sampler, self.rng = sampler, rng
         self.pairs = []
 
@@ -896,7 +933,8 @@ def test_two_color_count_law_matches_the_recursion(lam):
     # their counts by the cluster loop, resolved again on their level
     # history by the numpy arena pass (of a third sampler) and by the
     # recursion; the history is that of the level loop of a twin sampler,
-    # which makes the same draws and settles the same samples
+    # which makes the same draws and settles the same samples, once per
+    # block and in the order they died
     sampler = FriendCountSampler(lam, np.random.default_rng(34))
     twin = FriendCountSampler(lam, np.random.default_rng(34))
     oracle = _Recursion(sampler, np.random.default_rng(35))
@@ -904,34 +942,43 @@ def test_two_color_count_law_matches_the_recursion(lam):
     arena_pairs = []
     settled = []
     settle_clusters = sampler._settle_clusters
-    sampler._settle_clusters = lambda state: (
-        settled.append(settle_clusters(state)) or settled[-1])
+    sampler._settle_clusters = lambda *cols: (
+        settled.append(settle_clusters(*cols)) or settled[-1])
     settle_dead = twin._settle_dead
+    # per level of the twin's block with dead samples: their ids, counts,
+    # grown nodes and levels grown, and the block's history
+    deaths = []
 
-    def both(out, ids, cnt, grown, history):
-        assert settle_dead(out, ids, cnt, grown, history) is None
-        ells = settled.pop(0)
-        assert [out[i].ell for i in ids.tolist()] == ells.tolist()
-        deadmasks = (cnt == 0) @ np.array([1, 2])
-        n = grown[np.arange(ids.size), deadmasks]
-        other = (deadmasks != 0b11) & (n > 0)
-        if other.any():
-            arena = resolver._arena(ids[other],
-                                    np.full(other.sum(), len(history)),
-                                    history)
-            arena_pairs.extend(zip(ells[other].tolist(),
-                                   resolver._friend_counts(
-                                       arena, deadmasks[other]).tolist()))
-        # the law is compared given the history, so the recursion may skip
-        # the rare histories of more than 500 nodes, which cost it most
-        small = other & (grown.sum(axis=1) <= 500)
-        for i, ell, d in zip(ids[small].tolist(), ells[small].tolist(),
-                             deadmasks[small].tolist()):
-            oracle.add(ell, i, d, history)
-    twin._settle_dead = both
+    def recorded(out, ids, cnt, grown, history):
+        deaths.append((ids, cnt, grown, len(history), history))
+        return settle_dead(out, ids, cnt, grown, history)
+    twin._settle_dead = recorded
     for _ in range(60):
-        assert sampler._grow_block(_BATCH) == twin._grow_levels(_BATCH)
-        assert not settled
+        outs = twin._grow_levels(_BATCH)
+        assert sampler._grow_block(_BATCH) == outs
+        ells, = settled
+        settled.clear()
+        dead_ids = np.concatenate([ids for ids, *_ in deaths])
+        assert [outs[i].ell for i in dead_ids.tolist()] == ells.tolist()
+        for ids, cnt, grown, depth, history in deaths:
+            ells = np.array([outs[i].ell for i in ids.tolist()])
+            deadmasks = (cnt == 0) @ np.array([1, 2])
+            n = grown[np.arange(ids.size), deadmasks]
+            other = (deadmasks != 0b11) & (n > 0)
+            if other.any():
+                arena = resolver._arena(ids[other],
+                                        np.full(other.sum(), depth), history)
+                arena_pairs.extend(zip(ells[other].tolist(),
+                                       resolver._friend_counts(
+                                           arena, deadmasks[other]).tolist()))
+            # the law is compared given the history, so the recursion may
+            # skip the rare histories of more than 500 nodes, which cost it
+            # most
+            small = other & (grown.sum(axis=1) <= 500)
+            for i, ell, d in zip(ids[small].tolist(), ells[small].tolist(),
+                                 deadmasks[small].tolist()):
+                oracle.add(ell, i, d, history[:depth])
+        deaths.clear()
         if len(oracle.pairs) >= 3000:
             break
     assert len(oracle.pairs) >= 3000
