@@ -19,20 +19,33 @@ def color_avoiding_partition(g: EdgeColoredGraph) -> np.ndarray:
     Returns labels with labels[v] the smallest vertex in v's block.
     """
     n = g.n
-    # key[v] numbers the distinct tuples of per-color component labels seen
-    # so far; vertices with equal full tuples are exactly the blocks. The
-    # first color's labels are block minima, so they serve as its key as is.
-    first = np.arange(n, dtype=np.int64)
     for i in range(g.k):
-        others = [e for c, e in enumerate(g.edge_sets) if c != i]
-        edges = np.concatenate(others) if others else np.empty((0, 2), int)
-        col = connected_components(n, edges)
+        # the projection onto every color but i, as a list of its colors
+        col = connected_components(
+            n, [e for c, e in enumerate(g.edge_sets) if c != i])
         if i == 0:
-            key = col
-        else:  # first[j] is the smallest vertex with key j
-            _, first, key = np.unique(key * n + col, return_index=True,
-                                      return_inverse=True)
-    return first[key]
+            labels = col
+            continue
+        # the meet with this color: the blocks are the runs of equal keys
+        # (labels[v], col[v]) in sorted order, and a stable sort lists each
+        # run's vertices in increasing order, so its first is their label
+        key = labels
+        key *= n
+        key += col
+        del labels, col
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        head = np.empty(n, dtype=bool)
+        head[:1] = True
+        np.not_equal(key[1:], key[:-1], out=head[1:])
+        np.cumsum(head, out=key)  # 1 + the run of each sorted vertex
+        key -= 1
+        first = order[head][key]
+        del key
+        labels = np.empty_like(first)
+        labels[order] = first
+        del order, head, first  # free before the next projection
+    return labels
 
 
 def brute_force_cap_partition(g: EdgeColoredGraph) -> np.ndarray:

@@ -177,6 +177,18 @@ ROOT_ONLY = _finite(1)
 _DEPTH, _NODE = 0, -1
 _OUTCOMES = {_DEPTH: DEPTH_CAPPED, _NODE: NODE_CAPPED}
 
+
+def _code_outcomes(codes: np.ndarray) -> list:
+    """The shared outcome objects of int codes (ell, _DEPTH or _NODE),
+    through one table indexed by code - _NODE that holds the codes found."""
+    at = codes - _NODE
+    table = np.empty(at.max(initial=0) + 1, dtype=object)
+    present = np.flatnonzero(np.bincount(at))
+    table[present] = [_OUTCOMES.get(c) or _finite(c)
+                      for c in (present + _NODE).tolist()]
+    return table[at].tolist()
+
+
 # samples per FriendCountSampler block, unless the caller sizes the blocks
 _BATCH = 1024
 # (sample, entry) cells of a level's draws (512 KB) that callers size blocks to
@@ -340,10 +352,7 @@ class FriendCountSampler:
         if dead:
             ids, *cols = map(np.concatenate, zip(*dead))
             codes[ids] = self._settle_clusters(*cols)
-        kinds, at = np.unique(codes, return_inverse=True)
-        outcomes = np.array([_OUTCOMES.get(c) or _finite(c)
-                             for c in kinds.tolist()], dtype=object)
-        return outcomes[at].tolist()
+        return _code_outcomes(codes)
 
     def _settle_clusters(self, c0, c1, n0, n1) -> np.ndarray:
         """Friend counts at k = 2 of samples with a dead cluster, from their

@@ -74,6 +74,9 @@ class ExperimentConfig:
         if not (all(x > 0 for x in self.lam) and sum(self.lam) < math.inf):
             raise ValueError("lambda entries must be positive, with a "
                              "finite sum")
+        if self.k < 2 and self.kind in ("analytic-report", "near-critical",
+                                         "ecbp-mc"):
+            raise ValueError(f"{self.kind} needs k >= 2")
         if (self.kind == "ecbp-mc"
                 and not analytic.classify_lambda(self.lam).assumption_holds):
             raise ValueError(
@@ -92,8 +95,6 @@ class ExperimentConfig:
             raise ValueError("replicas, samples, ell_max must be >= 1")
         if self.depth_cap < 0 or self.node_cap < 0:
             raise ValueError("depth_cap and node_cap must be >= 0")
-        if self.k < 2 and self.kind in ("analytic-report", "near-critical"):
-            raise ValueError(f"{self.kind} needs k >= 2")
         if self.kind == "near-critical":
             analytic.check_eps_grid(self.k, self.eps_grid)
         if self.seed < 0:

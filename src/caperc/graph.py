@@ -10,11 +10,14 @@ import numpy as np
 from .params import LambdaVector, as_lambda
 
 
-def _canonical_edges(edges, n: int, color: int) -> np.ndarray:
+def _canonical_edges(edges, n: int, color: int,
+                     copy: bool = True) -> np.ndarray:
     """Validate and canonicalize one color's edge list to a sorted (m, 2)
-    int64 array with u < v per row, unique rows, never a view of `edges`."""
-    arr = np.array(edges if isinstance(edges, np.ndarray) else list(edges),
-                   dtype=np.int64)
+    int64 array with u < v per row, unique rows. The result is never a view
+    of `edges` unless copy is False and `edges` is canonical already."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    arr = (np.array if copy else np.asarray)(edges, dtype=np.int64)
     if arr.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -22,7 +25,8 @@ def _canonical_edges(edges, n: int, color: int) -> np.ndarray:
     if arr.min() < 0 or arr.max() >= n:
         raise ValueError(f"color {color}: endpoint out of range")
     # u < v rows with strictly rising keys (sample_ecer's) are canonical
-    key = arr[:, 0] * n + arr[:, 1]
+    key = arr[:, 0] * n
+    key += arr[:, 1]
     if np.all(arr[:, 0] < arr[:, 1]) and np.all(key[1:] > key[:-1]):
         return arr
     lo = np.minimum(arr[:, 0], arr[:, 1])
@@ -46,14 +50,26 @@ class EdgeColoredGraph:
     """
 
     def __init__(self, n: int, edge_sets: Sequence[Iterable]):
+        self._build(n, edge_sets, copy=True)
+
+    @classmethod
+    def _adopt(cls, n: int,
+               edge_sets: Sequence[np.ndarray]) -> "EdgeColoredGraph":
+        """The graph on arrays that nothing else holds: checked and made
+        read-only as by the constructor, but kept without a copy."""
+        g = cls.__new__(cls)
+        g._build(n, edge_sets, copy=False)
+        return g
+
+    def _build(self, n: int, edge_sets, copy: bool) -> None:
         if n < 0:
             raise ValueError("negative vertex count")
         if len(edge_sets) < 1:
             raise ValueError("need at least one color")
         self.n = int(n)
         self.edge_sets = tuple(
-            _canonical_edges(es, self.n, c) for c, es in enumerate(edge_sets)
-        )
+            _canonical_edges(es, self.n, c, copy)
+            for c, es in enumerate(edge_sets))
         for arr in self.edge_sets:
             arr.setflags(write=False)
 
@@ -69,28 +85,43 @@ class EdgeColoredGraph:
         return f"EdgeColoredGraph(n={self.n}, k={self.k}, m=[{counts}])"
 
 
-def _pair_index_to_edge(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Decode linear indices of the row-major upper-triangle pair enumeration
-    ((0,1),(0,2),...,(0,n-1),(1,2),...) into endpoint arrays."""
-    idx = idx.astype(np.int64)
-    # solve for u in idx >= offset(u) = u*n - u(u+1)/2 - u ... via the
-    # triangular-root formula, then fix rounding with a correction pass
+def _pair_index_to_edge(idx: np.ndarray, n: int) -> np.ndarray:
+    """Decode int64 linear indices of the row-major upper-triangle pair
+    enumeration ((0,1),(0,2),...,(0,n-1),(1,2),...) into an (m, 2) int64
+    array of (u, v) rows."""
+    edges = np.empty((idx.size, 2), dtype=np.int64)
+    u, v = edges[:, 0], edges[:, 1]
+    # u is the largest with idx >= offset(u) = u(2n - 1 - u)/2: take the
+    # triangular-root formula's floor, then fix rounding in passes
     b = 2.0 * n - 1.0
-    u = np.floor((b - np.sqrt(b * b - 8.0 * idx)) / 2.0).astype(np.int64)
-    u = np.clip(u, 0, n - 2)
-
-    def offset(uu):
-        return uu * (2 * n - uu - 1) // 2
-
+    buf = np.multiply(idx, -8.0)
+    buf += b * b
+    np.sqrt(buf, out=buf)
+    np.subtract(b, buf, out=buf)
+    buf *= 0.5
+    np.floor(buf, out=buf)
+    np.clip(buf, 0, n - 2, out=buf)
+    u[...] = buf
+    off = buf.view(np.int64)  # offset(u), in the float buffer's memory
+    too_hi = np.empty(idx.size, dtype=bool)
+    too_lo = np.empty(idx.size, dtype=bool)
     while True:
-        too_hi = offset(u) > idx
-        too_lo = offset(u + 1) <= idx
+        np.subtract(2 * n - 1, u, out=off)
+        off *= u
+        off //= 2
+        np.greater(off, idx, out=too_hi)
+        np.subtract(off, u, out=v)  # offset(u + 1) = offset(u) + n - 1 - u
+        v += n - 1
+        np.less_equal(v, idx, out=too_lo)
         if not (too_hi.any() or too_lo.any()):
             break
-        u = u - too_hi.astype(np.int64) + too_lo.astype(np.int64)
-        u = np.clip(u, 0, n - 2)
-    v = idx - offset(u) + u + 1
-    return u, v
+        u -= too_hi
+        u += too_lo
+        np.clip(u, 0, n - 2, out=u)
+    np.subtract(idx, off, out=v)
+    v += u
+    v += 1
+    return edges
 
 
 def _sample_pair_subset(total: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -100,17 +131,33 @@ def _sample_pair_subset(total: int, p: float, rng: np.random.Generator) -> np.nd
         return np.empty(0, dtype=np.int64)
     if p >= 1.0:
         return np.arange(total, dtype=np.int64)
+    # A skip longer than total passes total all the same, so skips are cut
+    # to total + 1. Sums up to the first point at or past total then stay
+    # below 2 total + 1, and only later ones can wrap past int64: the loop
+    # ends at that first point.
+    cap = total + 1
     chunks = []
     pos = -1
+    drawn = 0
     expect = int(total * p) + 1
-    while pos < total:
-        m = max(256, int(1.2 * (expect - sum(len(c) for c in chunks))) + 64)
-        gaps = rng.geometric(p, size=m).astype(np.int64)
-        pts = pos + np.cumsum(gaps)
+    while True:
+        m = max(256, int(1.2 * (expect - drawn)) + 64)
+        drawn += m
+        pts = rng.geometric(p, size=m)
+        np.minimum(pts, cap, out=pts)
+        np.cumsum(pts, out=pts)
+        pts += pos
+        if pos + m * cap < 2**63:  # no sum can wrap, so pts rises
+            end = int(np.searchsorted(pts, total))
+        else:  # sums after the first point past total may have wrapped
+            past = pts >= total
+            end = int(past.argmax()) if past.any() else m
+        if end < m:
+            chunks.append(pts[:end])
+            break
         chunks.append(pts)
         pos = int(pts[-1])
-    idx = np.concatenate(chunks)
-    return idx[idx < total]
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def sample_ecer(n: int, vertex_count: int, lam, rng: np.random.Generator) -> EdgeColoredGraph:
@@ -131,36 +178,49 @@ def sample_ecer(n: int, vertex_count: int, lam, rng: np.random.Generator) -> Edg
     for i, crng in enumerate(color_rngs):
         p = -np.expm1(-lam[i] / n)
         idx = _sample_pair_subset(total, float(p), crng)
-        u, v = _pair_index_to_edge(idx, vertex_count)
-        edge_sets.append(np.stack([u, v], axis=1))
-    return EdgeColoredGraph(vertex_count, edge_sets)
+        edge_sets.append(_pair_index_to_edge(idx, vertex_count))
+    return EdgeColoredGraph._adopt(vertex_count, edge_sets)
 
 
-def connected_components(n: int, edges: np.ndarray) -> np.ndarray:
+def connected_components(n: int, edges) -> np.ndarray:
     """Component labels: labels[v] is the smallest vertex in v's component.
 
-    `edges` is any (m, 2) integer array; repeated pairs and either endpoint
-    order are fine. Min-label hooking with pointer jumping (Shiloach-Vishkin
-    style): each round hooks the larger root of every edge whose roots still
-    differ onto the smallest root it meets, then jumps every label to its
-    root; the next round sees each such edge as its new pair of roots (the
-    first sees the edges themselves). labels[v] <= v throughout, so the
-    roots left are the minima.
+    `edges` is an (m, 2) integer array, or a list of them whose union is the
+    edge set; repeated pairs, self-loops and either endpoint order are fine.
+    Min-label hooking with pointer jumping (Shiloach-Vishkin style): each
+    round hooks the larger root of every edge whose roots still differ onto
+    the smallest root it meets, then jumps every label to its root; the
+    next round sees each such edge as its new pair of roots (the first sees
+    the edges themselves, one array at a time). labels[v] <= v throughout,
+    so the roots left are the minima.
     """
     labels = np.arange(n, dtype=np.int64)
-    lu, lv = edges[:, 0], edges[:, 1]
-    while True:
-        live = lu != lv
-        if not live.any():
-            return labels
-        lu, lv = lu[live], lv[live]
-        np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
+    parts = [edges] if isinstance(edges, np.ndarray) else edges
+    pairs = [(e[:, 0], e[:, 1]) for e in parts]
+    while pairs:
+        for lu, lv in pairs:
+            # labels[r] <= r, so of the two calls only the one that hooks
+            # the larger root changes anything
+            np.minimum.at(labels, lu, lv)
+            np.minimum.at(labels, lv, lu)
+        jumped = np.empty_like(labels)
         while True:
-            jumped = labels[labels]
+            # labels are in range, so mode="clip" only spares take's copy
+            np.take(labels, labels, out=jumped, mode="clip")
             if np.array_equal(jumped, labels):
                 break
-            labels = jumped
-        lu, lv = labels[lu], labels[lv]
+            labels, jumped = jumped, labels
+        del jumped
+        live_pairs = []
+        while pairs:  # each array of live roots is dropped once compacted
+            lu, lv = pairs.pop()
+            lu, lv = labels[lu], labels[lv]
+            live = np.flatnonzero(lu != lv)
+            if live.size:
+                lu = lu[live]
+                live_pairs.append((lu, lv[live]))
+        pairs = live_pairs
+    return labels
 
 
 def dump_graph(g: EdgeColoredGraph, fh: IO[str]) -> None:
@@ -185,5 +245,6 @@ def load_graph(fh: IO[str]) -> EdgeColoredGraph:
     bad = (rows[:, 0] < 0) | (rows[:, 0] >= k)
     if bad.any():
         raise ValueError(f"color {rows[bad.argmax(), 0]} out of range")
-    # each color's edges in file order
-    return EdgeColoredGraph(n, [rows[rows[:, 0] == c, 1:] for c in range(k)])
+    # each color's edges in file order, new arrays the graph may keep
+    return EdgeColoredGraph._adopt(
+        n, [rows[rows[:, 0] == c, 1:] for c in range(k)])

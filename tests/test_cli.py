@@ -30,6 +30,8 @@ def test_invalid_config_exits_2(capsys):
 @pytest.mark.parametrize("argv", [
     # the friend-count sampler needs every single color subcritical at k = 3
     ["ecbp-mc", "--lambda", "0.5,0.6,2", "--samples", "10"],
+    # a friend needs a second color to avoid
+    ["ecbp-mc", "--lambda", "2", "--samples", "10"],
     ["local-weak", "--d", "-1"],
     ["analytic", "--lambda", "2"],
     ["near-critical", "--k", "1"],
@@ -295,6 +297,21 @@ def test_convergence_cli_ell_max_above_n(tmp_path, capsys):
     assert main(["sample-ecer", "--lambda", "2,2", "--n", "3",
                  "--seed", "0"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "3 2"
+
+
+def test_ecbp_mc_at_one_color_names_the_k_bound(capsys):
+    assert main(["ecbp-mc", "--lambda", "2", "--samples", "10"]) == 2
+    assert capsys.readouterr().err == "config error: ecbp-mc needs k >= 2\n"
+
+
+def test_convergence_at_tiny_lambda_is_edgeless(tmp_path, capsys):
+    # lambda / n this small once kept the ECER sampler from ending
+    assert main(["convergence", "--lambda", "1e-300,1e-300", "--n", "10",
+                 "--replicas", "1", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = next(tmp_path.glob("*/convergence.csv")).read_text().splitlines()
+    # no edges: every vertex is a component of its own
+    assert [float(row.split(",")[3]) for row in lines[2:]] == [1.0, 0, 0, 0, 0]
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -24,10 +24,12 @@ from caperc.ecbp import (
     _CELLS,
     DEPTH_CAPPED,
     NODE_CAPPED,
+    ROOT_ONLY,
     CoreOverflow,
     FriendCountOutcome,
     FriendCountSampler,
     McHistogram,
+    _code_outcomes,
     _growth_table,
     core_counts,
     mc_component_size_distribution,
@@ -658,6 +660,23 @@ def test_cluster_growth_matches_the_level_loop(lam, caps):
     for size in (_BATCH, _CHUNK):
         assert clusters._grow_block(size) == levels._grow_levels(size)
     assert clusters._rng.bit_generator.state == levels._rng.bit_generator.state
+
+
+def test_block_codes_become_the_shared_outcomes():
+    codes = np.array([3, -1, 0, 1, 10**5, 1, 0, -1, 3, 10**5])
+    outs = _code_outcomes(codes)
+    want = [FriendCountOutcome.finite(3), NODE_CAPPED, DEPTH_CAPPED,
+            ROOT_ONLY, FriendCountOutcome.finite(10**5), ROOT_ONLY,
+            DEPTH_CAPPED, NODE_CAPPED, FriendCountOutcome.finite(3),
+            FriendCountOutcome.finite(10**5)]
+    assert outs == want
+    for got, again in ((outs[1], outs[7]), (outs[2], outs[6]),
+                       (outs[0], outs[8]), (outs[4], outs[9])):
+        assert got is again
+    assert outs[1] is NODE_CAPPED and outs[2] is DEPTH_CAPPED
+    assert outs[3] is ROOT_ONLY and outs[5] is ROOT_ONLY
+    assert outs[4] is _code_outcomes(np.array([10**5]))[0]
+    assert _code_outcomes(np.array([], dtype=np.int64)) == []
 
 
 def _count_route(u, theta):

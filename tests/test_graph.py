@@ -112,6 +112,21 @@ def test_edge_arrays_are_owned_and_read_only():
     assert not any(e.flags.writeable for e in sampled.edge_sets)
 
 
+def test_sampled_and_loaded_edge_arrays_are_owned_and_read_only():
+    # sample_ecer and load_graph hand over the arrays they build, so those
+    # must be the graph's alone: owners of their data, never views
+    g = sample_ecer(2000, 2000, (1.0, 2.0, 0.5), np.random.default_rng(3))
+    buf = io.StringIO()
+    dump_graph(g, buf)
+    loaded = load_graph(io.StringIO(buf.getvalue()))
+    for graph in (g, loaded):
+        for e in graph.edge_sets:
+            assert e.flags.owndata and e.base is None
+            assert e.flags.c_contiguous and not e.flags.writeable
+            with pytest.raises(ValueError):
+                e[0, 0] = 5
+
+
 def test_same_pair_in_two_colors_is_allowed():
     g = EdgeColoredGraph(2, [[(0, 1)], [(0, 1)]])
     assert g.edge_count(0) == 1 and g.edge_count(1) == 1
@@ -123,8 +138,21 @@ def test_same_pair_in_two_colors_is_allowed():
 def test_pair_decode_exhaustive(n):
     expected = list(itertools.combinations(range(n), 2))
     idx = np.arange(len(expected), dtype=np.int64)
-    u, v = _pair_index_to_edge(idx, n)
-    assert list(zip(u.tolist(), v.tolist())) == expected
+    edges = _pair_index_to_edge(idx, n)
+    assert edges.dtype == np.int64 and edges.shape == (len(expected), 2)
+    assert [tuple(e) for e in edges.tolist()] == expected
+
+
+def test_pair_decode_at_large_n():
+    # rows u = 0, 1, n - 2 and the ends of the last rows, where the
+    # triangular-root formula rounds
+    n = 2 * 10**9
+    offset = [u * (2 * n - u - 1) // 2 for u in (0, 1, 2, n - 3, n - 2)]
+    idx = np.array([0, n - 2, offset[1], offset[2] - 1, offset[2],
+                    offset[3], offset[3] + 1, offset[4]], dtype=np.int64)
+    want = [(0, 1), (0, n - 1), (1, 2), (1, n - 1), (2, 3),
+            (n - 3, n - 2), (n - 3, n - 1), (n - 2, n - 1)]
+    assert [tuple(e) for e in _pair_index_to_edge(idx, n).tolist()] == want
 
 
 def test_pair_subset_skipping_statistics():
@@ -136,6 +164,50 @@ def test_pair_subset_skipping_statistics():
     assert abs(np.mean(counts) - mean) < 3.5 * se
     idx = _sample_pair_subset(total, p, rng)
     assert np.all(np.diff(idx) > 0) and idx.max() < total
+
+
+def _sample_pair_subset_by_concatenation(total, p, rng):
+    """Geometric skipping that concatenates every chunk and masks the tail,
+    as before the chunks were built in place: the oracle for
+    `_sample_pair_subset` wherever its sums stay inside int64."""
+    if total <= 0 or p <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    if p >= 1.0:
+        return np.arange(total, dtype=np.int64)
+    chunks = []
+    pos = -1
+    expect = int(total * p) + 1
+    while pos < total:
+        m = max(256, int(1.2 * (expect - sum(len(c) for c in chunks))) + 64)
+        gaps = rng.geometric(p, size=m).astype(np.int64)
+        pts = pos + np.cumsum(gaps)
+        chunks.append(pts)
+        pos = int(pts[-1])
+    idx = np.concatenate(chunks)
+    return idx[idx < total]
+
+
+@pytest.mark.parametrize("total, p", [
+    (1, 0.5), (10, 0.05), (1000, 0.3), (1000, 0.9), (10**6, 1e-3),
+    (10**6, 2e-6), (10**12, 1e-9), (10**12, 1e-7),
+    # skips near 10^16: a chunk's sums could pass int64, but do not
+    (5 * 10**17, 1e-16),
+])
+def test_pair_subset_matches_concatenating_oracle(total, p):
+    for seed in range(3):
+        got = _sample_pair_subset(total, p, np.random.default_rng(seed))
+        want = _sample_pair_subset_by_concatenation(
+            total, p, np.random.default_rng(seed))
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n, lam", [(10**5, (1e-12, 1e-12)),
+                                    (10**9, (1e-300,)),
+                                    (10, (1e-300, 1e-300))])
+def test_tiny_edge_probability_gives_no_edges(n, lam):
+    # skips this long once summed past int64 and the sampler never ended
+    g = sample_ecer(n, n, lam, np.random.default_rng(2))
+    assert g.n == n and all(g.edge_count(c) == 0 for c in range(g.k))
 
 
 # -- ECER sampling ----------------------------------------------------------
@@ -281,6 +353,9 @@ def test_connected_components_against_bfs_oracle():
 
 def test_connected_components_edge_cases():
     assert connected_components(0, _edge_array([])).tolist() == []
+    assert connected_components(3, []).tolist() == [0, 1, 2]
+    loops = _edge_array([(2, 2), (0, 0), (2, 1)])
+    assert connected_components(3, loops).tolist() == [0, 1, 1]
     assert connected_components(4, _edge_array([])).tolist() == [0, 1, 2, 3]
     duplicates = _edge_array([(3, 4), (4, 3), (3, 4), (1, 4)])
     assert connected_components(5, duplicates).tolist() == [0, 1, 2, 1, 1]
@@ -292,15 +367,20 @@ def test_connected_components_edge_cases():
 
 
 def test_connected_components_matches_regather_oracle():
+    empty = np.empty((0, 2), dtype=np.int64)
     for g in ecer_graphs():
         # all colors, then each color left out in turn
-        unions = [np.concatenate(g.edge_sets)]
+        unions = [list(g.edge_sets)]
         if g.k > 1:
-            unions += [np.concatenate(g.edge_sets[:i] + g.edge_sets[i + 1:])
+            unions += [list(g.edge_sets[:i] + g.edge_sets[i + 1:])
                        for i in range(g.k)]
-        for edges in unions:
-            assert np.array_equal(connected_components(g.n, edges),
-                                  _connected_components_regather(g.n, edges))
+        for parts in unions:
+            edges = np.concatenate(parts)
+            want = _connected_components_regather(g.n, edges)
+            # one array, a list of one, the union's colors as a list, and
+            # that list with an empty array in it
+            for arg in (edges, [edges], parts, [parts[0], empty, *parts[1:]]):
+                assert np.array_equal(connected_components(g.n, arg), want)
     n = 5000
     perm = np.random.default_rng(4).permutation(n)
     path = np.stack([perm[:-1], perm[1:]], axis=1)
