@@ -180,13 +180,20 @@ _OUTCOMES = {_DEPTH: DEPTH_CAPPED, _NODE: NODE_CAPPED}
 
 def _code_outcomes(codes: np.ndarray) -> list:
     """The shared outcome objects of int codes (ell, _DEPTH or _NODE),
-    through one table indexed by code - _NODE that holds the codes found."""
+    through one table indexed by code - _NODE that holds the codes found.
+    The table stops at the block's size: a friend count past it, which can
+    reach node_cap, takes its object from _finite's cache."""
     at = codes - _NODE
-    table = np.empty(at.max(initial=0) + 1, dtype=object)
-    present = np.flatnonzero(np.bincount(at))
+    big = at > at.size
+    at[big] = 0
+    counts = np.bincount(at)
+    present = np.flatnonzero(counts)
+    table = np.empty(counts.size, dtype=object)
     table[present] = [_OUTCOMES.get(c) or _finite(c)
                       for c in (present + _NODE).tolist()]
-    return table[at].tolist()
+    outs = table[at]
+    outs[big] = [_finite(c) for c in codes[big].tolist()]
+    return outs.tolist()
 
 
 # samples per FriendCountSampler block, unless the caller sizes the blocks

@@ -147,11 +147,8 @@ def _sample_pair_subset(total: int, p: float, rng: np.random.Generator) -> np.nd
         np.minimum(pts, cap, out=pts)
         np.cumsum(pts, out=pts)
         pts += pos
-        if pos + m * cap < 2**63:  # no sum can wrap, so pts rises
-            end = int(np.searchsorted(pts, total))
-        else:  # sums after the first point past total may have wrapped
-            past = pts >= total
-            end = int(past.argmax()) if past.any() else m
+        past = pts >= total  # sums after the first such point may wrap
+        end = int(past.argmax()) if past.any() else m
         if end < m:
             chunks.append(pts[:end])
             break

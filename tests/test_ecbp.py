@@ -4,6 +4,7 @@ and the numpy friend resolution against the memoized recursion it replaced."""
 
 import gc
 import math
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -677,6 +678,22 @@ def test_block_codes_become_the_shared_outcomes():
     assert outs[3] is ROOT_ONLY and outs[5] is ROOT_ONLY
     assert outs[4] is _code_outcomes(np.array([10**5]))[0]
     assert _code_outcomes(np.array([], dtype=np.int64)) == []
+
+
+def test_block_outcome_table_is_sized_by_the_block():
+    # a friend count near node_cap must not size the table: two codes take
+    # a few hundred bytes, where a table up to the code took 16 MB
+    codes = np.array([1, 10**6 - 1, -1, 10**6 - 1], dtype=np.int64)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        outs = _code_outcomes(codes)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert outs == [ROOT_ONLY, FriendCountOutcome.finite(10**6 - 1),
+                    NODE_CAPPED, FriendCountOutcome.finite(10**6 - 1)]
 
 
 def _count_route(u, theta):
