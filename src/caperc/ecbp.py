@@ -172,8 +172,7 @@ class FriendCountOutcome:
 DEPTH_CAPPED = FriendCountOutcome.censored("depth-cap")
 NODE_CAPPED = FriendCountOutcome.censored("node-cap")
 _finite = cache(FriendCountOutcome.finite)
-ROOT_ONLY = _finite(1)
-# codes of the censored outcomes among the friend counts of a k = 2 block
+# codes of the censored outcomes among the friend counts of a block
 _DEPTH, _NODE = 0, -1
 _OUTCOMES = {_DEPTH: DEPTH_CAPPED, _NODE: NODE_CAPPED}
 
@@ -223,26 +222,28 @@ class FriendCountSampler:
     in every dead cluster: its friend count is 1. So, at k = 2, does every
     other sample with a dead cluster: the cluster holds single-color paths
     only, so its friends are independent given two counts, and two draws
-    give their number (see _two_color_friends). A block holds _BATCH
-    samples, unless its caller sizes the blocks (see _CELLS).
+    give their number (see _settle_clusters). A block holds _BATCH
+    samples, unless its caller sizes the blocks (see _CELLS). Both growth
+    loops give a block's int codes (ell, _DEPTH or _NODE) and settle its
+    dead samples once, after its last level; _grow_block turns the codes
+    into the shared outcome objects.
 
     At k = 2 every non-root node avoids exactly one color, so the two
     avoiding clusters grow independently, each through the one color it
-    does not avoid: a block grows on four counts per sample, settles its
-    dead samples once it is done and reads no k-generic table (see
-    _grow_clusters). Its draws are those of the general loop, which defers
-    the same samples, so the outcomes are too; that loop is its reference.
+    does not avoid: a block grows on four counts per sample and reads no
+    k-generic table (see _grow_clusters). Its draws are those of the
+    general loop, which settles the same samples in the same order, so the
+    codes are too; that loop is its reference.
 
-    At k >= 3 the other samples with a dead cluster are resolved together in
-    numpy once their block has grown. Their per-node trees are built level
-    by level from the level totals, each child picking its parent uniformly
-    among the previous level's nodes of its parent mask (Poisson splitting:
-    the same law as per-node draws). Every unrevealed node gets an extended
-    type, whose bit i says the node is i-avoiding connected to infinity: the
-    frontier, and the color-i children of each grown node that avoids color
-    i only, which growth never draws. Typing is exact, because a type
-    depends on its own unrevealed subtree alone. The alive bits then
-    propagate up one level at a time.
+    At k >= 3 the other samples with a dead cluster are resolved in numpy.
+    Their per-node trees are built level by level from the level totals,
+    each child picking its parent uniformly among the previous level's nodes
+    of its parent mask (Poisson splitting: the same law as per-node draws).
+    Every unrevealed node gets an extended type, whose bit i says the node
+    is i-avoiding connected to infinity: the frontier, and the color-i
+    children of each grown node that avoids color i only, which growth never
+    draws. Typing is exact, because a type depends on its own unrevealed
+    subtree alone. The alive bits then propagate up one level at a time.
 
     When every cluster's frontier reaches a size whose total extinction
     probability is below CERT_EPS, the sample is censored immediately instead
@@ -309,12 +310,11 @@ class FriendCountSampler:
 
     def _grow_block(self, size: int) -> list:
         """Outcomes of `size` samples grown from their roots."""
-        if self.k == 2:
-            return self._grow_clusters(size)
-        return self._grow_levels(size)
+        grow = self._grow_clusters if self.k == 2 else self._grow_levels
+        return _code_outcomes(grow(size))
 
-    def _grow_clusters(self, size: int) -> list:
-        """Outcomes of `size` samples at k = 2, where every non-root node
+    def _grow_clusters(self, size: int) -> np.ndarray:
+        """Int codes of `size` samples at k = 2, where every non-root node
         avoids exactly one color: cluster i, the root and the nodes avoiding
         color i, is a Poisson(lambda_{1-i}) Galton-Watson process grown
         through color 1 - i alone. A sample is its two level counts and two
@@ -325,7 +325,7 @@ class FriendCountSampler:
         numbers, and the others come per sample in the same order, from the
         root its color-0 children (cluster 1) first, below it cluster 0's
         children first. Dead samples are settled at the end, in the order
-        they died. Outcomes are int codes: ell, _DEPTH or _NODE."""
+        they died."""
         codes = np.full(size, _DEPTH)  # at depth_cap, or certified
         ids = np.arange(size)
         c0 = c1 = np.ones(size, dtype=np.int64)  # the root, in both levels
@@ -359,100 +359,14 @@ class FriendCountSampler:
         if dead:
             ids, *cols = map(np.concatenate, zip(*dead))
             codes[ids] = self._settle_clusters(*cols)
-        return _code_outcomes(codes)
+        return codes
 
     def _settle_clusters(self, c0, c1, n0, n1) -> np.ndarray:
         """Friend counts at k = 2 of samples with a dead cluster, from their
-        level counts and non-root totals at its death: 1 when the dead
-        clusters hold the root alone, else drawn by _two_color_friends."""
-        live = (c1 > 0).astype(np.intp)  # the live cluster, if any
-        frontier = c0 + c1
-        nodes = np.where(live, n0, n1)  # non-root nodes of the dead cluster
-        rest = (frontier > 0) & (nodes > 0)
-        friends = np.ones(live.size, dtype=np.int64)
-        friends[rest] = self._two_color_friends(live[rest], frontier[rest],
-                                                nodes[rest])
-        return friends
-
-    def _grow_levels(self, size: int) -> list:
-        """Outcomes of `size` samples grown from their roots. Each level
-        settles, in order: samples with a dead cluster, then every sample at
-        depth_cap, then samples over node_cap, then certified survivors; the
-        rest grow one level by a single Poisson draw over all (sample, entry)
-        pairs. Dead samples with other candidate friends are settled at the
-        end, in the order they died (at k >= 3 from the level history)."""
-        self._build_tables()
-        out = np.empty(size, dtype=object)
-        ids = np.arange(size)
-        counts = np.zeros((size, self._full + 1), dtype=np.int64)
-        counts[:, self._full] = 1
-        # nodes per avoid-mask grown so far, the root left out
-        grown = np.zeros_like(counts)
-        # per grown level: the ids of the samples grown and their totals of
-        # children per entry
-        history = []
-        # per level with dead samples to settle: what _settle_dead returns
-        pending = []
-        while True:
-            cnt = counts @ self._member
-            live = (cnt > 0).all(axis=1)
-            if not live.all():
-                pending.append(self._settle_dead(out, ids[~live], cnt[~live],
-                                                 grown[~live], history))
-            if len(history) >= self.depth_cap:
-                out[ids[live]] = DEPTH_CAPPED
-                break
-            # the root and the grown nodes number more than node_cap
-            over = live & (grown.sum(axis=1) >= self.node_cap)
-            out[ids[over]] = NODE_CAPPED
-            live &= ~over
-            if self._cert is not None:
-                # every avoiding cluster is certified to survive to depth_cap
-                sure = live & (cnt >= self._cert).all(axis=1)
-                out[ids[sure]] = DEPTH_CAPPED
-                live &= ~sure
-            ids, counts, grown = ids[live], counts[live], grown[live]
-            if not ids.size:
-                break
-            draws = self._poisson(self._entry_lam
-                                  * counts[:, self._entry_mask])
-            counts = draws @ self._scatter
-            grown += counts
-            history.append((ids, draws))
-        if pending:
-            ids, *rest = map(np.concatenate, zip(*pending))
-            if self.k == 2:
-                out[ids] = [_finite(ell) for ell in
-                            self._two_color_friends(*rest).tolist()]
-            else:
-                self._resolve(out, ids, *rest, history)
-        return out.tolist()
-
-    def _settle_dead(self, out, ids, cnt, grown, history):
-        """Settles the samples with a dead cluster whose root is the only
-        node in every dead cluster as finite(1); returns the others' ids with
-        the arguments of _two_color_friends at k = 2, and at k >= 3 with
-        their dead masks, depths and grown node totals, for _resolve."""
-        deadmasks = (cnt == 0) @ (1 << np.arange(self.k))
-        # nodes other than the root in every dead cluster; frontier nodes
-        # are counted too, but none of them lies in a dead cluster
-        candidates = (grown * self._superset[:, deadmasks].T).sum(axis=1)
-        alone = candidates == 0
-        out[ids[alone]] = ROOT_ONLY
-        rest = ~alone
-        if self.k == 2:
-            rows = np.flatnonzero(rest)
-            live = 2 - deadmasks[rows]
-            return (ids[rows], live, cnt[rows, live],
-                    grown[rows, deadmasks[rows]])
-        return (ids[rest], deadmasks[rest], np.full(rest.sum(), len(history)),
-                grown[rest].sum(axis=1))
-
-    def _two_color_friends(self, live, frontier, nodes) -> np.ndarray:
-        """Friend counts at k = 2 of samples whose cluster j = 1 - i died
-        with `nodes` non-root nodes while cluster i = live holds `frontier`
-        nodes: 1 + B Binomial(nodes, theta_i), B ~ Bernoulli(1 - (1 -
-        theta_i)^frontier).
+        level counts and non-root totals at its death: when cluster j = 1 - i
+        died with N non-root nodes and cluster i holds F frontier nodes (1
+        if F or N is 0), 1 + B Binomial(N, theta_i), B ~ Bernoulli(1 - (1 -
+        theta_i)^F).
 
         A non-root node of cluster j reaches the root by color-i edges, so it
         is a friend iff both it and the root are i-avoiding connected to
@@ -461,13 +375,84 @@ class FriendCountSampler:
         is: probability 1 - exp(-lambda_j theta(lambda_j)) = theta_i, for
         each node independently of the others and of the root.
         """
-        theta = self.theta[live]
-        rooted = self._rng.random(live.size) >= (1.0 - theta) ** frontier
-        return 1 + rooted * self._rng.binomial(nodes, theta)
+        live = (c1 > 0).astype(np.intp)  # the live cluster, if any
+        frontier = c0 + c1
+        nodes = np.where(live, n0, n1)  # non-root nodes of the dead cluster
+        rest = (frontier > 0) & (nodes > 0)
+        theta = self.theta[live[rest]]
+        rooted = self._rng.random(theta.size) >= (1.0 - theta) ** frontier[rest]
+        friends = np.ones(live.size, dtype=np.int64)
+        friends[rest] += rooted * self._rng.binomial(nodes[rest], theta)
+        return friends
 
-    def _resolve(self, out, ids, deadmasks, depths, sizes, history):
-        """Friend counts of the dead samples `ids`, in block order and in
-        passes of at most _PASS_NODES grown nodes (or one sample)."""
+    def _grow_levels(self, size: int) -> np.ndarray:
+        """Int codes of `size` samples grown from their roots. Each level
+        checks, in order: samples with a dead cluster, then every sample at
+        depth_cap, then samples over node_cap, then certified survivors; the
+        rest grow one level by a single Poisson draw over all (sample, entry)
+        pairs. Dead samples are settled at the end, in the order they died
+        (at k >= 3 from the level history)."""
+        self._build_tables()
+        codes = np.full(size, _DEPTH)  # at depth_cap, or certified
+        ids = np.arange(size)
+        counts = np.zeros((size, self._full + 1), dtype=np.int64)
+        counts[:, self._full] = 1
+        # nodes per avoid-mask grown so far, the root left out
+        grown = np.zeros_like(counts)
+        # per grown level: the ids of the samples grown and their totals of
+        # children per entry
+        history = []
+        # per level with dead samples: ids, cluster counts, grown, depths
+        dead = []
+        while True:
+            cnt = counts @ self._member
+            live = (cnt > 0).all(axis=1)
+            if not live.all():
+                dead.append((ids[~live], cnt[~live], grown[~live],
+                             np.full(np.sum(~live), len(history))))
+            if len(history) >= self.depth_cap:
+                break
+            # the root and the grown nodes number more than node_cap
+            over = live & (grown.sum(axis=1) >= self.node_cap)
+            codes[ids[over]] = _NODE
+            live &= ~over
+            if self._cert is not None:
+                # every avoiding cluster is certified to survive to depth_cap
+                live &= ~(cnt >= self._cert).all(axis=1)
+            ids, counts, grown = ids[live], counts[live], grown[live]
+            if not ids.size:
+                break
+            draws = self._poisson(self._entry_lam
+                                  * counts[:, self._entry_mask])
+            counts = draws @ self._scatter
+            grown += counts
+            history.append((ids, draws))
+        if dead:
+            self._settle_dead(codes, *map(np.concatenate, zip(*dead)),
+                              history)
+        return codes
+
+    def _settle_dead(self, codes, ids, cnt, grown, depths, history) -> None:
+        """Writes the friend counts of a block's samples with a dead cluster
+        from their cluster counts, grown nodes and depths at death: at k = 2
+        drawn from the counts, at k >= 3 1 when the root is alone in every
+        dead cluster, else resolved on the level history."""
+        if self.k == 2:
+            # masks 0b01 and 0b10 hold the non-root nodes of clusters 0, 1
+            codes[ids] = self._settle_clusters(cnt[:, 0], cnt[:, 1],
+                                               grown[:, 1], grown[:, 2])
+            return
+        deadmasks = (cnt == 0) @ (1 << np.arange(self.k))
+        # nodes other than the root in every dead cluster; frontier nodes
+        # are counted too, but none of them lies in a dead cluster
+        rest = (grown * self._superset[:, deadmasks].T).sum(axis=1) > 0
+        codes[ids[~rest]] = 1
+        self._resolve(codes, ids[rest], deadmasks[rest], depths[rest],
+                      grown[rest].sum(axis=1), history)
+
+    def _resolve(self, codes, ids, deadmasks, depths, sizes, history):
+        """Writes the friend counts of the dead samples `ids`, in block order
+        and in passes of at most _PASS_NODES grown nodes (or one sample)."""
         order = np.argsort(ids)
         ids, deadmasks, depths = ids[order], deadmasks[order], depths[order]
         ends = np.cumsum(sizes[order])
@@ -480,7 +465,7 @@ class FriendCountSampler:
             friends = self._friend_counts(
                 self._arena(ids[part], depths[part], history),
                 deadmasks[part])
-            out[ids[part]] = [_finite(ell) for ell in friends.tolist()]
+            codes[ids[part]] = friends
             lo = hi
 
     def _arena(self, ids, depths, history):

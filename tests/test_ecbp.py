@@ -25,7 +25,6 @@ from caperc.ecbp import (
     _CELLS,
     DEPTH_CAPPED,
     NODE_CAPPED,
-    ROOT_ONLY,
     CoreOverflow,
     FriendCountOutcome,
     FriendCountSampler,
@@ -655,27 +654,30 @@ def test_two_color_samples_build_no_k_generic_tables(monkeypatch):
 def test_cluster_growth_matches_the_level_loop(lam, caps):
     # at k = 2 the cluster loop makes the draws of the level loop, in its
     # order, and settles the same samples: from identical seeds, identical
-    # outcomes and generator states over two consecutive blocks
+    # codes and generator states over two consecutive blocks
     clusters, levels = (FriendCountSampler(lam, np.random.default_rng(37),
                                            *caps) for _ in range(2))
     for size in (_BATCH, _CHUNK):
-        assert clusters._grow_block(size) == levels._grow_levels(size)
+        assert np.array_equal(clusters._grow_clusters(size),
+                              levels._grow_levels(size))
     assert clusters._rng.bit_generator.state == levels._rng.bit_generator.state
 
 
 def test_block_codes_become_the_shared_outcomes():
     codes = np.array([3, -1, 0, 1, 10**5, 1, 0, -1, 3, 10**5])
     outs = _code_outcomes(codes)
+    one = FriendCountOutcome.finite(1)
     want = [FriendCountOutcome.finite(3), NODE_CAPPED, DEPTH_CAPPED,
-            ROOT_ONLY, FriendCountOutcome.finite(10**5), ROOT_ONLY,
+            one, FriendCountOutcome.finite(10**5), one,
             DEPTH_CAPPED, NODE_CAPPED, FriendCountOutcome.finite(3),
             FriendCountOutcome.finite(10**5)]
     assert outs == want
     for got, again in ((outs[1], outs[7]), (outs[2], outs[6]),
-                       (outs[0], outs[8]), (outs[4], outs[9])):
+                       (outs[0], outs[8]), (outs[4], outs[9]),
+                       (outs[3], outs[5])):
         assert got is again
     assert outs[1] is NODE_CAPPED and outs[2] is DEPTH_CAPPED
-    assert outs[3] is ROOT_ONLY and outs[5] is ROOT_ONLY
+    assert outs[3] is _code_outcomes(np.array([1]))[0]
     assert outs[4] is _code_outcomes(np.array([10**5]))[0]
     assert _code_outcomes(np.array([], dtype=np.int64)) == []
 
@@ -692,7 +694,8 @@ def test_block_outcome_table_is_sized_by_the_block():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
-    assert outs == [ROOT_ONLY, FriendCountOutcome.finite(10**6 - 1),
+    assert outs == [FriendCountOutcome.finite(1),
+                    FriendCountOutcome.finite(10**6 - 1),
                     NODE_CAPPED, FriendCountOutcome.finite(10**6 - 1)]
 
 
@@ -952,11 +955,11 @@ def test_resolution_law_matches_the_recursion(lam):
     oracle = _Recursion(sampler, np.random.default_rng(33))
     resolve = sampler._resolve
 
-    def both(out, ids, deadmasks, depths, sizes, history):
-        resolve(out, ids, deadmasks, depths, sizes, history)
+    def both(codes, ids, deadmasks, depths, sizes, history):
+        resolve(codes, ids, deadmasks, depths, sizes, history)
         for i, d, depth in zip(ids.tolist(), deadmasks.tolist(),
                                depths.tolist()):
-            oracle.add(out[i].ell, i, d, history[:depth])
+            oracle.add(int(codes[i]), i, d, history[:depth])
     sampler._resolve = both
     for _ in range(10 * _BATCH):
         sampler.sample()
@@ -981,40 +984,36 @@ def test_two_color_count_law_matches_the_recursion(lam):
     sampler._settle_clusters = lambda *cols: (
         settled.append(settle_clusters(*cols)) or settled[-1])
     settle_dead = twin._settle_dead
-    # per level of the twin's block with dead samples: their ids, counts,
-    # grown nodes and levels grown, and the block's history
+    # per block of the twin: its dead samples' ids, counts, grown nodes and
+    # levels grown, and the block's history
     deaths = []
 
-    def recorded(out, ids, cnt, grown, history):
-        deaths.append((ids, cnt, grown, len(history), history))
-        return settle_dead(out, ids, cnt, grown, history)
+    def recorded(codes, ids, cnt, grown, depths, history):
+        deaths.append((ids, cnt, grown, depths, history))
+        return settle_dead(codes, ids, cnt, grown, depths, history)
     twin._settle_dead = recorded
     for _ in range(60):
-        outs = twin._grow_levels(_BATCH)
-        assert sampler._grow_block(_BATCH) == outs
-        ells, = settled
+        codes = twin._grow_levels(_BATCH)
+        assert np.array_equal(sampler._grow_clusters(_BATCH), codes)
+        (ells,), ((ids, cnt, grown, depths, history),) = settled, deaths
         settled.clear()
-        dead_ids = np.concatenate([ids for ids, *_ in deaths])
-        assert [outs[i].ell for i in dead_ids.tolist()] == ells.tolist()
-        for ids, cnt, grown, depth, history in deaths:
-            ells = np.array([outs[i].ell for i in ids.tolist()])
-            deadmasks = (cnt == 0) @ np.array([1, 2])
-            n = grown[np.arange(ids.size), deadmasks]
-            other = (deadmasks != 0b11) & (n > 0)
-            if other.any():
-                arena = resolver._arena(ids[other],
-                                        np.full(other.sum(), depth), history)
-                arena_pairs.extend(zip(ells[other].tolist(),
-                                       resolver._friend_counts(
-                                           arena, deadmasks[other]).tolist()))
-            # the law is compared given the history, so the recursion may
-            # skip the rare histories of more than 500 nodes, which cost it
-            # most
-            small = other & (grown.sum(axis=1) <= 500)
-            for i, ell, d in zip(ids[small].tolist(), ells[small].tolist(),
-                                 deadmasks[small].tolist()):
-                oracle.add(ell, i, d, history[:depth])
         deaths.clear()
+        assert np.array_equal(codes[ids], ells)
+        deadmasks = (cnt == 0) @ np.array([1, 2])
+        n = grown[np.arange(ids.size), deadmasks]
+        other = (deadmasks != 0b11) & (n > 0)
+        if other.any():
+            arena = resolver._arena(ids[other], depths[other], history)
+            arena_pairs.extend(zip(ells[other].tolist(),
+                                   resolver._friend_counts(
+                                       arena, deadmasks[other]).tolist()))
+        # the law is compared given the history, so the recursion may skip
+        # the rare histories of more than 500 nodes, which cost it most
+        small = other & (grown.sum(axis=1) <= 500)
+        for i, ell, d, depth in zip(ids[small].tolist(), ells[small].tolist(),
+                                    deadmasks[small].tolist(),
+                                    depths[small].tolist()):
+            oracle.add(ell, i, d, history[:depth])
         if len(oracle.pairs) >= 3000:
             break
     assert len(oracle.pairs) >= 3000
