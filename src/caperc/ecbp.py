@@ -212,7 +212,9 @@ class FriendCountSampler:
     at the first level with no mask-bit-i node. Every member of a dead
     cluster is grown by then, so friends are counted over the grown tree:
     v is a friend iff for every color i either the root path avoids i or both
-    endpoints are i-avoiding connected to infinity through descendants.
+    endpoints are i-avoiding connected to infinity: the root through its
+    descendants, v through those of the top of its i-avoiding path segment,
+    the node below the lowest color-i edge of its root path.
 
     Growth is counts-first and batched: a block of samples grows together,
     each level a (samples, 2^k) matrix of node counts per avoid-mask, and the
@@ -243,7 +245,8 @@ class FriendCountSampler:
     is i-avoiding connected to infinity: the frontier, and the color-i
     children of each grown node that avoids color i only, which growth never
     draws. Typing is exact, because a type depends on its own unrevealed
-    subtree alone. The alive bits then propagate up one level at a time.
+    subtree alone. The alive bits then propagate up one level at a time,
+    and each segment top's bits down.
 
     When every cluster's frontier reaches a size whose total extinction
     probability is below CERT_EPS, the sample is censored immediately instead
@@ -539,9 +542,16 @@ class FriendCountSampler:
         for d in range(len(starts) - 2, 0, -1):
             lo, hi = starts[d], starts[d + 1]
             np.bitwise_or.at(alive, parent[lo:hi], alive[lo:hi] & keep[lo:hi])
+        # top bit i: alive bit i of the top of the node's i-avoiding path
+        # segment, the node below the lowest color-i edge of its root path
+        top = alive.copy()
+        for d in range(1, len(starts) - 1):
+            lo, hi = starts[d], starts[d + 1]
+            top[lo:hi] = (top[parent[lo:hi]] & keep[lo:hi]) | (
+                alive[lo:hi] & ~keep[lo:hi])
         dead = deadmasks.astype(mask.dtype)[sample]
         friend = ((mask & dead) == dead) & (
-            (full & ~mask & ~(alive & alive[sample])) == 0)
+            (full & ~mask & ~(top & alive[sample])) == 0)
         return np.bincount(sample[friend], minlength=deadmasks.size)
 
 

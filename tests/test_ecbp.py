@@ -257,6 +257,19 @@ def test_three_color_censored_mass_matches_f_infinity():
     assert abs(hist.censored_mass - target) < 3.5 * hist.censored_stderr()
 
 
+def test_three_color_friend_counts_match_the_exact_law():
+    # f_2 and f_3 at (0.7, 0.7, 0.7) from the exact power-series recursion
+    # over dead sets, which ECER graphs at n = 10^6 agree with; a friend
+    # rule that reads a node's link to infinity through its own descendants
+    # only gives 0.0707 and 0.0306, over 5 SE off here
+    samples = 300000
+    hist = mc_component_size_distribution(
+        (0.7, 0.7, 0.7), samples, 3, np.random.default_rng(41))
+    for ell, target in ((2, 0.06821), (3, 0.02900)):
+        se = max(hist.stderr(ell), math.sqrt(target * (1 - target) / samples))
+        assert abs(hist.frequency(ell) - target) < 3.5 * se
+
+
 def _assert_asymmetric_two_color_law():
     # theta(0.5) = 0: every sample ends finite, and most are decided on
     # counts alone because the root is the only candidate friend
@@ -796,9 +809,17 @@ def _materialize(levels, k, uniform):
 def _resolve_friends(k, masks, drawn, kids, dead, typed, reveal):
     """Friend count of one arena by the memoized recursion: typed(u) is the
     extended type of the unrevealed node u, and reveal(u, c) lists the types
-    of the children that node u gets via its undrawn color c."""
+    of the children that node u gets via its undrawn color c. v's
+    j-avoiding component is infinite iff alive(j, top_j(v)), top_j(v) being
+    v when v's parent edge has color j, else top_j of v's parent."""
     deadmask = sum(1 << i for i in dead)
     n0 = len(masks)
+    up = {w: (u, c) for (u, c), ws in kids.items() for w in ws}
+
+    def top(j, v):
+        while v in up and up[v][1] != j:
+            v = up[v][0]
+        return v
     type_memo = {}
     alive_memo = {}
 
@@ -833,7 +854,7 @@ def _resolve_friends(k, masks, drawn, kids, dead, typed, reveal):
 
     count = sum(1 for v in range(n0)
                 if masks[v] & deadmask == deadmask
-                and all(alive(j, 0) and alive(j, v)
+                and all(alive(j, 0) and alive(j, top(j, v))
                         for j in range(k) if not (masks[v] >> j) & 1))
     # alive refers to itself through its closure cell
     del alive
@@ -1019,6 +1040,37 @@ def test_two_color_count_law_matches_the_recursion(lam):
     assert len(oracle.pairs) >= 3000
     assert _paired_law_p_value(arena_pairs) > 0.01
     assert _paired_law_p_value(oracle.pairs) > 0.01
+
+
+@pytest.mark.parametrize("z_kid, friends", [(0b010, 3), (0b000, 1)])
+def test_link_to_infinity_through_a_sibling_branch(z_kid, friends):
+    # k = 3: y (mask 0b101) hangs from the root by color 1, and w (0b001)
+    # and z (0b100) hang from y by colors 2 and 0; r (0b110) and its line
+    # hang from the root by color 0, so the cluster avoiding color 0 dies
+    # at level 3 and the candidates are the root, y and w. w's
+    # 1-avoiding component runs up to y and down z's branch: with z's
+    # revealed child 1-avoiding alive (and w's not), y and w are friends,
+    # although no descendant of w is 1-avoiding alive; without it, neither
+    sampler = FriendCountSampler((0.7, 0.7, 0.7), np.random.default_rng(40))
+    history = _history(sampler, [{(0b111, 0): 1, (0b111, 1): 1},
+                                 {(0b110, 0): 1, (0b101, 2): 1,
+                                  (0b101, 0): 1},
+                                 {(0b110, 0): 1}])
+    arena = sampler._arena(np.arange(1), np.array([3]), history)
+    mask = arena[1]
+    # root, y, r, w, z, r's child, its child on the frontier
+    assert mask.tolist() == [0b111, 0b101, 0b110, 0b001, 0b100, 0b110, 0b110]
+    # one revealed child each for w and z (the lone grown nodes); types:
+    # the frontier node, then those children
+    sampler._rng = SimpleNamespace(
+        poisson=lambda lam: np.ones(lam.size, dtype=np.int64))
+    sampler._types = lambda size: np.array([0b110, 0b100, z_kid], mask.dtype)
+    assert sampler._friend_counts(arena, np.array([0b001])).tolist() == [
+        friends]
+    oracle = _resolve_friends(3, *_arena_as_recursion_input(arena, 3), [0],
+                              {6: 0b110}.__getitem__,
+                              lambda u, c: {3: [0b100], 4: [z_kid]}[u])
+    assert oracle == friends
 
 
 # -- scripted resolution: monotonicity in the frontier types ----------------
