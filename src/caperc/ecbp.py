@@ -227,8 +227,8 @@ class FriendCountSampler:
     give their number (see _settle_clusters). A block holds _BATCH
     samples, unless its caller sizes the blocks (see _CELLS). Both growth
     loops give a block's int codes (ell, _DEPTH or _NODE) and settle its
-    dead samples once, after its last level; _grow_block turns the codes
-    into the shared outcome objects.
+    dead samples once, after its last level, in the order they died;
+    _grow_block turns the codes into the shared outcome objects.
 
     At k = 2 every non-root node avoids exactly one color, so the two
     avoiding clusters grow independently, each through the one color it
@@ -327,8 +327,7 @@ class FriendCountSampler:
         its draws of mean 0, for the masks that hold no node, use no random
         numbers, and the others come per sample in the same order, from the
         root its color-0 children (cluster 1) first, below it cluster 0's
-        children first. Dead samples are settled at the end, in the order
-        they died."""
+        children first."""
         codes = np.full(size, _DEPTH)  # at depth_cap, or certified
         ids = np.arange(size)
         c0 = c1 = np.ones(size, dtype=np.int64)  # the root, in both levels
@@ -393,8 +392,7 @@ class FriendCountSampler:
         checks, in order: samples with a dead cluster, then every sample at
         depth_cap, then samples over node_cap, then certified survivors; the
         rest grow one level by a single Poisson draw over all (sample, entry)
-        pairs. Dead samples are settled at the end, in the order they died
-        (at k >= 3 from the level history)."""
+        pairs."""
         self._build_tables()
         codes = np.full(size, _DEPTH)  # at depth_cap, or certified
         ids = np.arange(size)
@@ -464,11 +462,9 @@ class FriendCountSampler:
             base = ends[lo - 1] if lo else 0
             hi = max(lo + 1, int(np.searchsorted(ends, base + _PASS_NODES,
                                                  side="right")))
-            part = slice(lo, hi)
-            friends = self._friend_counts(
-                self._arena(ids[part], depths[part], history),
-                deadmasks[part])
-            codes[ids[part]] = friends
+            codes[ids[lo:hi]] = self._friend_counts(
+                self._arena(ids[lo:hi], depths[lo:hi], history),
+                deadmasks[lo:hi])
             lo = hi
 
     def _arena(self, ids, depths, history):

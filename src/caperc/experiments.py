@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__, analytic
 from .cap import CapDecomposition
 from .ecbp import POISSON_MAX, McHistogram, mc_component_size_distribution
-from .graph import sample_ecer
+from .graph import MAX_N, sample_ecer
 from .localweak import (
     ISOLATED_ROOT_KEY,
     EmptyCatalogError,
@@ -89,8 +89,8 @@ class ExperimentConfig:
             raise ValueError(
                 "ecbp-mc needs max lambda * max(node_cap, 1) below numpy's "
                 f"Poisson limit {POISSON_MAX:.3g}")
-        if any(n <= 0 for n in self.n_list):
-            raise ValueError("n values must be positive")
+        if not all(0 < n <= MAX_N for n in self.n_list):
+            raise ValueError(f"n values must lie in [1, {MAX_N}]")
         if self.replicas < 1 or self.samples < 1 or self.ell_max < 1:
             raise ValueError("replicas, samples, ell_max must be >= 1")
         if self.depth_cap < 0 or self.node_cap < 0:

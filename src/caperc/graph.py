@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .params import LambdaVector, as_lambda
+
+# the most vertices whose pair keys u * n + v fit in int64
+MAX_N = math.isqrt(np.iinfo(np.int64).max)
 
 
 def _canonical_edges(edges, n: int, color: int,
@@ -62,8 +66,8 @@ class EdgeColoredGraph:
         return g
 
     def _build(self, n: int, edge_sets, copy: bool) -> None:
-        if n < 0:
-            raise ValueError("negative vertex count")
+        if not 0 <= n <= MAX_N:
+            raise ValueError(f"vertex count must lie in [0, {MAX_N}]")
         if len(edge_sets) < 1:
             raise ValueError("need at least one color")
         self.n = int(n)
@@ -165,10 +169,8 @@ def sample_ecer(n: int, vertex_count: int, lam, rng: np.random.Generator) -> Edg
     number of sampled vertices.
     """
     lam = as_lambda(lam)
-    if vertex_count > n:
-        raise ValueError("vertex_count must not exceed n")
-    if vertex_count < 0:
-        raise ValueError("negative vertex_count")
+    if not 0 <= vertex_count <= min(n, MAX_N):
+        raise ValueError(f"vertex_count must lie in [0, min(n, {MAX_N})]")
     total = vertex_count * (vertex_count - 1) // 2
     edge_sets = []
     color_rngs = rng.spawn(lam.k)  # independent substream per color

@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, artifacts, and byte-for-byte
 determinism of seeded runs."""
 
+import importlib.util
 import io
 import json
 import os
@@ -43,6 +44,9 @@ def test_invalid_config_exits_2(capsys):
     ["near-critical", "--k", "2", "--eps", "0.05"],
     ["near-critical", "--k", "3", "--eps", "2,1"],
     ["ecbp-mc", "--depth-cap", "-3", "--samples", "10"],
+    # vertex pair keys u * n + v must fit in int64
+    ["convergence", "--n", "4000000000"],
+    ["sample-ecer", "--n", "3037000500"],
     ["ecbp-mc", "--node-cap", "-5", "--samples", "10"],
     ["ecbp-mc", "--k", "two"],
     # unreadable config file, unwritable output
@@ -223,6 +227,41 @@ def test_dominant_intensity_runs_or_exits_2(capsys, argv):
     if argv[2] == "1e19,1":
         assert code == 2
         assert "Poisson limit" in capsys.readouterr().err
+
+
+def _perfbench_tracing():
+    """perfbench/tracing.py, loaded from its file as perfbench runs it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("argv", [
+    # two k = 2 chunks, both outcomes
+    ["--lambda", "2,2", "--samples", "20000"],
+    # k = 3 over two blocks, with node-capped samples too
+    ["--lambda", "0.9,0.8,0.7", "--samples", "5000", "--node-cap", "50"],
+])
+def test_traced_outcomes_tally_to_the_record(capsys, argv):
+    # perfbench's traced check: the outcome tags of the spans its tracer
+    # wraps around FriendCountSampler.sample must tally to the record's
+    # histogram and censored count
+    tracer = _perfbench_tracing().Tracer()
+    tracer.install()
+    try:
+        rc, first = tracer.run_unit(main, ["ecbp-mc", "--seed", "3",
+                                           "--workers", "1", *argv])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    tags = tracer.tags_since(first)
+    censored = tags.pop("depth-cap", 0) + tags.pop("node-cap", 0)
+    assert censored == round(res["censored_mass"] * res["samples"]) > 0
+    assert tags == {int(ell): c for ell, c in res["histogram"].items()}
+    assert sum(tags.values()) + censored == res["samples"]
 
 
 def test_ecbp_mc_when_theta_rounds_to_one(capsys):

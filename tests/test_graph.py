@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caperc.graph import (
+    MAX_N,
     EdgeColoredGraph,
     _canonical_edges,
     _pair_index_to_edge,
@@ -227,6 +228,23 @@ def test_ecer_edge_counts_match_binomial_oracle():
         mean = reps * pairs * p
         se = np.sqrt(reps * pairs * p * (1 - p))
         assert abs(totals[c] - mean) < 3.5 * se
+
+
+@pytest.mark.parametrize("rows", [[(3 * 10**9, 3 * 10**9 + 1), (1, 2)],
+                                  [(1, 2), (3 * 10**9, 3 * 10**9 + 1)]])
+def test_vertex_counts_whose_pair_keys_overflow_are_rejected(rows):
+    # the key u * n + v of the first pair wraps past int64 at n = 4e9, which
+    # left both orders of these rows out of order
+    with pytest.raises(ValueError, match="vertex count"):
+        EdgeColoredGraph(4 * 10**9, [rows])
+    with pytest.raises(ValueError, match="vertex count"):
+        EdgeColoredGraph(MAX_N + 1, [rows])
+    top = [[MAX_N - 2, MAX_N - 1], [0, 1]]
+    g = EdgeColoredGraph(MAX_N, [top, top[::-1]])
+    assert g.edge_sets[0].tolist() == g.edge_sets[1].tolist() == top[::-1]
+    with pytest.raises(ValueError, match="vertex_count"):
+        sample_ecer(4 * 10**9, 4 * 10**9, (1.0, 1.0),
+                    np.random.default_rng(0))
 
 
 def test_ecer_vertex_count_validation():
