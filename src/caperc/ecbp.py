@@ -382,7 +382,8 @@ class FriendCountSampler:
         nodes = np.where(live, n0, n1)  # non-root nodes of the dead cluster
         rest = (frontier > 0) & (nodes > 0)
         theta = self.theta[live[rest]]
-        rooted = self._rng.random(theta.size) >= (1.0 - theta) ** frontier[rest]
+        miss = (1.0 - theta) ** frontier[rest]  # no frontier type has bit i
+        rooted = self._rng.random(theta.size) >= miss
         friends = np.ones(live.size, dtype=np.int64)
         friends[rest] += rooted * self._rng.binomial(nodes[rest], theta)
         return friends

@@ -424,6 +424,7 @@ def test_components_cli_missing_file(capsys):
     "3 2 1\n0 0 1\n",  # three header fields
     "3 0\n",           # no colors
     "-3 2\n",          # negative n
+    "4000000000 2\n0 1 2\n",  # pair keys beyond int64
 ])
 def test_components_cli_malformed_dump_exits_2(tmp_path, capsys, dump):
     path = tmp_path / "bad.txt"

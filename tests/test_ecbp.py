@@ -820,6 +820,7 @@ def _resolve_friends(k, masks, drawn, kids, dead, typed, reveal):
         while v in up and up[v][1] != j:
             v = up[v][0]
         return v
+
     type_memo = {}
     alive_memo = {}
 
