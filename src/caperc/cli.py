@@ -14,10 +14,10 @@ from .analytic import PSystemError, SeriesTruncationError
 from .cap import CapDecomposition
 from .experiments import (
     CONFIG_KEYS,
-    RUNNERS,
     ExperimentConfig,
     config_from_mapping,
     parse_config_file,
+    run_experiment,
 )
 from .graph import dump_graph, load_graph, sample_ecer
 from .localweak import EmptyCatalogError
@@ -70,7 +70,7 @@ def _run_experiment(args: argparse.Namespace) -> int:
     if cfg.out:
         with _writing(cfg.out):
             cfg.run_dir().mkdir(parents=True, exist_ok=True)
-    record = RUNNERS[cfg.kind](cfg)
+    record = run_experiment(cfg)
     if cfg.out:
         with _writing(cfg.out):
             text = record.write()

@@ -27,8 +27,12 @@ from .localweak import (
 )
 from .params import LambdaVector
 
-KINDS = ("ecer-convergence", "ecbp-mc", "analytic-report",
-         "local-weak-check", "near-critical")
+# largest k per kind, from runs on a 2-core Xeon: the 2^k analytic engine
+# (analytic, near-critical, convergence) took 15 s and 812 MB for one
+# analytic run at k = 20; ecbp-mc's growth scatter holds k * 4^k int64, and
+# 10 samples took 20 s and 426 MB at k = 11. Local weak balls build neither.
+ENGINE_MAX_K = 20
+ECBP_MAX_K = 12
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,7 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind not in RUNNERS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         # the near-critical constant depends on k alone and reads no lambda
         if self.kind != "near-critical" and len(self.lam) != self.k:
@@ -77,6 +81,9 @@ class ExperimentConfig:
         if self.k < 2 and self.kind in ("analytic-report", "near-critical",
                                          "ecbp-mc"):
             raise ValueError(f"{self.kind} needs k >= 2")
+        max_k = ECBP_MAX_K if self.kind == "ecbp-mc" else ENGINE_MAX_K
+        if self.kind != "local-weak-check" and self.k > max_k:
+            raise ValueError(f"{self.kind} needs k <= {max_k}")
         if (self.kind == "ecbp-mc"
                 and not analytic.classify_lambda(self.lam).assumption_holds):
             raise ValueError(
@@ -194,17 +201,16 @@ def _dumps(obj, newline: str) -> str:
 class RunRecord:
     config: ExperimentConfig
     results: dict
+    checks_passed: bool
+    # CSV file name -> lines, written beside record.json
+    csv: dict[str, list[str]]
     elapsed_s: float
-    version: str = __version__
-    csv_lines: list[str] = field(default_factory=list)
-    csv_name: str = "results.csv"
-    checks_passed: bool = True
 
     def to_json_dict(self) -> dict:
         return {
             "config": self.config.to_flat_dict(),
             "config_hash": self.config.config_hash(),
-            "version": self.version,
+            "version": __version__,
             "elapsed_s": self.elapsed_s,
             "checks_passed": self.checks_passed,
             "results": self.results,
@@ -214,43 +220,50 @@ class RunRecord:
         return dumps(self.to_json_dict()) + "\n"
 
     def write(self) -> str:
-        """Write record.json and the CSV; returns the record's JSON text."""
+        """Write record.json and the CSVs; returns the record's JSON text."""
         run_dir = self.config.run_dir()
         run_dir.mkdir(parents=True, exist_ok=True)
         text = self.to_json()
         (run_dir / "record.json").write_text(text)
-        if self.csv_lines:
-            (run_dir / self.csv_name).write_text("\n".join(self.csv_lines) + "\n")
+        for name, lines in self.csv.items():
+            (run_dir / name).write_text("\n".join(lines) + "\n")
         return text
 
 
-def _replica_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
-    return np.random.SeedSequence(seed).spawn(count)
+def run_experiment(cfg: ExperimentConfig) -> RunRecord:
+    """Run cfg's experiment and record it; elapsed_s times the whole run."""
+    start = time.perf_counter()
+    results, checks_passed, csv = RUNNERS[cfg.kind](cfg)
+    return RunRecord(cfg, results, bool(checks_passed), csv,
+                     time.perf_counter() - start)
 
 
-def _parallel_map(fn, tasks, workers: int):
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
+def _parallel_map(task, cfg: ExperimentConfig, sizes: list[int]) -> list:
+    """[task(cfg, seed_i, sizes[i])], seed_i the i-th child of cfg.seed, on
+    min(cfg.workers, len(sizes)) processes. Each seed is its task's, so
+    workers do not change the results."""
+    seeds = np.random.SeedSequence(cfg.seed).spawn(len(sizes))
+    tasks = [(cfg, seed, size) for seed, size in zip(seeds, sizes)]
+    workers = min(cfg.workers, len(tasks))
+    if workers <= 1:
+        return [task(*args) for args in tasks]
     with get_context("spawn").Pool(workers) as pool:
-        return pool.map(fn, tasks)
+        return pool.starmap(task, tasks)
 
 
 # ---------------------------------------------------------------------------
 # ECER convergence
 # ---------------------------------------------------------------------------
 
-def _convergence_task(args):
-    lam, n, rep, seed_seq, ell_max = args
-    rng = np.random.default_rng(seed_seq)
-    g = sample_ecer(n, n, LambdaVector(lam), rng)
+def _convergence_task(cfg: ExperimentConfig, seed, n: int):
+    g = sample_ecer(n, n, LambdaVector(cfg.lam), np.random.default_rng(seed))
     dec = CapDecomposition.from_graph(g)
     f_ells = [float(dec.component_size_density(ell))
-              for ell in range(1, ell_max + 1)]
-    return n, rep, f_ells, float(dec.max_fraction)
+              for ell in range(1, cfg.ell_max + 1)]
+    return f_ells, float(dec.max_fraction)
 
 
-def run_ecer_convergence(cfg: ExperimentConfig) -> RunRecord:
-    start = time.perf_counter()
+def _ecer_convergence(cfg: ExperimentConfig):
     lam = LambdaVector(cfg.lam)
     target_f_inf = analytic.f_infinity_inclusion_exclusion(lam)
     if cfg.k == 2:
@@ -258,22 +271,20 @@ def run_ecer_convergence(cfg: ExperimentConfig) -> RunRecord:
     else:  # no closed form: nan in the CSV, null in the record
         targets = [math.nan] * cfg.ell_max
 
-    seeds = _replica_seeds(cfg.seed, len(cfg.n_list) * cfg.replicas)
-    tasks = [(tuple(lam), n, rep, seeds[i * cfg.replicas + rep], cfg.ell_max)
-             for i, n in enumerate(cfg.n_list) for rep in range(cfg.replicas)]
-    rows = _parallel_map(_convergence_task, tasks, cfg.workers)
+    sizes = [n for n in cfg.n_list for _ in range(cfg.replicas)]
+    rows = _parallel_map(_convergence_task, cfg, sizes)
 
     csv_lines = ["# schema: caperc-convergence-v1",
                  "n,replica,ell,f_ell,target_f_ell,max_fraction,target_f_inf"]
     per_n_dev: dict[int, list[float]] = {n: [] for n in cfg.n_list}
     per_n_f1: dict[int, list[float]] = {n: [] for n in cfg.n_list}
-    for n, rep, f_ells, max_frac in rows:
+    for i, (n, (f_ells, max_frac)) in enumerate(zip(sizes, rows)):
         per_n_dev[n].append(abs(max_frac - target_f_inf))
         per_n_f1[n].append(f_ells[0])
         for ell in range(1, cfg.ell_max + 1):
             csv_lines.append(
-                f"{n},{rep},{ell},{f_ells[ell - 1]!r},{targets[ell - 1]!r},"
-                f"{max_frac!r},{target_f_inf!r}")
+                f"{n},{i % cfg.replicas},{ell},{f_ells[ell - 1]!r},"
+                f"{targets[ell - 1]!r},{max_frac!r},{target_f_inf!r}")
     results = {
         "target_f_inf": target_f_inf,
         "target_f_ell": targets if cfg.k == 2 else [None] * cfg.ell_max,
@@ -282,8 +293,8 @@ def run_ecer_convergence(cfg: ExperimentConfig) -> RunRecord:
         "mean_f1": {str(n): sum(vals) / len(vals)
                     for n, vals in per_n_f1.items()},
     }
-    return RunRecord(cfg, results, time.perf_counter() - start,
-                     csv_lines=csv_lines, csv_name="convergence.csv")
+    # checks nothing yet: ROADMAP item 3 gives it windows on f_ell and f_inf
+    return results, True, {"convergence.csv": csv_lines}
 
 
 # ---------------------------------------------------------------------------
@@ -294,28 +305,20 @@ def run_ecer_convergence(cfg: ExperimentConfig) -> RunRecord:
 _CHUNK = 16384
 
 
-def _ecbp_task(args):
-    lam, samples, seed_seq, ell_max, depth_cap, node_cap = args
-    rng = np.random.default_rng(seed_seq)
+def _ecbp_task(cfg: ExperimentConfig, seed, samples: int):
     hist = mc_component_size_distribution(
-        LambdaVector(lam), samples, ell_max, rng, depth_cap, node_cap)
+        LambdaVector(cfg.lam), samples, cfg.ell_max,
+        np.random.default_rng(seed), cfg.depth_cap, cfg.node_cap)
     return hist.finite_counts, hist.censored_counts
 
 
-def run_ecbp_mc(cfg: ExperimentConfig) -> RunRecord:
-    start = time.perf_counter()
+def _ecbp_mc(cfg: ExperimentConfig):
     # fixed-size chunks, one seed each: workers only map chunks to processes
-    chunks = -(-cfg.samples // _CHUNK)
-    seeds = _replica_seeds(cfg.seed, chunks)
-    tasks = [
-        (cfg.lam, min(_CHUNK, cfg.samples - i * _CHUNK), seeds[i],
-         cfg.ell_max, cfg.depth_cap, cfg.node_cap)
-        for i in range(chunks)
-    ]
-    parts = _parallel_map(_ecbp_task, tasks, cfg.workers)
+    sizes = [min(_CHUNK, cfg.samples - i)
+             for i in range(0, cfg.samples, _CHUNK)]
     finite: Counter = Counter()
     censored: Counter = Counter()
-    for fin, cen in parts:
+    for fin, cen in _parallel_map(_ecbp_task, cfg, sizes):
         finite.update(fin)
         censored.update(cen)
     hist = McHistogram(cfg.samples, dict(finite), dict(censored))
@@ -330,10 +333,7 @@ def run_ecbp_mc(cfg: ExperimentConfig) -> RunRecord:
         "stderrs": [hist.stderr(ell) for ell in range(1, cfg.ell_max + 1)],
         "censored_stderr": hist.censored_stderr(),
     }
-    record = RunRecord(cfg, results, time.perf_counter() - start)
-    total = sum(finite.values()) + sum(censored.values())
-    record.checks_passed = total == cfg.samples
-    return record
+    return results, finite.total() + censored.total() == cfg.samples, {}
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +362,7 @@ def _record_keys(k: int) -> tuple:
 _GF_MAX_K = 10
 
 
-def run_analytic_report(cfg: ExperimentConfig) -> RunRecord:
-    start = time.perf_counter()
+def _analytic_report(cfg: ExperimentConfig):
     lam = LambdaVector(cfg.lam)
     regime = analytic.classify_lambda(lam)
     table = analytic.solve_p_system(lam)
@@ -395,39 +394,33 @@ def run_analytic_report(cfg: ExperimentConfig) -> RunRecord:
     if cfg.k == 2:
         results["f_ell"] = analytic.two_color_f_ell(*lam, cfg.ell_max,
                                                     table=table)
-    record = RunRecord(cfg, results, time.perf_counter() - start)
-    record.checks_passed = bool(checks)
-    return record
+    return results, checks, {}
 
 
 # ---------------------------------------------------------------------------
 # Local weak convergence check
 # ---------------------------------------------------------------------------
 
-def _local_weak_task(args):
-    lam, n, seed_seq, d = args
-    rng = np.random.default_rng(seed_seq)
-    g = sample_ecer(n, n, LambdaVector(lam), rng)
-    counts, out = ecer_ball_counts(g, d)
+def _local_weak_task(cfg: ExperimentConfig, seed, n: int):
+    g = sample_ecer(n, n, LambdaVector(cfg.lam), np.random.default_rng(seed))
+    counts, out = ecer_ball_counts(g, cfg.d)
     return dict(counts), out
 
 
-def run_local_weak_check(cfg: ExperimentConfig) -> RunRecord:
-    start = time.perf_counter()
+def _local_weak_check(cfg: ExperimentConfig):
     lam = LambdaVector(cfg.lam)
     n = cfg.n_list[-1]
-    seeds = _replica_seeds(cfg.seed, cfg.replicas + 1)
-    tasks = [(cfg.lam, n, seeds[i], cfg.d)
-             for i in range(cfg.replicas)]
-    parts = _parallel_map(_local_weak_task, tasks, cfg.workers)
     ecer_counts: Counter = Counter()
     ecer_out = 0
-    for counts, out in parts:
+    for counts, out in _parallel_map(_local_weak_task, cfg,
+                                     [n] * cfg.replicas):
         ecer_counts.update(counts)
         ecer_out += out
     ecer_total = cfg.replicas * n
-    rng = np.random.default_rng(seeds[-1])
-    ecbp_counts, ecbp_out = ecbp_ball_counts(lam, cfg.d, cfg.samples, rng)
+    # the tree samples take the seed's child after the replicas'
+    tree_seed = np.random.SeedSequence(cfg.seed).spawn(cfg.replicas + 1)[-1]
+    ecbp_counts, ecbp_out = ecbp_ball_counts(
+        lam, cfg.d, cfg.samples, np.random.default_rng(tree_seed))
     if not (ecer_counts or ecbp_counts):
         raise EmptyCatalogError(
             f"no depth-{cfg.d} ball was tree-like within the catalog's size "
@@ -454,13 +447,11 @@ def run_local_weak_check(cfg: ExperimentConfig) -> RunRecord:
         "ecbp_isolated_root_target": target_ecbp,
         "catalog_size": len(set(ecer_counts) | set(ecbp_counts)),
     }
-    record = RunRecord(cfg, results, time.perf_counter() - start)
-    record.checks_passed = (
-        ecer_counts.total() / ecer_total <= 1.0 + 1e-12
-        and ecbp_counts.total() / cfg.samples <= 1.0 + 1e-12
-        and _within_binomial_se(iso_ecer, target_ecer, ecer_total)
-        and _within_binomial_se(iso_ecbp, target_ecbp, cfg.samples))
-    return record
+    checks = (ecer_counts.total() / ecer_total <= 1.0 + 1e-12
+              and ecbp_counts.total() / cfg.samples <= 1.0 + 1e-12
+              and _within_binomial_se(iso_ecer, target_ecer, ecer_total)
+              and _within_binomial_se(iso_ecbp, target_ecbp, cfg.samples))
+    return results, checks, {}
 
 
 def _within_binomial_se(freq: float, target: float, trials: int) -> bool:
@@ -473,8 +464,7 @@ def _within_binomial_se(freq: float, target: float, trials: int) -> bool:
 # Near-critical constant
 # ---------------------------------------------------------------------------
 
-def run_near_critical(cfg: ExperimentConfig) -> RunRecord:
-    start = time.perf_counter()
+def _near_critical(cfg: ExperimentConfig):
     estimate, diag = analytic.near_critical_constant(cfg.k, cfg.eps_grid)
     results = {
         "k": cfg.k,
@@ -485,17 +475,17 @@ def run_near_critical(cfg: ExperimentConfig) -> RunRecord:
         "monotone": diag.monotone,
         "noise_floors": list(diag.noise_floors),
     }
-    record = RunRecord(cfg, results, time.perf_counter() - start)
     # each ratio must stand well clear of its rounding noise
-    record.checks_passed = diag.monotone and all(
+    checks = diag.monotone and all(
         f <= 1e-4 * abs(r) for f, r in zip(diag.noise_floors, diag.ratios))
-    return record
+    return results, checks, {}
 
 
+# kind -> body returning (results, checks passed, CSV file name -> lines)
 RUNNERS = {
-    "ecer-convergence": run_ecer_convergence,
-    "ecbp-mc": run_ecbp_mc,
-    "analytic-report": run_analytic_report,
-    "local-weak-check": run_local_weak_check,
-    "near-critical": run_near_critical,
+    "ecer-convergence": _ecer_convergence,
+    "ecbp-mc": _ecbp_mc,
+    "analytic-report": _analytic_report,
+    "local-weak-check": _local_weak_check,
+    "near-critical": _near_critical,
 }

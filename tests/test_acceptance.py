@@ -29,8 +29,7 @@ from caperc.cap import (
 from caperc.ecbp import mc_component_size_distribution
 from caperc.experiments import (
     ExperimentConfig,
-    run_ecer_convergence,
-    run_local_weak_check,
+    run_experiment,
 )
 from caperc.graph import sample_ecer
 from caperc.params import as_lambda
@@ -130,7 +129,7 @@ def test_criterion_05_ecer_convergence():
     # n = 500..4000 (30 replicas) and below 0.02 at n = 4000; in the fully
     # subcritical regime (0.8, 0.8) singletons dominate at n = 4000
     cfg = ExperimentConfig(kind="ecer-convergence", lam=(2.0, 2.0), seed=0)
-    rec = run_ecer_convergence(cfg)
+    rec = run_experiment(cfg)
     devs = [rec.results["mean_abs_max_fraction_deviation"][str(n)]
             for n in cfg.n_list]
     _report("ECER convergence",
@@ -138,7 +137,7 @@ def test_criterion_05_ecer_convergence():
     assert all(a >= b for a, b in zip(devs, devs[1:]))
     assert devs[-1] < 0.02
 
-    sub = run_ecer_convergence(ExperimentConfig(
+    sub = run_experiment(ExperimentConfig(
         kind="ecer-convergence", lam=(0.8, 0.8), n_list=(4000,), seed=0))
     f1 = sub.results["mean_f1"]["4000"]
     _report("ECER subcritical", f"f_1(G_4000) = {f1:.5f}")
@@ -221,7 +220,7 @@ def test_criterion_08_phi_recursion():
 def test_criterion_09_local_weak_convergence():
     # depth-1 colored ball statistics of ECER graphs at n = 4000 are within
     # restricted total variation 0.02 of the branching-process law
-    rec = run_local_weak_check(ExperimentConfig(
+    rec = run_experiment(ExperimentConfig(
         kind="local-weak-check", lam=(1.0, 1.0), n_list=(4000,),
         replicas=10, samples=100_000, seed=0, d=1))
     tv = rec.results["restricted_tv"]

@@ -17,9 +17,26 @@ import caperc
 from caperc import cli
 from caperc.analytic import f_infinity_inclusion_exclusion
 from caperc.cli import main
-from caperc.experiments import CONFIG_KEYS, RUNNERS, ExperimentConfig
+from caperc.experiments import CONFIG_KEYS, ExperimentConfig
 from caperc.graph import EdgeColoredGraph, dump_graph, load_graph, sample_ecer
 from test_graph import load_graph_by_line
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # the `caperc ...` lines of README's command-line block, in order:
+    # components reads the graph that sample-ecer writes
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split()[1:] for line in block.splitlines()
+                if line.startswith("caperc ")]
+    assert {argv[0] for argv in commands} == {
+        "analytic", "sample-ecer", "components", "ecbp-mc", "convergence",
+        "local-weak", "near-critical"}
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
 
 
 def test_invalid_config_exits_2(capsys):
@@ -61,6 +78,12 @@ def test_invalid_config_exits_2(capsys):
     # no depth-1 ball is tree-like within the catalog's size cap
     ["local-weak", "--lambda", "40,40", "--n", "50", "--replicas", "1",
      "--samples", "100"],
+    # k ceilings: 2^k tables to k = 20, and ecbp-mc's k * 4^k to k = 12
+    ["near-critical", "--k", "40"],
+    ["analytic", "--lambda", ",".join(["0.1"] * 30)],
+    ["analytic", "--lambda", ",".join(["0.1"] * 21)],
+    ["convergence", "--lambda", ",".join(["0.1"] * 21), "--n", "10"],
+    ["ecbp-mc", "--lambda", ",".join(["0.05"] * 13), "--samples", "10"],
 ])
 def test_invalid_experiment_input_exits_2(tmp_path, capsys, argv):
     missing, file, graph = (tmp_path / name
@@ -80,9 +103,9 @@ def test_unwritable_out_is_reported_before_the_run(tmp_path, capsys,
     file = tmp_path / "file"
     file.write_text("")
 
-    def runner(cfg):
+    def run_experiment(cfg):
         raise AssertionError("the runner ran")
-    monkeypatch.setitem(RUNNERS, "ecbp-mc", runner)
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
     argv = ["ecbp-mc", "--lambda", "2,2", "--samples", "10",
             "--out", f"{file}/sub"]
     assert main(argv) == 2

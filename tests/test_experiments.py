@@ -12,16 +12,11 @@ from caperc import analytic, experiments
 from caperc.analytic import near_critical_constant
 from caperc.experiments import (
     CONFIG_KEYS,
-    RUNNERS,
     ExperimentConfig,
     config_from_mapping,
     dumps,
     parse_config_file,
-    run_analytic_report,
-    run_ecbp_mc,
-    run_ecer_convergence,
-    run_local_weak_check,
-    run_near_critical,
+    run_experiment,
 )
 from caperc.localweak import ISOLATED_ROOT_KEY
 
@@ -123,24 +118,27 @@ def _small_convergence_cfg(**kw):
     return ExperimentConfig(**base)
 
 
+def _convergence_csv(cfg):
+    return run_experiment(cfg).csv["convergence.csv"]
+
+
 def test_convergence_record_and_determinism():
-    rec1 = run_ecer_convergence(_small_convergence_cfg())
-    rec2 = run_ecer_convergence(_small_convergence_cfg())
-    assert rec1.csv_lines == rec2.csv_lines
-    assert rec1.csv_lines[0] == "# schema: caperc-convergence-v1"
-    assert rec1.csv_lines[1] == ("n,replica,ell,f_ell,target_f_ell,"
-                                 "max_fraction,target_f_inf")
+    rec1 = run_experiment(_small_convergence_cfg())
+    lines = rec1.csv["convergence.csv"]
+    assert lines == _convergence_csv(_small_convergence_cfg())
+    assert lines[0] == "# schema: caperc-convergence-v1"
+    assert lines[1] == ("n,replica,ell,f_ell,target_f_ell,"
+                        "max_fraction,target_f_inf")
     # 2 sizes x 3 replicas x 5 ell values
-    assert len(rec1.csv_lines) == 2 + 2 * 3 * 5
+    assert len(lines) == 2 + 2 * 3 * 5
     assert rec1.checks_passed
     # different seed, different data
-    rec3 = run_ecer_convergence(_small_convergence_cfg(seed=8))
-    assert rec3.csv_lines != rec1.csv_lines
+    assert _convergence_csv(_small_convergence_cfg(seed=8)) != lines
 
 
 def test_convergence_csv_row_contents():
-    rec = run_ecer_convergence(_small_convergence_cfg())
-    row = rec.csv_lines[2].split(",")
+    rec = run_experiment(_small_convergence_cfg())
+    row = rec.csv["convergence.csv"][2].split(",")
     assert int(row[0]) == 200 and int(row[1]) == 0 and int(row[2]) == 1
     target_inf = rec.results["target_f_inf"]
     assert float(row[6]) == target_inf
@@ -149,7 +147,7 @@ def test_convergence_csv_row_contents():
 
 def test_record_write(tmp_path):
     cfg = _small_convergence_cfg(out=str(tmp_path))
-    rec = run_ecer_convergence(cfg)
+    rec = run_experiment(cfg)
     text = rec.write()
     run_dir = cfg.run_dir()
     assert (run_dir / "record.json").read_text() == text
@@ -158,12 +156,12 @@ def test_record_write(tmp_path):
     assert payload["checks_passed"] is True
     assert payload["config"]["kind"] == "ecer-convergence"
     csv_text = (run_dir / "convergence.csv").read_text()
-    assert csv_text.splitlines() == rec.csv_lines
+    assert csv_text.splitlines() == rec.csv["convergence.csv"]
 
 
 def test_ecbp_mc_runner_counts_every_sample():
     cfg = ExperimentConfig(kind="ecbp-mc", lam=(2.0, 2.0), samples=2000, seed=1)
-    rec = run_ecbp_mc(cfg)
+    rec = run_experiment(cfg)
     assert rec.checks_passed
     hist_total = sum(rec.results["histogram"].values())
     censored = round(rec.results["censored_mass"] * cfg.samples)
@@ -177,16 +175,50 @@ def test_ecbp_mc_results_independent_of_workers():
     for workers in (1, 2):
         cfg = ExperimentConfig(kind="ecbp-mc", lam=(2.0, 2.0),
                                samples=40_000, seed=3, workers=workers)
-        payload = run_ecbp_mc(cfg).to_json_dict()
+        payload = run_experiment(cfg).to_json_dict()
         del payload["elapsed_s"]
         assert payload["config"].pop("workers") == str(workers)
         records.append(payload)
     assert records[0] == records[1]
 
 
+def test_pool_starts_no_more_processes_than_tasks(monkeypatch):
+    # 40 000 samples make three chunks, so 16 workers start three processes
+    pools = []
+
+    class FakePool:
+        def __init__(self, processes):
+            pools.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks):
+            return [fn(*args) for args in tasks]
+
+    class FakeContext:
+        Pool = FakePool
+
+        def __init__(self, method):
+            pools.append(method)
+    monkeypatch.setattr(experiments, "get_context", FakeContext)
+    payloads = []
+    for workers in (16, 1):
+        cfg = ExperimentConfig(kind="ecbp-mc", lam=(2.0, 2.0),
+                               samples=40_000, seed=3, workers=workers)
+        payload = run_experiment(cfg).to_json_dict()
+        del payload["elapsed_s"], payload["config"]["workers"]
+        payloads.append(payload)
+    assert pools == ["spawn", 3]
+    assert payloads[0] == payloads[1]
+
+
 def test_analytic_report_route_agreement():
-    rec = run_analytic_report(ExperimentConfig(kind="analytic-report",
-                                               lam=(2.0, 2.0)))
+    rec = run_experiment(ExperimentConfig(kind="analytic-report",
+                                          lam=(2.0, 2.0)))
     assert rec.checks_passed
     res = rec.results
     assert res["regime"]["fully_supercritical"]
@@ -215,7 +247,7 @@ def test_p_table_names_match_per_mask_names():
 def test_analytic_record_is_built_in_key_order(k, lam_i):
     # two digits in a color make "{0,10}" sort before "{0,1}" from k = 11 on
     cfg = ExperimentConfig(kind="analytic-report", k=k, lam=(lam_i,) * k)
-    record = run_analytic_report(cfg)
+    record = run_experiment(cfg)
     assert record.checks_passed
     results = record.results
     for key in ("p_table", "phat"):
@@ -237,8 +269,8 @@ def test_analytic_report_solves_the_p_system_once(monkeypatch, lam):
         calls.append(args)
         return solve(*args, **kwargs)
     monkeypatch.setattr(analytic, "solve_p_system", counted)
-    rec = run_analytic_report(ExperimentConfig(kind="analytic-report",
-                                               k=len(lam), lam=lam))
+    rec = run_experiment(ExperimentConfig(kind="analytic-report",
+                                          k=len(lam), lam=lam))
     assert rec.checks_passed
     assert len(calls) == 1
 
@@ -253,8 +285,8 @@ def test_analytic_report_classifies_once(monkeypatch, lam):
         calls.append(args)
         return classify(*args)
     monkeypatch.setattr(analytic, "classify_lambda", counted)
-    rec = run_analytic_report(ExperimentConfig(kind="analytic-report",
-                                               k=len(lam), lam=lam))
+    rec = run_experiment(ExperimentConfig(kind="analytic-report",
+                                          k=len(lam), lam=lam))
     assert rec.checks_passed
     assert "f_inf_generating_function" not in rec.results
     assert len(calls) == 1
@@ -267,13 +299,13 @@ def _local_weak_cfg(**kw):
 
 
 def test_local_weak_isolated_root_targets():
-    rec = run_local_weak_check(_local_weak_cfg())
+    rec = run_experiment(_local_weak_cfg())
     res = rec.results
     assert rec.checks_passed
     assert res["ecbp_isolated_root_target"] == math.exp(-2.0)
     assert res["ecer_isolated_root_target"] == math.exp(-2.0 * 1999 / 2000)
     # at d = 0 every ball is the bare root
-    rec = run_local_weak_check(_local_weak_cfg(d=0))
+    rec = run_experiment(_local_weak_cfg(d=0))
     assert rec.checks_passed
     for side in ("ecer", "ecbp"):
         assert rec.results[f"{side}_isolated_root_freq"] == 1.0
@@ -290,13 +322,13 @@ def test_local_weak_check_fails_on_wrong_isolated_frequency(monkeypatch):
         counts[((1, ()),)] += counts.pop(ISOLATED_ROOT_KEY, 0)
         return counts, out
     monkeypatch.setattr(experiments, "ecer_ball_counts", no_isolated)
-    rec = run_local_weak_check(_local_weak_cfg())
+    rec = run_experiment(_local_weak_cfg())
     assert rec.results["ecer_isolated_root_freq"] == 0.0
     assert not rec.checks_passed
 
 
 def test_near_critical_runner():
-    rec = run_near_critical(ExperimentConfig(kind="near-critical", k=2))
+    rec = run_experiment(ExperimentConfig(kind="near-critical", k=2))
     assert rec.checks_passed
     assert rec.results["monotone"]
     assert abs(rec.results["estimate"] - 4.0) < 0.1
@@ -348,6 +380,6 @@ def test_dumps_matches_json_indent_2_sorted(obj):
     ExperimentConfig(kind="near-critical"),
 ], ids=lambda cfg: f"{cfg.kind}-k{cfg.k}")
 def test_every_runner_record_serializes_as_json_does(cfg):
-    record = RUNNERS[cfg.kind](cfg)
+    record = run_experiment(cfg)
     assert record.to_json() == json.dumps(
         record.to_json_dict(), indent=2, sort_keys=True) + "\n"
