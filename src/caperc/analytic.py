@@ -104,6 +104,13 @@ def classify_lambda(lam) -> RegimeReport:
     return RegimeReport(len(sup) == k, not sup, assumption, sup)
 
 
+def check_small_subsets(lam, what: str) -> None:
+    """ValueError naming `what` unless the small-subset assumption holds."""
+    if not classify_lambda(lam).assumption_holds:
+        raise ValueError(f"{what} requires every color subset of size <= k-2 "
+                         "to have total intensity < 1")
+
+
 # ---------------------------------------------------------------------------
 # The p_I system
 # ---------------------------------------------------------------------------
@@ -144,7 +151,7 @@ class PTable:
         return float(_residuals(self.lam, self.p)[mask])
 
 
-def solve_p_system(lam, residual_tol: float = 1e-8) -> PTable:
+def solve_p_system(lam) -> PTable:
     """Solve the p_I fixed-point system one popcount layer at a time.
 
     Each strict subset takes the largest root of p = -expm1(-c - mu p),
@@ -166,8 +173,8 @@ def solve_p_system(lam, residual_tol: float = 1e-8) -> PTable:
         p[masks] = _largest_roots(_incoming(lam, p)[masks], mu[masks])
     p[full] = -math.expm1(-_incoming(lam, p)[full])
     max_res = float(_residuals(lam, p).max())
-    if max_res > residual_tol:
-        raise PSystemError(f"p_I residual {max_res:.3e} exceeds {residual_tol:.1e}")
+    if max_res > 1e-8:
+        raise PSystemError(f"p_I residual {max_res:.3e} exceeds 1.0e-08")
     relevant = bool(np.all(p[1:] > 0.0))
     return PTable(lam, p, relevant=relevant, max_residual=max_res)
 
@@ -200,8 +207,8 @@ def f_infinity_inclusion_exclusion(lam, table: PTable | None = None) -> float:
     return max(0.0, float(_type_law(table.p)[-1]))
 
 
-def extended_type_distribution(lam, table: PTable | None = None,
-                               clamp_tol: float = 1e-10) -> dict[int, float]:
+def extended_type_distribution(
+        lam, table: PTable | None = None) -> dict[int, float]:
     """Joint law of the extended type vector: map gamma-mask -> p_hat*(gamma).
 
     p_hat*(alive exactly on A) = sum_{B subseteq A} (-1)^{|B|}
@@ -210,7 +217,7 @@ def extended_type_distribution(lam, table: PTable | None = None,
     table = table or solve_p_system(lam)
     phat = _type_law(table.p)
     worst = int(np.argmin(phat))
-    if phat[worst] < -clamp_tol:
+    if phat[worst] < -1e-10:
         raise PSystemError(f"extended type inversion gave {phat[worst]:.3e} "
                            f"for mask {worst:b}")
     return dict(enumerate(np.maximum(phat, 0.0).tolist()))
@@ -285,10 +292,11 @@ def phi_eval(lam, h: int, z: dict[tuple[int, ...], float]) -> float:
     for v in z.values():
         if not 0.0 <= v <= 1.0:
             raise ValueError("phi_eval: z values must lie in [0, 1]")
+    mu = subset_sums(lam.lam)
     cur = dict(z)
     for level in range(h, 0, -1):
         # F_{s i}(z_{s i}), one entry per string s i of this level
-        f = total_progeny_gf([lam.lambda_subset(si) for si in cur],
+        f = total_progeny_gf([mu[sum(1 << c for c in si)] for si in cur],
                              list(cur.values()))
         f = dict(zip(cur, f.tolist()))
         cur = {s: math.prod(math.exp(lam[i] * (f[s + (i,)] - 1.0))
@@ -317,11 +325,9 @@ def f_infinity_generating_function(lam) -> float:
     """
     lam = as_lambda(lam)
     k = lam.k
-    regime = classify_lambda(lam)
-    if not regime.fully_supercritical:
+    if not classify_lambda(lam).fully_supercritical:
         raise ValueError("generating-function route requires fully supercritical lambda")
-    if not regime.assumption_holds:
-        raise ValueError("generating-function route requires the small-subset assumption")
+    check_small_subsets(lam, "the generating-function route")
     full = (1 << k) - 1
     bits, mu = subset_sums([1] * k), subset_sums(lam.lam)
     layers = [np.flatnonzero(bits == h) for h in range(k + 1)]
@@ -357,10 +363,10 @@ class SeriesTruncationError(Exception):
     """Certified tail bound could not be brought below tolerance."""
 
 
-def _borel_binomial_series(mu: float, q: float, ell: int, tol: float,
+def _borel_binomial_series(mu: float, q: float, ell: int,
                            m_max: int = 200_000) -> float:
     """sum_{m >= ell} C(m-1, ell-1) q^{ell-1} (1-q)^{m-ell} Borel(mu, m),
-    truncated when the certified geometric tail bound drops below tol.
+    truncated when the certified geometric tail bound drops below 1e-12.
 
     Term-ratio bound: Borel(mu, m+1)/Borel(mu, m) <= mu e^{1-mu}, and the
     binomial-weight ratio is (m/(m-ell+1)) (1-q) which is nonincreasing in m;
@@ -384,30 +390,27 @@ def _borel_binomial_series(mu: float, q: float, ell: int, tol: float,
         total += term
         if m >= max(2 * ell, 8):
             r = mu * math.exp(1.0 - mu) * (1.0 - q) * (m + 1) / (m - ell + 2)
-            if r < 1.0 and term * r / (1.0 - r) < tol:
+            if r < 1.0 and term * r / (1.0 - r) < 1e-12:
                 return total
     raise SeriesTruncationError(
-        f"two-color series tail not certified below {tol:.1e} within {m_max} terms")
+        f"two-color series tail not certified below 1.0e-12 within {m_max} terms")
 
 
 def two_color_f_ell(lambda_red: float, lambda_blue: float, ell_max: int,
-                    tol: float = 1e-12,
                     table: PTable | None = None) -> list[float]:
     """Exact probabilities f_1..f_ell_max of exactly ell friends, k = 2.
 
     Three parts: the isolated-type atom at ell = 1, plus two Borel-weighted
     binomial series (one per color playing the finite-cluster role), each
-    cut for every ell where its certified tail bound drops below tol.
+    cut for every ell where its certified tail bound drops below 1e-12.
     theta_red = theta(lambda_red) is the survival probability of the pure-red
     process, i.e. of blue-avoiding connection to infinity.
     """
     if ell_max < 1:
         raise ValueError("ell_max must be >= 1")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     lam = LambdaVector((lambda_red, lambda_blue))
-    theta_red, theta_blue = survival_theta(
-        np.array([lambda_red, lambda_blue])).tolist()
+    # theta_i avoids color i: theta_avoid lists (theta_blue, theta_red)
+    theta_blue, theta_red = theta_avoid(lam).tolist()
     phat = extended_type_distribution(lam, table)
     # gamma bit 0 = red-avoiding (pure blue) alive, bit 1 = blue-avoiding alive
     p00 = phat[0b00]
@@ -419,9 +422,9 @@ def two_color_f_ell(lambda_red: float, lambda_blue: float, ell_max: int,
     for ell in range(1, ell_max + 1):
         out = p00 if ell == 1 else 0.0
         if p10 > 0.0:
-            out += p10 * _borel_binomial_series(mu_red, theta_blue, ell, tol)
+            out += p10 * _borel_binomial_series(mu_red, theta_blue, ell)
         if p01 > 0.0:
-            out += p01 * _borel_binomial_series(mu_blue, theta_red, ell, tol)
+            out += p01 * _borel_binomial_series(mu_blue, theta_red, ell)
         f_ell.append(out)
     return f_ell
 

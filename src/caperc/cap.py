@@ -118,8 +118,8 @@ class CapDecomposition:
             raise ValueError("ell out of range")
         return self.size_histogram.get(ell, Fraction(0))
 
-    def to_csv(self, fh: IO[str], schema: str = "cap-sizes-v1") -> None:
-        fh.write(f"# schema: {schema}\n")
+    def to_csv(self, fh: IO[str]) -> None:
+        fh.write("# schema: cap-sizes-v1\n")
         fh.write("size,fraction,count\n")
         for size in sorted(self.size_counts):
             frac = self.size_histogram[size]

@@ -21,7 +21,6 @@ from .experiments import (
 )
 from .graph import dump_graph, load_graph, sample_ecer
 from .localweak import EmptyCatalogError
-from .params import LambdaVector
 
 
 class _InputError(Exception):
@@ -39,7 +38,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _gather(args: argparse.Namespace) -> dict[str, str]:
     items = parse_config_file(args.config) if args.config else {}
-    # kind comes from the subcommand's defaults, so it overrides the file
+    # kind comes from the subcommand's defaults; a file may only repeat it
+    if items.get("kind", args.kind) != args.kind:
+        raise ValueError(f"config file has kind={items['kind']}, but this "
+                         f"subcommand runs kind={args.kind}")
     items.update({key: val for key, val in vars(args).items()
                   if key in CONFIG_KEYS and val is not None})
     if "k" not in items and "lambda" in items:
@@ -85,7 +87,7 @@ def _cmd_sample_ecer(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     n = cfg.n_list[-1]
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    g = sample_ecer(n, n, LambdaVector(cfg.lam), rng)
+    g = sample_ecer(n, cfg.lam, rng)
     if cfg.out:
         path = Path(cfg.out) / f"ecer-n{n}-seed{cfg.seed}.txt"
         with _writing(path):
@@ -133,9 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Color-avoiding percolation: simulation and analytics")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # sample-ecer reads local-weak's config: no 2^k table, so no k ceiling
     p = sub.add_parser("sample-ecer", help="sample an ECER graph dump")
     _add_common(p)
-    p.set_defaults(fn=_cmd_sample_ecer, kind="ecer-convergence")
+    p.set_defaults(fn=_cmd_sample_ecer, kind="local-weak-check")
 
     p = sub.add_parser("components",
                        help="decompose a graph dump into color-avoiding components")
@@ -164,7 +167,3 @@ def main(argv: list[str] | None = None) -> int:
             EmptyCatalogError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

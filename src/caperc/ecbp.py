@@ -8,12 +8,13 @@ density."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from .analytic import (
+    check_small_subsets,
     classify_lambda,
     extended_type_distribution,
     subset_sums,
@@ -28,6 +29,10 @@ CERT_EPS = 1e-12
 
 # the largest mean numpy's Poisson draw accepts, about 9.2e18
 POISSON_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
+
+# the samplers' default caps: levels grown, and nodes held, per sample
+DEPTH_CAP = 40
+NODE_CAP = 10**6
 
 
 class CoreOverflow(Exception):
@@ -60,7 +65,7 @@ _CORE_BLOCK = 16384
 
 
 def core_counts(lam, samples: int, rng: np.random.Generator,
-                node_cap: int = 10**6) -> np.ndarray:
+                node_cap: int = NODE_CAP) -> np.ndarray:
     """(samples, 2^k) node totals per avoid-mask on i.i.d. trees: the root
     in column full, the core (root paths with at most k-2 colors) in the
     columns with >= 2 bits, its (i,) chronology layer in full ^ (1 << i),
@@ -74,10 +79,7 @@ def core_counts(lam, samples: int, rng: np.random.Generator,
     when a sample's core has more than node_cap nodes.
     """
     lam = as_lambda(lam)
-    if not classify_lambda(lam).assumption_holds:
-        raise ValueError(
-            "core growth requires every color subset of size <= k-2 "
-            "to have total intensity < 1")
+    check_small_subsets(lam, "core growth")
     full = (1 << lam.k) - 1
     entries, entry_mask, entry_lam, scatter = _growth_table(lam, 2)
     child = np.array([cm for *_, cm in entries])
@@ -119,8 +121,8 @@ def _progeny(start: np.ndarray, mean: np.ndarray,
     return total
 
 
-def mc_f_infinity(lam, samples: int, rng: np.random.Generator,
-                  node_cap: int = 10**6) -> tuple[float, float]:
+def mc_f_infinity(lam, samples: int,
+                  rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo estimate of the infinite-class density: the sample mean of
     prod_i (1 - (1 - theta_i)^{b_i}) over i.i.d. core samples.
 
@@ -136,8 +138,7 @@ def mc_f_infinity(lam, samples: int, rng: np.random.Generator,
     # drawn and evaluated one block at a time, so only the values are kept
     vals = np.concatenate([
         np.prod(1.0 - miss ** core_counts(
-            lam, min(_CORE_BLOCK, samples - lo), rng, node_cap)[:, boundary],
-            axis=1)
+            lam, min(_CORE_BLOCK, samples - lo), rng)[:, boundary], axis=1)
         for lo in range(0, samples, _CORE_BLOCK)])
     return float(vals.mean()), float(vals.std() / math.sqrt(samples))
 
@@ -254,24 +255,20 @@ class FriendCountSampler:
     """
 
     def __init__(self, lam, rng: np.random.Generator,
-                 depth_cap: int = 40, node_cap: int = 10**6):
+                 depth_cap: int = DEPTH_CAP, node_cap: int = NODE_CAP):
         self.lam = as_lambda(lam)
-        if not classify_lambda(self.lam).assumption_holds:
-            raise ValueError(
-                "friend counting requires every color subset of size <= k-2 "
-                "to have total intensity < 1")
+        check_small_subsets(self.lam, "friend counting")
         self.k = k = self.lam.k
         self.depth_cap = depth_cap
         self.node_cap = node_cap
         self.theta = theta_avoid(self.lam)
-        # None: this cluster dies almost surely; 1: theta rounds to 1.0
-        self.cert = [None if t == 0.0 else 1 if t == 1.0 else
-                     max(1, math.ceil(math.log(CERT_EPS) / math.log1p(-t)))
-                     for t in self.theta]
+        # frontier size certifying each cluster; None if one dies almost surely
+        self.cert = None if (self.theta == 0.0).any() else np.array([
+            max(1, math.ceil(math.log(CERT_EPS) / math.log1p(-t)))
+            if t < 1.0 else 1 for t in self.theta])
         self._rng = rng
         self._poisson = rng.poisson
         self._full = (1 << k) - 1
-        self._cert = None if None in self.cert else np.array(self.cert)
         self._outs = iter(())  # the current block's outcomes not yet taken
         self._sizes = iter(())  # block sizes a caller gave, then _BATCH
 
@@ -347,7 +344,7 @@ class FriendCountSampler:
                 over = live & (n0 + n1 >= self.node_cap)
                 codes[ids[over]] = _NODE
                 live &= ~over
-            if self._cert is not None:
+            if self.cert is not None:
                 # both clusters are certified to survive to depth_cap
                 live &= (c0 < self.cert[0]) | (c1 < self.cert[1])
             rows = np.flatnonzero(live)
@@ -418,9 +415,9 @@ class FriendCountSampler:
             over = live & (grown.sum(axis=1) >= self.node_cap)
             codes[ids[over]] = _NODE
             live &= ~over
-            if self._cert is not None:
+            if self.cert is not None:
                 # every avoiding cluster is certified to survive to depth_cap
-                live &= ~(cnt >= self._cert).all(axis=1)
+                live &= ~(cnt >= self.cert).all(axis=1)
             ids, counts, grown = ids[live], counts[live], grown[live]
             if not ids.size:
                 break
@@ -559,7 +556,7 @@ class McHistogram:
 
     samples: int
     finite_counts: dict[int, int]
-    censored_counts: dict[str, int] = field(default_factory=dict)
+    censored_counts: dict[str, int]
 
     @property
     def censored(self) -> int:
@@ -593,10 +590,10 @@ class McHistogram:
         }
 
 
-def mc_component_size_distribution(lam, samples: int, ell_max: int,
+def mc_component_size_distribution(lam, samples: int,
                                    rng: np.random.Generator,
-                                   depth_cap: int = 40,
-                                   node_cap: int = 10**6) -> McHistogram:
+                                   depth_cap: int = DEPTH_CAP,
+                                   node_cap: int = NODE_CAP) -> McHistogram:
     """Empirical friend-count distribution over i.i.d. tree samples.
 
     Censored outcomes (every avoiding cluster still alive at the caps) are
@@ -605,8 +602,6 @@ def mc_component_size_distribution(lam, samples: int, ell_max: int,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if ell_max < 1:
-        raise ValueError("ell_max must be >= 1")
     sampler = FriendCountSampler(lam, rng, depth_cap, node_cap)
     # the fewest blocks _CELLS allows (16384 samples each at k=2), none unused
     size = max(_BATCH, _CELLS // (sampler.k * (sampler._full - 1)))

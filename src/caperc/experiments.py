@@ -16,7 +16,13 @@ import numpy as np
 
 from . import __version__, analytic
 from .cap import CapDecomposition
-from .ecbp import POISSON_MAX, McHistogram, mc_component_size_distribution
+from .ecbp import (
+    DEPTH_CAP,
+    NODE_CAP,
+    POISSON_MAX,
+    McHistogram,
+    mc_component_size_distribution,
+)
 from .graph import MAX_N, sample_ecer
 from .localweak import (
     ISOLATED_ROOT_KEY,
@@ -31,8 +37,11 @@ from .params import LambdaVector
 # (analytic, near-critical, convergence) took 15 s and 812 MB for one
 # analytic run at k = 20; ecbp-mc's growth scatter holds k * 4^k int64, and
 # 10 samples took 20 s and 426 MB at k = 11. Local weak balls build neither.
+# Largest ell_max: the two-color series in analytic costs ell_max^2 (1.5 s
+# at ell_max = 1000, 11 s at 3000).
 ENGINE_MAX_K = 20
 ECBP_MAX_K = 12
+ELL_MAX = 1000
 
 
 @dataclass(frozen=True)
@@ -54,8 +63,8 @@ class ExperimentConfig:
     replicas: int = 30
     samples: int = 100_000
     seed: int = 0
-    depth_cap: int = 40
-    node_cap: int = 10**6
+    depth_cap: int = DEPTH_CAP
+    node_cap: int = NODE_CAP
     ell_max: int = 5
     eps_grid: tuple[float, ...] = field(
         default=analytic.DEFAULT_EPS_GRID,
@@ -84,22 +93,20 @@ class ExperimentConfig:
         max_k = ECBP_MAX_K if self.kind == "ecbp-mc" else ENGINE_MAX_K
         if self.kind != "local-weak-check" and self.k > max_k:
             raise ValueError(f"{self.kind} needs k <= {max_k}")
-        if (self.kind == "ecbp-mc"
-                and not analytic.classify_lambda(self.lam).assumption_holds):
-            raise ValueError(
-                "ecbp-mc requires every color subset of size <= k-2 to have "
-                "total intensity < 1")
-        # a growing sample draws Poisson(lambda_c * nodes) for fewer than
-        # node_cap nodes, or for the root alone
-        if (self.kind == "ecbp-mc"
-                and max(self.lam) * max(self.node_cap, 1) >= POISSON_MAX):
-            raise ValueError(
-                "ecbp-mc needs max lambda * max(node_cap, 1) below numpy's "
-                f"Poisson limit {POISSON_MAX:.3g}")
+        if self.kind == "ecbp-mc":
+            analytic.check_small_subsets(self.lam, "ecbp-mc")
+            # a growing sample draws Poisson(lambda_c * nodes) for fewer
+            # than node_cap nodes, or for the root alone
+            if max(self.lam) * max(self.node_cap, 1) >= POISSON_MAX:
+                raise ValueError(
+                    "ecbp-mc needs max lambda * max(node_cap, 1) below "
+                    f"numpy's Poisson limit {POISSON_MAX:.3g}")
         if not all(0 < n <= MAX_N for n in self.n_list):
             raise ValueError(f"n values must lie in [1, {MAX_N}]")
         if self.replicas < 1 or self.samples < 1 or self.ell_max < 1:
             raise ValueError("replicas, samples, ell_max must be >= 1")
+        if self.ell_max > ELL_MAX:
+            raise ValueError(f"ell_max must be <= {ELL_MAX}")
         if self.depth_cap < 0 or self.node_cap < 0:
             raise ValueError("depth_cap and node_cap must be >= 0")
         if self.kind == "near-critical":
@@ -256,7 +263,7 @@ def _parallel_map(task, cfg: ExperimentConfig, sizes: list[int]) -> list:
 # ---------------------------------------------------------------------------
 
 def _convergence_task(cfg: ExperimentConfig, seed, n: int):
-    g = sample_ecer(n, n, LambdaVector(cfg.lam), np.random.default_rng(seed))
+    g = sample_ecer(n, LambdaVector(cfg.lam), np.random.default_rng(seed))
     dec = CapDecomposition.from_graph(g)
     f_ells = [float(dec.component_size_density(ell))
               for ell in range(1, cfg.ell_max + 1)]
@@ -307,8 +314,8 @@ _CHUNK = 16384
 
 def _ecbp_task(cfg: ExperimentConfig, seed, samples: int):
     hist = mc_component_size_distribution(
-        LambdaVector(cfg.lam), samples, cfg.ell_max,
-        np.random.default_rng(seed), cfg.depth_cap, cfg.node_cap)
+        LambdaVector(cfg.lam), samples, np.random.default_rng(seed),
+        cfg.depth_cap, cfg.node_cap)
     return hist.finite_counts, hist.censored_counts
 
 
@@ -402,7 +409,7 @@ def _analytic_report(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 def _local_weak_task(cfg: ExperimentConfig, seed, n: int):
-    g = sample_ecer(n, n, LambdaVector(cfg.lam), np.random.default_rng(seed))
+    g = sample_ecer(n, LambdaVector(cfg.lam), np.random.default_rng(seed))
     counts, out = ecer_ball_counts(g, cfg.d)
     return dict(counts), out
 

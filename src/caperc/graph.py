@@ -161,24 +161,20 @@ def _sample_pair_subset(total: int, p: float, rng: np.random.Generator) -> np.nd
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
-def sample_ecer(n: int, vertex_count: int, lam, rng: np.random.Generator) -> EdgeColoredGraph:
-    """Sample an ECER graph: vertex_count vertices, per-color edge probability
-    1 - exp(-lambda_i / n) on each unordered pair, colors independent.
-
-    The Bernoulli parameter uses n (not vertex_count), which may exceed the
-    number of sampled vertices.
-    """
+def sample_ecer(n: int, lam, rng: np.random.Generator) -> EdgeColoredGraph:
+    """Sample an ECER graph: n vertices, per-color edge probability
+    1 - exp(-lambda_i / n) on each unordered pair, colors independent."""
     lam = as_lambda(lam)
-    if not 0 <= vertex_count <= min(n, MAX_N):
-        raise ValueError(f"vertex_count must lie in [0, min(n, {MAX_N})]")
-    total = vertex_count * (vertex_count - 1) // 2
+    if not 0 < n <= MAX_N:
+        raise ValueError(f"vertex count n must lie in [1, {MAX_N}]")
+    total = n * (n - 1) // 2
     edge_sets = []
     color_rngs = rng.spawn(lam.k)  # independent substream per color
     for i, crng in enumerate(color_rngs):
         p = -np.expm1(-lam[i] / n)
         idx = _sample_pair_subset(total, float(p), crng)
-        edge_sets.append(_pair_index_to_edge(idx, vertex_count))
-    return EdgeColoredGraph._adopt(vertex_count, edge_sets)
+        edge_sets.append(_pair_index_to_edge(idx, n))
+    return EdgeColoredGraph._adopt(n, edge_sets)
 
 
 def connected_components(n: int, edges) -> np.ndarray:

@@ -13,10 +13,11 @@ from .params import as_lambda
 from .trees import NodeCapExceeded, sample_ecbp
 
 # Canonical ball keys are nested tuples: a ball is a sorted tuple of
-# (edge-color-mask, subtree-key) pairs. Non-tree balls and balls larger than
-# the size cap are out of catalog.
+# (edge-color-mask, subtree-key) pairs. Non-tree balls and balls of more
+# than SIZE_CAP vertices are out of catalog.
 
 BallKey = tuple
+SIZE_CAP = 30
 
 
 class EmptyCatalogError(Exception):
@@ -72,8 +73,7 @@ def _canon_ball(adj: list[dict[int, int]], root: int, d: int,
     return rec(root)
 
 
-def ecer_ball_counts(g: EdgeColoredGraph, d: int,
-                     size_cap: int = 30) -> tuple[Counter, int]:
+def ecer_ball_counts(g: EdgeColoredGraph, d: int) -> tuple[Counter, int]:
     """Counts of canonical depth-d ball keys over ALL vertices as roots;
     second return value is the number of out-of-catalog roots."""
     if d < 0:
@@ -82,7 +82,7 @@ def ecer_ball_counts(g: EdgeColoredGraph, d: int,
     counts: Counter = Counter()
     out = 0
     for v in range(g.n):
-        key = _canon_ball(adj, v, d, size_cap)
+        key = _canon_ball(adj, v, d, SIZE_CAP)
         if key is None:
             out += 1
         else:
@@ -90,31 +90,28 @@ def ecer_ball_counts(g: EdgeColoredGraph, d: int,
     return counts, out
 
 
-def ecbp_ball_counts(lam, d: int, samples: int, rng: np.random.Generator,
-                     size_cap: int = 30) -> tuple[Counter, int]:
+def ecbp_ball_counts(lam, d: int, samples: int,
+                     rng: np.random.Generator) -> tuple[Counter, int]:
     """Counts of canonical depth-d ball keys over i.i.d. tree samples."""
     lam = as_lambda(lam)
     counts: Counter = Counter()
     out = 0
     for _ in range(samples):
         try:
-            tree = sample_ecbp(lam, d, rng, node_cap=10 * size_cap + 100)
+            tree = sample_ecbp(lam, d, rng, node_cap=10 * SIZE_CAP + 100)
         except NodeCapExceeded:
             out += 1
             continue
-        if tree.n_nodes > size_cap:
+        if tree.n_nodes > SIZE_CAP:
             out += 1
             continue
 
-        def rec(v: int, depth: int) -> BallKey:
-            if depth == 0:
-                return ()
-            return tuple(sorted(
-                (1 << tree.edge_color[w], rec(w, depth - 1))
-                for w in tree.children[v]
-            ))
+        # the tree stops at depth d, so the ball is the whole tree
+        def rec(v: int) -> BallKey:
+            return tuple(sorted((1 << tree.edge_color[w], rec(w))
+                                for w in tree.children[v]))
 
-        counts[rec(0, d)] += 1
+        counts[rec(0)] += 1
     return counts, out
 
 
@@ -122,10 +119,8 @@ def restricted_tv(p_counts: Counter, p_total: int,
                   q_counts: Counter, q_total: int) -> float:
     """Total-variation distance between the two empirical measures restricted
     to the union of observed catalog keys."""
-    if p_total <= 0 or q_total <= 0:
-        raise ValueError("empty catalog")
     keys = set(p_counts) | set(q_counts)
-    if not keys:
+    if p_total <= 0 or q_total <= 0 or not keys:
         raise ValueError("empty catalog")
     return 0.5 * sum(
         abs(p_counts.get(key, 0) / p_total - q_counts.get(key, 0) / q_total)

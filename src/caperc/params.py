@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
 class LambdaVector:
     """Vector of k strictly positive color intensities.
 
-    Derived sums: lambda_I over a color subset I and lambda_uc over all
-    colors.
+    Derived sum: lambda_uc over all colors.
     """
 
     lam: tuple[float, ...]
@@ -41,13 +40,6 @@ class LambdaVector:
     def lambda_uc(self) -> float:
         """Total intensity over all colors."""
         return sum(self.lam)
-
-    def lambda_subset(self, colors: Iterable[int]) -> float:
-        """Sum of intensities over a color subset."""
-        cs = set(colors)
-        if any(c < 0 or c >= self.k for c in cs):
-            raise ValueError("color index out of range")
-        return sum(self.lam[c] for c in cs)
 
 
 def as_lambda(lam) -> LambdaVector:

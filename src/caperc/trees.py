@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ecbp import NODE_CAP
 from .graph import EdgeColoredGraph
 from .params import as_lambda
 
@@ -45,7 +46,7 @@ class ColoredTree:
 
 
 def sample_ecbp(lam, depth: int, rng: np.random.Generator,
-                node_cap: int = 10**6) -> ColoredTree:
+                node_cap: int = NODE_CAP) -> ColoredTree:
     """Sample a full edge-colored Poisson branching-process tree to the given
     depth: each node spawns Poisson(lambda_i) children per color i."""
     lam = as_lambda(lam)

@@ -104,7 +104,7 @@ def test_criterion_04_friend_count_mc_matches_closed_form():
     start = time.perf_counter()
     samples = 10**6
     rng = np.random.default_rng(np.random.SeedSequence(20260823))
-    hist = mc_component_size_distribution((2.0, 2.0), samples, 5, rng)
+    hist = mc_component_size_distribution((2.0, 2.0), samples, rng)
     assert sum(hist.finite_counts.values()) + hist.censored == samples
     lines = []
     for ell, target in enumerate(two_color_f_ell(2.0, 2.0, 5), start=1):
@@ -151,7 +151,7 @@ def test_criterion_06_partition_matches_brute_force():
     for _ in range(1000):
         n = int(rng.integers(2, 9))
         k = int(rng.integers(2, 4))
-        g = sample_ecer(n, n, tuple(rng.uniform(0.5, 3.0, k)), rng)
+        g = sample_ecer(n, tuple(rng.uniform(0.5, 3.0, k)), rng)
         fast = color_avoiding_partition(g)
         slow = brute_force_cap_partition(g)
         assert np.array_equal(fast, slow)
@@ -167,7 +167,7 @@ def test_criterion_07_densities_are_complete():
     for _ in range(20):
         n = int(rng.integers(2, 400))
         k = int(rng.integers(2, 4))
-        g = sample_ecer(n, n, tuple(rng.uniform(0.3, 2.5, k)), rng)
+        g = sample_ecer(n, tuple(rng.uniform(0.3, 2.5, k)), rng)
         dec = CapDecomposition.from_graph(g)
         assert sum(dec.size_histogram.values()) == Fraction(1)
     total = f_infinity_inclusion_exclusion((2.0, 2.0))

@@ -76,7 +76,8 @@ def string_gf_route(lam) -> float:
     for s in strings:
         rest = set(range(k)) - set(s)
         q[s] = [(min(rest - {i}), math.exp(lam[i] * (total_progeny_gf(
-            lam.lambda_subset(s + (i,)), 1.0) - 1.0))) for i in sorted(rest)]
+            sum(lam[c] for c in sorted(s + (i,))), 1.0) - 1.0)))
+                for i in sorted(rest)]
     total = 0.0
     for jmask in range(1 << k):
         z = {s: math.prod(v for m, v in q[s] if (jmask >> m) & 1)
@@ -505,7 +506,7 @@ def test_series_truncation_error_reported():
     # mu = 1, q = 0: terms decay like m^{-3/2}, so the certified geometric
     # tail bound (~ m^{-1/2}) can never reach 1e-12 within the term budget
     with pytest.raises(SeriesTruncationError):
-        _borel_binomial_series(1.0, 0.0, 1, 1e-12, m_max=5000)
+        _borel_binomial_series(1.0, 0.0, 1, m_max=5000)
 
 
 # -- near-critical constant -------------------------------------------------

@@ -73,7 +73,7 @@ def test_agrees_with_brute_force_on_random_instances():
     for _ in range(100):
         n = int(rng.integers(2, 9))
         k = int(rng.integers(2, 4))
-        g = sample_ecer(n, n, tuple([2.0] * k), rng)
+        g = sample_ecer(n, tuple([2.0] * k), rng)
         fast = color_avoiding_partition(g)
         slow = brute_force_cap_partition(g)
         assert np.array_equal(fast, slow)
@@ -101,7 +101,7 @@ def test_meet_refines_every_color_avoiding_partition(g):
 def test_decomposition_exact_normalization():
     rng = np.random.default_rng(3)
     for _ in range(10):
-        g = sample_ecer(50, 50, (1.5, 1.5), rng)
+        g = sample_ecer(50, (1.5, 1.5), rng)
         dec = CapDecomposition.from_graph(g)
         assert sum(dec.size_histogram.values()) == Fraction(1)
         assert sum(s * c for s, c in dec.size_counts.items()) == g.n
@@ -142,7 +142,7 @@ def test_decomposition_copies_no_edges():
     # copying the edges for each projection and np.unique's meet took it
     # to 11.7 n
     n = 200_000
-    g = sample_ecer(n, n, (2.0, 2.0), np.random.default_rng(1))
+    g = sample_ecer(n, (2.0, 2.0), np.random.default_rng(1))
     gc.collect()
     tracemalloc.start()
     try:

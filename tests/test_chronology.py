@@ -98,7 +98,7 @@ def test_graph_atlas_covers_reachable_small_chronologies():
     # the root appears exactly in the empty string's set
     rng = np.random.default_rng(13)
     for _ in range(10):
-        g = sample_ecer(12, 12, (0.8, 0.8), rng)
+        g = sample_ecer(12, (0.8, 0.8), rng)
         atlas = build_atlas(g, 0, h_max=1)
         assert atlas.r_sets[()] == frozenset({0})
         for s, vs in atlas.r_sets.items():

@@ -84,6 +84,10 @@ def test_invalid_config_exits_2(capsys):
     ["analytic", "--lambda", ",".join(["0.1"] * 21)],
     ["convergence", "--lambda", ",".join(["0.1"] * 21), "--n", "10"],
     ["ecbp-mc", "--lambda", ",".join(["0.05"] * 13), "--samples", "10"],
+    # ell_max ceiling: the two-color series cost grows as ell_max^2
+    ["analytic", "--lambda", "2,2", "--ell-max", "1001"],
+    ["ecbp-mc", "--samples", "10", "--ell-max", "100000000"],
+    ["convergence", "--n", "10", "--replicas", "1", "--ell-max", "3000"],
 ])
 def test_invalid_experiment_input_exits_2(tmp_path, capsys, argv):
     missing, file, graph = (tmp_path / name
@@ -112,6 +116,21 @@ def test_unwritable_out_is_reported_before_the_run(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot write ")
     assert err.count("\n") == 1
+
+
+def test_config_file_kind_must_match_the_subcommand(tmp_path, capsys):
+    assert main(["ecbp-mc", "--lambda", "2,2", "--samples", "7"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{key}={val}\n" for key, val in config.items()))
+    # a record's config block, its kind line included, runs as it was
+    assert main(["ecbp-mc", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"] == config
+    # another subcommand does not take it over
+    assert main(["analytic", "--config", str(path), "--lambda", "2,2"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: config file has kind=ecbp-mc, but this subcommand "
+        "runs kind=analytic-report\n")
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -317,10 +336,20 @@ def test_successive_calls_match_fresh_processes(capsys):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     fresh = [_record_without_timing(subprocess.run(
-        [sys.executable, "-m", "caperc.cli", *argv], env=env, check=True,
+        [sys.executable, "-m", "caperc", *argv], env=env, check=True,
         capture_output=True, text=True).stdout) for argv in runs]
     assert in_process == fresh
     assert in_process[1]["config"]["seed"] == "0"
+
+
+def test_python_m_caperc_runs_from_the_checkout():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": "src"}
+    done = subprocess.run([sys.executable, "-m", "caperc", "near-critical",
+                           "--k", "2"], cwd=root, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["checks_passed"] is True
 
 
 def test_ecbp_mc_cli(capsys):
@@ -400,6 +429,16 @@ def test_sample_ecer_cli(tmp_path, capsys):
     assert path.read_bytes() == first
 
 
+def test_sample_ecer_has_no_k_ceiling(capsys):
+    # sample-ecer builds no 2^k table, unlike convergence
+    lam = ",".join(["0.1"] * 21)
+    assert main(["sample-ecer", "--lambda", lam, "--n", "50"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "50 21"
+    assert main(["convergence", "--lambda", lam, "--n", "50"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: ecer-convergence needs k <= 20\n")
+
+
 def test_sample_ecer_cli_stdout(capsys):
     assert main(["sample-ecer", "--lambda", "1,1", "--n", "50",
                  "--seed", "0"]) == 0
@@ -458,7 +497,7 @@ def test_components_cli_malformed_dump_exits_2(tmp_path, capsys, dump):
 
 def test_components_csv_matches_per_line_loader(tmp_path, monkeypatch,
                                                capsys):
-    g = sample_ecer(200000, 200000, (1.0, 1.0), np.random.default_rng(10))
+    g = sample_ecer(200000, (1.0, 1.0), np.random.default_rng(10))
     graph_path = tmp_path / "g.txt"
     with graph_path.open("w") as fh:
         dump_graph(g, fh)

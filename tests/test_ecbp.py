@@ -223,7 +223,7 @@ def test_outcome_validation():
 
 def test_subcritical_friend_count_is_always_one():
     hist = mc_component_size_distribution(
-        (0.8, 0.8), 2000, 3, np.random.default_rng(9))
+        (0.8, 0.8), 2000, np.random.default_rng(9))
     assert hist.finite_counts == {1: 2000}
     assert hist.censored == 0
 
@@ -239,7 +239,7 @@ def test_friend_count_reproducible_given_seed():
 def test_friend_counts_match_two_color_series():
     samples = 20000
     hist = mc_component_size_distribution(
-        (2.0, 2.0), samples, 5, np.random.default_rng(11))
+        (2.0, 2.0), samples, np.random.default_rng(11))
     assert sum(hist.finite_counts.values()) + hist.censored == samples
     for ell, target in enumerate(two_color_f_ell(2.0, 2.0, 5), start=1):
         se = max(hist.stderr(ell), math.sqrt(target * (1 - target) / samples))
@@ -253,7 +253,7 @@ def test_three_color_censored_mass_matches_f_infinity():
     target = f_infinity_inclusion_exclusion(lam)
     assert abs(target - 0.20173) < 1e-5
     hist = mc_component_size_distribution(
-        lam, 20000, 3, np.random.default_rng(14))
+        lam, 20000, np.random.default_rng(14))
     assert abs(hist.censored_mass - target) < 3.5 * hist.censored_stderr()
 
 
@@ -264,7 +264,7 @@ def test_three_color_friend_counts_match_the_exact_law():
     # only gives 0.0707 and 0.0306, over 5 SE off here
     samples = 300000
     hist = mc_component_size_distribution(
-        (0.7, 0.7, 0.7), samples, 3, np.random.default_rng(41))
+        (0.7, 0.7, 0.7), samples, np.random.default_rng(41))
     for ell, target in ((2, 0.06821), (3, 0.02900)):
         se = max(hist.stderr(ell), math.sqrt(target * (1 - target) / samples))
         assert abs(hist.frequency(ell) - target) < 3.5 * se
@@ -275,7 +275,7 @@ def _assert_asymmetric_two_color_law():
     # counts alone because the root is the only candidate friend
     samples = 20000
     hist = mc_component_size_distribution(
-        (1.5, 0.5), samples, 5, np.random.default_rng(17))
+        (1.5, 0.5), samples, np.random.default_rng(17))
     assert hist.censored == 0
     for ell, target in enumerate(two_color_f_ell(1.5, 0.5, 5), start=1):
         se = max(hist.stderr(ell), math.sqrt(target * (1 - target) / samples))
@@ -289,13 +289,13 @@ def test_friend_counts_match_asymmetric_two_color_series():
 def test_component_size_distribution_rejects_zero_samples():
     with pytest.raises(ValueError, match="samples must be >= 1"):
         mc_component_size_distribution(
-            (2.0, 2.0), 0, 3, np.random.default_rng(0))
+            (2.0, 2.0), 0, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("lam", [(2.0, 2.0), (0.8, 0.8)])
 def test_depth_cap_zero_censors_every_sample(lam):
     hist = mc_component_size_distribution(
-        lam, 1500, 3, np.random.default_rng(20), depth_cap=0)
+        lam, 1500, np.random.default_rng(20), depth_cap=0)
     assert hist.censored_counts == {"depth-cap": 1500}
 
 
@@ -304,7 +304,7 @@ def test_depth_cap_zero_censors_every_sample(lam):
 def test_node_cap_zero_censors_every_sample(lam, depth_cap):
     # the root alone is over the cap
     hist = mc_component_size_distribution(
-        lam, 1500, 3, np.random.default_rng(21), depth_cap=depth_cap,
+        lam, 1500, np.random.default_rng(21), depth_cap=depth_cap,
         node_cap=0)
     assert hist.censored_counts == {"node-cap": 1500}
 
@@ -327,7 +327,7 @@ def test_blocks_grow_exactly_the_samples_asked_for(monkeypatch, samples):
     # chunk grows as one block, and no call grows a sample it does not use
     sizes = _block_sizes(monkeypatch)
     hist = mc_component_size_distribution(
-        (2.0, 2.0), samples, 3, np.random.default_rng(30))
+        (2.0, 2.0), samples, np.random.default_rng(30))
     assert hist.samples == sum(sizes) == samples
     assert len(sizes) == -(-samples // 16384)
     assert max(sizes) <= max(_BATCH, _CELLS // 4) == _CHUNK
@@ -344,7 +344,7 @@ def test_direct_sampler_grows_batch_blocks(monkeypatch):
 @pytest.mark.parametrize("samples", [1, 16383, 16384, 16385])
 def test_histograms_across_block_boundaries(samples):
     hists = [mc_component_size_distribution(
-        (2.0, 2.0), samples, 3, np.random.default_rng(22)) for _ in range(2)]
+        (2.0, 2.0), samples, np.random.default_rng(22)) for _ in range(2)]
     assert sum(hists[0].finite_counts.values()) + hists[0].censored == samples
     assert hists[0] == hists[1]
 
@@ -353,7 +353,7 @@ def test_histograms_across_block_boundaries(samples):
 def test_three_color_histograms_across_block_boundaries(samples):
     # 18 growth entries at k = 3: 3640 samples per block
     hists = [mc_component_size_distribution(
-        (0.7, 0.7, 0.7), samples, 3, np.random.default_rng(22))
+        (0.7, 0.7, 0.7), samples, np.random.default_rng(22))
         for _ in range(2)]
     assert sum(hists[0].finite_counts.values()) + hists[0].censored == samples
     assert hists[0] == hists[1]
@@ -362,7 +362,7 @@ def test_three_color_histograms_across_block_boundaries(samples):
 def _law_cells(lam, seed):
     """Friend-count cells l = 1..5, l > 5 and censored of 20000 samples."""
     hist = mc_component_size_distribution(
-        lam, 20000, 5, np.random.default_rng(seed))
+        lam, 20000, np.random.default_rng(seed))
     finite = [hist.finite_counts.get(ell, 0) for ell in range(1, 6)]
     return finite + [hist.samples - sum(finite) - hist.censored,
                      hist.censored]
@@ -406,7 +406,7 @@ def test_friend_resolution_leaves_no_cyclic_garbage():
 
 def test_node_cap_censoring_reason():
     hist = mc_component_size_distribution(
-        (2.0, 2.0), 500, 3, np.random.default_rng(12), node_cap=10)
+        (2.0, 2.0), 500, np.random.default_rng(12), node_cap=10)
     assert hist.censored_counts.get("node-cap", 0) > 0
 
 
@@ -414,9 +414,9 @@ def test_censored_mass_decreases_with_depth_cap():
     # a shallower cap can only censor more: the shallow run keeps outcomes the
     # deep run would have resolved as finite
     shallow = mc_component_size_distribution(
-        (2.0, 2.0), 10000, 3, np.random.default_rng(13), depth_cap=3)
+        (2.0, 2.0), 10000, np.random.default_rng(13), depth_cap=3)
     deep = mc_component_size_distribution(
-        (2.0, 2.0), 10000, 3, np.random.default_rng(13), depth_cap=40)
+        (2.0, 2.0), 10000, np.random.default_rng(13), depth_cap=40)
     slack = 4.0 * (shallow.censored_stderr() + deep.censored_stderr())
     assert shallow.censored_mass >= deep.censored_mass - slack
 
@@ -440,7 +440,7 @@ def test_one_sample_per_pass(monkeypatch):
     monkeypatch.setattr(ecbp, "_PASS_NODES", 1)
     for samples in (1, 3641):
         hist = mc_component_size_distribution(
-            (0.7, 0.7, 0.7), samples, 3, np.random.default_rng(22))
+            (0.7, 0.7, 0.7), samples, np.random.default_rng(22))
         assert sum(hist.finite_counts.values()) + hist.censored == samples
     assert _same_law(shipped, _law_cells(lam, 35)) > 1e-3
 
@@ -651,7 +651,7 @@ def test_two_color_samples_build_no_k_generic_tables(monkeypatch):
         raise AssertionError("k-generic set-up")
     monkeypatch.setattr(ecbp, "extended_type_distribution", refuse)
     monkeypatch.setattr(ecbp, "_growth_table", refuse)
-    hist = mc_component_size_distribution((1.5, 0.5), 5000, 5,
+    hist = mc_component_size_distribution((1.5, 0.5), 5000,
                                           np.random.default_rng(38))
     assert hist.samples == sum(hist.finite_counts.values()) == 5000
     sampler = FriendCountSampler((1.5, 0.5), np.random.default_rng(39))

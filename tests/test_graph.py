@@ -109,14 +109,14 @@ def test_edge_arrays_are_owned_and_read_only():
     for c in range(g.k):
         with pytest.raises(ValueError):
             g.edge_sets[c][0, 0] = 5
-    sampled = sample_ecer(50, 50, (2.0, 2.0), np.random.default_rng(3))
+    sampled = sample_ecer(50, (2.0, 2.0), np.random.default_rng(3))
     assert not any(e.flags.writeable for e in sampled.edge_sets)
 
 
 def test_sampled_and_loaded_edge_arrays_are_owned_and_read_only():
     # sample_ecer and load_graph hand over the arrays they build, so those
     # must be the graph's alone: owners of their data, never views
-    g = sample_ecer(2000, 2000, (1.0, 2.0, 0.5), np.random.default_rng(3))
+    g = sample_ecer(2000, (1.0, 2.0, 0.5), np.random.default_rng(3))
     buf = io.StringIO()
     dump_graph(g, buf)
     loaded = load_graph(io.StringIO(buf.getvalue()))
@@ -207,7 +207,7 @@ def test_pair_subset_matches_concatenating_oracle(total, p):
                                     (10, (1e-300, 1e-300))])
 def test_tiny_edge_probability_gives_no_edges(n, lam):
     # skips this long once summed past int64 and the sampler never ended
-    g = sample_ecer(n, n, lam, np.random.default_rng(2))
+    g = sample_ecer(n, lam, np.random.default_rng(2))
     assert g.n == n and all(g.edge_count(c) == 0 for c in range(g.k))
 
 
@@ -219,7 +219,7 @@ def test_ecer_edge_counts_match_binomial_oracle():
     rng = np.random.default_rng(11)
     totals = np.zeros(2)
     for _ in range(reps):
-        g = sample_ecer(n, n, lam, rng)
+        g = sample_ecer(n, lam, rng)
         for c in range(2):
             totals[c] += g.edge_count(c)
     pairs = n * (n - 1) // 2
@@ -242,22 +242,24 @@ def test_vertex_counts_whose_pair_keys_overflow_are_rejected(rows):
     top = [[MAX_N - 2, MAX_N - 1], [0, 1]]
     g = EdgeColoredGraph(MAX_N, [top, top[::-1]])
     assert g.edge_sets[0].tolist() == g.edge_sets[1].tolist() == top[::-1]
-    with pytest.raises(ValueError, match="vertex_count"):
-        sample_ecer(4 * 10**9, 4 * 10**9, (1.0, 1.0),
+    with pytest.raises(ValueError, match="vertex count"):
+        sample_ecer(4 * 10**9, (1.0, 1.0),
                     np.random.default_rng(0))
 
 
 def test_ecer_vertex_count_validation():
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sample_ecer(100, 200, (1.0, 1.0), rng)
-    g = sample_ecer(1000, 50, (1.0, 1.0), rng)  # smaller prefix is fine
+    # the edge probability 1 - exp(-lambda_i / n) needs a vertex
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="vertex count"):
+            sample_ecer(n, (1.0, 1.0), rng)
+    g = sample_ecer(50, (1.0, 1.0), rng)
     assert g.n == 50
 
 
 def test_ecer_deterministic_given_seed():
-    a = sample_ecer(500, 500, (1.5, 0.5), np.random.default_rng(123))
-    b = sample_ecer(500, 500, (1.5, 0.5), np.random.default_rng(123))
+    a = sample_ecer(500, (1.5, 0.5), np.random.default_rng(123))
+    b = sample_ecer(500, (1.5, 0.5), np.random.default_rng(123))
     for c in range(2):
         assert np.array_equal(a.edge_sets[c], b.edge_sets[c])
 
@@ -272,7 +274,7 @@ def test_project_union_matches_er_oracle():
     rng = np.random.default_rng(21)
     total = 0
     for _ in range(reps):
-        g = sample_ecer(n, n, lam, rng)
+        g = sample_ecer(n, lam, rng)
         # a pair drawn in both colors is one edge of the union
         union = np.unique(np.concatenate(g.edge_sets), axis=0)
         total += union.shape[0]
@@ -343,7 +345,7 @@ def ecer_graphs():
     rng = np.random.default_rng(29)
     for k in range(1, 5):
         for n in (1, 2, 1000, 20000):
-            yield sample_ecer(n, n, tuple(rng.uniform(0.5, 2.5, k)), rng)
+            yield sample_ecer(n, tuple(rng.uniform(0.5, 2.5, k)), rng)
 
 
 def _edge_array(edges):
@@ -430,7 +432,7 @@ def test_dump_load_roundtrip():
 
 
 def test_dump_text_matches_per_row_format():
-    g = sample_ecer(3000, 3000, (1.0, 2.0, 0.5), np.random.default_rng(8))
+    g = sample_ecer(3000, (1.0, 2.0, 0.5), np.random.default_rng(8))
     buf = io.StringIO()
     dump_graph(g, buf)
     rows = [f"{g.n} {g.k}\n"]

@@ -92,7 +92,7 @@ def test_ecer_balls_approach_tree_balls():
     rng = np.random.default_rng(3)
     ecer = Counter()
     for _ in range(reps):
-        g = sample_ecer(n, n, lam, rng)
+        g = sample_ecer(n, lam, rng)
         counts, _ = ecer_ball_counts(g, 1)
         ecer.update(counts)
     ecbp, _ = ecbp_ball_counts(lam, 1, 20000, rng)
