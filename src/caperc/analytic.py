@@ -207,9 +207,8 @@ def f_infinity_inclusion_exclusion(lam, table: PTable | None = None) -> float:
     return max(0.0, float(_type_law(table.p)[-1]))
 
 
-def extended_type_distribution(
-        lam, table: PTable | None = None) -> dict[int, float]:
-    """Joint law of the extended type vector: map gamma-mask -> p_hat*(gamma).
+def extended_type_distribution(lam, table: PTable | None = None) -> np.ndarray:
+    """Joint law of the extended type vector: read-only phat[gamma-mask].
 
     p_hat*(alive exactly on A) = sum_{B subseteq A} (-1)^{|B|}
     (1 - p_{([k]\\A) u B}).  Tiny negative round-off is clamped at 0.
@@ -220,7 +219,8 @@ def extended_type_distribution(
     if phat[worst] < -1e-10:
         raise PSystemError(f"extended type inversion gave {phat[worst]:.3e} "
                            f"for mask {worst:b}")
-    return dict(enumerate(np.maximum(phat, 0.0).tolist()))
+    np.maximum(phat, 0.0, out=phat).setflags(write=False)
+    return phat
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +411,9 @@ def two_color_f_ell(lambda_red: float, lambda_blue: float, ell_max: int,
     lam = LambdaVector((lambda_red, lambda_blue))
     # theta_i avoids color i: theta_avoid lists (theta_blue, theta_red)
     theta_blue, theta_red = theta_avoid(lam).tolist()
-    phat = extended_type_distribution(lam, table)
-    # gamma bit 0 = red-avoiding (pure blue) alive, bit 1 = blue-avoiding alive
-    p00 = phat[0b00]
-    p10 = phat[0b01]  # red-avoiding alive only: finite pure-red cluster
-    p01 = phat[0b10]  # blue-avoiding alive only: finite pure-blue cluster
+    # gamma bit 0 = red-avoiding (pure blue) alive, bit 1 = blue-avoiding
+    # alive: p10 (0b01) is a finite pure-red cluster, p01 (0b10) pure-blue
+    p00, p10, p01 = extended_type_distribution(lam, table)[:3].tolist()
     mu_red = lambda_red * (1.0 - theta_red)
     mu_blue = lambda_blue * (1.0 - theta_blue)
     f_ell = []

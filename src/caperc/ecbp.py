@@ -278,8 +278,7 @@ class FriendCountSampler:
         if hasattr(self, "_type_cdf"):
             return
         k, full = self.k, self._full
-        phat = extended_type_distribution(self.lam)
-        self._type_cdf = np.cumsum([phat[g] for g in range(full + 1)])
+        self._type_cdf = np.cumsum(extended_type_distribution(self.lam))
         # every node that avoids a color grows
         (self._entries, self._entry_mask, self._entry_lam,
          self._scatter) = _growth_table(self.lam, 1)

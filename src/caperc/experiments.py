@@ -387,11 +387,11 @@ def _analytic_report(cfg: ExperimentConfig):
         "p_table": dict(zip(sets.split(), table.p[set_masks].tolist())),
         "p_table_relevant": table.relevant,
         "p_table_max_residual": table.max_residual,
-        "phat": dict(zip(types.split(), map(phat.get, type_masks.tolist()))),
+        "phat": dict(zip(types.split(), phat[type_masks].tolist())),
         "f_inf_inclusion_exclusion":
             analytic.f_infinity_inclusion_exclusion(lam, table),
     }
-    checks = table.max_residual <= 1e-10 and abs(sum(phat.values()) - 1.0) < 1e-9
+    checks = table.max_residual <= 1e-10 and abs(phat.sum() - 1.0) < 1e-9
     if regime.fully_supercritical and regime.assumption_holds:
         gf = (analytic.f_infinity_generating_function(lam)
               if cfg.k <= _GF_MAX_K else None)

@@ -15,6 +15,7 @@ from caperc.analytic import (
     DEFAULT_EPS_GRID,
     PSystemError,
     SeriesTruncationError,
+    _type_law,
     borel_pmf,
     classify_lambda,
     color_strings,
@@ -260,7 +261,7 @@ def test_gf_route_matches_inclusion_exclusion_beyond_the_strings(k, count):
 def test_extended_types_k2():
     table = solve_p_system((2.0, 2.0))
     phat = extended_type_distribution((2.0, 2.0), table)
-    assert abs(sum(phat.values()) - 1.0) < 1e-12
+    assert abs(phat.sum() - 1.0) < 1e-12
     assert abs(phat[0b00] - (1.0 - table.p[0b11])) < 1e-12
     assert abs(phat[0b01] - (table.p[0b11] - table.p[0b10])) < 1e-12
     assert abs(phat[0b01] - 0.161910) < 1e-4
@@ -331,9 +332,13 @@ def test_type_law_matches_submask_inversion(k):
         lam = tuple(rng.uniform(0.9, 1.1, k) * scale / (k - 1))
         table = solve_p_system(lam)
         phat = extended_type_distribution(lam, table)
+        # a read-only array indexed by type mask, like table.p
+        assert isinstance(phat, np.ndarray) and not phat.flags.writeable
+        assert phat.shape == (1 << k,)
+        assert np.array_equal(phat, np.maximum(_type_law(table.p), 0.0))
         oracle = submask_inversion(table.p, k)
         assert max(abs(phat[a] - max(oracle[a], 0.0)) for a in oracle) <= 1e-13
-        assert abs(sum(phat.values()) - 1.0) <= 1e-13
+        assert abs(phat.sum() - 1.0) <= 1e-13
         alternating = -sum((-1) ** bin(m).count("1") * table.p[m]
                            for m in range(1 << k))
         regime = classify_lambda(lam)
