@@ -111,7 +111,8 @@ def _cmd_components(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise _InputError(f"malformed graph file {path}: {exc}") from None
     dec = CapDecomposition.from_graph(g)
-    if sum(dec.size_histogram.values()) != 1:
+    # the blocks cover every vertex once; integers, so this holds at n = 0
+    if sum(size * count for size, count in dec.size_counts.items()) != dec.n:
         print("normalization check failed", file=sys.stderr)
         return 1
     if args.out:

@@ -101,20 +101,24 @@ class ExperimentConfig:
                 raise ValueError(
                     "ecbp-mc needs max lambda * max(node_cap, 1) below "
                     f"numpy's Poisson limit {POISSON_MAX:.3g}")
-        if not all(0 < n <= MAX_N for n in self.n_list):
-            raise ValueError(f"n values must lie in [1, {MAX_N}]")
-        if self.replicas < 1 or self.samples < 1 or self.ell_max < 1:
-            raise ValueError("replicas, samples, ell_max must be >= 1")
-        if self.ell_max > ELL_MAX:
-            raise ValueError(f"ell_max must be <= {ELL_MAX}")
+        # n, replicas, samples and d are checked only where they are read
+        if self.kind in ("ecer-convergence", "local-weak-check"):
+            if not all(0 < n <= MAX_N for n in self.n_list):
+                raise ValueError(f"n values must lie in [1, {MAX_N}]")
+            if self.replicas < 1:
+                raise ValueError("replicas must be >= 1")
+        if self.kind in ("ecbp-mc", "local-weak-check") and self.samples < 1:
+            raise ValueError("samples must be >= 1")
+        if self.kind == "local-weak-check" and not 0 <= self.d <= 2:
+            raise ValueError("ball depth d must lie in [0, 2]")
+        if not 1 <= self.ell_max <= ELL_MAX:
+            raise ValueError(f"ell_max must lie in [1, {ELL_MAX}]")
         if self.depth_cap < 0 or self.node_cap < 0:
             raise ValueError("depth_cap and node_cap must be >= 0")
         if self.kind == "near-critical":
             analytic.check_eps_grid(self.k, self.eps_grid)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not 0 <= self.d <= 2:
-            raise ValueError("ball depth d must lie in [0, 2]")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 

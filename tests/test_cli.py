@@ -102,6 +102,17 @@ def test_invalid_experiment_input_exits_2(tmp_path, capsys, argv):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--n", "10", "--replicas", "1", "--d", "3"],
+    ["ecbp-mc", "--samples", "10", "--d", "3"],
+    ["ecbp-mc", "--samples", "10", "--n", "0"],
+    ["analytic", "--lambda", "2,2", "--replicas", "0"],
+])
+def test_a_value_the_kind_does_not_read_is_not_checked(capsys, argv):
+    assert main(argv) == 0
+    capsys.readouterr()
+
+
 def test_unwritable_out_is_reported_before_the_run(tmp_path, capsys,
                                                    monkeypatch):
     file = tmp_path / "file"
@@ -458,6 +469,15 @@ def test_components_cli(tmp_path, capsys):
     assert lines[0] == "# schema: cap-sizes-v1"
     fracs = [float(line.split(",")[1]) for line in lines[2:]]
     assert abs(sum(fracs) - 1.0) < 1e-12
+
+
+def test_components_cli_graph_without_vertices(tmp_path, capsys):
+    # the blocks cover all 0 vertices: a header-only CSV, exit 0
+    path = tmp_path / "empty.txt"
+    path.write_text("0 2\n")
+    assert main(["components", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "# schema: cap-sizes-v1\nsize,fraction,count\n")
 
 
 def test_components_cli_missing_file(capsys):

@@ -143,6 +143,8 @@ def test_convergence_csv_row_contents():
     target_inf = rec.results["target_f_inf"]
     assert float(row[6]) == target_inf
     assert 0.0 <= float(row[3]) <= 1.0
+    # f_1's target, written with !r as a plain float
+    assert float(row[4]) == analytic.two_color_f_ell(2.0, 2.0, 1)[0]
 
 
 def test_record_write(tmp_path):
