@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -147,9 +146,6 @@ class PTable:
     def k(self) -> int:
         return self.lam.k
 
-    def residual(self, mask: int) -> float:
-        return float(_residuals(self.lam, self.p)[mask])
-
 
 def solve_p_system(lam) -> PTable:
     """Solve the p_I fixed-point system one popcount layer at a time.
@@ -224,7 +220,7 @@ def extended_type_distribution(lam, table: PTable | None = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Borel law and total-progeny generating function
+# Borel law and the generating-function route to f_inf
 # ---------------------------------------------------------------------------
 
 def borel_log_pmf(mu: float, m: int) -> float:
@@ -236,73 +232,6 @@ def borel_log_pmf(mu: float, m: int) -> float:
     if mu == 0.0:
         return 0.0 if m == 1 else -math.inf
     return -mu * m + (m - 1) * math.log(mu * m) - math.lgamma(m + 1)
-
-
-def borel_pmf(mu: float, m: int) -> float:
-    """Borel(mu) pmf: total-progeny law of a Poisson(mu) branching process."""
-    return math.exp(borel_log_pmf(mu, m))
-
-
-def total_progeny_gf(mu, z) -> float | np.ndarray:
-    """Generating function G(z) = E[z^M] of the Borel(mu) total-progeny law,
-    elementwise: floats give a float, arrays (which broadcast) an array.
-
-    G solves G = z exp(mu (G - 1)), so p = 1 - G is the p_I layer root at
-    c = -log z, unique in [0, 1] for z < 1. At z = 1.0 the largest root
-    gives the one-sided limit at 1: exactly 1 for mu <= 1 and the extinction
-    probability 1 - theta(mu) otherwise.
-    """
-    mu, z = np.asarray(mu, dtype=float), np.asarray(z, dtype=float)
-    if not np.all(mu > 0.0):
-        raise ValueError("total_progeny_gf: mu must be positive")
-    if not np.all((z >= 0.0) & (z <= 1.0)):
-        raise ValueError("total_progeny_gf: z must lie in [0, 1]")
-    with np.errstate(divide="ignore"):  # z = 0 gives c = +inf, so G = 0
-        g = 1.0 - _largest_roots(-np.log(z), mu)
-    return float(g) if g.ndim == 0 else g
-
-
-# ---------------------------------------------------------------------------
-# Chronology-string generating functions Phi_h
-# ---------------------------------------------------------------------------
-
-def color_strings(k: int, h: int) -> list[tuple[int, ...]]:
-    """All length-h color strings without repetition, lexicographic order;
-    the count is the falling factorial k (k-1) ... (k-h+1)."""
-    if h < 0 or h > k:
-        raise ValueError("color_strings: need 0 <= h <= k")
-    return sorted(permutations(range(k), h))
-
-
-def phi_eval(lam, h: int, z: dict[tuple[int, ...], float]) -> float:
-    """Evaluate Phi_h at the point z (indexed by exactly the length-h strings).
-
-    Phi_0(z) = z; each level substitutes
-    z_s <- prod_{i not in set(s)} exp(lambda_i (F_{s i}(z_{s i}) - 1))
-    where F uses the total intensity of set(s i).  Arguments exactly equal to
-    1.0 are one-sided limits handled analytically by total_progeny_gf.
-    """
-    lam = as_lambda(lam)
-    k = lam.k
-    if not 0 <= h <= max(k - 2, 0):
-        raise ValueError("phi_eval: need 0 <= h <= k-2")
-    expected = set(color_strings(k, h))
-    if set(z.keys()) != expected:
-        raise ValueError("phi_eval: z must be indexed by exactly S_h")
-    for v in z.values():
-        if not 0.0 <= v <= 1.0:
-            raise ValueError("phi_eval: z values must lie in [0, 1]")
-    mu = subset_sums(lam.lam)
-    cur = dict(z)
-    for level in range(h, 0, -1):
-        # F_{s i}(z_{s i}), one entry per string s i of this level
-        f = total_progeny_gf([mu[sum(1 << c for c in si)] for si in cur],
-                             list(cur.values()))
-        f = dict(zip(cur, f.tolist()))
-        cur = {s: math.prod(math.exp(lam[i] * (f[s + (i,)] - 1.0))
-                            for i in range(k) if i not in s)
-               for s in color_strings(k, level - 1)}
-    return cur[()]
 
 
 def f_infinity_generating_function(lam) -> float:
@@ -320,8 +249,8 @@ def f_infinity_generating_function(lam) -> float:
     every level's value at s depends only on set(s). The k!/(k-h)! strings
     of level h collapse to its C(k, h) sets, and a level is one elementwise
     root of G = z exp(mu (G - 1)) over a (sets, J) array, taken in log z
-    (see total_progeny_gf); the columns J are independent, so they are
-    taken in blocks that bound the memory.
+    (p = 1 - G is the p_I layer root at c = -log z); the columns J are
+    independent, so they are taken in blocks that bound the memory.
     """
     lam = as_lambda(lam)
     k = lam.k

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO
@@ -19,11 +18,17 @@ def color_avoiding_partition(g: EdgeColoredGraph) -> np.ndarray:
     Returns labels with labels[v] the smallest vertex in v's block.
     """
     n = g.n
-    for i in range(g.k):
-        # the projection onto every color but i, as a list of its colors
+    # the projection without an edgeless color is the whole graph, which
+    # every other projection refines, so only the colors with edges enter
+    # the meet; with none of them, each vertex is its own block
+    edged = [c for c in range(g.k) if g.edge_count(c)]
+    labels = None if edged else np.arange(n, dtype=np.int64)
+    for i in edged:
+        # the projection onto every color but i, as a list of its colors'
+        # edge arrays
         col = connected_components(
-            n, [e for c, e in enumerate(g.edge_sets) if c != i])
-        if i == 0:
+            n, [g.edge_sets[c] for c in edged if c != i])
+        if labels is None:
             labels = col
             continue
         # the meet with this color: the blocks are the runs of equal keys
@@ -45,48 +50,6 @@ def color_avoiding_partition(g: EdgeColoredGraph) -> np.ndarray:
         labels = np.empty_like(first)
         labels[order] = first
         del order, head, first  # free before the next projection
-    return labels
-
-
-def brute_force_cap_partition(g: EdgeColoredGraph) -> np.ndarray:
-    """Same contract as color_avoiding_partition, but via independent
-    BFS connectivity checks per pair and per color. Test oracle only."""
-    if g.n > 12:
-        raise ValueError("brute force limited to n <= 12")
-    n, k = g.n, g.k
-    # adj[i][u]: u's neighbours via every color but i (a pair shared by
-    # two colors is listed twice, which the search does not mind)
-    adj: list[list[list[int]]] = []
-    for i in range(k):
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for c, edges in enumerate(g.edge_sets):
-            if c != i:
-                for u, v in edges.tolist():
-                    nbrs[u].append(v)
-                    nbrs[v].append(u)
-        adj.append(nbrs)
-
-    def connected(a: int, b: int, i: int) -> bool:
-        seen = {a}
-        queue = deque([a])
-        while queue:
-            u = queue.popleft()
-            if u == b:
-                return True
-            for w in adj[i][u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return False
-
-    # the relation is an equivalence, so the first a < b it links b to is
-    # the smallest vertex of b's block
-    labels = np.arange(n, dtype=np.int64)
-    for b in range(n):
-        for a in range(b):
-            if all(connected(a, b, i) for i in range(k)):
-                labels[b] = a
-                break
     return labels
 
 

@@ -95,13 +95,16 @@ class ExperimentConfig:
             raise ValueError(f"{self.kind} needs k <= {max_k}")
         if self.kind == "ecbp-mc":
             analytic.check_small_subsets(self.lam, "ecbp-mc")
+            if self.depth_cap < 0 or self.node_cap < 0:
+                raise ValueError("depth_cap and node_cap must be >= 0")
             # a growing sample draws Poisson(lambda_c * nodes) for fewer
             # than node_cap nodes, or for the root alone
             if max(self.lam) * max(self.node_cap, 1) >= POISSON_MAX:
                 raise ValueError(
                     "ecbp-mc needs max lambda * max(node_cap, 1) below "
                     f"numpy's Poisson limit {POISSON_MAX:.3g}")
-        # n, replicas, samples and d are checked only where they are read
+        # n, replicas, samples, d and ell_max, like the caps above, are
+        # checked only where they are read
         if self.kind in ("ecer-convergence", "local-weak-check"):
             if not all(0 < n <= MAX_N for n in self.n_list):
                 raise ValueError(f"n values must lie in [1, {MAX_N}]")
@@ -111,10 +114,9 @@ class ExperimentConfig:
             raise ValueError("samples must be >= 1")
         if self.kind == "local-weak-check" and not 0 <= self.d <= 2:
             raise ValueError("ball depth d must lie in [0, 2]")
-        if not 1 <= self.ell_max <= ELL_MAX:
+        if (self.kind in ("ecer-convergence", "ecbp-mc", "analytic-report")
+                and not 1 <= self.ell_max <= ELL_MAX):
             raise ValueError(f"ell_max must lie in [1, {ELL_MAX}]")
-        if self.depth_cap < 0 or self.node_cap < 0:
-            raise ValueError("depth_cap and node_cap must be >= 0")
         if self.kind == "near-critical":
             analytic.check_eps_grid(self.k, self.eps_grid)
         if self.seed < 0:

@@ -10,7 +10,6 @@ import numpy as np
 
 from .graph import EdgeColoredGraph
 from .params import as_lambda
-from .trees import NodeCapExceeded, sample_ecbp
 
 # Canonical ball keys are nested tuples: a ball is a sorted tuple of
 # (edge-color-mask, subtree-key) pairs. Non-tree balls and balls of more
@@ -90,28 +89,50 @@ def ecer_ball_counts(g: EdgeColoredGraph, d: int) -> tuple[Counter, int]:
     return counts, out
 
 
+def _tree_ball(rates: tuple[float, ...], d: int,
+               rng: np.random.Generator) -> BallKey | None:
+    """Canonical key of a depth-d branching-process ball, or None once it
+    passes SIZE_CAP vertices. The draws come level by level: for each node,
+    for each color, one Poisson draw of its children of that color."""
+    levels = []  # per level, per node: its children's color bits, in order
+    width = size = 1
+    for _ in range(d):
+        level = []
+        for _ in range(width):
+            bits = []
+            for c, x in enumerate(rates):
+                bits += [1 << c] * int(rng.poisson(x))
+                if size + len(bits) > SIZE_CAP:
+                    return None
+            size += len(bits)
+            level.append(bits)
+        levels.append(level)
+        width = sum(map(len, level))
+    # the ball stops at depth d, so its deepest nodes are leaves; each level
+    # lists its nodes as the children of the level above, in order
+    keys = [()] * width
+    for level in reversed(levels):
+        below = iter(keys)
+        keys = [tuple(sorted((bit, next(below)) for bit in bits))
+                for bits in level]
+    return keys[0]
+
+
 def ecbp_ball_counts(lam, d: int, samples: int,
                      rng: np.random.Generator) -> tuple[Counter, int]:
-    """Counts of canonical depth-d ball keys over i.i.d. tree samples."""
-    lam = as_lambda(lam)
+    """Counts of canonical depth-d ball keys over i.i.d. tree samples;
+    second return value is the number of out-of-catalog samples."""
+    if d < 0:
+        raise ValueError("d must be >= 0")
+    rates = as_lambda(lam).lam
     counts: Counter = Counter()
     out = 0
     for _ in range(samples):
-        try:
-            tree = sample_ecbp(lam, d, rng, node_cap=10 * SIZE_CAP + 100)
-        except NodeCapExceeded:
+        key = _tree_ball(rates, d, rng)
+        if key is None:
             out += 1
-            continue
-        if tree.n_nodes > SIZE_CAP:
-            out += 1
-            continue
-
-        # the tree stops at depth d, so the ball is the whole tree
-        def rec(v: int) -> BallKey:
-            return tuple(sorted((1 << tree.edge_color[w], rec(w))
-                                for w in tree.children[v]))
-
-        counts[rec(0)] += 1
+        else:
+            counts[key] += 1
     return counts, out
 
 

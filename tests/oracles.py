@@ -1,0 +1,342 @@
+"""Independent oracles the tests check the package against, kept out of the
+package because no command runs them: the Borel pmf and total-progeny
+generating function, the string-indexed Phi recursion, the per-node
+branching-process tree arena, the chronology-of-colors atlas, the tree-ball
+keys read off that arena, and the brute-force color-avoiding partition."""
+
+from __future__ import annotations
+
+import math
+from collections import Counter, deque
+from dataclasses import dataclass, field
+from itertools import permutations
+from typing import Union
+
+import numpy as np
+
+from caperc.analytic import _largest_roots, borel_log_pmf, subset_sums
+from caperc.ecbp import NODE_CAP
+from caperc.graph import EdgeColoredGraph
+from caperc.localweak import SIZE_CAP, BallKey
+from caperc.params import as_lambda
+
+
+# ---------------------------------------------------------------------------
+# Borel law and total-progeny generating function
+# ---------------------------------------------------------------------------
+
+def borel_pmf(mu: float, m: int) -> float:
+    """Borel(mu) pmf: total-progeny law of a Poisson(mu) branching process."""
+    return math.exp(borel_log_pmf(mu, m))
+
+
+def total_progeny_gf(mu, z) -> float | np.ndarray:
+    """Generating function G(z) = E[z^M] of the Borel(mu) total-progeny law,
+    elementwise: floats give a float, arrays (which broadcast) an array.
+
+    G solves G = z exp(mu (G - 1)), so p = 1 - G is the p_I layer root at
+    c = -log z, unique in [0, 1] for z < 1. At z = 1.0 the largest root
+    gives the one-sided limit at 1: exactly 1 for mu <= 1 and the extinction
+    probability 1 - theta(mu) otherwise.
+    """
+    mu, z = np.asarray(mu, dtype=float), np.asarray(z, dtype=float)
+    if not np.all(mu > 0.0):
+        raise ValueError("total_progeny_gf: mu must be positive")
+    if not np.all((z >= 0.0) & (z <= 1.0)):
+        raise ValueError("total_progeny_gf: z must lie in [0, 1]")
+    with np.errstate(divide="ignore"):  # z = 0 gives c = +inf, so G = 0
+        g = 1.0 - _largest_roots(-np.log(z), mu)
+    return float(g) if g.ndim == 0 else g
+
+
+# ---------------------------------------------------------------------------
+# Chronology-string generating functions Phi_h
+# ---------------------------------------------------------------------------
+
+def color_strings(k: int, h: int) -> list[tuple[int, ...]]:
+    """All length-h color strings without repetition, lexicographic order;
+    the count is the falling factorial k (k-1) ... (k-h+1)."""
+    if h < 0 or h > k:
+        raise ValueError("color_strings: need 0 <= h <= k")
+    return sorted(permutations(range(k), h))
+
+
+def phi_eval(lam, h: int, z: dict[tuple[int, ...], float]) -> float:
+    """Evaluate Phi_h at the point z (indexed by exactly the length-h strings).
+
+    Phi_0(z) = z; each level substitutes
+    z_s <- prod_{i not in set(s)} exp(lambda_i (F_{s i}(z_{s i}) - 1))
+    where F uses the total intensity of set(s i).  Arguments exactly equal to
+    1.0 are one-sided limits handled analytically by total_progeny_gf.
+    """
+    lam = as_lambda(lam)
+    k = lam.k
+    if not 0 <= h <= max(k - 2, 0):
+        raise ValueError("phi_eval: need 0 <= h <= k-2")
+    expected = set(color_strings(k, h))
+    if set(z.keys()) != expected:
+        raise ValueError("phi_eval: z must be indexed by exactly S_h")
+    for v in z.values():
+        if not 0.0 <= v <= 1.0:
+            raise ValueError("phi_eval: z values must lie in [0, 1]")
+    mu = subset_sums(lam.lam)
+    cur = dict(z)
+    for level in range(h, 0, -1):
+        # F_{s i}(z_{s i}), one entry per string s i of this level
+        f = total_progeny_gf([mu[sum(1 << c for c in si)] for si in cur],
+                             list(cur.values()))
+        f = dict(zip(cur, f.tolist()))
+        cur = {s: math.prod(math.exp(lam[i] * (f[s + (i,)] - 1.0))
+                            for i in range(k) if i not in s)
+               for s in color_strings(k, level - 1)}
+    return cur[()]
+
+
+# ---------------------------------------------------------------------------
+# Branching-process tree arena and full-tree sampling
+# ---------------------------------------------------------------------------
+
+class NodeCapExceeded(Exception):
+    """Tree growth hit the node cap; the sample is censored."""
+
+
+@dataclass
+class ColoredTree:
+    """Arena of branching-process nodes. Root is node 0 at depth 0."""
+
+    parent: list[int] = field(default_factory=lambda: [-1])
+    edge_color: list[int] = field(default_factory=lambda: [-1])
+    depth: list[int] = field(default_factory=lambda: [0])
+    children: list[list[int]] = field(default_factory=lambda: [[]])
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.parent)
+
+    def add_child(self, parent: int, color: int) -> int:
+        node = len(self.parent)
+        self.parent.append(parent)
+        self.edge_color.append(color)
+        self.depth.append(self.depth[parent] + 1)
+        self.children.append([])
+        self.children[parent].append(node)
+        return node
+
+    def to_graph(self, k: int) -> EdgeColoredGraph:
+        """View the arena as an edge-colored graph on its node indices."""
+        edge_sets: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+        for v in range(1, self.n_nodes):
+            edge_sets[self.edge_color[v]].append((self.parent[v], v))
+        return EdgeColoredGraph(self.n_nodes, edge_sets)
+
+
+def sample_ecbp(lam, depth: int, rng: np.random.Generator,
+                node_cap: int = NODE_CAP) -> ColoredTree:
+    """Sample a full edge-colored Poisson branching-process tree to the given
+    depth: each node spawns Poisson(lambda_i) children per color i."""
+    lam = as_lambda(lam)
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    tree = ColoredTree()
+    level = [0]
+    for _ in range(depth):
+        nxt = []
+        for u in level:
+            for c in range(lam.k):
+                for _ in range(int(rng.poisson(lam[c]))):
+                    nxt.append(tree.add_child(u, c))
+                    if tree.n_nodes > node_cap:
+                        raise NodeCapExceeded(f"node cap {node_cap} exceeded")
+        level = nxt
+    return tree
+
+
+def tree_ball_counts(lam, d: int, samples: int,
+                     rng: np.random.Generator) -> tuple[Counter, int]:
+    """Counts of canonical depth-d ball keys over i.i.d. arena trees, each
+    grown in full up to 10 SIZE_CAP + 100 nodes and out of catalog above
+    SIZE_CAP."""
+    lam = as_lambda(lam)
+    counts: Counter = Counter()
+    out = 0
+    for _ in range(samples):
+        try:
+            tree = sample_ecbp(lam, d, rng, node_cap=10 * SIZE_CAP + 100)
+        except NodeCapExceeded:
+            out += 1
+            continue
+        if tree.n_nodes > SIZE_CAP:
+            out += 1
+            continue
+
+        # the tree stops at depth d, so the ball is the whole tree
+        def rec(v: int) -> BallKey:
+            return tuple(sorted((1 << tree.edge_color[w], rec(w))
+                                for w in tree.children[v]))
+
+        counts[rec(0)] += 1
+    return counts, out
+
+
+# ---------------------------------------------------------------------------
+# Chronology-of-colors atlas: the reachable sets per color string, the core
+# size rho, and the boundary vector b, on finite graphs and trees
+# ---------------------------------------------------------------------------
+
+ColorString = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class ChronologyAtlas:
+    """Reachable sets R_s and fresh-color boundaries N_s per color string."""
+
+    k: int
+    root: int
+    h_max: int
+    r_sets: dict[ColorString, frozenset[int]]
+    n_sets: dict[ColorString, frozenset[int]]
+
+    def r_le(self, h: int) -> frozenset[int]:
+        """Union of R_s over all strings of length at most h."""
+        if h < 0 or h > self.h_max:
+            raise ValueError("h out of range")
+        out: set[int] = set()
+        for s, vs in self.r_sets.items():
+            if len(s) <= h:
+                out |= vs
+        return frozenset(out)
+
+    @property
+    def rho(self) -> int:
+        """Size of the core reachable with at most k-2 colors."""
+        return len(self.r_le(min(self.k - 2, self.h_max)))
+
+    def boundary_vector(self) -> tuple[int, ...]:
+        """b_i = size of the union of N_s over strings using exactly the
+        colors other than i (length k-1)."""
+        if self.h_max < self.k - 1:
+            raise ValueError("boundary needs h_max = k-1")
+        b = []
+        for i in range(self.k):
+            want = frozenset(range(self.k)) - {i}
+            union: set[int] = set()
+            for s, vs in self.n_sets.items():
+                if len(s) == self.k - 1 and frozenset(s) == want:
+                    union |= vs
+            b.append(len(union))
+        return tuple(b)
+
+
+def _adjacency(g: EdgeColoredGraph) -> list[dict[int, list[int]]]:
+    adj: list[dict[int, list[int]]] = [dict() for _ in range(g.k)]
+    for c in range(g.k):
+        for u, v in g.edge_sets[c]:
+            adj[c].setdefault(int(u), []).append(int(v))
+            adj[c].setdefault(int(v), []).append(int(u))
+    return adj
+
+
+def build_atlas(g: Union[EdgeColoredGraph, ColoredTree], v: int,
+                h_max: int, k: int | None = None) -> ChronologyAtlas:
+    """Build the chronology atlas of vertex v following the recursive
+    definition: N_{s i} collects fresh color-i neighbors of R_s outside
+    everything reached with at most |s| colors, and R_{s i} is what N_{s i}
+    reaches inside the projection onto set(s i) with R_s deleted."""
+    if isinstance(g, ColoredTree):
+        if k is None:
+            raise ValueError("k required when building from a ColoredTree")
+        g = g.to_graph(k)
+    k = g.k
+    if h_max > k - 1:
+        raise ValueError("h_max must be <= k-1")
+    if not 0 <= v < g.n:
+        raise ValueError("root out of range")
+    adj = _adjacency(g)
+
+    r_sets: dict[ColorString, frozenset[int]] = {(): frozenset({v})}
+    n_sets: dict[ColorString, frozenset[int]] = {(): frozenset({v})}
+    reached_le: set[int] = {v}
+    for h in range(1, h_max + 1):
+        new_reached: set[int] = set()
+        for s in color_strings(k, h):
+            sm, i = s[:-1], s[-1]
+            prev = r_sets[sm]
+            fresh = {
+                w
+                for u in prev
+                for w in adj[i].get(u, ())
+                if w not in reached_le
+            }
+            n_sets[s] = frozenset(fresh)
+            # BFS from the fresh boundary inside the set(s)-projection with
+            # the parent layer deleted
+            colors = set(s)
+            seen = set(fresh)
+            queue = deque(fresh)
+            while queue:
+                u = queue.popleft()
+                for c in colors:
+                    for w in adj[c].get(u, ()):
+                        if w not in seen and w not in prev:
+                            seen.add(w)
+                            queue.append(w)
+            r_sets[s] = frozenset(seen)
+            new_reached |= seen
+        reached_le |= new_reached
+    return ChronologyAtlas(k, v, h_max, r_sets, n_sets)
+
+
+def core_and_boundary(g: Union[EdgeColoredGraph, ColoredTree], v: int,
+                      k: int | None = None) -> tuple[int, tuple[int, ...]]:
+    """(rho, b) of vertex v: core size with at most k-2 colors and the vector
+    of fresh full-palette-minus-one boundary sizes."""
+    atlas = build_atlas(g, v, h_max=(k or getattr(g, "k", 0)) - 1, k=k)
+    if atlas.k < 2:
+        raise ValueError("core/boundary needs k >= 2")
+    return atlas.rho, atlas.boundary_vector()
+
+
+# ---------------------------------------------------------------------------
+# Brute-force color-avoiding partition
+# ---------------------------------------------------------------------------
+
+def brute_force_cap_partition(g: EdgeColoredGraph) -> np.ndarray:
+    """Same contract as color_avoiding_partition, but via independent
+    BFS connectivity checks per pair and per color."""
+    if g.n > 12:
+        raise ValueError("brute force limited to n <= 12")
+    n, k = g.n, g.k
+    # adj[i][u]: u's neighbours via every color but i (a pair shared by
+    # two colors is listed twice, which the search does not mind)
+    adj: list[list[list[int]]] = []
+    for i in range(k):
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        for c, edges in enumerate(g.edge_sets):
+            if c != i:
+                for u, v in edges.tolist():
+                    nbrs[u].append(v)
+                    nbrs[v].append(u)
+        adj.append(nbrs)
+
+    def connected(a: int, b: int, i: int) -> bool:
+        seen = {a}
+        queue = deque([a])
+        while queue:
+            u = queue.popleft()
+            if u == b:
+                return True
+            for w in adj[i][u]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        return False
+
+    # the relation is an equivalence, so the first a < b it links b to is
+    # the smallest vertex of b's block
+    labels = np.arange(n, dtype=np.int64)
+    for b in range(n):
+        for a in range(b):
+            if all(connected(a, b, i) for i in range(k)):
+                labels[b] = a
+                break
+    return labels

@@ -12,20 +12,15 @@ import pytest
 from caperc import ecbp
 from caperc.analytic import (
     DEFAULT_EPS_GRID,
+    _residuals,
     classify_lambda,
-    color_strings,
     f_infinity_generating_function,
     f_infinity_inclusion_exclusion,
     near_critical_constant,
-    phi_eval,
     solve_p_system,
     two_color_f_ell,
 )
-from caperc.cap import (
-    CapDecomposition,
-    brute_force_cap_partition,
-    color_avoiding_partition,
-)
+from caperc.cap import CapDecomposition, color_avoiding_partition
 from caperc.ecbp import mc_component_size_distribution
 from caperc.experiments import (
     ExperimentConfig,
@@ -33,6 +28,7 @@ from caperc.experiments import (
 )
 from caperc.graph import sample_ecer
 from caperc.params import as_lambda
+from oracles import brute_force_cap_partition, color_strings, phi_eval
 
 
 def _report(name: str, detail: str) -> None:
@@ -88,7 +84,7 @@ def test_criterion_03_p_system_residuals_and_relevance():
     for lam in grid:
         table = solve_p_system(lam)
         worst = max(worst, table.max_residual)
-        assert table.residual(0) == 0.0
+        assert _residuals(table.lam, table.p)[0] == 0.0
         assert table.relevant == classify_lambda(lam).fully_supercritical
         n_relevant += table.relevant
     _report("p system", f"worst residual {worst:.3e}, "

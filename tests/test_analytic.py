@@ -16,22 +16,19 @@ from caperc.analytic import (
     PSystemError,
     SeriesTruncationError,
     _type_law,
-    borel_pmf,
     classify_lambda,
-    color_strings,
     extended_type_distribution,
     f_infinity_generating_function,
     f_infinity_inclusion_exclusion,
     near_critical_constant,
-    phi_eval,
     solve_p_system,
     subset_sums,
     survival_theta,
     theta_avoid,
     two_color_f_ell,
-    total_progeny_gf,
 )
 from caperc.params import LambdaVector
+from oracles import borel_pmf, color_strings, phi_eval, total_progeny_gf
 
 
 # -- oracles ----------------------------------------------------------------

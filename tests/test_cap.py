@@ -10,13 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from caperc.cap import (
-    CapDecomposition,
-    brute_force_cap_partition,
-    color_avoiding_partition,
-)
+from caperc.cap import CapDecomposition, color_avoiding_partition
 from caperc.graph import EdgeColoredGraph, connected_components, sample_ecer
-
+from oracles import brute_force_cap_partition
 from test_graph import colored_graphs, ecer_graphs
 
 
@@ -77,6 +73,25 @@ def test_agrees_with_brute_force_on_random_instances():
         fast = color_avoiding_partition(g)
         slow = brute_force_cap_partition(g)
         assert np.array_equal(fast, slow)
+
+
+def test_edgeless_colors_agree_with_brute_force():
+    # graphs with no edges at all, and graphs with one color's edges: the
+    # meet skips the edgeless colors, so it takes one projection or none
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        n = int(rng.integers(0, 9))
+        k = int(rng.integers(1, 5))
+        edge_sets = [[] for _ in range(k)]
+        g = EdgeColoredGraph(n, edge_sets)
+        assert np.array_equal(color_avoiding_partition(g),
+                              brute_force_cap_partition(g))
+        if n >= 2:
+            edge_sets[int(rng.integers(k))] = sample_ecer(
+                n, (3.0,), rng).edge_sets[0]
+            g = EdgeColoredGraph(n, edge_sets)
+            assert np.array_equal(color_avoiding_partition(g),
+                                  brute_force_cap_partition(g))
 
 
 def test_meet_matches_zero_key_oracle():

@@ -4,9 +4,8 @@ oracle on trees."""
 import numpy as np
 import pytest
 
-from caperc.chronology import build_atlas, core_and_boundary
 from caperc.graph import EdgeColoredGraph, sample_ecer
-from caperc.trees import ColoredTree, sample_ecbp
+from oracles import ColoredTree, build_atlas, core_and_boundary, sample_ecbp
 
 
 def test_isolated_vertex():

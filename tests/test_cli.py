@@ -14,11 +14,17 @@ import numpy as np
 import pytest
 
 import caperc
-from caperc import cli
+from caperc import cap, cli
 from caperc.analytic import f_infinity_inclusion_exclusion
 from caperc.cli import main
 from caperc.experiments import CONFIG_KEYS, ExperimentConfig
-from caperc.graph import EdgeColoredGraph, dump_graph, load_graph, sample_ecer
+from caperc.graph import (
+    EdgeColoredGraph,
+    connected_components,
+    dump_graph,
+    load_graph,
+    sample_ecer,
+)
 from test_graph import load_graph_by_line
 
 
@@ -107,6 +113,13 @@ def test_invalid_experiment_input_exits_2(tmp_path, capsys, argv):
     ["ecbp-mc", "--samples", "10", "--d", "3"],
     ["ecbp-mc", "--samples", "10", "--n", "0"],
     ["analytic", "--lambda", "2,2", "--replicas", "0"],
+    # ell_max is read by convergence, ecbp-mc and analytic, the caps by
+    # ecbp-mc alone
+    ["near-critical", "--k", "2", "--ell-max", "0"],
+    ["local-weak", "--lambda", "1,1", "--n", "300", "--replicas", "1",
+     "--samples", "1000", "--ell-max", "0"],
+    ["analytic", "--lambda", "2,2", "--node-cap", "-1"],
+    ["near-critical", "--k", "2", "--depth-cap", "-5"],
 ])
 def test_a_value_the_kind_does_not_read_is_not_checked(capsys, argv):
     assert main(argv) == 0
@@ -363,6 +376,18 @@ def test_python_m_caperc_runs_from_the_checkout():
     assert json.loads(done.stdout)["checks_passed"] is True
 
 
+def test_the_cli_loads_no_test_oracle():
+    # the tree arena and the chronology atlas live beside the tests
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": "src"}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, caperc.cli; print(*sys.modules)"],
+        cwd=root, env=env, capture_output=True, text=True, check=True)
+    loaded = set(done.stdout.split())
+    assert "caperc.cli" in loaded
+    assert not {"caperc.chronology", "caperc.trees"} & loaded
+
+
 def test_ecbp_mc_cli(capsys):
     assert main(["ecbp-mc", "--lambda", "2,2", "--samples", "1000",
                  "--seed", "3"]) == 0
@@ -478,6 +503,25 @@ def test_components_cli_graph_without_vertices(tmp_path, capsys):
     assert main(["components", str(path)]) == 0
     assert capsys.readouterr().out == (
         "# schema: cap-sizes-v1\nsize,fraction,count\n")
+
+
+def test_components_meets_over_the_colors_with_edges(tmp_path, capsys,
+                                                    monkeypatch):
+    # 48 of the 50 colors have no edges: without one of them the graph is
+    # whole, so the meet takes one projection per color with edges
+    path = tmp_path / "wide.txt"
+    path.write_text("6 50\n7 0 1\n7 1 2\n7 3 4\n31 0 1\n31 1 2\n31 4 5\n")
+    calls = []
+
+    def counted(n, edges):
+        calls.append(len(edges))
+        return connected_components(n, edges)
+    monkeypatch.setattr(cap, "connected_components", counted)
+    assert main(["components", str(path)]) == 0
+    assert calls == [1, 1]
+    # blocks {0, 1, 2}, {3}, {4}, {5}
+    assert capsys.readouterr().out == (
+        "# schema: cap-sizes-v1\nsize,fraction,count\n1,0.5,3\n3,0.5,1\n")
 
 
 def test_components_cli_missing_file(capsys):

@@ -19,7 +19,6 @@ from caperc.analytic import (
     theta_avoid,
     two_color_f_ell,
 )
-from caperc.chronology import core_and_boundary
 from caperc.ecbp import (
     _BATCH,
     _CELLS,
@@ -37,7 +36,7 @@ from caperc.ecbp import (
 )
 from caperc.experiments import _CHUNK
 from caperc.params import LambdaVector
-from caperc.trees import sample_ecbp
+from oracles import core_and_boundary, sample_ecbp
 from test_acceptance import mc_phi1_estimate
 
 

@@ -5,16 +5,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from caperc.graph import EdgeColoredGraph, sample_ecer
 from caperc.localweak import (
     ISOLATED_ROOT_KEY,
+    SIZE_CAP,
     _canon_ball,
     _ecer_adjacency,
+    _tree_ball,
     ecbp_ball_counts,
     ecer_ball_counts,
     restricted_tv,
 )
+from oracles import tree_ball_counts
 
 
 def _adj(g):
@@ -73,6 +77,55 @@ def test_ecbp_counts_total():
     rng = np.random.default_rng(2)
     counts, out = ecbp_ball_counts((1.0, 1.0), 1, 5000, rng)
     assert sum(counts.values()) + out == 5000
+
+
+class _FixedCounts:
+    """A generator stand-in whose Poisson draws are the given counts; a
+    draw past them raises StopIteration."""
+
+    def __init__(self, counts):
+        self.counts = iter(counts)
+
+    def poisson(self, lam):
+        return next(self.counts)
+
+
+def test_tree_ball_size_cap():
+    # a ball of SIZE_CAP vertices is in the catalog, as in _canon_ball; one
+    # more is not, and no draw follows the one that passes the cap
+    key = _tree_ball((1.0, 1.0), 1, _FixedCounts([SIZE_CAP - 2, 1]))
+    assert key == ((0b01, ()),) * (SIZE_CAP - 2) + ((0b10, ()),)
+    assert _tree_ball((1.0, 1.0), 1, _FixedCounts([SIZE_CAP - 1, 1])) is None
+    assert _tree_ball((1.0, 1.0), 2, _FixedCounts([SIZE_CAP])) is None
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_tree_ball_keys_match_the_arena_on_the_same_draws(d):
+    # no ball passes SIZE_CAP here, so the keys drawn level by level and
+    # the arena trees read the same Poisson draws in the same order
+    counts, out = ecbp_ball_counts((0.5, 0.5), d, 20000,
+                                   np.random.default_rng(41))
+    assert out == 0
+    assert (counts, out) == tree_ball_counts((0.5, 0.5), d, 20000,
+                                             np.random.default_rng(41))
+
+
+def test_tree_ball_law_matches_the_arena():
+    # at (1.5, 1.5) some balls pass SIZE_CAP, after which the draws part;
+    # the key law, out-of-catalog bin included, must still agree
+    samples = 20000
+    drawn, drawn_out = ecbp_ball_counts((1.5, 1.5), 2, samples,
+                                        np.random.default_rng(43))
+    arena, arena_out = tree_ball_counts((1.5, 1.5), 2, samples,
+                                        np.random.default_rng(44))
+    common = [key for key in set(drawn) | set(arena)
+              if drawn[key] + arena[key] >= 20]
+    rows = [[c[key] for key in common] for c in (drawn, arena)]
+    for row, out in zip(rows, (drawn_out, arena_out)):
+        row += [out, samples - out - sum(row)]
+    assert len(common) >= 30
+    _, pvalue, _, _ = scipy.stats.chi2_contingency(rows)
+    assert pvalue > 1e-3
 
 
 def test_restricted_tv_edges():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from caperc.trees import ColoredTree, NodeCapExceeded, sample_ecbp
+from oracles import ColoredTree, NodeCapExceeded, sample_ecbp
 
 
 def test_empty_tree_is_just_the_root():
