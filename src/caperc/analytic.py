@@ -292,8 +292,10 @@ class SeriesTruncationError(Exception):
     """Certified tail bound could not be brought below tolerance."""
 
 
-def _borel_binomial_series(mu: float, q: float, ell: int,
-                           m_max: int = 200_000) -> float:
+SERIES_MAX_TERMS = 200_000  # the most a two-color series takes to certify
+
+
+def _borel_binomial_series(mu: float, q: float, ell: int) -> float:
     """sum_{m >= ell} C(m-1, ell-1) q^{ell-1} (1-q)^{m-ell} Borel(mu, m),
     truncated when the certified geometric tail bound drops below 1e-12.
 
@@ -308,7 +310,7 @@ def _borel_binomial_series(mu: float, q: float, ell: int,
     log_q = math.log(q) if q > 0.0 else None
     log_1mq = math.log1p(-q)
     total = 0.0
-    for m in range(ell, m_max + 1):
+    for m in range(ell, SERIES_MAX_TERMS + 1):
         lt = borel_log_pmf(mu, m) + (m - ell) * log_1mq
         if ell > 1:
             if log_q is None:
@@ -321,8 +323,8 @@ def _borel_binomial_series(mu: float, q: float, ell: int,
             r = mu * math.exp(1.0 - mu) * (1.0 - q) * (m + 1) / (m - ell + 2)
             if r < 1.0 and term * r / (1.0 - r) < 1e-12:
                 return total
-    raise SeriesTruncationError(
-        f"two-color series tail not certified below 1.0e-12 within {m_max} terms")
+    raise SeriesTruncationError("two-color series tail not certified below "
+                                f"1.0e-12 within {SERIES_MAX_TERMS} terms")
 
 
 def two_color_f_ell(lambda_red: float, lambda_blue: float, ell_max: int,

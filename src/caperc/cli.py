@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +14,7 @@ from .analytic import PSystemError, SeriesTruncationError
 from .cap import CapDecomposition
 from .experiments import (
     CONFIG_KEYS,
+    KINDS,
     ExperimentConfig,
     config_from_mapping,
     parse_config_file,
@@ -36,22 +37,20 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="flat key=value config file; flags override it")
 
 
-def _gather(args: argparse.Namespace) -> dict[str, str]:
-    items = parse_config_file(args.config) if args.config else {}
-    # kind comes from the subcommand's defaults; a file may only repeat it
-    if items.get("kind", args.kind) != args.kind:
-        raise ValueError(f"config file has kind={items['kind']}, but this "
-                         f"subcommand runs kind={args.kind}")
-    items.update({key: val for key, val in vars(args).items()
-                  if key in CONFIG_KEYS and val is not None})
-    if "k" not in items and "lambda" in items:
-        items["k"] = str(len(items["lambda"].split(",")))
-    return items
-
-
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     try:
-        return config_from_mapping(_gather(args))
+        items = parse_config_file(args.config) if args.config else {}
+        # kind comes from the subcommand's defaults; a file may only repeat it
+        if items.get("kind", args.kind) != args.kind:
+            raise ValueError(f"config file has kind={items['kind']}, but "
+                             f"this subcommand runs kind={args.kind}")
+        items.update({key: val for key, val in vars(args).items()
+                      if key in CONFIG_KEYS and val is not None})
+        # k follows lambda's length for the kinds that read lambda
+        reads = KINDS[args.kind].reads
+        if "k" not in items and "lambda" in items and "lambda" in reads:
+            items["k"] = str(len(items["lambda"].split(",")))
+        return config_from_mapping(items)
     except (ValueError, OSError) as exc:
         raise _InputError(exc) from None
 
@@ -83,20 +82,24 @@ def _run_experiment(args: argparse.Namespace) -> int:
     return 0 if record.checks_passed else 1
 
 
+def _write_out(out, name: str, write) -> None:
+    """write(fh) to out/name, making out if missing, or else to stdout."""
+    if not out:
+        return write(sys.stdout)
+    path = Path(out) / name
+    with _writing(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w") as fh:
+            write(fh)
+    print(f"wrote {path}", file=sys.stderr)
+
+
 def _cmd_sample_ecer(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     n = cfg.n_list[-1]
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    g = sample_ecer(n, cfg.lam, rng)
-    if cfg.out:
-        path = Path(cfg.out) / f"ecer-n{n}-seed{cfg.seed}.txt"
-        with _writing(path):
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with path.open("w") as fh:
-                dump_graph(g, fh)
-        print(f"wrote {path}", file=sys.stderr)
-    else:
-        dump_graph(g, sys.stdout)
+    g = sample_ecer(n, cfg.lam, np.random.default_rng(cfg.seed))
+    _write_out(cfg.out, f"ecer-n{n}-seed{cfg.seed}.txt",
+               partial(dump_graph, g))
     return 0
 
 
@@ -115,15 +118,7 @@ def _cmd_components(args: argparse.Namespace) -> int:
     if sum(size * count for size, count in dec.size_counts.items()) != dec.n:
         print("normalization check failed", file=sys.stderr)
         return 1
-    if args.out:
-        out_path = Path(args.out) / (path.stem + "-components.csv")
-        with _writing(out_path):
-            out_path.parent.mkdir(parents=True, exist_ok=True)
-            with out_path.open("w") as fh:
-                dec.to_csv(fh)
-        print(f"wrote {out_path}", file=sys.stderr)
-    else:
-        dec.to_csv(sys.stdout)
+    _write_out(args.out, path.stem + "-components.csv", dec.to_csv)
     return 0
 
 
@@ -136,25 +131,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Color-avoiding percolation: simulation and analytics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # sample-ecer reads local-weak's config: no 2^k table, so no k ceiling
-    p = sub.add_parser("sample-ecer", help="sample an ECER graph dump")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_sample_ecer, kind="local-weak-check")
+    for kind, spec in KINDS.items():
+        # a kind without a body writes a graph dump, not a record
+        p = sub.add_parser(spec.command, help=(
+            f"run the {kind} experiment" if spec.body
+            else "sample an ECER graph dump"))
+        _add_common(p)
+        p.set_defaults(fn=_run_experiment if spec.body else _cmd_sample_ecer,
+                       kind=kind)
 
     p = sub.add_parser("components",
                        help="decompose a graph dump into color-avoiding components")
     p.add_argument("graph", type=str, help="graph dump file")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(fn=_cmd_components)
-
-    for kind, cmd in (("analytic-report", "analytic"),
-                      ("ecbp-mc", "ecbp-mc"),
-                      ("ecer-convergence", "convergence"),
-                      ("local-weak-check", "local-weak"),
-                      ("near-critical", "near-critical")):
-        p = sub.add_parser(cmd, help=f"run the {kind} experiment")
-        _add_common(p)
-        p.set_defaults(fn=_run_experiment, kind=kind)
     return parser
 
 
@@ -163,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     # the closed forms reject a lambda they cannot evaluate to tolerance, and
-    # local-weak one whose balls all fall outside the catalog
+    # the local weak check one whose balls all fall outside the catalog
     except (_InputError, PSystemError, SeriesTruncationError,
             EmptyCatalogError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

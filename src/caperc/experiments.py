@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, fields
 from functools import cache
 from multiprocessing import get_context
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -78,50 +79,47 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.kind not in RUNNERS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        # the near-critical constant depends on k alone and reads no lambda
-        if self.kind != "near-critical" and len(self.lam) != self.k:
-            raise ValueError("lambda length must equal k")
-        # a finite total also keeps every subset sum finite
-        if not (all(x > 0 for x in self.lam) and sum(self.lam) < math.inf):
-            raise ValueError("lambda entries must be positive, with a "
-                             "finite sum")
-        if self.k < 2 and self.kind in ("analytic-report", "near-critical",
-                                         "ecbp-mc"):
-            raise ValueError(f"{self.kind} needs k >= 2")
-        max_k = ECBP_MAX_K if self.kind == "ecbp-mc" else ENGINE_MAX_K
-        if self.kind != "local-weak-check" and self.k > max_k:
+        # a value the kind does not read stays in the record unchecked
+        _, _, min_k, max_k, reads = KINDS[self.kind]
+        if "lambda" in reads:
+            if len(self.lam) != self.k:
+                raise ValueError("lambda length must equal k")
+            # a finite total also keeps every subset sum finite
+            if not (all(x > 0 for x in self.lam) and sum(self.lam) < math.inf):
+                raise ValueError("lambda entries must be positive, with a "
+                                 "finite sum")
+        if self.k < min_k:
+            raise ValueError(f"{self.kind} needs k >= {min_k}")
+        if self.k > max_k:
             raise ValueError(f"{self.kind} needs k <= {max_k}")
-        if self.kind == "ecbp-mc":
-            analytic.check_small_subsets(self.lam, "ecbp-mc")
+        # the friend-count sampler's caps and small-subset assumption
+        if "node_cap" in reads:
+            analytic.check_small_subsets(self.lam, self.kind)
             if self.depth_cap < 0 or self.node_cap < 0:
                 raise ValueError("depth_cap and node_cap must be >= 0")
             # a growing sample draws Poisson(lambda_c * nodes) for fewer
             # than node_cap nodes, or for the root alone
             if max(self.lam) * max(self.node_cap, 1) >= POISSON_MAX:
                 raise ValueError(
-                    "ecbp-mc needs max lambda * max(node_cap, 1) below "
+                    f"{self.kind} needs max lambda * max(node_cap, 1) below "
                     f"numpy's Poisson limit {POISSON_MAX:.3g}")
-        # n, replicas, samples, d and ell_max, like the caps above, are
-        # checked only where they are read
-        if self.kind in ("ecer-convergence", "local-weak-check"):
-            if not all(0 < n <= MAX_N for n in self.n_list):
-                raise ValueError(f"n values must lie in [1, {MAX_N}]")
-            if self.replicas < 1:
-                raise ValueError("replicas must be >= 1")
-        if self.kind in ("ecbp-mc", "local-weak-check") and self.samples < 1:
+        if "n" in reads and not all(0 < n <= MAX_N for n in self.n_list):
+            raise ValueError(f"n values must lie in [1, {MAX_N}]")
+        if "replicas" in reads and self.replicas < 1:
+            raise ValueError("replicas must be >= 1")
+        if "samples" in reads and self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.kind == "local-weak-check" and not 0 <= self.d <= 2:
+        if "d" in reads and not 0 <= self.d <= 2:
             raise ValueError("ball depth d must lie in [0, 2]")
-        if (self.kind in ("ecer-convergence", "ecbp-mc", "analytic-report")
-                and not 1 <= self.ell_max <= ELL_MAX):
+        if "ell_max" in reads and not 1 <= self.ell_max <= ELL_MAX:
             raise ValueError(f"ell_max must lie in [1, {ELL_MAX}]")
-        if self.kind == "near-critical":
+        if "eps" in reads:
             analytic.check_eps_grid(self.k, self.eps_grid)
-        if self.seed < 0:
+        if "seed" in reads and self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.workers < 1:
+        if "workers" in reads and self.workers < 1:
             raise ValueError("workers must be >= 1")
 
     def to_flat_dict(self) -> dict[str, str]:
@@ -244,9 +242,9 @@ class RunRecord:
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunRecord:
-    """Run cfg's experiment and record it; elapsed_s times the whole run."""
+    """Run and record cfg (whose kind needs a body), timed in elapsed_s."""
     start = time.perf_counter()
-    results, checks_passed, csv = RUNNERS[cfg.kind](cfg)
+    results, checks_passed, csv = KINDS[cfg.kind].body(cfg)
     return RunRecord(cfg, results, bool(checks_passed), csv,
                      time.perf_counter() - start)
 
@@ -494,11 +492,32 @@ def _near_critical(cfg: ExperimentConfig):
     return results, checks, {}
 
 
-# kind -> body returning (results, checks passed, CSV file name -> lines)
-RUNNERS = {
-    "ecer-convergence": _ecer_convergence,
-    "ecbp-mc": _ecbp_mc,
-    "analytic-report": _analytic_report,
-    "local-weak-check": _local_weak_check,
-    "near-critical": _near_critical,
+class Kind(NamedTuple):
+    """An experiment kind: its subcommand, its body returning (results,
+    checks passed, CSV name -> lines), k range and the config keys it reads."""
+
+    command: str
+    body: Callable[[ExperimentConfig], tuple] | None  # None: a graph dump
+    min_k: int
+    max_k: float  # inf: no 2^k table, so no ceiling
+    reads: tuple[str, ...]
+
+
+KINDS = {
+    "analytic-report": Kind("analytic", _analytic_report, 2, ENGINE_MAX_K,
+                            ("lambda", "ell_max")),
+    "ecbp-mc": Kind("ecbp-mc", _ecbp_mc, 2, ECBP_MAX_K,
+                    ("lambda", "samples", "seed", "depth_cap", "node_cap",
+                     "ell_max", "workers")),
+    "ecer-convergence": Kind(
+        "convergence", _ecer_convergence, 1, ENGINE_MAX_K,
+        ("lambda", "n", "replicas", "seed", "ell_max", "workers")),
+    "local-weak-check": Kind("local-weak", _local_weak_check, 1, math.inf,
+                             ("lambda", "n", "replicas", "samples", "seed",
+                              "d", "workers")),
+    # the constant depends on k alone
+    "near-critical": Kind("near-critical", _near_critical, 2, ENGINE_MAX_K,
+                          ("eps",)),
+    "sample-ecer": Kind("sample-ecer", None, 1, math.inf,
+                        ("lambda", "n", "seed")),
 }

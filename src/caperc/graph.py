@@ -240,6 +240,8 @@ def load_graph(fh: IO[str]) -> EdgeColoredGraph:
     bad = (rows[:, 0] < 0) | (rows[:, 0] >= k)
     if bad.any():
         raise ValueError(f"color {rows[bad.argmax(), 0]} out of range")
-    # each color's edges in file order, new arrays the graph may keep
+    # one stable sort by color; each color's rows, in file order, copied
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    bounds = np.searchsorted(rows[:, 0], np.arange(k + 1))
     return EdgeColoredGraph._adopt(
-        n, [rows[rows[:, 0] == c, 1:] for c in range(k)])
+        n, [rows[a:b, 1:].copy() for a, b in zip(bounds, bounds[1:])])

@@ -78,15 +78,8 @@ def ecer_ball_counts(g: EdgeColoredGraph, d: int) -> tuple[Counter, int]:
     if d < 0:
         raise ValueError("d must be >= 0")
     adj = _ecer_adjacency(g)
-    counts: Counter = Counter()
-    out = 0
-    for v in range(g.n):
-        key = _canon_ball(adj, v, d, SIZE_CAP)
-        if key is None:
-            out += 1
-        else:
-            counts[key] += 1
-    return counts, out
+    counts = Counter(_canon_ball(adj, v, d, SIZE_CAP) for v in range(g.n))
+    return counts, counts.pop(None, 0)
 
 
 def _tree_ball(rates: tuple[float, ...], d: int,
@@ -125,15 +118,8 @@ def ecbp_ball_counts(lam, d: int, samples: int,
     if d < 0:
         raise ValueError("d must be >= 0")
     rates = as_lambda(lam).lam
-    counts: Counter = Counter()
-    out = 0
-    for _ in range(samples):
-        key = _tree_ball(rates, d, rng)
-        if key is None:
-            out += 1
-        else:
-            counts[key] += 1
-    return counts, out
+    counts = Counter(_tree_ball(rates, d, rng) for _ in range(samples))
+    return counts, counts.pop(None, 0)
 
 
 def restricted_tv(p_counts: Counter, p_total: int,

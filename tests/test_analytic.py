@@ -502,13 +502,14 @@ def test_two_color_f_ell_prefixes_agree():
         two_color_f_ell(1.7, 2.4, 0)
 
 
-def test_series_truncation_error_reported():
-    from caperc.analytic import _borel_binomial_series
+def test_series_truncation_error_reported(monkeypatch):
+    from caperc import analytic
 
     # mu = 1, q = 0: terms decay like m^{-3/2}, so the certified geometric
     # tail bound (~ m^{-1/2}) can never reach 1e-12 within the term budget
-    with pytest.raises(SeriesTruncationError):
-        _borel_binomial_series(1.0, 0.0, 1, m_max=5000)
+    monkeypatch.setattr(analytic, "SERIES_MAX_TERMS", 5000)
+    with pytest.raises(SeriesTruncationError, match="within 5000 terms"):
+        analytic._borel_binomial_series(1.0, 0.0, 1)
 
 
 # -- near-critical constant -------------------------------------------------

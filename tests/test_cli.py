@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, artifacts, and byte-for-byte
 determinism of seeded runs."""
 
+import argparse
 import importlib.util
 import io
 import json
@@ -17,7 +18,7 @@ import caperc
 from caperc import cap, cli
 from caperc.analytic import f_infinity_inclusion_exclusion
 from caperc.cli import main
-from caperc.experiments import CONFIG_KEYS, ExperimentConfig
+from caperc.experiments import CONFIG_KEYS, KINDS, ExperimentConfig
 from caperc.graph import (
     EdgeColoredGraph,
     connected_components,
@@ -120,6 +121,13 @@ def test_invalid_experiment_input_exits_2(tmp_path, capsys, argv):
      "--samples", "1000", "--ell-max", "0"],
     ["analytic", "--lambda", "2,2", "--node-cap", "-1"],
     ["near-critical", "--k", "2", "--depth-cap", "-5"],
+    # sample-ecer reads lambda, n and seed alone; analytic and near-critical
+    # read no seed, and near-critical no lambda
+    ["sample-ecer", "--n", "10", "--d", "3"],
+    ["sample-ecer", "--n", "10", "--replicas", "0"],
+    ["sample-ecer", "--n", "10", "--samples", "0"],
+    ["near-critical", "--k", "3", "--lambda", "0,1"],
+    ["analytic", "--lambda", "2,2", "--seed", "-1"],
 ])
 def test_a_value_the_kind_does_not_read_is_not_checked(capsys, argv):
     assert main(argv) == 0
@@ -155,6 +163,29 @@ def test_config_file_kind_must_match_the_subcommand(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "config error: config file has kind=ecbp-mc, but this subcommand "
         "runs kind=analytic-report\n")
+
+
+def test_sample_ecer_config_file_names_its_own_kind(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("kind=sample-ecer\nlambda=1,1\nn=20\n")
+    assert main(["sample-ecer", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "20 2"
+    path.write_text("kind=local-weak-check\nlambda=1,1\nn=20\n")
+    assert main(["sample-ecer", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: config file has kind=local-weak-check, but this "
+        "subcommand runs kind=sample-ecer\n")
+
+
+def test_every_subcommand_but_components_is_one_kind():
+    parser = cli.build_parser()
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    commands = [spec.command for spec in KINDS.values()]
+    assert sorted(action.choices) == sorted(commands + ["components"])
+    for kind, spec in KINDS.items():
+        assert parser.parse_args([spec.command]).kind == kind
+    assert not hasattr(parser.parse_args(["components", "g.txt"]), "kind")
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -230,6 +261,10 @@ def test_near_critical_cli_reads_no_lambda(capsys):
     # the README command: k = 3 alongside the default two-entry lambda
     assert main(["near-critical", "--k", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["k"] == 3
+    # nor does a lambda set k: this runs at the default k = 2
+    assert main(["near-critical", "--lambda", "1,1,1"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["config"]["k"] == "2" and record["results"]["k"] == 2
 
 
 def test_analytic_cli_infers_k(capsys):

@@ -465,6 +465,10 @@ def load_graph_by_line(fh):
     "4 2\n\n1 2 3\n  \n0 0 1\n\n",            # blank lines, colors mixed
     "4 3\n2 3 1\n0 1 0\n2 0 2\n1 3 2\n0 2 1\n",  # any order, either orient
     "5 1\n0\t1 4\n 0 0 3 \n",                 # any whitespace
+    # colors interleaved and out of order, each color's rows in any order
+    "6 4\n3 4 5\n1 2 3\n3 0 1\n0 1 2\n1 5 0\n3 2 3\n2 1 4\n0 0 3\n",
+    # a wide header with a few edges: most colors have none
+    "10 5000\n4999 0 1\n17 3 2\n4999 5 4\n0 8 9\n17 1 2\n",
 ])
 def test_load_matches_per_line_loader(text):
     g, want = (load(io.StringIO(text)) for load in (load_graph,
