@@ -13,6 +13,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -367,13 +368,19 @@ DEFAULT_EPS_GRID = (1e-2, 5e-3, 2e-3, 1e-3)
 
 def check_eps_grid(k: int, eps_grid) -> tuple[float, ...]:
     """The eps grid as floats, or ValueError unless it has at least two
-    positive, finite, strictly decreasing entries and, for k >= 3, keeps
-    every (k-2)-subset of the intensities (1+eps)/(k-1) below total 1."""
+    positive, finite, strictly decreasing entries whose eps^k is a normal
+    float (neither zero nor infinite), and, for k >= 3, keeps every
+    (k-2)-subset of the intensities (1+eps)/(k-1) below total 1."""
     grid = tuple(float(e) for e in eps_grid)
     if len(grid) < 2 or any(not 0 < e < math.inf for e in grid) or any(
             a <= b for a, b in zip(grid, grid[1:])):
         raise ValueError("eps grid needs at least two positive, finite, "
                          "strictly decreasing entries")
+    # compared in logs, so that the check itself cannot overflow
+    lo, hi = math.log(sys.float_info.min), math.log(sys.float_info.max)
+    if not all(lo <= k * math.log(e) <= hi for e in grid):
+        raise ValueError(f"eps grid needs eps^{k} within the float range "
+                         f"[{sys.float_info.min!r}, {sys.float_info.max!r}]")
     if k >= 3 and grid[0] >= 1.0 / (k - 2):
         raise ValueError("eps grid violates the small-subset assumption "
                          f"(eps < {1.0 / (k - 2)!r} for k = {k})")

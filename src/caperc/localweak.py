@@ -1,15 +1,15 @@
 """Colored local weak convergence check: empirical depth-d ball statistics of
-ECER graphs versus branching-process trees, compared in restricted total
-variation over a catalog of small rooted edge-colored trees."""
+ECER graphs versus the exact branching-process ball law, compared in
+restricted total variation over a catalog of small rooted edge-colored
+trees."""
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-
-import numpy as np
+from functools import cache
 
 from .graph import EdgeColoredGraph
-from .params import as_lambda
 
 # Canonical ball keys are nested tuples: a ball is a sorted tuple of
 # (edge-color-mask, subtree-key) pairs. Non-tree balls and balls of more
@@ -20,7 +20,7 @@ SIZE_CAP = 30
 
 
 class EmptyCatalogError(Exception):
-    """No ball of either sample fell in the catalog: nothing to compare."""
+    """No graph ball fell in the catalog: nothing to compare."""
 
 
 def _ecer_adjacency(g: EdgeColoredGraph) -> list[dict[int, int]]:
@@ -82,57 +82,38 @@ def ecer_ball_counts(g: EdgeColoredGraph, d: int) -> tuple[Counter, int]:
     return counts, counts.pop(None, 0)
 
 
-def _tree_ball(rates: tuple[float, ...], d: int,
-               rng: np.random.Generator) -> BallKey | None:
-    """Canonical key of a depth-d branching-process ball, or None once it
-    passes SIZE_CAP vertices. The draws come level by level: for each node,
-    for each color, one Poisson draw of its children of that color."""
-    levels = []  # per level, per node: its children's color bits, in order
-    width = size = 1
-    for _ in range(d):
-        level = []
-        for _ in range(width):
-            bits = []
-            for c, x in enumerate(rates):
-                bits += [1 << c] * int(rng.poisson(x))
-                if size + len(bits) > SIZE_CAP:
-                    return None
-            size += len(bits)
-            level.append(bits)
-        levels.append(level)
-        width = sum(map(len, level))
-    # the ball stops at depth d, so its deepest nodes are leaves; each level
-    # lists its nodes as the children of the level above, in order
-    keys = [()] * width
-    for level in reversed(levels):
-        below = iter(keys)
-        keys = [tuple(sorted((bit, next(below)) for bit in bits))
-                for bits in level]
-    return keys[0]
+@cache
+def ball_probability(lam: tuple[float, ...], key: BallKey, d: int) -> float:
+    """Probability that the depth-d ball of the branching process with
+    intensities lam has canonical key `key`. By Poisson thinning, a node's
+    children of color c whose depth-(d-1) ball has key s are Poisson(lam_c
+    q_{d-1}(s)), independently over (c, s), so q_d(key) = exp(-sum lam)
+    prod_{(c,s)} (lam_c q_{d-1}(s))^m / m!, with m the multiplicity of (c, s)
+    in key and q_0(()) = 1. A tree edge has one color, so a key with a
+    multi-color edge has probability 0."""
+    if d == 0:
+        return float(key == ())
+    # summed in logs, so that no (lam_c q)^m overflows
+    log_q = -sum(lam)
+    for (mask, sub), m in Counter(key).items():
+        if mask.bit_count() != 1:
+            return 0.0
+        rate = lam[mask.bit_length() - 1] * ball_probability(lam, sub, d - 1)
+        if rate == 0.0:
+            return 0.0
+        log_q += m * math.log(rate) - math.lgamma(m + 1)
+    return math.exp(log_q)
 
 
-def ecbp_ball_counts(lam, d: int, samples: int,
-                     rng: np.random.Generator) -> tuple[Counter, int]:
-    """Counts of canonical depth-d ball keys over i.i.d. tree samples;
-    second return value is the number of out-of-catalog samples."""
-    if d < 0:
-        raise ValueError("d must be >= 0")
-    rates = as_lambda(lam).lam
-    counts = Counter(_tree_ball(rates, d, rng) for _ in range(samples))
-    return counts, counts.pop(None, 0)
-
-
-def restricted_tv(p_counts: Counter, p_total: int,
-                  q_counts: Counter, q_total: int) -> float:
-    """Total-variation distance between the two empirical measures restricted
-    to the union of observed catalog keys."""
-    keys = set(p_counts) | set(q_counts)
-    if p_total <= 0 or q_total <= 0 or not keys:
+def restricted_tv(counts: Counter, total: int, lam: tuple[float, ...],
+                  d: int) -> float:
+    """Total-variation distance between the graph's empirical ball measure
+    (counts over total roots) and the branching-process law of depth-d
+    balls, the sum running over the keys the graph shows."""
+    if total <= 0 or not counts:
         raise ValueError("empty catalog")
-    return 0.5 * sum(
-        abs(p_counts.get(key, 0) / p_total - q_counts.get(key, 0) / q_total)
-        for key in keys
-    )
+    return 0.5 * sum(abs(count / total - ball_probability(lam, key, d))
+                     for key, count in counts.items())
 
 
 ISOLATED_ROOT_KEY: BallKey = ()

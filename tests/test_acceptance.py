@@ -5,6 +5,7 @@ windows around independently computed targets."""
 
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from caperc.experiments import (
     run_experiment,
 )
 from caperc.graph import sample_ecer
+from caperc.localweak import ecer_ball_counts, restricted_tv
 from caperc.params import as_lambda
 from oracles import brute_force_cap_partition, color_strings, phi_eval
 
@@ -215,11 +217,24 @@ def test_criterion_08_phi_recursion():
 
 def test_criterion_09_local_weak_convergence():
     # depth-1 colored ball statistics of ECER graphs at n = 4000 are within
-    # restricted total variation 0.02 of the branching-process law
+    # restricted total variation 0.02 of the exact branching-process law
     rec = run_experiment(ExperimentConfig(
         kind="local-weak-check", lam=(1.0, 1.0), n_list=(4000,),
-        replicas=10, samples=100_000, seed=0, d=1))
+        replicas=10, seed=0, d=1))
     tv = rec.results["restricted_tv"]
     _report("local weak", f"restricted TV = {tv:.4f} at n=4000")
     assert rec.checks_passed
     assert tv < 0.02
+
+
+def test_criterion_09_bound_sees_a_shifted_lambda():
+    # criterion 09's graphs (replica i drawn from the i-th child of seed 0),
+    # read against the law with one intensity 10% high, pass its bound
+    counts: Counter = Counter()
+    for seed in np.random.SeedSequence(0).spawn(10):
+        g = sample_ecer(4000, (1.0, 1.0), np.random.default_rng(seed))
+        counts.update(ecer_ball_counts(g, 1)[0])
+    tv = restricted_tv(counts, 10 * 4000, (1.0, 1.0), 1)
+    shifted = restricted_tv(counts, 10 * 4000, (1.1, 1.0), 1)
+    _report("local weak power", f"TV = {tv:.4f}, {shifted:.4f} at (1.1,1.0)")
+    assert tv < 0.02 < shifted

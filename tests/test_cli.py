@@ -67,6 +67,9 @@ def test_invalid_config_exits_2(capsys):
     ["near-critical", "--k", "2", "--eps", "0.1,0.2"],
     ["near-critical", "--k", "2", "--eps", "0.05"],
     ["near-critical", "--k", "3", "--eps", "2,1"],
+    # eps^k underflows to zero, or overflows
+    ["near-critical", "--k", "3", "--eps", "1e-200,1e-201"],
+    ["near-critical", "--k", "2", "--eps", "1e300,1e299"],
     ["ecbp-mc", "--depth-cap", "-3", "--samples", "10"],
     # vertex pair keys u * n + v must fit in int64
     ["convergence", "--n", "4000000000"],
@@ -76,6 +79,8 @@ def test_invalid_config_exits_2(capsys):
     # unreadable config file, unwritable output
     ["sample-ecer", "--config", "{missing}"],
     ["ecbp-mc", "--config", "{missing}"],
+    # a config file that gives one key twice
+    ["analytic", "--config", "{twice}"],
     ["ecbp-mc", "--samples", "10", "--out", "{file}/sub"],
     ["sample-ecer", "--n", "50", "--out", "{file}/sub"],
     ["components", "{graph}", "--out", "{file}/sub"],
@@ -83,8 +88,7 @@ def test_invalid_config_exits_2(capsys):
     ["analytic", "--lambda", "1.0000001,1.0000001"],
     ["convergence", "--lambda", "1.0000001,1.0000001"],
     # no depth-1 ball is tree-like within the catalog's size cap
-    ["local-weak", "--lambda", "40,40", "--n", "50", "--replicas", "1",
-     "--samples", "100"],
+    ["local-weak", "--lambda", "40,40", "--n", "50", "--replicas", "1"],
     # k ceilings: 2^k tables to k = 20, and ecbp-mc's k * 4^k to k = 12
     ["near-critical", "--k", "40"],
     ["analytic", "--lambda", ",".join(["0.1"] * 30)],
@@ -97,12 +101,15 @@ def test_invalid_config_exits_2(capsys):
     ["convergence", "--n", "10", "--replicas", "1", "--ell-max", "3000"],
 ])
 def test_invalid_experiment_input_exits_2(tmp_path, capsys, argv):
-    missing, file, graph = (tmp_path / name
-                            for name in ("missing.cfg", "file", "graph.txt"))
+    missing, file, graph, twice = (
+        tmp_path / name
+        for name in ("missing.cfg", "file", "graph.txt", "twice.cfg"))
     file.write_text("")
+    twice.write_text("lambda=2,2\nlambda=3,3\n")
     with graph.open("w") as fh:
         dump_graph(EdgeColoredGraph(3, [[(0, 1)], [(1, 2)]]), fh)
-    argv = [arg.format(missing=missing, file=file, graph=graph) for arg in argv]
+    argv = [arg.format(missing=missing, file=file, graph=graph, twice=twice)
+            for arg in argv]
     assert main(argv) == 2
     # one line, no traceback
     err = capsys.readouterr().err
@@ -118,7 +125,10 @@ def test_invalid_experiment_input_exits_2(tmp_path, capsys, argv):
     # ecbp-mc alone
     ["near-critical", "--k", "2", "--ell-max", "0"],
     ["local-weak", "--lambda", "1,1", "--n", "300", "--replicas", "1",
-     "--samples", "1000", "--ell-max", "0"],
+     "--ell-max", "0"],
+    # local-weak reads the exact tree-ball law, not sampled balls
+    ["local-weak", "--lambda", "1,1", "--n", "300", "--replicas", "1",
+     "--samples", "0"],
     ["analytic", "--lambda", "2,2", "--node-cap", "-1"],
     ["near-critical", "--k", "2", "--depth-cap", "-5"],
     # sample-ecer reads lambda, n and seed alone; analytic and near-critical
@@ -310,7 +320,7 @@ def test_analytic_cli_relevance_when_p_rounds_to_one(capsys, lam):
 
 def test_local_weak_empty_catalog_names_the_depth(capsys):
     assert main(["local-weak", "--lambda", "40,40", "--n", "50", "--d", "2",
-                 "--replicas", "1", "--samples", "100"]) == 2
+                 "--replicas", "1"]) == 2
     assert "no depth-2 ball was tree-like" in capsys.readouterr().err
 
 
@@ -621,8 +631,7 @@ def _reject_constant(name):
     # no closed-form f_ell targets at k = 3: they are null, not NaN
     ["convergence", "--lambda", "0.9,0.8,0.7", "--n", "200", "--replicas",
      "2"],
-    ["local-weak", "--lambda", "1,1", "--n", "300", "--replicas", "2",
-     "--samples", "2000"],
+    ["local-weak", "--lambda", "1,1", "--n", "300", "--replicas", "2"],
     ["near-critical", "--k", "2"],
 ], ids=lambda argv: argv[0])
 def test_experiment_stdout_is_strict_json(capsys, tmp_path, argv):

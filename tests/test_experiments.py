@@ -52,6 +52,9 @@ def test_config_from_mapping_and_file(tmp_path):
     bad.write_text("this is not key value\n")
     with pytest.raises(ValueError):
         parse_config_file(bad)
+    bad.write_text("lambda=2,2\nseed=1\nlambda = 3,3\n")
+    with pytest.raises(ValueError, match="'lambda' given twice"):
+        parse_config_file(bad)
 
 
 def test_record_keys_are_the_config_keys():
@@ -95,6 +98,8 @@ def test_config_hash_pinned(items, expected):
 @pytest.mark.parametrize("k, grid", [
     (2, (0.1, 0.2)), (2, (0.05,)), (3, (2.0, 1.0)), (2, (0.1, 0.1)),
     (2, (0.1, -0.1)),
+    # eps^k must be a nonzero, finite float
+    (3, (1e-200, 1e-201)), (2, (1e300, 1e299)),
 ])
 def test_config_and_constant_reject_the_same_eps_grids(k, grid):
     with pytest.raises(ValueError):
@@ -296,8 +301,7 @@ def test_analytic_report_classifies_once(monkeypatch, lam):
 
 def _local_weak_cfg(**kw):
     return ExperimentConfig(kind="local-weak-check", lam=(1.0, 1.0),
-                            n_list=(2000,), replicas=2, samples=4000, seed=3,
-                            **kw)
+                            n_list=(2000,), replicas=2, seed=3, **kw)
 
 
 def test_local_weak_isolated_root_targets():
@@ -309,9 +313,11 @@ def test_local_weak_isolated_root_targets():
     # at d = 0 every ball is the bare root
     rec = run_experiment(_local_weak_cfg(d=0))
     assert rec.checks_passed
+    assert rec.results["ecer_isolated_root_freq"] == 1.0
     for side in ("ecer", "ecbp"):
-        assert rec.results[f"{side}_isolated_root_freq"] == 1.0
         assert rec.results[f"{side}_isolated_root_target"] == 1.0
+    # and the law gives the bare root probability 1
+    assert rec.results["restricted_tv"] == 0.0
 
 
 def test_local_weak_check_fails_on_wrong_isolated_frequency(monkeypatch):
@@ -327,6 +333,11 @@ def test_local_weak_check_fails_on_wrong_isolated_frequency(monkeypatch):
     rec = run_experiment(_local_weak_cfg())
     assert rec.results["ecer_isolated_root_freq"] == 0.0
     assert not rec.checks_passed
+
+
+def test_a_kind_without_a_body_has_no_record():
+    with pytest.raises(ValueError, match="sample-ecer writes a graph dump"):
+        run_experiment(ExperimentConfig(kind="sample-ecer"))
 
 
 def test_near_critical_runner():
@@ -377,8 +388,7 @@ def test_dumps_matches_json_indent_2_sorted(obj):
     ExperimentConfig(kind="analytic-report", lam=(2.0, 2.0)),
     ExperimentConfig(kind="analytic-report", k=3, lam=(0.9, 0.8, 0.7)),
     ExperimentConfig(kind="analytic-report", k=8, lam=(0.3,) * 8),
-    ExperimentConfig(kind="local-weak-check", n_list=(300,), replicas=2,
-                     samples=2000),
+    ExperimentConfig(kind="local-weak-check", n_list=(300,), replicas=2),
     ExperimentConfig(kind="near-critical"),
 ], ids=lambda cfg: f"{cfg.kind}-k{cfg.k}")
 def test_every_runner_record_serializes_as_json_does(cfg):

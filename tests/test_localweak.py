@@ -1,5 +1,6 @@
 """Local ball canonicalization and restricted total-variation tests."""
 
+import itertools
 import math
 from collections import Counter
 
@@ -13,11 +14,11 @@ from caperc.localweak import (
     SIZE_CAP,
     _canon_ball,
     _ecer_adjacency,
-    _tree_ball,
-    ecbp_ball_counts,
+    ball_probability,
     ecer_ball_counts,
     restricted_tv,
 )
+from caperc.params import LambdaVector
 from oracles import tree_ball_counts
 
 
@@ -73,73 +74,79 @@ def test_size_cap():
     assert _canon_ball(_adj(g), 0, 1, 5) is not None
 
 
-def test_ecbp_counts_total():
-    rng = np.random.default_rng(2)
-    counts, out = ecbp_ball_counts((1.0, 1.0), 1, 5000, rng)
-    assert sum(counts.values()) + out == 5000
+def test_isolated_root_probability_is_exp_minus_lambda_uc():
+    lam = (1.0, 2.5, 0.3)
+    assert ball_probability(lam, (), 1) == math.exp(
+        -LambdaVector(lam).lambda_uc)
+    # at d = 0 every ball is the bare root
+    assert ball_probability(lam, (), 0) == 1.0
+    assert ball_probability(lam, ((0b001, ()),), 0) == 0.0
 
 
-class _FixedCounts:
-    """A generator stand-in whose Poisson draws are the given counts; a
-    draw past them raises StopIteration."""
-
-    def __init__(self, counts):
-        self.counts = iter(counts)
-
-    def poisson(self, lam):
-        return next(self.counts)
+def test_multicolor_key_has_probability_zero():
+    lam = (1.0, 1.0)
+    assert ball_probability(lam, ((0b11, ()),), 1) == 0.0
+    assert ball_probability(lam, ((0b01, ()), (0b11, ())), 1) == 0.0
+    assert ball_probability(lam, ((0b01, ((0b11, ()),)),), 2) == 0.0
 
 
-def test_tree_ball_size_cap():
-    # a ball of SIZE_CAP vertices is in the catalog, as in _canon_ball; one
-    # more is not, and no draw follows the one that passes the cap
-    key = _tree_ball((1.0, 1.0), 1, _FixedCounts([SIZE_CAP - 2, 1]))
-    assert key == ((0b01, ()),) * (SIZE_CAP - 2) + ((0b10, ()),)
-    assert _tree_ball((1.0, 1.0), 1, _FixedCounts([SIZE_CAP - 1, 1])) is None
-    assert _tree_ball((1.0, 1.0), 2, _FixedCounts([SIZE_CAP])) is None
+def test_depth_one_catalog_mass_is_the_poisson_cdf():
+    # a depth-1 ball is the root's Poisson(lambda_uc) children, so its keys
+    # of at most SIZE_CAP vertices carry P(Poisson(lambda_uc) <= SIZE_CAP-1)
+    lam = (10.0, 10.0)
+    total = sum(
+        ball_probability(lam, ((0b01, ()),) * a + ((0b10, ()),) * b, 1)
+        for a in range(SIZE_CAP) for b in range(SIZE_CAP - a))
+    cdf = scipy.stats.poisson.cdf(SIZE_CAP - 1, 20.0)
+    assert cdf < 0.99
+    assert total == pytest.approx(cdf, rel=1e-12)
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_tree_ball_keys_match_the_arena_on_the_same_draws(d):
-    # no ball passes SIZE_CAP here, so the keys drawn level by level and
-    # the arena trees read the same Poisson draws in the same order
-    counts, out = ecbp_ball_counts((0.5, 0.5), d, 20000,
-                                   np.random.default_rng(41))
-    assert out == 0
-    assert (counts, out) == tree_ball_counts((0.5, 0.5), d, 20000,
-                                             np.random.default_rng(41))
+def test_depth_two_key_by_hand():
+    # two color-0 leaves and a color-1 child with one color-0 child, at
+    # lambda = (1, 2): q_1(()) = q_1(((0b01, ()),)) = e^-3, so
+    # q_2 = e^-3 (1 e^-3)^2 / 2! (2 e^-3)^1 / 1! = e^-12
+    key = ((0b01, ()), (0b01, ()), (0b10, ((0b01, ()),)))
+    assert ball_probability((1.0, 2.0), key, 2) == pytest.approx(
+        math.exp(-12.0), rel=1e-12)
 
 
 def test_tree_ball_law_matches_the_arena():
-    # at (1.5, 1.5) some balls pass SIZE_CAP, after which the draws part;
-    # the key law, out-of-catalog bin included, must still agree
+    # Pearson chi-square of arena-sampled balls against the exact law: one
+    # cell per key expected at least 20 times, one pooled cell for the rest
+    # and the balls past SIZE_CAP (at (1.5, 1.5), d = 2, some pass it)
     samples = 20000
-    drawn, drawn_out = ecbp_ball_counts((1.5, 1.5), 2, samples,
-                                        np.random.default_rng(43))
-    arena, arena_out = tree_ball_counts((1.5, 1.5), 2, samples,
-                                        np.random.default_rng(44))
-    common = [key for key in set(drawn) | set(arena)
-              if drawn[key] + arena[key] >= 20]
-    rows = [[c[key] for key in common] for c in (drawn, arena)]
-    for row, out in zip(rows, (drawn_out, arena_out)):
-        row += [out, samples - out - sum(row)]
-    assert len(common) >= 30
-    _, pvalue, _, _ = scipy.stats.chi2_contingency(rows)
-    assert pvalue > 1e-3
+    for lam, d in itertools.product([(1.5, 1.5), (0.9, 0.8, 0.7)], [1, 2]):
+        counts, out = tree_ball_counts(lam, d, samples,
+                                       np.random.default_rng(44))
+        cells = [key for key in counts
+                 if samples * ball_probability(lam, key, d) >= 20]
+        observed = [counts[key] for key in cells]
+        expected = [samples * ball_probability(lam, key, d) for key in cells]
+        observed.append(samples - sum(observed))
+        expected.append(samples - sum(expected))
+        assert len(cells) >= 20 and expected[-1] >= 20, (lam, d)
+        assert out > 0 or (lam, d) != ((1.5, 1.5), 2)
+        pvalue = scipy.stats.chisquare(observed, expected).pvalue
+        assert pvalue > 1e-3, (lam, d, pvalue)
 
 
 def test_restricted_tv_edges():
-    p = Counter({"a": 5, "b": 5})
-    assert restricted_tv(p, 10, p, 10) == 0.0
-    q = Counter({"c": 10})
-    assert restricted_tv(p, 10, q, 10) == 1.0
+    lam = (1.0, 1.0)
+    assert restricted_tv(Counter({ISOLATED_ROOT_KEY: 4}), 4, lam, 0) == 0.0
+    # only isolated roots at d = 1: the law gives them exp(-2)
+    assert restricted_tv(Counter({ISOLATED_ROOT_KEY: 4}), 4, lam, 1) == (
+        0.5 * (1.0 - math.exp(-2.0)))
+    # the sum runs over the graph's keys: one the law never draws adds its
+    # frequency, and the law's mass on keys the graph lacks adds nothing
+    assert restricted_tv(Counter({((0b11, ()),): 2}), 4, lam, 1) == 0.25
     with pytest.raises(ValueError):
-        restricted_tv(Counter(), 0, p, 10)
+        restricted_tv(Counter(), 0, lam, 1)
 
 
 def test_ecer_balls_approach_tree_balls():
-    # small-scale version of the convergence check: the depth-1 ball laws of
-    # a sparse colored random graph and of the branching process are close
+    # small-scale version of the convergence check: the depth-1 ball law of
+    # a sparse colored random graph is close to the branching process's
     lam = (1.0, 1.0)
     n, reps = 800, 3
     rng = np.random.default_rng(3)
@@ -148,9 +155,7 @@ def test_ecer_balls_approach_tree_balls():
         g = sample_ecer(n, lam, rng)
         counts, _ = ecer_ball_counts(g, 1)
         ecer.update(counts)
-    ecbp, _ = ecbp_ball_counts(lam, 1, 20000, rng)
-    tv = restricted_tv(ecer, reps * n, ecbp, 20000)
-    assert tv < 0.05
+    assert restricted_tv(ecer, reps * n, lam, 1) < 0.05
     # isolated roots appear with probability exp(-lambda_total) in the limit
     iso = ecer[ISOLATED_ROOT_KEY] / (reps * n)
     target = math.exp(-2.0)
