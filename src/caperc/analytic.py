@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
+from itertools import groupby
 
 import numpy as np
 
@@ -120,10 +122,67 @@ class PSystemError(Exception):
 
 
 def _incoming(lam: LambdaVector, p: np.ndarray) -> np.ndarray:
-    """c[m] = sum over colors j in m of lam_j p[m without j], every mask m."""
+    """c[m] = sum over colors j in m of lam_j p[m without j], every mask m,
+    added in increasing j (the residuals' check of the layer sums)."""
     c = np.zeros_like(p)
     for j, x in enumerate(lam):
         c.reshape(-1, 2, 1 << j)[:, 1] += x * p.reshape(-1, 2, 1 << j)[:, 0]
+    return c
+
+
+# the layer tables are kept for each k up to this: at k = 14 they take
+# 0.6 MB, and building them takes 4 of an uncached solve's 7-10 ms (2-core
+# Xeon). Kept at k = 16 they would take 2.8 MB for the one solve of an
+# analytic run, so above it they are built for each call, in blocks of
+# masks small enough that a solve at k = 16..20 peaks no higher than the
+# full-table sums did.
+_LAYER_CACHE_MAX_K = 14
+_LAYER_BLOCK = 1 << 10
+
+
+def _layer_blocks(k: int):
+    """(masks, colors, submasks) for the masks of each popcount h = 1..k in
+    turn, at most _LAYER_BLOCK masks at a time; colors and submasks are
+    (h, masks) arrays: column r lists the colors of masks[r] in increasing
+    order, and masks[r] without each of them."""
+    bits = subset_sums(np.ones(k, dtype=np.uint8))
+    shifts = np.arange(k, dtype=np.int32)
+    for h in range(1, k + 1):
+        layer = np.flatnonzero(bits == h).astype(np.int32)
+        for masks in np.split(layer, range(_LAYER_BLOCK, layer.size,
+                                           _LAYER_BLOCK)):
+            colors = np.nonzero((masks[:, None] >> shifts) & 1)[1]
+            colors = colors.astype(np.uint8).reshape(-1, h).T.copy()
+            yield masks, colors, masks ^ (1 << colors.astype(np.int32))
+
+
+@cache
+def _layer_tables(k: int) -> tuple:
+    """_layer_blocks(k) as read-only arrays, built once per k."""
+    tables = tuple(_layer_blocks(k))
+    for arrays in tables:
+        for a in arrays:
+            a.setflags(write=False)
+    return tables
+
+
+def _layers(k: int):
+    """The layer tables of _layer_blocks, kept for small k."""
+    return _layer_tables(k) if k <= _LAYER_CACHE_MAX_K else _layer_blocks(k)
+
+
+def _layer_incoming(x: np.ndarray, p: np.ndarray, colors: np.ndarray,
+                    subs: np.ndarray) -> np.ndarray:
+    """c[r] = sum over the colors j of masks[r] of x_j p[masks[r] without j],
+    along any further axes of p. The terms are added in increasing j, as
+    _incoming adds them (0.0 + t = t), so the sums are _incoming's to the
+    bit; one add per color beats np.cumsum, which is slow on short axes.
+    Each color's terms are gathered in turn, so no (h, masks, ...) array of
+    all the terms is held."""
+    w = x[colors].reshape(colors.shape + (1,) * (p.ndim - 1))
+    c = p[subs[0]] * w[0]
+    for s, w_s in zip(subs[1:], w[1:]):
+        c += p[s] * w_s
     return c
 
 
@@ -147,6 +206,12 @@ class PTable:
     def k(self) -> int:
         return self.lam.k
 
+    @property
+    def theta(self) -> np.ndarray:
+        """theta_i = p_{i} for every color i, theta_avoid's values to the
+        bit: the singleton layer is the same root at c = 0."""
+        return self.p[1 << np.arange(self.k)]
+
 
 def solve_p_system(lam) -> PTable:
     """Solve the p_I fixed-point system one popcount layer at a time.
@@ -161,14 +226,14 @@ def solve_p_system(lam) -> PTable:
     p_I may round to 1.0).
     """
     lam = as_lambda(lam)
-    full = (1 << lam.k) - 1
-    bits = subset_sums([1] * lam.k)
+    x = np.array(lam.lam)
     mu = subset_sums(lam.lam)[::-1]
-    p = np.zeros(full + 1)
-    for layer in range(1, lam.k):
-        masks = np.flatnonzero(bits == layer)
-        p[masks] = _largest_roots(_incoming(lam, p)[masks], mu[masks])
-    p[full] = -math.expm1(-_incoming(lam, p)[full])
+    p = np.zeros(1 << lam.k)
+    for masks, colors, subs in _layers(lam.k):
+        c = _layer_incoming(x, p, colors, subs)
+        if len(colors) < lam.k:
+            p[masks] = _largest_roots(c, mu[masks])
+    p[-1] = -math.expm1(-c[0])  # the last layer: the full set alone
     max_res = float(_residuals(lam, p).max())
     if max_res > 1e-8:
         raise PSystemError(f"p_I residual {max_res:.3e} exceeds 1.0e-08")
@@ -199,7 +264,7 @@ def f_infinity_inclusion_exclusion(lam, table: PTable | None = None) -> float:
     """
     table = table or solve_p_system(lam)
     # p_{i} > 0 exactly when lambda^{\i} > 1, the comparison of classify_lambda
-    if not table.p[1 << np.arange(table.k)].all():
+    if not table.theta.all():
         return 0.0
     return max(0.0, float(_type_law(table.p)[-1]))
 
@@ -235,13 +300,14 @@ def borel_log_pmf(mu: float, m: int) -> float:
     return -mu * m + (m - 1) * math.log(mu * m) - math.lgamma(m + 1)
 
 
-def f_infinity_generating_function(lam) -> float:
+def f_infinity_generating_function(lam, table: PTable | None = None) -> float:
     """Density of the infinite friend class via the Phi_{k-2} route.
 
     Alternating sum over color subsets J of Phi_{k-2} evaluated at arguments
     z_s = prod_{i not in set(s)} q_{J, s i}, where q_{J, s i} is
     exp(lambda_i (F_{s i}(1-) - 1)) = exp(-lambda_i theta(lambda^{\\m})) when
     the one color m missing from set(s i) belongs to J, and 1 otherwise.
+    theta is read from `table`, which is solved here when none is given.
 
     The recursion runs on color sets, not strings, with the 2^k sets J as
     the columns of one array. This is exact: z_s depends on s only through
@@ -249,39 +315,42 @@ def f_infinity_generating_function(lam) -> float:
     built from mu = lambda_{set(s i)} and the value at s i, so by induction
     every level's value at s depends only on set(s). The k!/(k-h)! strings
     of level h collapse to its C(k, h) sets, and a level is one elementwise
-    root of G = z exp(mu (G - 1)) over a (sets, J) array, taken in log z
-    (p = 1 - G is the p_I layer root at c = -log z); the columns J are
-    independent, so they are taken in blocks that bound the memory.
+    root of G = z exp(mu (G - 1)) over a (sets, J) array, taken in log z.
+    Indexed by the colors U missing from set(s), that root is the p_I
+    system's: p = 1 - G is the layer root at c = -log z = sum over i in U
+    of lambda_i p[U without i], and mu is the intensity outside U, so the
+    levels are solve_p_system's layers 2..k (the last giving only c), from
+    p[{m}] = theta_m [m in J] in place of theta_m; only the layer below is
+    kept. The columns J are independent, so they are taken in blocks that
+    bound the memory.
     """
     lam = as_lambda(lam)
     k = lam.k
     if not classify_lambda(lam).fully_supercritical:
         raise ValueError("generating-function route requires fully supercritical lambda")
     check_small_subsets(lam, "the generating-function route")
-    full = (1 << k) - 1
-    bits, mu = subset_sums([1] * k), subset_sums(lam.lam)
-    layers = [np.flatnonzero(bits == h) for h in range(k + 1)]
-    row = np.empty(full + 1, dtype=np.intp)  # position of a set in its layer
-    for masks in layers:
-        row[masks] = np.arange(masks.size)
-    theta = theta_avoid(lam)
+    theta = (table or solve_p_system(lam)).theta
+    x, mu = np.array(lam.lam), subset_sums(lam.lam)[::-1]
+    bits, colors = subset_sums([1] * k), np.arange(k)
+    row = np.empty(1 << k, dtype=np.intp)  # position of a set in its layer
+    for h in range(k + 1):
+        layer = np.flatnonzero(bits == h)
+        row[layer] = np.arange(layer.size)
     total = 0.0
-    width = max(1, (1 << 18) // layers[k // 2].size)
-    for js in np.split(np.arange(full + 1), np.arange(width, full + 1, width)):
-        # F_U(1-) - 1 on the (k-1)-sets U = [k] \ {m}: -theta(lambda_U) when
-        # m is in J, else 0 (q = 1)
-        f_minus_1 = np.empty((k, js.size))
-        f_minus_1[row[full ^ (1 << np.arange(k))]] = (
-            -theta[:, None] * ((js >> np.arange(k)[:, None]) & 1))
-        for h in range(k - 2, -1, -1):
-            masks = layers[h]
-            log_z = np.zeros((masks.size, js.size))
-            for i, x in enumerate(lam):
-                miss = (masks >> i) & 1 == 0
-                log_z[miss] += x * f_minus_1[row[masks[miss] | (1 << i)]]
-            if h:  # F(z) - 1 = -p at c = -log z
-                f_minus_1 = -_largest_roots(-log_z, mu[masks][:, None])
-        total += float((1 - 2 * (bits[js] & 1)) @ np.exp(log_z[0]))  # (-1)^|J|
+    width = max(1, (1 << 18) // math.comb(k, k // 2))
+    for js in np.split(np.arange(1 << k), np.arange(width, 1 << k, width)):
+        # the layer below, its rows in the order of its masks
+        below = theta[:, None] * ((js >> colors[:, None]) & 1)
+        for h, blocks in groupby(_layers(k), lambda block: len(block[1])):
+            if h == 1:
+                continue
+            p = np.empty((math.comb(k, h), js.size))
+            for masks, cols, subs in blocks:
+                c = _layer_incoming(x, below, cols, row[subs])
+                if h < k:
+                    p[row[masks]] = _largest_roots(c, mu[masks][:, None])
+            below = p
+        total += float((1 - 2 * (bits[js] & 1)) @ np.exp(-c[0]))  # (-1)^|J|
     return max(0.0, total)
 
 
@@ -336,13 +405,15 @@ def two_color_f_ell(lambda_red: float, lambda_blue: float, ell_max: int,
     binomial series (one per color playing the finite-cluster role), each
     cut for every ell where its certified tail bound drops below 1e-12.
     theta_red = theta(lambda_red) is the survival probability of the pure-red
-    process, i.e. of blue-avoiding connection to infinity.
+    process, i.e. of blue-avoiding connection to infinity. theta and the
+    type law are read from `table`, which is solved here when none is given.
     """
     if ell_max < 1:
         raise ValueError("ell_max must be >= 1")
     lam = LambdaVector((lambda_red, lambda_blue))
-    # theta_i avoids color i: theta_avoid lists (theta_blue, theta_red)
-    theta_blue, theta_red = theta_avoid(lam).tolist()
+    table = table or solve_p_system(lam)
+    # theta_i avoids color i: table.theta lists (theta_blue, theta_red)
+    theta_blue, theta_red = table.theta.tolist()
     # gamma bit 0 = red-avoiding (pure blue) alive, bit 1 = blue-avoiding
     # alive: p10 (0b01) is a finite pure-red cluster, p01 (0b10) pure-blue
     p00, p10, p01 = extended_type_distribution(lam, table)[:3].tolist()

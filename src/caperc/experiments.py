@@ -9,6 +9,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from multiprocessing import get_context
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -34,7 +35,7 @@ from .localweak import (
 from .params import LambdaVector
 
 # largest k per kind, from runs on a 2-core Xeon: the 2^k analytic engine
-# (analytic, near-critical, convergence) took 15 s and 812 MB for one
+# (analytic, near-critical, convergence) took 13-16 s and 682 MB for one
 # analytic run at k = 20; ecbp-mc's growth scatter holds k * 4^k int64, and
 # 10 samples took 20 s and 426 MB at k = 11. Local weak balls build neither.
 # Largest ell_max: the two-color series in analytic costs ell_max^2 (1.5 s
@@ -187,27 +188,54 @@ def dumps(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte. indent turns
     off json's C encoder, so each container of scalars goes to it in one
     call, with the line break and indent as item separator; only the nesting
-    above those containers runs in Python."""
-    return _dumps(obj, "\n")
+    above those containers runs in Python. The pieces are joined once, so
+    no container's text is copied into its parent's."""
+    pieces: list[str] = []
+    _write(obj, "\n", pieces)
+    return "".join(pieces)
 
 
-def _dumps(obj, newline: str) -> str:
-    """obj's JSON text, its inner lines indented two spaces past newline."""
+@cache
+def _encoder(separator: str) -> json.JSONEncoder:
+    """json.dumps's encoder for sort_keys and these item separators."""
+    return json.JSONEncoder(sort_keys=True, separators=(separator, ": "))
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: a str quoted, anything else by json's
+    own conversion, read off a one-item dict (int, float, bool and None keys
+    each have their own text)."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    return json.dumps({key: 0})[1:-len(": 0}")]
+
+
+def _write(obj, newline: str, pieces: list[str]) -> None:
+    """Append the pieces of obj's JSON text to pieces, its inner lines
+    indented two spaces past newline."""
+    put = pieces.append
     if not isinstance(obj, (dict, list, tuple)) or not obj:
-        return json.dumps(obj)
+        put(json.dumps(obj))
+        return
     inner = newline + "  "
     is_dict = isinstance(obj, dict)
     # the distinct types, not every value, are tested: a C-level pass
     if not any(issubclass(t, (dict, list, tuple)) for t in
                set(map(type, obj.values() if is_dict else obj))):
-        text = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
-    elif is_dict:  # each key as json writes it, read off a one-item dict
-        text = "{" + ("," + inner).join(
-            json.dumps({key: 0})[1:-len(": 0}")] + ": " + _dumps(v, inner)
-            for key, v in sorted(obj.items())) + "}"
-    else:
-        text = "[" + ("," + inner).join(_dumps(v, inner) for v in obj) + "]"
-    return text[0] + inner + text[1:-1] + newline + text[-1]
+        text = _encoder("," + inner).encode(obj)
+        put(text[0] + inner)
+        put(text[1:-1])
+        put(newline + text[-1])
+        return
+    put(("{" if is_dict else "[") + inner)
+    for i, item in enumerate(sorted(obj.items()) if is_dict else obj):
+        if i:
+            put("," + inner)
+        if is_dict:
+            put(_key(item[0]) + ": ")
+            item = item[1]
+        _write(item, inner, pieces)
+    put(newline + ("}" if is_dict else "]"))
 
 
 @dataclass
@@ -392,7 +420,7 @@ def _analytic_report(cfg: ExperimentConfig):
             "assumption_holds": regime.assumption_holds,
             "supercritical_indices": sorted(regime.supercritical_indices),
         },
-        "theta_avoid": analytic.theta_avoid(lam).tolist(),
+        "theta_avoid": table.theta.tolist(),
         "p_table": dict(zip(sets.split(), table.p[set_masks].tolist())),
         "p_table_relevant": table.relevant,
         "p_table_max_residual": table.max_residual,
@@ -402,7 +430,7 @@ def _analytic_report(cfg: ExperimentConfig):
     }
     checks = table.max_residual <= 1e-10 and abs(phat.sum() - 1.0) < 1e-9
     if regime.fully_supercritical and regime.assumption_holds:
-        gf = (analytic.f_infinity_generating_function(lam)
+        gf = (analytic.f_infinity_generating_function(lam, table)
               if cfg.k <= _GF_MAX_K else None)
         results["f_inf_generating_function"] = gf
         checks = checks and (gf is None or abs(
@@ -455,7 +483,8 @@ def _local_weak_check(cfg: ExperimentConfig):
             math.exp(-lam.lambda_uc) if cfg.d else 1.0,
         "catalog_size": len(ecer_counts),
     }
-    checks = (ecer_counts.total() / ecer_total <= 1.0 + 1e-12
+    # every root is keyed once: in the catalog or out of it
+    checks = (ecer_counts.total() + ecer_out == ecer_total
               and _within_binomial_se(iso_ecer, target_ecer, ecer_total))
     return results, checks, {}
 

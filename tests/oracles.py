@@ -1,8 +1,9 @@
 """Independent oracles the tests check the package against, kept out of the
-package because no command runs them: the Borel pmf and total-progeny
-generating function, the string-indexed Phi recursion, the per-node
-branching-process tree arena, the chronology-of-colors atlas, the tree-ball
-keys read off that arena, and the brute-force color-avoiding partition."""
+package because no command runs them: the p_I solve on full-table sums, the
+Borel pmf and total-progeny generating function, the string-indexed Phi
+recursion, the per-node branching-process tree arena, the
+chronology-of-colors atlas, the tree-ball keys read off that arena, and the
+brute-force color-avoiding partition."""
 
 from __future__ import annotations
 
@@ -14,11 +15,53 @@ from typing import Union
 
 import numpy as np
 
-from caperc.analytic import _largest_roots, borel_log_pmf, subset_sums
+from caperc.analytic import (
+    PSystemError,
+    PTable,
+    _incoming,
+    _largest_roots,
+    _residuals,
+    borel_log_pmf,
+    subset_sums,
+)
 from caperc.ecbp import NODE_CAP
 from caperc.graph import EdgeColoredGraph
 from caperc.localweak import SIZE_CAP, BallKey
 from caperc.params import as_lambda
+
+
+# ---------------------------------------------------------------------------
+# The p_I system on full-table sums
+# ---------------------------------------------------------------------------
+
+def solve_p_system_by_full_tables(lam) -> PTable:
+    """The p_I solve with every layer's c taken from _incoming over the
+    whole 2^k table (k reshape-adds a layer); solve_p_system, which sums
+    each layer on its own masks, must give its table to the bit.
+
+    Each strict subset takes the largest root of p = -expm1(-c - mu p),
+    where c comes from the layer below and mu is the intensity outside I
+    (for c = 0 the survival probability theta(mu), the probabilistic root
+    since mu never exceeds lambda^{\\i} for i in I); the full set uses the
+    closed exponential form. The table is produced for any positive lambda;
+    `relevant` records whether all nonempty p_I are positive, which holds
+    exactly in the fully supercritical regime (p_I < 1 always holds, though
+    p_I may round to 1.0).
+    """
+    lam = as_lambda(lam)
+    full = (1 << lam.k) - 1
+    bits = subset_sums([1] * lam.k)
+    mu = subset_sums(lam.lam)[::-1]
+    p = np.zeros(full + 1)
+    for layer in range(1, lam.k):
+        masks = np.flatnonzero(bits == layer)
+        p[masks] = _largest_roots(_incoming(lam, p)[masks], mu[masks])
+    p[full] = -math.expm1(-_incoming(lam, p)[full])
+    max_res = float(_residuals(lam, p).max())
+    if max_res > 1e-8:
+        raise PSystemError(f"p_I residual {max_res:.3e} exceeds 1.0e-08")
+    relevant = bool(np.all(p[1:] > 0.0))
+    return PTable(lam, p, relevant=relevant, max_residual=max_res)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from caperc import analytic
 from caperc.analytic import (
     DEFAULT_EPS_GRID,
     PSystemError,
@@ -28,7 +29,13 @@ from caperc.analytic import (
     two_color_f_ell,
 )
 from caperc.params import LambdaVector
-from oracles import borel_pmf, color_strings, phi_eval, total_progeny_gf
+from oracles import (
+    borel_pmf,
+    color_strings,
+    phi_eval,
+    solve_p_system_by_full_tables,
+    total_progeny_gf,
+)
 
 
 # -- oracles ----------------------------------------------------------------
@@ -203,6 +210,77 @@ def test_p_system_non_supercritical_flagged():
     table = solve_p_system((0.8, 0.8))
     assert not table.relevant
     assert table.p[0b01] == 0.0 and table.p[0b11] == 0.0
+
+
+def _same_bits(a, b) -> bool:
+    return np.array_equal(np.asarray(a).view(np.int64),
+                          np.asarray(b).view(np.int64))
+
+
+@given(st.integers(min_value=1, max_value=12).flatmap(
+    lambda k: st.lists(st.floats(min_value=0.02, max_value=5.0),
+                       min_size=k, max_size=k)))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_p_system_layers_match_the_full_table_solve(lam):
+    try:
+        expected = solve_p_system_by_full_tables(lam)
+    except PSystemError:
+        with pytest.raises(PSystemError):
+            solve_p_system(lam)
+        return
+    table = solve_p_system(lam)
+    assert _same_bits(table.p, expected.p)
+    assert _same_bits(table.max_residual, expected.max_residual)
+    assert table.relevant == expected.relevant
+
+
+@pytest.mark.parametrize("k", [13, 14, 15, 16])
+@pytest.mark.parametrize("base", [0.2, 1.0])
+def test_p_system_layers_match_the_full_table_solve_at_large_k(k, base):
+    # from k = 13 the middle layers are summed in blocks of masks, and from
+    # k = 15 the layer tables are built for each call
+    lam = [base + 0.01 * i for i in range(k)]
+    table, expected = solve_p_system(lam), solve_p_system_by_full_tables(lam)
+    assert _same_bits(table.p, expected.p)
+    assert _same_bits(table.max_residual, expected.max_residual)
+
+
+@pytest.mark.parametrize("lam", [(2.0, 2.0), (1.5, 0.5), (0.8, 0.8),
+                                 (0.9, 0.8, 0.7), (0.1, 0.2, 0.3), (0.3,) * 8,
+                                 (1e17, 1.0)])
+def test_the_singleton_layer_is_theta_avoid(lam):
+    table = solve_p_system(lam)
+    assert _same_bits(table.theta, theta_avoid(lam))
+
+
+@pytest.mark.parametrize("lam", [(2.0, 2.0), (1.2, 3.0), (0.9, 0.8, 0.7),
+                                 (0.4, 0.45, 0.38, 0.42),
+                                 (0.21, 0.22, 0.23, 0.24, 0.22, 0.21)])
+def test_gf_route_given_the_table_is_the_gf_route(lam):
+    table = solve_p_system(lam)
+    assert _same_bits(f_infinity_generating_function(lam, table),
+                      f_infinity_generating_function(lam))
+
+
+@pytest.mark.parametrize("lam", [(0.4, 0.45, 0.38, 0.42),
+                                 (0.21, 0.22, 0.23, 0.24, 0.22, 0.21)])
+def test_layers_split_in_blocks_give_the_same_bits(lam, monkeypatch):
+    # at k <= 12 every layer is one block; blocks of 4 masks, built for each
+    # call, run the code paths of large k on the small layers
+    table, gf = solve_p_system(lam), f_infinity_generating_function(lam)
+    monkeypatch.setattr(analytic, "_LAYER_BLOCK", 4)
+    monkeypatch.setattr(analytic, "_LAYER_CACHE_MAX_K", 0)
+    assert max(len(m) for m, _, _ in analytic._layers(len(lam))) == 4
+    assert _same_bits(solve_p_system(lam).p, table.p)
+    assert _same_bits(f_infinity_generating_function(lam), gf)
+
+
+@pytest.mark.parametrize("lam", [(2.0, 2.0), (1.5, 0.5), (1.2, 3.0),
+                                 (0.8, 0.8)])
+def test_two_color_f_ell_given_the_table_is_two_color_f_ell(lam):
+    table = solve_p_system(lam)
+    assert _same_bits(two_color_f_ell(*lam, 40, table=table),
+                      two_color_f_ell(*lam, 40))
 
 
 # -- f*_inf routes ----------------------------------------------------------
@@ -503,8 +581,6 @@ def test_two_color_f_ell_prefixes_agree():
 
 
 def test_series_truncation_error_reported(monkeypatch):
-    from caperc import analytic
-
     # mu = 1, q = 0: terms decay like m^{-3/2}, so the certified geometric
     # tail bound (~ m^{-1/2}) can never reach 1e-12 within the term budget
     monkeypatch.setattr(analytic, "SERIES_MAX_TERMS", 5000)

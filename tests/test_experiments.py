@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from caperc import analytic, experiments
 from caperc.analytic import near_critical_constant
+from caperc.cli import main
 from caperc.experiments import (
     CONFIG_KEYS,
     ExperimentConfig,
@@ -335,6 +336,30 @@ def test_local_weak_check_fails_on_wrong_isolated_frequency(monkeypatch):
     assert not rec.checks_passed
 
 
+def test_local_weak_check_fails_when_a_root_goes_uncounted(monkeypatch,
+                                                           capsys):
+    argv = ["local-weak", "--lambda", "1,1", "--n", "2000", "--replicas",
+            "2", "--seed", "3"]
+    assert main(argv) == 0
+    # ball counts that lose one root of their most common key: the catalog
+    # and out-of-catalog roots no longer add up to replicas * n
+    ball_counts = experiments.ecer_ball_counts
+
+    def drop_one_root(g, d):
+        counts, out = ball_counts(g, d)
+        counts = Counter(counts)
+        counts[counts.most_common(1)[0][0]] -= 1
+        return counts, out
+    monkeypatch.setattr(experiments, "ecer_ball_counts", drop_one_root)
+    capsys.readouterr()
+    assert main(argv) == 1
+    res = json.loads(capsys.readouterr().out)
+    assert not res["checks_passed"]
+    # the isolated-root frequency still passes: the identity failed
+    assert abs(res["results"]["ecer_isolated_root_freq"]
+               - res["results"]["ecer_isolated_root_target"]) < 0.01
+
+
 def test_a_kind_without_a_body_has_no_record():
     with pytest.raises(ValueError, match="sample-ecer writes a graph dump"):
         run_experiment(ExperimentConfig(kind="sample-ecer"))
@@ -377,6 +402,19 @@ def test_dumps_matches_json_indent_2_sorted(obj):
             dumps(obj)
         return
     assert dumps(obj) == expected
+
+
+@pytest.mark.parametrize("obj", [
+    {"int": {3: [1], -2: {"a": 0}, 10: []}, "list": [0]},
+    {"float": {2.5: [1.0], -0.0: {"b": None}, 1e300: [], 5e-324: [2],
+               float("inf"): [3], -float("inf"): [4]}, "list": [0]},
+    {"bool": {True: [1], False: {"c": []}}, "list": [0]},
+    {"none": {None: [{"d": 1}]}, "list": [0]},
+    {"mixed": {1: [1], 0.5: [2], False: {"e": 3}}, "list": [0]},
+], ids=["int", "float", "bool", "none", "mixed"])
+def test_dumps_writes_non_str_keys_as_json_does(obj):
+    # keys of a dict that holds containers are written one by one
+    assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("cfg", [

@@ -1,0 +1,129 @@
+"""Check that two caperc source trees write the same bytes.
+
+Runs a fixed list of CLI commands once against each tree, every command in
+a fresh process and a fresh working directory, and compares the exit code,
+stdout, stderr and every file the command left behind (record.json, CSVs,
+graph dumps). The one value that may differ, a record's "elapsed_s", is
+masked first. Run it from the repository root, giving the two `src`
+directories (for example a `git archive` of the parent commit and this
+tree):
+
+    python tools/same_bytes.py /path/to/parent/src src --jobs 2
+
+It prints each difference and a summary, and exits 1 if anything differs.
+The list holds the README's commands and 299 more: `analytic` at k = 2..13
+over four lambda ranges (both regimes of the generating-function check,
+and points below and near criticality), `near-critical --k 2..7`,
+`convergence` at k = 2 and 3, two `ecbp-mc` runs and `analytic --ell-max
+40`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import random
+import re
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ELAPSED = re.compile(rb'"elapsed_s": [-+.0-9eE]+')
+
+# run in order in one directory, so that components finds sample-ecer's dump
+README = [
+    ["analytic", "--lambda", "2,2"],
+    ["sample-ecer", "--lambda", "2,2", "--n", "4000", "--seed", "1",
+     "--out", "runs/"],
+    ["components", "runs/ecer-n4000-seed1.txt", "--out", "runs/"],
+    ["ecbp-mc", "--lambda", "2,2", "--samples", "100000", "--seed", "0"],
+    ["convergence", "--lambda", "2,2", "--n", "500,1000,2000,4000",
+     "--replicas", "30", "--seed", "0"],
+    ["local-weak", "--lambda", "1,1", "--n", "4000", "--replicas", "10"],
+    ["near-critical", "--k", "3"],
+    ["analytic", "--lambda", "2,2", "--out", "runs/"],
+]
+
+
+def lambda_ranges(k: int) -> list[tuple[float, float]]:
+    """Four ranges: every (k-1)-sum above 1 and every (k-2)-sum below 1 (the
+    generating-function check runs); supercritical with small subsets that
+    fail it (from k = 5); a wide range; and around criticality."""
+    gf = (1.2, 3.0) if k == 2 else (1.01 / (k - 1), 0.99 / (k - 2))
+    return [gf, (0.25, 0.35), (0.05, 3.0), (0.9 / (k - 1), 1.1 / (k - 1))]
+
+
+def commands() -> list[list[list[str]]]:
+    """Groups of argvs; the argvs of a group share a working directory."""
+    rng = random.Random(27)
+    groups = [README]
+    for k in range(2, 14):
+        for lo, hi in lambda_ranges(k):
+            for _ in range(6):
+                lam = ",".join(f"{rng.uniform(lo, hi):.6f}" for _ in range(k))
+                groups.append([["analytic", "--lambda", lam]])
+    groups += [[["near-critical", "--k", str(k)]] for k in range(2, 8)]
+    groups += [
+        [["convergence", "--lambda", "2,2", "--n", "300,600", "--replicas",
+          "3", "--seed", "1", "--ell-max", "8", "--out", "runs/"]],
+        [["convergence", "--lambda", "0.9,0.8,0.7", "--n", "300",
+          "--replicas", "2", "--seed", "2"]],
+        [["ecbp-mc", "--lambda", "2,2", "--samples", "20000", "--seed", "1"]],
+        [["ecbp-mc", "--lambda", "0.9,0.8,0.7", "--samples", "5000",
+          "--seed", "2", "--out", "runs/"]],
+        [["analytic", "--lambda", "1.5,0.5", "--ell-max", "40"]],
+    ]
+    return groups
+
+
+def run_group(src: Path, group: list[list[str]]) -> dict[str, bytes]:
+    """Everything the group's commands wrote, by name, elapsed_s masked."""
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    out: dict[str, bytes] = {}
+    with tempfile.TemporaryDirectory() as cwd:
+        for i, argv in enumerate(group):
+            proc = subprocess.run([sys.executable, "-m", "caperc", *argv],
+                                  cwd=cwd, env=env, capture_output=True)
+            out[f"{i}:exit"] = str(proc.returncode).encode()
+            out[f"{i}:stdout"] = proc.stdout
+            out[f"{i}:stderr"] = proc.stderr
+        for path in sorted(Path(cwd).rglob("*")):
+            if path.is_file():
+                out[str(path.relative_to(cwd))] = path.read_bytes()
+    return {name: ELAPSED.sub(b'"elapsed_s": MASKED', text)
+            for name, text in out.items()}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("old_src", type=Path)
+    ap.add_argument("new_src", type=Path)
+    ap.add_argument("--jobs", type=int, default=2,
+                    help="commands run at once (default 2)")
+    args = ap.parse_args(argv)
+    groups = commands()
+
+    def compare(group):
+        old, new = run_group(args.old_src, group), run_group(args.new_src,
+                                                             group)
+        return [name for name in sorted(set(old) | set(new))
+                if old.get(name) != new.get(name)], len(old)
+
+    differ, outputs = 0, 0
+    with ThreadPoolExecutor(max(1, args.jobs)) as pool:
+        for group, (names, count) in zip(groups, pool.map(compare, groups)):
+            outputs += count
+            for name in names:
+                differ += 1
+                i = int(name.split(":")[0]) if ":" in name else -1
+                print(f"differs: {name} of caperc {' '.join(group[i])}")
+    n_cmds = sum(len(group) for group in groups)
+    print(f"{n_cmds} commands, {outputs} outputs compared "
+          f"(exit codes, stdout, stderr, files), {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
