@@ -42,19 +42,31 @@ def _largest_roots(c, mu) -> np.ndarray:
     exactly 1 when c = +inf. The right-hand side is concave, so Newton from
     p = 1 decreases monotonically to the root; an entry stops at its first
     step that does not decrease it, which cannot cycle at the ulp level. The
-    expm1 form is conditioned at machine precision, also near criticality."""
+    expm1 form is conditioned at machine precision, also near criticality.
+    Each step runs over the whole array in preallocated buffers: a stopped
+    entry takes the same step again, which again does not decrease it."""
     c, mu = np.broadcast_arrays(np.asarray(c, dtype=float), mu)
-    p = np.where((c == 0.0) & (mu <= 1.0), 0.0, 1.0)
-    c, mu, flat = c.ravel(), mu.ravel(), p.reshape(-1)
-    idx = np.flatnonzero(flat)
-    while idx.size:
-        p_i, mu_i = flat[idx], mu[idx]
-        x = -c[idx] - mu_i * p_i
-        new = p_i - (-np.expm1(x) - p_i) / (mu_i * np.exp(x) - 1.0)
-        down = new < p_i
-        idx = idx[down]
-        flat[idx] = new[down]
-    return p
+    shape = c.shape
+    neg_c, mu = -c.ravel(), mu.ravel()
+    p = np.where((neg_c == 0.0) & (mu <= 1.0), 0.0, 1.0)
+    down = p == 1.0
+    x, e, new = np.empty(p.size), np.empty(p.size), np.empty(p.size)
+    # a zero root at mu = 1 steps by 0/0 = nan, which does not decrease it
+    with np.errstate(invalid="ignore"):
+        while np.count_nonzero(down):
+            np.multiply(mu, p, out=x)
+            np.subtract(neg_c, x, out=x)  # x = -c - mu p
+            np.expm1(x, out=new)
+            np.negative(new, out=new)
+            np.subtract(new, p, out=new)  # -expm1(x) - p
+            np.exp(x, out=e)
+            np.multiply(mu, e, out=e)
+            np.subtract(e, 1.0, out=e)  # mu exp(x) - 1
+            np.divide(new, e, out=new)
+            np.subtract(p, new, out=new)
+            np.less(new, p, out=down)
+            np.copyto(p, new, where=down)
+    return p.reshape(shape)
 
 
 def survival_theta(mu) -> float | np.ndarray:

@@ -35,7 +35,7 @@ from .localweak import (
 from .params import LambdaVector
 
 # largest k per kind, from runs on a 2-core Xeon: the 2^k analytic engine
-# (analytic, near-critical, convergence) took 13-16 s and 682 MB for one
+# (analytic, near-critical, convergence) took 8-9 s and 574 MB for one
 # analytic run at k = 20; ecbp-mc's growth scatter holds k * 4^k int64, and
 # 10 samples took 20 s and 426 MB at k = 11. Local weak balls build neither.
 # Largest ell_max: the two-color series in analytic costs ell_max^2 (1.5 s
@@ -218,6 +218,11 @@ def _write(obj, newline: str, pieces: list[str]) -> None:
         put(json.dumps(obj))
         return
     inner = newline + "  "
+    if isinstance(obj, _Table) and obj.names is not None:
+        put("{" + inner)
+        put(_table_text(obj.names, "," + inner) % tuple(obj.values()))
+        put(newline + "}")
+        return
     is_dict = isinstance(obj, dict)
     # the distinct types, not every value, are tested: a C-level pass
     if not any(issubclass(t, (dict, list, tuple)) for t in
@@ -384,26 +389,86 @@ def _ecbp_mc(cfg: ExperimentConfig):
 # Analytic report
 # ---------------------------------------------------------------------------
 
-@cache
-def _record_keys(k: int) -> tuple:
+def _build_record_keys(k: int) -> tuple:
     """p_table's keys and masks, then phat's, in key order, so that sort_keys
     finds them sorted: "{i,j,...}" lists a mask's colors, and character i of
-    a type key is bit i. Kept small: a spaced string and a read-only array."""
+    a type key is bit i. The keys of a table are one spaced string, which
+    takes less memory than 2^k strings, and split costs little; the masks
+    are a read-only array."""
     sets, types = [""], [""]
     for i in range(k):  # by doubling: mask m | 2^i extends the name of m
         sets += [s + "," + str(i) for s in sets]
         types = [s + "0" for s in types] + [s + "1" for s in types]
     out = []
     for names in (["{" + s[1:] + "}" for s in sets], types):
-        keys, masks = zip(*sorted(zip(names, range(1 << k))))
-        out += [" ".join(keys), np.array(masks)]
+        masks = sorted(range(1 << k), key=names.__getitem__)
+        out += [" ".join([names[m] for m in masks]), np.array(masks)]
         out[-1].setflags(write=False)
     return tuple(out)
+
+
+# the record keys and the tables' key text are kept for each k up to this,
+# as analytic keeps its layer tables: at k = 14 the text takes 0.5 MB a
+# table. Above it, the keys are built for each run and a table is written
+# as json writes any dict, so that a run at k = 16..20 holds no more than
+# it did before the text was kept.
+_KEY_TEXT_MAX_K = 14
+_kept_record_keys = cache(_build_record_keys)
+
+
+def _record_keys(k: int) -> tuple:
+    """_build_record_keys(k), kept for small k."""
+    return (_kept_record_keys(k) if k <= _KEY_TEXT_MAX_K
+            else _build_record_keys(k))
+
+
+@cache
+def _table_text(names: str, separator: str) -> str:
+    """A table's items as json writes them, with %r for each value: its
+    spaced key string names, quoted, each followed by ": %r", joined by
+    separator. Cached per kept key string and separator."""
+    return separator.join(encode_basestring_ascii(key).replace("%", "%%")
+                          + ": %r" for key in names.split())
+
+
+class _Table(dict):
+    """One solved table of a record as a read-only dict, built from its
+    spaced key string names, the mask each key names and the 2^k values, in
+    key order. dumps writes it as _table_text(names) % values: float repr is
+    json's text for a finite float. Where the text is not kept (k above
+    _KEY_TEXT_MAX_K, or a value that is not finite), names is None and the
+    table is written as json writes any dict."""
+
+    __slots__ = ("names",)
+
+    def __init__(self, names: str, masks: np.ndarray, values: np.ndarray):
+        values = values[masks]
+        super().__init__(zip(names.split(), values.tolist()))
+        self.names = names if (len(masks) <= 1 << _KEY_TEXT_MAX_K
+                               and np.isfinite(values).all()) else None
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a record's table is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
 
 
 # the generating-function cross-check costs about 4^k (0.2 s at k = 10,
 # minutes from k = 14); above this k the record holds null for it
 _GF_MAX_K = 10
+
+
+def _sums_to_one(phat: np.ndarray) -> bool:
+    """Whether the extended type law sums to 1 up to its round-off. Each of
+    its 2^k entries is an alternating sum of 2^k terms. Before the clamp at
+    0 their round-off sums to 0 (the law summed to 1.0 exactly at k = 12..20),
+    but the clamp drops its negative part, and that grows as 4^k: 1.2e-9 at
+    lambda = 0.3 each and k = 18, 2.3e-8 at k = 20, and at most 0.44 of
+    4^k 2^-62 over 24 lambda vectors at each k = 16..20. The tolerance is
+    twice that, and at least 1e-9: 4.8e-7 at k = 20, so that a law off by
+    1e-6 fails at every k."""
+    return abs(phat.sum() - 1.0) <= max(1e-9, len(phat) ** 2 * 2.0 ** -61)
 
 
 def _analytic_report(cfg: ExperimentConfig):
@@ -421,14 +486,14 @@ def _analytic_report(cfg: ExperimentConfig):
             "supercritical_indices": sorted(regime.supercritical_indices),
         },
         "theta_avoid": table.theta.tolist(),
-        "p_table": dict(zip(sets.split(), table.p[set_masks].tolist())),
+        "p_table": _Table(sets, set_masks, table.p),
         "p_table_relevant": table.relevant,
         "p_table_max_residual": table.max_residual,
-        "phat": dict(zip(types.split(), phat[type_masks].tolist())),
+        "phat": _Table(types, type_masks, phat),
         "f_inf_inclusion_exclusion":
             analytic.f_infinity_inclusion_exclusion(lam, table),
     }
-    checks = table.max_residual <= 1e-10 and abs(phat.sum() - 1.0) < 1e-9
+    checks = table.max_residual <= 1e-10 and _sums_to_one(phat)
     if regime.fully_supercritical and regime.assumption_holds:
         gf = (analytic.f_infinity_generating_function(lam, table)
               if cfg.k <= _GF_MAX_K else None)

@@ -1,6 +1,7 @@
 """Independent oracles the tests check the package against, kept out of the
-package because no command runs them: the p_I solve on full-table sums, the
-Borel pmf and total-progeny generating function, the string-indexed Phi
+package because no command runs them: the layer-root Newton on an index list
+of the entries still moving, the p_I solve on full-table sums, the Borel
+pmf and total-progeny generating function, the string-indexed Phi
 recursion, the per-node branching-process tree arena, the
 chronology-of-colors atlas, the tree-ball keys read off that arena, and the
 brute-force color-avoiding partition."""
@@ -19,7 +20,6 @@ from caperc.analytic import (
     PSystemError,
     PTable,
     _incoming,
-    _largest_roots,
     _residuals,
     borel_log_pmf,
     subset_sums,
@@ -28,6 +28,34 @@ from caperc.ecbp import NODE_CAP
 from caperc.graph import EdgeColoredGraph
 from caperc.localweak import SIZE_CAP, BallKey
 from caperc.params import as_lambda
+
+
+# ---------------------------------------------------------------------------
+# The layer root by Newton on the entries still moving
+# ---------------------------------------------------------------------------
+
+def largest_roots_by_index(c, mu) -> np.ndarray:
+    """Largest root in [0, 1] of p = -expm1(-c - mu p), elementwise over the
+    broadcast of c >= 0 and mu > 0: exactly 0 when c = 0 and mu <= 1, and
+    exactly 1 when c = +inf. The right-hand side is concave, so Newton from
+    p = 1 decreases monotonically to the root; an entry stops at its first
+    step that does not decrease it, which cannot cycle at the ulp level. The
+    expm1 form is conditioned at machine precision, also near criticality.
+    Each step gathers the entries still moving by index and scatters their
+    new values back; _largest_roots, which steps the whole array in place,
+    must give its roots to the bit."""
+    c, mu = np.broadcast_arrays(np.asarray(c, dtype=float), mu)
+    p = np.where((c == 0.0) & (mu <= 1.0), 0.0, 1.0)
+    c, mu, flat = c.ravel(), mu.ravel(), p.reshape(-1)
+    idx = np.flatnonzero(flat)
+    while idx.size:
+        p_i, mu_i = flat[idx], mu[idx]
+        x = -c[idx] - mu_i * p_i
+        new = p_i - (-np.expm1(x) - p_i) / (mu_i * np.exp(x) - 1.0)
+        down = new < p_i
+        idx = idx[down]
+        flat[idx] = new[down]
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +83,8 @@ def solve_p_system_by_full_tables(lam) -> PTable:
     p = np.zeros(full + 1)
     for layer in range(1, lam.k):
         masks = np.flatnonzero(bits == layer)
-        p[masks] = _largest_roots(_incoming(lam, p)[masks], mu[masks])
+        p[masks] = largest_roots_by_index(_incoming(lam, p)[masks],
+                                         mu[masks])
     p[full] = -math.expm1(-_incoming(lam, p)[full])
     max_res = float(_residuals(lam, p).max())
     if max_res > 1e-8:
@@ -88,7 +117,7 @@ def total_progeny_gf(mu, z) -> float | np.ndarray:
     if not np.all((z >= 0.0) & (z <= 1.0)):
         raise ValueError("total_progeny_gf: z must lie in [0, 1]")
     with np.errstate(divide="ignore"):  # z = 0 gives c = +inf, so G = 0
-        g = 1.0 - _largest_roots(-np.log(z), mu)
+        g = 1.0 - largest_roots_by_index(-np.log(z), mu)
     return float(g) if g.ndim == 0 else g
 
 

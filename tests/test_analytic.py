@@ -33,6 +33,7 @@ from oracles import (
     borel_pmf,
     color_strings,
     phi_eval,
+    largest_roots_by_index,
     solve_p_system_by_full_tables,
     total_progeny_gf,
 )
@@ -215,6 +216,28 @@ def test_p_system_non_supercritical_flagged():
 def _same_bits(a, b) -> bool:
     return np.array_equal(np.asarray(a).view(np.int64),
                           np.asarray(b).view(np.int64))
+
+
+# c = 0 (with mu <= 1 a zero root, mu = 1 the critical one), c = +inf (a
+# root of 1) and c from 1e-6 to 5
+_ROOT_C = st.sampled_from([0.0, math.inf]) | st.floats(1e-6, 5.0)
+_ROOT_MU = st.sampled_from([1.0]) | st.floats(0.05, 8.0)
+
+
+@given(st.lists(st.tuples(_ROOT_C, _ROOT_MU), min_size=1, max_size=40),
+       st.integers(min_value=1, max_value=5))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_in_place_newton_matches_the_index_newton(pairs, cols):
+    c, mu = np.array(pairs).T
+    # 1-d; (rows, cols) c against a (rows, 1) mu, as the generating-function
+    # route calls it; and 0-d
+    shifted = c[:, None] * np.linspace(1.0, 2.0, cols)
+    for args in ((c, mu), (shifted, mu[:, None]), (c[0], mu[0]),
+                 (0.0, mu)):
+        roots = analytic._largest_roots(*args)
+        expected = largest_roots_by_index(*args)
+        assert roots.shape == expected.shape
+        assert _same_bits(roots, expected)
 
 
 @given(st.integers(min_value=1, max_value=12).flatmap(

@@ -4,6 +4,7 @@ import json
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -240,14 +241,71 @@ def test_p_table_names_match_per_mask_names():
     def mask_name(mask, k):
         colors = (str(i) for i in range(k) if (mask >> i) & 1)
         return "{" + ",".join(colors) + "}"
-    for k in range(1, 13):
-        sets, set_masks, types, type_masks = experiments._record_keys(k)
+    # kept up to the bound, built for each call above it
+    for k in [*range(1, 13), experiments._KEY_TEXT_MAX_K + 1]:
+        keys = experiments._record_keys(k)
+        assert (keys is experiments._record_keys(k)) == (
+            k <= experiments._KEY_TEXT_MAX_K)
+        sets, set_masks, types, type_masks = keys
         sets, types = sets.split(), types.split()
         assert sets == sorted(sets) and types == sorted(types)
         assert sorted(set_masks) == sorted(type_masks) == list(range(1 << k))
         assert not set_masks.flags.writeable
         assert sets == [mask_name(m, k) for m in set_masks]
         assert types == [format(g, f"0{k}b")[::-1] for g in type_masks]
+
+
+def _tables(k: int, values: np.ndarray) -> dict:
+    sets, set_masks, types, type_masks = experiments._record_keys(k)
+    return {"p_table": experiments._Table(sets, set_masks, values),
+            "phat": experiments._Table(types, type_masks, values[::-1])}
+
+
+def _table_values(k: int) -> np.ndarray:
+    values = np.random.default_rng(k).random(1 << k)
+    values[:6] = [0.0, 1.0, 5e-324, 1e-300, 0.1, 2.0 ** -30][:1 << k]
+    return values
+
+
+@pytest.mark.parametrize("k", [*range(1, 14),
+                               experiments._KEY_TEXT_MAX_K + 1])
+def test_tables_write_as_json_does(k):
+    tables = _tables(k, _table_values(k))
+    # the text is kept up to the bound; above it json writes the tables
+    assert all((table.names is None) == (k > experiments._KEY_TEXT_MAX_K)
+               for table in tables.values())
+    # the tables at two depths, beside other values, and on their own
+    record = {"results": {**tables, "lambda": [0.5] * k, "relevant": True},
+              "elapsed_s": 0.25, "tables": tables}
+    for obj in (record, tables["p_table"]):
+        assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_table_with_a_value_that_is_not_finite_writes_as_json_does(bad):
+    values = _table_values(3)
+    values[5] = bad
+    tables = _tables(3, values)
+    assert all(table.names is None for table in tables.values())
+    assert dumps(tables) == json.dumps(tables, indent=2, sort_keys=True)
+
+
+def test_a_table_is_a_read_only_dict():
+    values = _table_values(2).tolist()
+    table = _tables(2, np.array(values))["p_table"]
+    before = dict(table)
+    assert isinstance(table, dict)
+    assert before == {"{}": values[0], "{0}": values[1], "{1}": values[2],
+                      "{0,1}": values[3]}
+    for mutate in (lambda t: t.__setitem__("{0}", 0.5),
+                   lambda t: t.__delitem__("{0}"), lambda t: t.clear(),
+                   lambda t: t.pop("{0}"), lambda t: t.popitem(),
+                   lambda t: t.setdefault("{9}", 0.5),
+                   lambda t: t.update({"{0}": 0.5}),
+                   lambda t: t.__ior__({"{0}": 0.5})):
+        with pytest.raises(TypeError):
+            mutate(table)
+    assert table == before and list(table) == list(before)
 
 
 @pytest.mark.parametrize("k, lam_i", [(2, 2.0), (10, 0.115), (11, 0.095),
@@ -266,6 +324,29 @@ def test_analytic_record_is_built_in_key_order(k, lam_i):
         analytic.extended_type_distribution(cfg.lam)[1])
     assert record.to_json() == json.dumps(
         record.to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def test_analytic_check_passes_at_k_18():
+    # the clamp at 0 adds 1.2e-9 to this law's sum, beyond a fixed 1e-9
+    cfg = ExperimentConfig(kind="analytic-report", k=18, lam=(0.3,) * 18)
+    record = run_experiment(cfg)
+    assert record.checks_passed
+    phat = np.array(list(record.results["phat"].values()))
+    assert experiments._sums_to_one(phat)
+    for shift in (1e-6, -1e-6):
+        off = phat.copy()
+        off[0] += shift
+        assert not experiments._sums_to_one(off)
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_a_law_off_by_1e_6_fails_the_check(k):
+    law = np.full(1 << k, 2.0 ** -k)
+    assert experiments._sums_to_one(law)
+    for shift in (1e-6, -1e-6):
+        off = law.copy()
+        off[-1] += shift
+        assert not experiments._sums_to_one(off)
 
 
 @pytest.mark.parametrize("lam", [(2.0, 2.0), (0.9, 0.9, 0.9), (0.5, 0.5)])

@@ -11,9 +11,10 @@ tree):
     python tools/same_bytes.py /path/to/parent/src src --jobs 2
 
 It prints each difference and a summary, and exits 1 if anything differs.
-The list holds the README's commands and 299 more: `analytic` at k = 2..13
-over four lambda ranges (both regimes of the generating-function check,
-and points below and near criticality), `near-critical --k 2..7`,
+The list holds the README's commands and 311 more: `analytic` at k = 2..13
+over four lambda ranges, six points each (both regimes of the
+generating-function check, and points below and near criticality), and at
+k = 14..16, one point each, `near-critical --k 2..7`,
 `convergence` at k = 2 and 3, two `ecbp-mc` runs and `analytic --ell-max
 40`.
 """
@@ -64,6 +65,13 @@ def commands() -> list[list[list[str]]]:
             for _ in range(6):
                 lam = ",".join(f"{rng.uniform(lo, hi):.6f}" for _ in range(k))
                 groups.append([["analytic", "--lambda", lam]])
+    # one point per range at k = 14, the largest k whose key text is kept,
+    # and at 15 and 16, where the record keys are built for each run and
+    # the tables are written as json writes any dict
+    for k in range(14, 17):
+        for lo, hi in lambda_ranges(k):
+            lam = ",".join(f"{rng.uniform(lo, hi):.6f}" for _ in range(k))
+            groups.append([["analytic", "--lambda", lam]])
     groups += [[["near-critical", "--k", str(k)]] for k in range(2, 8)]
     groups += [
         [["convergence", "--lambda", "2,2", "--n", "300,600", "--replicas",
