@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cache
-from itertools import groupby
+from functools import cache, wraps
 
 import numpy as np
 
@@ -142,21 +141,32 @@ def _incoming(lam: LambdaVector, p: np.ndarray) -> np.ndarray:
     return c
 
 
-# the layer tables are kept for each k up to this: at k = 14 they take
-# 0.6 MB, and building them takes 4 of an uncached solve's 7-10 ms (2-core
-# Xeon). Kept at k = 16 they would take 2.8 MB for the one solve of an
-# analytic run, so above it they are built for each call, in blocks of
-# masks small enough that a solve at k = 16..20 peaks no higher than the
-# full-table sums did.
-_LAYER_CACHE_MAX_K = 14
+# tables built from k alone (the layer tables here, the record keys and
+# their text in experiments) are kept for each k up to this: at k = 14 the
+# layer tables take 0.6 MB, and building them takes 4 of an uncached
+# solve's 7-10 ms (2-core Xeon). Above it they are built for each call, of
+# which an analytic run makes one: with this bound at 20, a run at k = 16
+# peaked at 77.6 MB against 72.8 MB, and at k = 20 at 746 MB against 574.
+KEPT_MAX_K = 14
+
+
+def kept_for_small_k(build):
+    """build(k) as a tuple kept for each k up to KEPT_MAX_K, and build(k)
+    itself, made on each call, above it (a generator stays a generator)."""
+    keep = cache(lambda k: tuple(build(k)))
+    return wraps(build)(lambda k: keep(k) if k <= KEPT_MAX_K else build(k))
+
+
+# the masks of a layer are taken in blocks of at most this many, so that a
+# solve at k = 16..20 peaks no higher than the full-table sums did
 _LAYER_BLOCK = 1 << 10
 
 
 def _layer_blocks(k: int):
     """(masks, colors, submasks) for the masks of each popcount h = 1..k in
-    turn, at most _LAYER_BLOCK masks at a time; colors and submasks are
-    (h, masks) arrays: column r lists the colors of masks[r] in increasing
-    order, and masks[r] without each of them."""
+    turn, at most _LAYER_BLOCK masks at a time, as read-only arrays; colors
+    and submasks are (h, masks) arrays: column r lists the colors of
+    masks[r] in increasing order, and masks[r] without each of them."""
     bits = subset_sums(np.ones(k, dtype=np.uint8))
     shifts = np.arange(k, dtype=np.int32)
     for h in range(1, k + 1):
@@ -165,22 +175,13 @@ def _layer_blocks(k: int):
                                            _LAYER_BLOCK)):
             colors = np.nonzero((masks[:, None] >> shifts) & 1)[1]
             colors = colors.astype(np.uint8).reshape(-1, h).T.copy()
-            yield masks, colors, masks ^ (1 << colors.astype(np.int32))
+            arrays = masks, colors, masks ^ (1 << colors.astype(np.int32))
+            for a in arrays:
+                a.setflags(write=False)
+            yield arrays
 
 
-@cache
-def _layer_tables(k: int) -> tuple:
-    """_layer_blocks(k) as read-only arrays, built once per k."""
-    tables = tuple(_layer_blocks(k))
-    for arrays in tables:
-        for a in arrays:
-            a.setflags(write=False)
-    return tables
-
-
-def _layers(k: int):
-    """The layer tables of _layer_blocks, kept for small k."""
-    return _layer_tables(k) if k <= _LAYER_CACHE_MAX_K else _layer_blocks(k)
+_layers = kept_for_small_k(_layer_blocks)
 
 
 def _layer_incoming(x: np.ndarray, p: np.ndarray, colors: np.ndarray,
@@ -196,6 +197,22 @@ def _layer_incoming(x: np.ndarray, p: np.ndarray, colors: np.ndarray,
     for s, w_s in zip(subs[1:], w[1:]):
         c += p[s] * w_s
     return c
+
+
+def _solve_layers(x: np.ndarray, mu: np.ndarray, p: np.ndarray,
+                  first: int) -> np.ndarray:
+    """Solve the strict-subset layers first..k-1 of p in place, along any
+    further axes of p, each from the layer below: p[masks] takes the largest
+    root at c = _layer_incoming and the intensity mu[masks] outside each
+    mask. Returns c of the full set, the last layer."""
+    k = len(x)
+    for masks, colors, subs in _layers(k):
+        if len(colors) >= first:
+            c = _layer_incoming(x, p, colors, subs)
+            if len(colors) < k:
+                p[masks] = _largest_roots(
+                    c, mu[masks].reshape((-1,) + (1,) * (p.ndim - 1)))
+    return c[0]
 
 
 def _residuals(lam: LambdaVector, p: np.ndarray) -> np.ndarray:
@@ -238,14 +255,9 @@ def solve_p_system(lam) -> PTable:
     p_I may round to 1.0).
     """
     lam = as_lambda(lam)
-    x = np.array(lam.lam)
-    mu = subset_sums(lam.lam)[::-1]
     p = np.zeros(1 << lam.k)
-    for masks, colors, subs in _layers(lam.k):
-        c = _layer_incoming(x, p, colors, subs)
-        if len(colors) < lam.k:
-            p[masks] = _largest_roots(c, mu[masks])
-    p[-1] = -math.expm1(-c[0])  # the last layer: the full set alone
+    c = _solve_layers(np.array(lam.lam), subset_sums(lam.lam)[::-1], p, 1)
+    p[-1] = -math.expm1(-c)
     max_res = float(_residuals(lam, p).max())
     if max_res > 1e-8:
         raise PSystemError(f"p_I residual {max_res:.3e} exceeds 1.0e-08")
@@ -322,7 +334,7 @@ def f_infinity_generating_function(lam, table: PTable | None = None) -> float:
     theta is read from `table`, which is solved here when none is given.
 
     The recursion runs on color sets, not strings, with the 2^k sets J as
-    the columns of one array. This is exact: z_s depends on s only through
+    the columns of one table. This is exact: z_s depends on s only through
     the two colors it misses, and each level of Phi substitutes at s a value
     built from mu = lambda_{set(s i)} and the value at s i, so by induction
     every level's value at s depends only on set(s). The k!/(k-h)! strings
@@ -330,11 +342,13 @@ def f_infinity_generating_function(lam, table: PTable | None = None) -> float:
     root of G = z exp(mu (G - 1)) over a (sets, J) array, taken in log z.
     Indexed by the colors U missing from set(s), that root is the p_I
     system's: p = 1 - G is the layer root at c = -log z = sum over i in U
-    of lambda_i p[U without i], and mu is the intensity outside U, so the
-    levels are solve_p_system's layers 2..k (the last giving only c), from
-    p[{m}] = theta_m [m in J] in place of theta_m; only the layer below is
-    kept. The columns J are independent, so they are taken in blocks that
-    bound the memory.
+    of lambda_i p[U without i], and mu is the intensity outside U. So the
+    levels are solve_p_system's layers 2..k, solved by its own loop on a
+    (2^k, J) table whose singleton rows are p[{m}] = theta_m [m in J] in
+    place of theta_m, and the last layer's c gives Phi's value exp(-c) for
+    each J. The columns J are independent, so they are taken in blocks
+    that keep the table within 4 MB; their values are gathered, and the
+    signed sum is one dot product.
     """
     lam = as_lambda(lam)
     k = lam.k
@@ -343,27 +357,15 @@ def f_infinity_generating_function(lam, table: PTable | None = None) -> float:
     check_small_subsets(lam, "the generating-function route")
     theta = (table or solve_p_system(lam)).theta
     x, mu = np.array(lam.lam), subset_sums(lam.lam)[::-1]
-    bits, colors = subset_sums([1] * k), np.arange(k)
-    row = np.empty(1 << k, dtype=np.intp)  # position of a set in its layer
-    for h in range(k + 1):
-        layer = np.flatnonzero(bits == h)
-        row[layer] = np.arange(layer.size)
-    total = 0.0
-    width = max(1, (1 << 18) // math.comb(k, k // 2))
-    for js in np.split(np.arange(1 << k), np.arange(width, 1 << k, width)):
-        # the layer below, its rows in the order of its masks
-        below = theta[:, None] * ((js >> colors[:, None]) & 1)
-        for h, blocks in groupby(_layers(k), lambda block: len(block[1])):
-            if h == 1:
-                continue
-            p = np.empty((math.comb(k, h), js.size))
-            for masks, cols, subs in blocks:
-                c = _layer_incoming(x, below, cols, row[subs])
-                if h < k:
-                    p[row[masks]] = _largest_roots(c, mu[masks][:, None])
-            below = p
-        total += float((1 - 2 * (bits[js] & 1)) @ np.exp(-c[0]))  # (-1)^|J|
-    return max(0.0, total)
+    colors, phi = np.arange(k), np.empty(1 << k)
+    width = max(1, (1 << 19) >> k)
+    for start in range(0, 1 << k, width):
+        js = np.arange(start, min(start + width, 1 << k))
+        p = np.zeros((1 << k, js.size))
+        p[1 << colors] = theta[:, None] * ((js >> colors[:, None]) & 1)
+        phi[js] = np.exp(-_solve_layers(x, mu, p, 2))
+    signs = 1 - 2 * (subset_sums([1] * k) & 1)  # (-1)^|J|
+    return max(0.0, float(signs @ phi))
 
 
 # ---------------------------------------------------------------------------

@@ -389,37 +389,24 @@ def _ecbp_mc(cfg: ExperimentConfig):
 # Analytic report
 # ---------------------------------------------------------------------------
 
-def _build_record_keys(k: int) -> tuple:
+@analytic.kept_for_small_k
+def _record_keys(k: int) -> tuple:
     """p_table's keys and masks, then phat's, in key order, so that sort_keys
     finds them sorted: "{i,j,...}" lists a mask's colors, and character i of
-    a type key is bit i. The keys of a table are one spaced string, which
-    takes less memory than 2^k strings, and split costs little; the masks
-    are a read-only array."""
-    sets, types = [""], [""]
+    a type key is bit i, so the i-th type key is i in k binary digits and
+    names i with its bits reversed: the type keys need no sort. The keys of
+    a table are one spaced string, which takes less memory than 2^k
+    strings, and split costs little; the masks are a read-only array."""
+    sets = [""]
     for i in range(k):  # by doubling: mask m | 2^i extends the name of m
         sets += [s + "," + str(i) for s in sets]
-        types = [s + "0" for s in types] + [s + "1" for s in types]
-    out = []
-    for names in (["{" + s[1:] + "}" for s in sets], types):
-        masks = sorted(range(1 << k), key=names.__getitem__)
-        out += [" ".join([names[m] for m in masks]), np.array(masks)]
-        out[-1].setflags(write=False)
-    return tuple(out)
-
-
-# the record keys and the tables' key text are kept for each k up to this,
-# as analytic keeps its layer tables: at k = 14 the text takes 0.5 MB a
-# table. Above it, the keys are built for each run and a table is written
-# as json writes any dict, so that a run at k = 16..20 holds no more than
-# it did before the text was kept.
-_KEY_TEXT_MAX_K = 14
-_kept_record_keys = cache(_build_record_keys)
-
-
-def _record_keys(k: int) -> tuple:
-    """_build_record_keys(k), kept for small k."""
-    return (_kept_record_keys(k) if k <= _KEY_TEXT_MAX_K
-            else _build_record_keys(k))
+    sets = ["{" + s[1:] + "}" for s in sets]
+    set_masks = np.array(sorted(range(1 << k), key=sets.__getitem__))
+    type_masks = analytic.subset_sums(1 << np.arange(k)[::-1])
+    for masks in (set_masks, type_masks):
+        masks.setflags(write=False)
+    return (" ".join([sets[m] for m in set_masks.tolist()]), set_masks,
+            " ".join(map(f"{{:0{k}b}}".format, range(1 << k))), type_masks)
 
 
 @cache
@@ -436,15 +423,16 @@ class _Table(dict):
     spaced key string names, the mask each key names and the 2^k values, in
     key order. dumps writes it as _table_text(names) % values: float repr is
     json's text for a finite float. Where the text is not kept (k above
-    _KEY_TEXT_MAX_K, or a value that is not finite), names is None and the
-    table is written as json writes any dict."""
+    analytic.KEPT_MAX_K, as for the record keys, or a value that is not
+    finite), names is None and the table is written as json writes any
+    dict."""
 
     __slots__ = ("names",)
 
     def __init__(self, names: str, masks: np.ndarray, values: np.ndarray):
         values = values[masks]
         super().__init__(zip(names.split(), values.tolist()))
-        self.names = names if (len(masks) <= 1 << _KEY_TEXT_MAX_K
+        self.names = names if (len(masks) <= 1 << analytic.KEPT_MAX_K
                                and np.isfinite(values).all()) else None
 
     def _read_only(self, *args, **kwargs):

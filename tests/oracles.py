@@ -2,16 +2,16 @@
 package because no command runs them: the layer-root Newton on an index list
 of the entries still moving, the p_I solve on full-table sums, the Borel
 pmf and total-progeny generating function, the string-indexed Phi
-recursion, the per-node branching-process tree arena, the
-chronology-of-colors atlas, the tree-ball keys read off that arena, and the
-brute-force color-avoiding partition."""
+recursion, the Phi route on one array per level, the per-node
+branching-process tree arena, the chronology-of-colors atlas, the tree-ball
+keys read off that arena, and the brute-force color-avoiding partition."""
 
 from __future__ import annotations
 
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import groupby, permutations
 from typing import Union
 
 import numpy as np
@@ -20,8 +20,14 @@ from caperc.analytic import (
     PSystemError,
     PTable,
     _incoming,
+    _largest_roots,
+    _layer_incoming,
+    _layers,
     _residuals,
     borel_log_pmf,
+    check_small_subsets,
+    classify_lambda,
+    solve_p_system,
     subset_sums,
 )
 from caperc.ecbp import NODE_CAP
@@ -162,6 +168,51 @@ def phi_eval(lam, h: int, z: dict[tuple[int, ...], float]) -> float:
                             for i in range(k) if i not in s)
                for s in color_strings(k, level - 1)}
     return cur[()]
+
+
+def gf_route_by_layer_arrays(lam, table: PTable | None = None) -> float:
+    """Density of the infinite friend class via the Phi_{k-2} route, with
+    each level of the set recursion in its own (C(k, h), J) array, its rows
+    placed by a map from mask to position in the layer, and the sign sets J
+    in column blocks of 2^18 / C(k, k/2), each summed apart.
+    f_infinity_generating_function, which runs the levels on
+    solve_p_system's loop over one (2^k, J) table, must give its value to
+    the bit at k <= 10, where this takes one column block.
+
+    Alternating sum over color subsets J of Phi_{k-2} evaluated at arguments
+    z_s = prod_{i not in set(s)} q_{J, s i}, where q_{J, s i} is
+    exp(lambda_i (F_{s i}(1-) - 1)) = exp(-lambda_i theta(lambda^{\\m})) when
+    the one color m missing from set(s i) belongs to J, and 1 otherwise.
+    theta is read from `table`, which is solved here when none is given.
+    """
+    lam = as_lambda(lam)
+    k = lam.k
+    if not classify_lambda(lam).fully_supercritical:
+        raise ValueError("generating-function route requires fully supercritical lambda")
+    check_small_subsets(lam, "the generating-function route")
+    theta = (table or solve_p_system(lam)).theta
+    x, mu = np.array(lam.lam), subset_sums(lam.lam)[::-1]
+    bits, colors = subset_sums([1] * k), np.arange(k)
+    row = np.empty(1 << k, dtype=np.intp)  # position of a set in its layer
+    for h in range(k + 1):
+        layer = np.flatnonzero(bits == h)
+        row[layer] = np.arange(layer.size)
+    total = 0.0
+    width = max(1, (1 << 18) // math.comb(k, k // 2))
+    for js in np.split(np.arange(1 << k), np.arange(width, 1 << k, width)):
+        # the layer below, its rows in the order of its masks
+        below = theta[:, None] * ((js >> colors[:, None]) & 1)
+        for h, blocks in groupby(_layers(k), lambda block: len(block[1])):
+            if h == 1:
+                continue
+            p = np.empty((math.comb(k, h), js.size))
+            for masks, cols, subs in blocks:
+                c = _layer_incoming(x, below, cols, row[subs])
+                if h < k:
+                    p[row[masks]] = _largest_roots(c, mu[masks][:, None])
+            below = p
+        total += float((1 - 2 * (bits[js] & 1)) @ np.exp(-c[0]))  # (-1)^|J|
+    return max(0.0, total)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from caperc.params import LambdaVector
 from oracles import (
     borel_pmf,
     color_strings,
+    gf_route_by_layer_arrays,
     phi_eval,
     largest_roots_by_index,
     solve_p_system_by_full_tables,
@@ -292,10 +293,24 @@ def test_layers_split_in_blocks_give_the_same_bits(lam, monkeypatch):
     # call, run the code paths of large k on the small layers
     table, gf = solve_p_system(lam), f_infinity_generating_function(lam)
     monkeypatch.setattr(analytic, "_LAYER_BLOCK", 4)
-    monkeypatch.setattr(analytic, "_LAYER_CACHE_MAX_K", 0)
+    monkeypatch.setattr(analytic, "KEPT_MAX_K", 0)
     assert max(len(m) for m, _, _ in analytic._layers(len(lam))) == 4
     assert _same_bits(solve_p_system(lam).p, table.p)
     assert _same_bits(f_infinity_generating_function(lam), gf)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, analytic.KEPT_MAX_K,
+                               analytic.KEPT_MAX_K + 1])
+def test_layer_tables_are_kept_up_to_the_bound_and_read_only(k):
+    layers = analytic._layers(k)
+    assert (layers is analytic._layers(k)) == (k <= analytic.KEPT_MAX_K)
+    blocks = list(layers)
+    assert all(not a.flags.writeable for block in blocks for a in block)
+    # each nonempty mask once, in blocks of one popcount, in increasing order
+    masks = np.concatenate([m for m, _, _ in blocks])
+    assert sorted(masks.tolist()) == list(range(1, 1 << k))
+    heights = [len(colors) for _, colors, _ in blocks]
+    assert heights == sorted(heights) and set(heights) == set(range(1, k + 1))
 
 
 @pytest.mark.parametrize("lam", [(2.0, 2.0), (1.5, 0.5), (1.2, 3.0),
@@ -344,6 +359,33 @@ def test_gf_route_matches_string_oracle(k):
     for lam in gf_regime_points(k, 3, 500 + k):
         assert abs(f_infinity_generating_function(lam)
                    - string_gf_route(lam)) <= 1e-14
+
+
+def _gf_regime(k: int):
+    """Intensities drawn as gf_regime_points draws them, from hypothesis."""
+    lo, hi = (1.05, 3.0) if k == 2 else (1.01 / (k - 1), 0.99 / (k - 2))
+    return st.lists(st.floats(lo, hi), min_size=k, max_size=k)
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+@given(data=st.data())
+@settings(max_examples=5, deadline=None, derandomize=True)
+def test_gf_route_keeps_the_bits_of_the_layer_array_route(k, data):
+    # up to k = 10 the oracle takes every J in one column block, and the
+    # values of all J go into one dot product here, so the sums agree
+    lam = data.draw(_gf_regime(k))
+    table = solve_p_system(lam)
+    expected = gf_route_by_layer_arrays(lam, table)
+    assert _same_bits(f_infinity_generating_function(lam, table), expected)
+    assert _same_bits(f_infinity_generating_function(lam), expected)
+
+
+def test_gf_route_agrees_with_the_layer_array_route_at_k_11():
+    # at k = 11 the oracle sums each of its column blocks apart, so the
+    # terms of the signed sum are added in another order
+    for lam in gf_regime_points(11, 1, 1100):
+        assert abs(f_infinity_generating_function(lam)
+                   - gf_route_by_layer_arrays(lam)) <= 1e-14
 
 
 # k = 11 takes its sign sets J in several column blocks

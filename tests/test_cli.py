@@ -2,6 +2,7 @@
 determinism of seeded runs."""
 
 import argparse
+import contextlib
 import importlib.util
 import io
 import json
@@ -13,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import caperc
 from caperc import cap, cli
@@ -642,3 +645,52 @@ def test_experiment_stdout_is_strict_json(capsys, tmp_path, argv):
         assert record["results"]["target_f_ell"] == [None] * 5
     # one serialization goes to stdout and to record.json
     assert next(tmp_path.glob("*/record.json")).read_text() == out
+
+
+# entries outside every range: zero, negative, nan, infinite, huge, tiny,
+# subnormal, and text that is not a number
+_BAD_ENTRIES = ["0", "-0.0", "-1", "nan", "inf", "-inf", "1e300", "-1e300",
+                "1e-300", "5e-324", "x", "", "1e"]
+
+
+def _entries(in_range, edges: list[str]):
+    """A comma-joined list of 1 to 5 entries: each in range, at an edge of
+    it or from _BAD_ENTRIES."""
+    entry = (in_range.map(repr) | st.sampled_from(edges)
+             | st.sampled_from(_BAD_ENTRIES))
+    return st.lists(entry, min_size=1, max_size=5).map(",".join)
+
+
+def _flag(name: str, values):
+    # --flag=value, so that argparse takes "-1" as a value, not a flag
+    return values.map(lambda value: f"--{name}={value}")
+
+
+_LAMBDA = _entries(st.floats(0.05, 4.0), ["1", "1.0", "0.5"])
+# a random list is seldom strictly decreasing, so valid grids are drawn too
+_EPS = _entries(st.floats(1e-4, 0.3), ["0.5", "1", "1e-154"]) | st.lists(
+    st.floats(1e-4, 0.3), min_size=2, max_size=4, unique=True).map(
+        lambda grid: ",".join(map(repr, sorted(grid, reverse=True))))
+# the engine's ceiling k = 20 is left out: a run there takes seconds
+_K = (st.sampled_from(["2", "3", "4"])
+      | st.sampled_from(["1", "0", "-1", "21", "2.5", "x", ""]))
+
+
+@given(st.tuples(st.just("analytic"), _flag("lambda", _LAMBDA))
+       | st.tuples(st.just("analytic"), _flag("lambda", _LAMBDA),
+                   _flag("k", _K))
+       | st.tuples(st.just("near-critical"), _flag("k", _K))
+       | st.tuples(st.just("near-critical"), _flag("k", _K),
+                   _flag("eps", _EPS)))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_analytic_and_near_critical_exit_0_1_or_2_on_any_value(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    if code == 2:
+        # one line, no traceback
+        assert err.getvalue().startswith("config error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert code in (0, 1) and not err.getvalue(), argv
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

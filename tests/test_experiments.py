@@ -242,10 +242,10 @@ def test_p_table_names_match_per_mask_names():
         colors = (str(i) for i in range(k) if (mask >> i) & 1)
         return "{" + ",".join(colors) + "}"
     # kept up to the bound, built for each call above it
-    for k in [*range(1, 13), experiments._KEY_TEXT_MAX_K + 1]:
+    for k in [*range(1, 13), analytic.KEPT_MAX_K + 1]:
         keys = experiments._record_keys(k)
         assert (keys is experiments._record_keys(k)) == (
-            k <= experiments._KEY_TEXT_MAX_K)
+            k <= analytic.KEPT_MAX_K)
         sets, set_masks, types, type_masks = keys
         sets, types = sets.split(), types.split()
         assert sets == sorted(sets) and types == sorted(types)
@@ -268,11 +268,11 @@ def _table_values(k: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("k", [*range(1, 14),
-                               experiments._KEY_TEXT_MAX_K + 1])
+                               analytic.KEPT_MAX_K + 1])
 def test_tables_write_as_json_does(k):
     tables = _tables(k, _table_values(k))
     # the text is kept up to the bound; above it json writes the tables
-    assert all((table.names is None) == (k > experiments._KEY_TEXT_MAX_K)
+    assert all((table.names is None) == (k > analytic.KEPT_MAX_K)
                for table in tables.values())
     # the tables at two depths, beside other values, and on their own
     record = {"results": {**tables, "lambda": [0.5] * k, "relevant": True},

@@ -65,9 +65,10 @@ def commands() -> list[list[list[str]]]:
             for _ in range(6):
                 lam = ",".join(f"{rng.uniform(lo, hi):.6f}" for _ in range(k))
                 groups.append([["analytic", "--lambda", lam]])
-    # one point per range at k = 14, the largest k whose key text is kept,
-    # and at 15 and 16, where the record keys are built for each run and
-    # the tables are written as json writes any dict
+    # one point per range at k = 14, analytic.KEPT_MAX_K, the largest k
+    # whose layer tables and record keys are kept, and at 15 and 16, where
+    # they are built for each run and the tables are written as json writes
+    # any dict
     for k in range(14, 17):
         for lo, hi in lambda_ranges(k):
             lam = ",".join(f"{rng.uniform(lo, hi):.6f}" for _ in range(k))
