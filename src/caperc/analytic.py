@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cache, wraps
+from functools import cache
 
 import numpy as np
 
@@ -141,20 +141,12 @@ def _incoming(lam: LambdaVector, p: np.ndarray) -> np.ndarray:
     return c
 
 
-# tables built from k alone (the layer tables here, the record keys and
-# their text in experiments) are kept for each k up to this: at k = 14 the
-# layer tables take 0.6 MB, and building them takes 4 of an uncached
-# solve's 7-10 ms (2-core Xeon). Above it they are built for each call, of
-# which an analytic run makes one: with this bound at 20, a run at k = 16
-# peaked at 77.6 MB against 72.8 MB, and at k = 20 at 746 MB against 574.
+# the layer tables are kept for each k up to this: at k = 14 they take
+# 0.6 MB, and building them takes 4 of an uncached solve's 8-12 ms (2-core
+# Xeon). Above it they are built for each call, of which an analytic run
+# makes one: with this bound at 20, a run at k = 16 peaked at 52.7 MB
+# against 50.4, and at k = 20 at 321 MB against 266.
 KEPT_MAX_K = 14
-
-
-def kept_for_small_k(build):
-    """build(k) as a tuple kept for each k up to KEPT_MAX_K, and build(k)
-    itself, made on each call, above it (a generator stays a generator)."""
-    keep = cache(lambda k: tuple(build(k)))
-    return wraps(build)(lambda k: keep(k) if k <= KEPT_MAX_K else build(k))
 
 
 # the masks of a layer are taken in blocks of at most this many, so that a
@@ -181,7 +173,13 @@ def _layer_blocks(k: int):
             yield arrays
 
 
-_layers = kept_for_small_k(_layer_blocks)
+_kept_layers = cache(lambda k: tuple(_layer_blocks(k)))
+
+
+def _layers(k: int):
+    """_layer_blocks(k), kept as a tuple for each k up to KEPT_MAX_K and
+    made on each call above it."""
+    return _kept_layers(k) if k <= KEPT_MAX_K else _layer_blocks(k)
 
 
 def _layer_incoming(x: np.ndarray, p: np.ndarray, colors: np.ndarray,

@@ -35,7 +35,7 @@ from .localweak import (
 from .params import LambdaVector
 
 # largest k per kind, from runs on a 2-core Xeon: the 2^k analytic engine
-# (analytic, near-critical, convergence) took 8-9 s and 574 MB for one
+# (analytic, near-critical, convergence) took 2-4 s and 266 MB for one
 # analytic run at k = 20; ecbp-mc's growth scatter holds k * 4^k int64, and
 # 10 samples took 20 s and 426 MB at k = 11. Local weak balls build neither.
 # Largest ell_max: the two-color series in analytic costs ell_max^2 (1.5 s
@@ -218,11 +218,6 @@ def _write(obj, newline: str, pieces: list[str]) -> None:
         put(json.dumps(obj))
         return
     inner = newline + "  "
-    if isinstance(obj, _Table) and obj.names is not None:
-        put("{" + inner)
-        put(_table_text(obj.names, "," + inner) % tuple(obj.values()))
-        put(newline + "}")
-        return
     is_dict = isinstance(obj, dict)
     # the distinct types, not every value, are tested: a C-level pass
     if not any(issubclass(t, (dict, list, tuple)) for t in
@@ -314,9 +309,10 @@ def _convergence_task(cfg: ExperimentConfig, seed, n: int):
 
 def _ecer_convergence(cfg: ExperimentConfig):
     lam = LambdaVector(cfg.lam)
-    target_f_inf = analytic.f_infinity_inclusion_exclusion(lam)
+    table = analytic.solve_p_system(lam)
+    target_f_inf = analytic.f_infinity_inclusion_exclusion(lam, table)
     if cfg.k == 2:
-        targets = analytic.two_color_f_ell(lam[0], lam[1], cfg.ell_max)
+        targets = analytic.two_color_f_ell(*lam, cfg.ell_max, table=table)
     else:  # no closed form: nan in the CSV, null in the record
         targets = [math.nan] * cfg.ell_max
 
@@ -389,59 +385,6 @@ def _ecbp_mc(cfg: ExperimentConfig):
 # Analytic report
 # ---------------------------------------------------------------------------
 
-@analytic.kept_for_small_k
-def _record_keys(k: int) -> tuple:
-    """p_table's keys and masks, then phat's, in key order, so that sort_keys
-    finds them sorted: "{i,j,...}" lists a mask's colors, and character i of
-    a type key is bit i, so the i-th type key is i in k binary digits and
-    names i with its bits reversed: the type keys need no sort. The keys of
-    a table are one spaced string, which takes less memory than 2^k
-    strings, and split costs little; the masks are a read-only array."""
-    sets = [""]
-    for i in range(k):  # by doubling: mask m | 2^i extends the name of m
-        sets += [s + "," + str(i) for s in sets]
-    sets = ["{" + s[1:] + "}" for s in sets]
-    set_masks = np.array(sorted(range(1 << k), key=sets.__getitem__))
-    type_masks = analytic.subset_sums(1 << np.arange(k)[::-1])
-    for masks in (set_masks, type_masks):
-        masks.setflags(write=False)
-    return (" ".join([sets[m] for m in set_masks.tolist()]), set_masks,
-            " ".join(map(f"{{:0{k}b}}".format, range(1 << k))), type_masks)
-
-
-@cache
-def _table_text(names: str, separator: str) -> str:
-    """A table's items as json writes them, with %r for each value: its
-    spaced key string names, quoted, each followed by ": %r", joined by
-    separator. Cached per kept key string and separator."""
-    return separator.join(encode_basestring_ascii(key).replace("%", "%%")
-                          + ": %r" for key in names.split())
-
-
-class _Table(dict):
-    """One solved table of a record as a read-only dict, built from its
-    spaced key string names, the mask each key names and the 2^k values, in
-    key order. dumps writes it as _table_text(names) % values: float repr is
-    json's text for a finite float. Where the text is not kept (k above
-    analytic.KEPT_MAX_K, as for the record keys, or a value that is not
-    finite), names is None and the table is written as json writes any
-    dict."""
-
-    __slots__ = ("names",)
-
-    def __init__(self, names: str, masks: np.ndarray, values: np.ndarray):
-        values = values[masks]
-        super().__init__(zip(names.split(), values.tolist()))
-        self.names = names if (len(masks) <= 1 << analytic.KEPT_MAX_K
-                               and np.isfinite(values).all()) else None
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("a record's table is read-only")
-
-    __setitem__ = __delitem__ = __ior__ = _read_only
-    clear = pop = popitem = setdefault = update = _read_only
-
-
 # the generating-function cross-check costs about 4^k (0.2 s at k = 10,
 # minutes from k = 14); above this k the record holds null for it
 _GF_MAX_K = 10
@@ -464,7 +407,6 @@ def _analytic_report(cfg: ExperimentConfig):
     regime = analytic.classify_lambda(lam)
     table = analytic.solve_p_system(lam)
     phat = analytic.extended_type_distribution(lam, table)
-    sets, set_masks, types, type_masks = _record_keys(cfg.k)
     results: dict = {
         "lambda": list(cfg.lam),
         "regime": {
@@ -474,10 +416,10 @@ def _analytic_report(cfg: ExperimentConfig):
             "supercritical_indices": sorted(regime.supercritical_indices),
         },
         "theta_avoid": table.theta.tolist(),
-        "p_table": _Table(sets, set_masks, table.p),
+        "p_table": table.p.tolist(),
         "p_table_relevant": table.relevant,
         "p_table_max_residual": table.max_residual,
-        "phat": _Table(types, type_masks, phat),
+        "phat": phat.tolist(),
         "f_inf_inclusion_exclusion":
             analytic.f_infinity_inclusion_exclusion(lam, table),
     }

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -684,13 +685,60 @@ _K = (st.sampled_from(["2", "3", "4"])
                    _flag("eps", _EPS)))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_analytic_and_near_critical_exit_0_1_or_2_on_any_value(argv):
+    code, out, err = _run_main(argv)
+    if code != 2:
+        assert not err, argv
+        json.loads(out, parse_constant=_reject_constant)
+
+
+def _run_main(argv) -> tuple[int, str, str]:
+    """main(argv)'s exit code, stdout and stderr, once its exit code is
+    checked to be 0, 1 or 2, and exit 2 to print one config error line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
+    assert code in (0, 1, 2), argv
     if code == 2:
         # one line, no traceback
         assert err.getvalue().startswith("config error: ")
         assert err.getvalue().count("\n") == 1
-    else:
-        assert code in (0, 1) and not err.getvalue(), argv
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    return code, out.getvalue(), err.getvalue()
+
+
+_DUMP_TOKENS = st.integers(-1, 6).map(str) | st.sampled_from(
+    ["", "x", "1.0", "2e0", "#", "+1", "-0", "0x1", "\x00", "\u0663",
+     "99999999999999999999"])
+
+
+@st.composite
+def _graph_dumps(draw) -> bytes:
+    """A graph dump: a valid header or, one time in four, tokens, then edges
+    (self-loops among them) and blank lines, perhaps an edge repeated,
+    perhaps a row of tokens, and perhaps a byte that is not UTF-8. n and k
+    stay small, since load_graph builds an array for each color the header
+    names."""
+    n, k = draw(st.integers(0, 6)), draw(st.integers(1, 4))
+    tokens = st.lists(_DUMP_TOKENS, max_size=4).map(" ".join)
+    vertex = st.integers(0, max(n - 1, 0))
+    edge = st.tuples(st.integers(0, k - 1), vertex, vertex).map(
+        lambda row: "%d %d %d" % row)
+    header = draw(tokens) if draw(st.integers(0, 3)) == 3 else f"{n} {k}"
+    lines = [header, *draw(st.lists(edge | st.just(""), max_size=6))]
+    lines += draw(st.sampled_from([[], [], [lines[-1]]]))
+    for row in draw(st.lists(tokens, max_size=1)):
+        lines.insert(draw(st.integers(1, len(lines))), row)
+    data = "\n".join(lines).encode()
+    cut = draw(st.integers(0, len(data)))
+    bad_byte = draw(st.sampled_from([b""] * 4 + [b"\xff", b"\xc3"]))
+    return data[:cut] + bad_byte + data[cut:]
+
+
+@given(_graph_dumps())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_components_exits_0_1_or_2_on_any_dump(dump):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.txt"
+        path.write_bytes(dump)
+        code, out, err = _run_main(["components", str(path)])
+    if code == 0:
+        assert not err and out.startswith("# schema: cap-sizes-v1\n")

@@ -21,6 +21,7 @@ from caperc.experiments import (
     run_experiment,
 )
 from caperc.localweak import ISOLATED_ROOT_KEY
+from test_analytic import _same_bits
 
 
 def test_config_defaults_and_validation():
@@ -233,47 +234,19 @@ def test_analytic_report_route_agreement():
     assert res["regime"]["fully_supercritical"]
     assert abs(res["f_inf_inclusion_exclusion"]
                - res["f_inf_generating_function"]) <= 1e-9
-    assert abs(sum(res["phat"].values()) - 1.0) < 1e-9
+    assert abs(sum(res["phat"]) - 1.0) < 1e-9
     assert len(res["f_ell"]) == 5
 
 
-def test_p_table_names_match_per_mask_names():
-    def mask_name(mask, k):
-        colors = (str(i) for i in range(k) if (mask >> i) & 1)
-        return "{" + ",".join(colors) + "}"
-    # kept up to the bound, built for each call above it
-    for k in [*range(1, 13), analytic.KEPT_MAX_K + 1]:
-        keys = experiments._record_keys(k)
-        assert (keys is experiments._record_keys(k)) == (
-            k <= analytic.KEPT_MAX_K)
-        sets, set_masks, types, type_masks = keys
-        sets, types = sets.split(), types.split()
-        assert sets == sorted(sets) and types == sorted(types)
-        assert sorted(set_masks) == sorted(type_masks) == list(range(1 << k))
-        assert not set_masks.flags.writeable
-        assert sets == [mask_name(m, k) for m in set_masks]
-        assert types == [format(g, f"0{k}b")[::-1] for g in type_masks]
+def _table_values(k: int) -> list[float]:
+    """2^k random floats after the edge cases of float text."""
+    return [0.0, -0.0, 1.0, 5e-324, 1e-300, math.inf, -math.inf, math.nan,
+            *np.random.default_rng(k).random(1 << k).tolist()]
 
 
-def _tables(k: int, values: np.ndarray) -> dict:
-    sets, set_masks, types, type_masks = experiments._record_keys(k)
-    return {"p_table": experiments._Table(sets, set_masks, values),
-            "phat": experiments._Table(types, type_masks, values[::-1])}
-
-
-def _table_values(k: int) -> np.ndarray:
-    values = np.random.default_rng(k).random(1 << k)
-    values[:6] = [0.0, 1.0, 5e-324, 1e-300, 0.1, 2.0 ** -30][:1 << k]
-    return values
-
-
-@pytest.mark.parametrize("k", [*range(1, 14),
-                               analytic.KEPT_MAX_K + 1])
+@pytest.mark.parametrize("k", range(1, 16))
 def test_tables_write_as_json_does(k):
-    tables = _tables(k, _table_values(k))
-    # the text is kept up to the bound; above it json writes the tables
-    assert all((table.names is None) == (k > analytic.KEPT_MAX_K)
-               for table in tables.values())
+    tables = {"p_table": _table_values(k), "phat": _table_values(k)[::-1]}
     # the tables at two depths, beside other values, and on their own
     record = {"results": {**tables, "lambda": [0.5] * k, "relevant": True},
               "elapsed_s": 0.25, "tables": tables}
@@ -281,47 +254,19 @@ def test_tables_write_as_json_does(k):
         assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-def test_a_table_with_a_value_that_is_not_finite_writes_as_json_does(bad):
-    values = _table_values(3)
-    values[5] = bad
-    tables = _tables(3, values)
-    assert all(table.names is None for table in tables.values())
-    assert dumps(tables) == json.dumps(tables, indent=2, sort_keys=True)
-
-
-def test_a_table_is_a_read_only_dict():
-    values = _table_values(2).tolist()
-    table = _tables(2, np.array(values))["p_table"]
-    before = dict(table)
-    assert isinstance(table, dict)
-    assert before == {"{}": values[0], "{0}": values[1], "{1}": values[2],
-                      "{0,1}": values[3]}
-    for mutate in (lambda t: t.__setitem__("{0}", 0.5),
-                   lambda t: t.__delitem__("{0}"), lambda t: t.clear(),
-                   lambda t: t.pop("{0}"), lambda t: t.popitem(),
-                   lambda t: t.setdefault("{9}", 0.5),
-                   lambda t: t.update({"{0}": 0.5}),
-                   lambda t: t.__ior__({"{0}": 0.5})):
-        with pytest.raises(TypeError):
-            mutate(table)
-    assert table == before and list(table) == list(before)
-
-
 @pytest.mark.parametrize("k, lam_i", [(2, 2.0), (10, 0.115), (11, 0.095),
-                                      (12, 0.095)])
+                                      (12, 0.095), (15, 0.075)])
 def test_analytic_record_is_built_in_key_order(k, lam_i):
-    # two digits in a color make "{0,10}" sort before "{0,1}" from k = 11 on
+    # the key is the index: entry m of a table is its value at mask m
     cfg = ExperimentConfig(kind="analytic-report", k=k, lam=(lam_i,) * k)
     record = run_experiment(cfg)
     assert record.checks_passed
     results = record.results
-    for key in ("p_table", "phat"):
-        assert list(results[key]) == sorted(results[key])
-    # the keys of mask 0b1 name its value
-    assert results["p_table"]["{0}"] == analytic.solve_p_system(cfg.lam).p[1]
-    assert results["phat"]["1" + "0" * (k - 1)] == (
-        analytic.extended_type_distribution(cfg.lam)[1])
+    table = analytic.solve_p_system(cfg.lam)
+    law = analytic.extended_type_distribution(cfg.lam, table)
+    for key, values in (("p_table", table.p), ("phat", law)):
+        assert len(results[key]) == 1 << k
+        assert _same_bits(results[key], values)
     assert record.to_json() == json.dumps(
         record.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
@@ -331,7 +276,7 @@ def test_analytic_check_passes_at_k_18():
     cfg = ExperimentConfig(kind="analytic-report", k=18, lam=(0.3,) * 18)
     record = run_experiment(cfg)
     assert record.checks_passed
-    phat = np.array(list(record.results["phat"].values()))
+    phat = np.array(record.results["phat"])
     assert experiments._sums_to_one(phat)
     for shift in (1e-6, -1e-6):
         off = phat.copy()
@@ -349,8 +294,9 @@ def test_a_law_off_by_1e_6_fails_the_check(k):
         assert not experiments._sums_to_one(off)
 
 
-@pytest.mark.parametrize("lam", [(2.0, 2.0), (0.9, 0.9, 0.9), (0.5, 0.5)])
-def test_analytic_report_solves_the_p_system_once(monkeypatch, lam):
+def _solves(monkeypatch, cfg: ExperimentConfig) -> int:
+    """How many times a run of cfg, whose checks must pass, solves the
+    p-system."""
     calls = []
     solve = analytic.solve_p_system
 
@@ -358,10 +304,22 @@ def test_analytic_report_solves_the_p_system_once(monkeypatch, lam):
         calls.append(args)
         return solve(*args, **kwargs)
     monkeypatch.setattr(analytic, "solve_p_system", counted)
-    rec = run_experiment(ExperimentConfig(kind="analytic-report",
-                                          k=len(lam), lam=lam))
-    assert rec.checks_passed
-    assert len(calls) == 1
+    assert run_experiment(cfg).checks_passed
+    return len(calls)
+
+
+@pytest.mark.parametrize("lam", [(2.0, 2.0), (0.9, 0.9, 0.9), (0.5, 0.5)])
+def test_analytic_report_solves_the_p_system_once(monkeypatch, lam):
+    cfg = ExperimentConfig(kind="analytic-report", k=len(lam), lam=lam)
+    assert _solves(monkeypatch, cfg) == 1
+
+
+@pytest.mark.parametrize("lam", [(2.0, 2.0), (0.9, 0.8, 0.7)])
+def test_convergence_solves_the_p_system_once(monkeypatch, lam):
+    # the f_inf target and, at k = 2, the f_ell targets read one table
+    cfg = ExperimentConfig(kind="ecer-convergence", k=len(lam), lam=lam,
+                           n_list=(100,), replicas=1)
+    assert _solves(monkeypatch, cfg) == 1
 
 
 @pytest.mark.parametrize("lam", [(0.3,) * 8, (0.5, 0.5), (0.5, 0.5, 0.5)])

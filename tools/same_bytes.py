@@ -14,7 +14,8 @@ It prints each difference and a summary, and exits 1 if anything differs.
 The list holds the README's commands and 311 more: `analytic` at k = 2..13
 over four lambda ranges, six points each (both regimes of the
 generating-function check, and points below and near criticality), and at
-k = 14..16, one point each, `near-critical --k 2..7`,
+k = 14..16, one point per range, where the layer tables of the p_I solve
+go from kept to built for each run in blocks, `near-critical --k 2..7`,
 `convergence` at k = 2 and 3, two `ecbp-mc` runs and `analytic --ell-max
 40`.
 """
@@ -66,9 +67,8 @@ def commands() -> list[list[list[str]]]:
                 lam = ",".join(f"{rng.uniform(lo, hi):.6f}" for _ in range(k))
                 groups.append([["analytic", "--lambda", lam]])
     # one point per range at k = 14, analytic.KEPT_MAX_K, the largest k
-    # whose layer tables and record keys are kept, and at 15 and 16, where
-    # they are built for each run and the tables are written as json writes
-    # any dict
+    # whose layer tables are kept, and at 15 and 16, where the layer tables,
+    # in blocks of at most 1024 masks, are built for each run
     for k in range(14, 17):
         for lo, hi in lambda_ranges(k):
             lam = ",".join(f"{rng.uniform(lo, hi):.6f}" for _ in range(k))
