@@ -28,29 +28,35 @@ def color_avoiding_partition(g: EdgeColoredGraph) -> np.ndarray:
         # edge arrays
         col = connected_components(
             n, [g.edge_sets[c] for c in edged if c != i])
-        if labels is None:
-            labels = col
-            continue
-        # the meet with this color: the blocks are the runs of equal keys
-        # (labels[v], col[v]) in sorted order, and a stable sort lists each
-        # run's vertices in increasing order, so its first is their label
-        key = labels
-        key *= n
-        key += col
-        del labels, col
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        head = np.empty(n, dtype=bool)
-        head[:1] = True
-        np.not_equal(key[1:], key[:-1], out=head[1:])
-        np.cumsum(head, out=key)  # 1 + the run of each sorted vertex
-        key -= 1
-        first = order[head][key]
-        del key
-        labels = np.empty_like(first)
-        labels[order] = first
-        del order, head, first  # free before the next projection
+        labels = col if labels is None else _meet(labels, col)
+        del col  # free before the next projection
     return labels
+
+
+def _meet(labels: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Meet of two partitions, each given by labels naming a vertex's block
+    by its least vertex; the result names v's block of the meet likewise."""
+    n = labels.size
+    # if v's label r shares v's col block, r is the least vertex of v's
+    # meet block, and else so is v's col root s if it shares v's label
+    settled = col[labels] == col
+    meet = np.where(settled, labels, col)
+    settled |= labels[col] == labels
+    # every vertex of a meet block gets the same two answers, so the rest
+    # form whole blocks: the runs of equal keys (labels[v], col[v]) in
+    # sorted order, and a stable sort lists each run's vertices in
+    # increasing order, so its first is their label
+    rest = np.flatnonzero(~settled)
+    del settled
+    key = labels[rest] * n + col[rest]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    rest = rest[order]
+    head = np.empty(rest.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    meet[rest] = rest[head][np.cumsum(head) - 1]
+    return meet
 
 
 @dataclass(frozen=True)

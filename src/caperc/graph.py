@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from typing import IO, Iterable, Sequence
 
@@ -145,7 +146,8 @@ def _sample_pair_subset(total: int, p: float, rng: np.random.Generator) -> np.nd
     drawn = 0
     expect = int(total * p) + 1
     while True:
-        m = max(256, int(1.2 * (expect - drawn)) + 64)
+        left = max(expect - drawn, 0)
+        m = max(256, int(left + 6 * math.sqrt(left)) + 64)
         drawn += m
         pts = rng.geometric(p, size=m)
         np.minimum(pts, cap, out=pts)
@@ -229,7 +231,9 @@ def load_graph(fh: IO[str]) -> EdgeColoredGraph:
     """Inverse of dump_graph: the header `n k`, then `color u v` lines of
     integers in any order; blank lines are skipped."""
     header = fh.readline().split()
-    if len(header) != 2:
+    # the rows' rule (np.loadtxt's): a sign and ASCII digits, no "1_0"
+    if len(header) != 2 or not all(re.fullmatch(r"[+-]?[0-9]+", t)
+                                   for t in header):
         raise ValueError("bad graph header, expected 'n k'")
     n, k = int(header[0]), int(header[1])
     with warnings.catch_warnings():  # a graph without edges has no data

@@ -4,7 +4,8 @@ of the entries still moving, the p_I solve on full-table sums, the Borel
 pmf and total-progeny generating function, the string-indexed Phi
 recursion, the Phi route on one array per level, the per-node
 branching-process tree arena, the chronology-of-colors atlas, the tree-ball
-keys read off that arena, and the brute-force color-avoiding partition."""
+keys read off that arena, the brute-force color-avoiding partition, and the
+meet that sorts every vertex."""
 
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from caperc.analytic import (
     subset_sums,
 )
 from caperc.ecbp import NODE_CAP
-from caperc.graph import EdgeColoredGraph
+from caperc.graph import EdgeColoredGraph, connected_components
 from caperc.localweak import SIZE_CAP, BallKey
 from caperc.params import as_lambda
 
@@ -462,4 +463,48 @@ def brute_force_cap_partition(g: EdgeColoredGraph) -> np.ndarray:
             if all(connected(a, b, i) for i in range(k)):
                 labels[b] = a
                 break
+    return labels
+
+
+# ---------------------------------------------------------------------------
+# The color-avoiding partition with a full sort per meet
+# ---------------------------------------------------------------------------
+
+def color_avoiding_partition_by_sort(g: EdgeColoredGraph) -> np.ndarray:
+    """color_avoiding_partition as it was before each meet settled most
+    vertices by their two roots: every meet stable-sorts all n keys
+    (labels[v], col[v])."""
+    n = g.n
+    # the projection without an edgeless color is the whole graph, which
+    # every other projection refines, so only the colors with edges enter
+    # the meet; with none of them, each vertex is its own block
+    edged = [c for c in range(g.k) if g.edge_count(c)]
+    labels = None if edged else np.arange(n, dtype=np.int64)
+    for i in edged:
+        # the projection onto every color but i, as a list of its colors'
+        # edge arrays
+        col = connected_components(
+            n, [g.edge_sets[c] for c in edged if c != i])
+        if labels is None:
+            labels = col
+            continue
+        # the meet with this color: the blocks are the runs of equal keys
+        # (labels[v], col[v]) in sorted order, and a stable sort lists each
+        # run's vertices in increasing order, so its first is their label
+        key = labels
+        key *= n
+        key += col
+        del labels, col
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        head = np.empty(n, dtype=bool)
+        head[:1] = True
+        np.not_equal(key[1:], key[:-1], out=head[1:])
+        np.cumsum(head, out=key)  # 1 + the run of each sorted vertex
+        key -= 1
+        first = order[head][key]
+        del key
+        labels = np.empty_like(first)
+        labels[order] = first
+        del order, head, first  # free before the next projection
     return labels

@@ -9,10 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from caperc.cap import CapDecomposition, color_avoiding_partition
+from caperc.cap import CapDecomposition, _meet, color_avoiding_partition
 from caperc.graph import EdgeColoredGraph, connected_components, sample_ecer
-from oracles import brute_force_cap_partition
+from oracles import brute_force_cap_partition, color_avoiding_partition_by_sort
 from test_graph import colored_graphs, ecer_graphs
 
 
@@ -101,6 +102,51 @@ def test_meet_matches_zero_key_oracle():
         assert np.array_equal(labels, _meet_from_zero_key(g))
 
 
+@pytest.mark.parametrize("lam", [(2.0, 2.0), (1.0, 1.0), (0.5, 0.5),
+                                 (1.5, 0.5), (0.9, 0.8, 0.7), (0.5,) * 4])
+def test_meet_matches_full_sort_oracle(lam):
+    # the regimes leave from about 2% (at (2,2)) to about 26% (at (1,1)) of
+    # the vertices of a meet to its sort
+    rng = np.random.default_rng(31)
+    for n in (2, 300, 2000, 20000):
+        g = sample_ecer(n, lam, rng)
+        assert np.array_equal(color_avoiding_partition(g),
+                              color_avoiding_partition_by_sort(g))
+
+
+def test_meet_sorts_the_blocks_neither_root_settles():
+    # blocks {0,1},{2,3} against {0,2},{1,3}: vertex 3's label 2 lies in
+    # col block {0,2}, and its col root 1 in label block {0,1}
+    labels = np.array([0, 0, 2, 2], dtype=np.int64)
+    col = np.array([0, 1, 0, 1], dtype=np.int64)
+    assert _meet(labels, col).tolist() == [0, 1, 2, 3]
+    assert _meet(col, labels).tolist() == [0, 1, 2, 3]
+    # and a block of two that neither root settles: {3,4} has label 0,
+    # whose col block is {0,2}, and col root 1, whose label block is {1,2}
+    labels = np.array([0, 1, 1, 0, 0], dtype=np.int64)
+    col = np.array([0, 1, 0, 1, 1], dtype=np.int64)
+    assert _meet(labels, col).tolist() == [0, 1, 2, 3, 3]
+
+
+@st.composite
+def min_vertex_labelings(draw, n):
+    """labels[v] = the least vertex with v's (drawn) block id."""
+    blocks = draw(st.integers(1, max(n, 1)))
+    ids = draw(st.lists(st.integers(1, blocks), min_size=n, max_size=n))
+    return np.array([ids.index(b) for b in ids], dtype=np.int64)
+
+
+@given(st.integers(0, 40).flatmap(
+    lambda n: st.tuples(min_vertex_labelings(n), min_vertex_labelings(n))))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_meet_of_two_labelings_matches_grouping(pair):
+    labels, col = pair
+    want = [min(w for w in range(labels.size)
+                if labels[w] == labels[v] and col[w] == col[v])
+            for v in range(labels.size)]
+    assert _meet(labels, col).tolist() == want
+
+
 @given(colored_graphs())
 @settings(max_examples=60, deadline=None)
 def test_meet_refines_every_color_avoiding_partition(g):
@@ -151,11 +197,11 @@ def test_csv_output():
 
 
 def test_decomposition_copies_no_edges():
-    # the projections are lists of the graph's own edge arrays and the meet
-    # works in place, so a decomposition at n = 2e5, lambda = (2, 2), whose
-    # graph holds 6.4 MB of edges, peaks at 4.9 n int64 words (7.8 MB);
-    # copying the edges for each projection and np.unique's meet took it
-    # to 11.7 n
+    # the projections are lists of the graph's own edge arrays, so a
+    # decomposition at n = 2e5, lambda = (2, 2), whose graph holds 6.4 MB of
+    # edges, peaks at 4.87 n int64 words (7.80 MB), whether the meet sorts
+    # every vertex or only the 1.6% its two roots leave; copying the edges
+    # for each projection and np.unique's meet took it to 11.7 n
     n = 200_000
     g = sample_ecer(n, (2.0, 2.0), np.random.default_rng(1))
     gc.collect()

@@ -608,6 +608,17 @@ def test_components_cli_malformed_dump_exits_2(tmp_path, capsys, dump):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dump", ["3 1_0\n0 0 1\n", "\u0663 2\n"])
+def test_components_header_takes_ascii_integers_only(tmp_path, capsys, dump):
+    # Python's int reads these headers as 10 colors and as n = 3; the rows'
+    # parser, np.loadtxt, takes neither
+    path = tmp_path / "bad.txt"
+    path.write_text(dump, encoding="utf-8")
+    assert main(["components", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 def test_components_csv_matches_per_line_loader(tmp_path, monkeypatch,
                                                capsys):
     g = sample_ecer(200000, (1.0, 1.0), np.random.default_rng(10))

@@ -465,6 +465,7 @@ def load_graph_by_line(fh):
     "4 2\n\n1 2 3\n  \n0 0 1\n\n",            # blank lines, colors mixed
     "4 3\n2 3 1\n0 1 0\n2 0 2\n1 3 2\n0 2 1\n",  # any order, either orient
     "5 1\n0\t1 4\n 0 0 3 \n",                 # any whitespace
+    "+5 02\n1 4 0\n",                         # signs and leading zeros
     # colors interleaved and out of order, each color's rows in any order
     "6 4\n3 4 5\n1 2 3\n3 0 1\n0 1 2\n1 5 0\n3 2 3\n2 1 4\n0 0 3\n",
     # a wide header with a few edges: most colors have none

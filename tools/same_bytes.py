@@ -11,13 +11,14 @@ tree):
     python tools/same_bytes.py /path/to/parent/src src --jobs 2
 
 It prints each difference and a summary, and exits 1 if anything differs.
-The list holds the README's commands and 311 more: `analytic` at k = 2..13
+The list holds the README's commands and 315 more: `analytic` at k = 2..13
 over four lambda ranges, six points each (both regimes of the
 generating-function check, and points below and near criticality), and at
 k = 14..16, one point per range, where the layer tables of the p_I solve
 go from kept to built for each run in blocks, `near-critical --k 2..7`,
-`convergence` at k = 2 and 3, two `ecbp-mc` runs and `analytic --ell-max
-40`.
+`convergence` at k = 2, 3 and 4 and at lambda = (1, 1), where the meet
+sorts about a quarter of the vertices, `components` on a lambda = (1, 1)
+dump, two `ecbp-mc` runs and `analytic --ell-max 40`.
 """
 
 from __future__ import annotations
@@ -79,6 +80,13 @@ def commands() -> list[list[list[str]]]:
           "3", "--seed", "1", "--ell-max", "8", "--out", "runs/"]],
         [["convergence", "--lambda", "0.9,0.8,0.7", "--n", "300",
           "--replicas", "2", "--seed", "2"]],
+        [["convergence", "--lambda", "1,1", "--n", "20000", "--replicas",
+          "2"]],
+        [["convergence", "--lambda", "0.5,0.5,0.5,0.5", "--n", "2000",
+          "--replicas", "2", "--seed", "3"]],
+        [["sample-ecer", "--lambda", "1,1", "--n", "20000", "--seed", "4",
+          "--out", "runs/"],
+         ["components", "runs/ecer-n20000-seed4.txt", "--out", "runs/"]],
         [["ecbp-mc", "--lambda", "2,2", "--samples", "20000", "--seed", "1"]],
         [["ecbp-mc", "--lambda", "0.9,0.8,0.7", "--samples", "5000",
           "--seed", "2", "--out", "runs/"]],
