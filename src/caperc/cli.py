@@ -28,13 +28,9 @@ class _InputError(Exception):
     """Invalid input at any stage: `main` prints it and exits 2."""
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    for key, f in CONFIG_KEYS.items():
-        if key != "kind":
-            parser.add_argument("--" + key.replace("_", "-"),
-                                help=f.metadata.get("help"))
-    parser.add_argument("--config",
-                        help="flat key=value config file; flags override it")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # one config error line, no usage dump
+        raise _InputError(message)
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -46,10 +42,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
                              f"this subcommand runs kind={args.kind}")
         items.update({key: val for key, val in vars(args).items()
                       if key in CONFIG_KEYS and val is not None})
-        # k follows lambda's length for the kinds that read lambda
-        reads = KINDS[args.kind].reads
-        if "k" not in items and "lambda" in items and "lambda" in reads:
-            items["k"] = str(len(items["lambda"].split(",")))
         return config_from_mapping(items)
     except (ValueError, OSError) as exc:
         raise _InputError(exc) from None
@@ -126,17 +118,22 @@ def _cmd_components(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process; each parse returns a fresh
     namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="caperc",
         description="Color-avoiding percolation: simulation and analytics")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for kind, spec in KINDS.items():
-        # a kind without a body writes a graph dump, not a record
-        p = sub.add_parser(spec.command, help=(
+        # a kind without a body writes a graph dump, not a record; a flag
+        # is never abbreviated, so --n does not stand for --node-cap
+        p = sub.add_parser(spec.command, allow_abbrev=False, help=(
             f"run the {kind} experiment" if spec.body
             else "sample an ECER graph dump"))
-        _add_common(p)
+        for key in (*spec.reads, "out"):
+            p.add_argument("--" + key.replace("_", "-"),
+                           help=CONFIG_KEYS[key].metadata.get("help"))
+        p.add_argument("--config",
+                       help="flat key=value config file; flags override it")
         p.set_defaults(fn=_run_experiment if spec.body else _cmd_sample_ecer,
                        kind=kind)
 
@@ -149,8 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     # the closed forms reject a lambda they cannot evaluate to tolerance, and
     # the local weak check one whose balls all fall outside the catalog

@@ -48,9 +48,8 @@ ELL_MAX = 1000
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A run's settings, valid once constructed. The fields are the config
-    schema: a field's flat key (its metadata "key", else its name) is its
-    config-file key, its record key (all but out) and, apart from kind,
-    which the subcommand sets, its CLI flag."""
+    schema, each under its flat key (its metadata "key", else its name); a
+    record holds kind, k and the keys KINDS[kind].reads, its CLI flags."""
 
     kind: str
     k: int = 2
@@ -81,7 +80,9 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        # a value the kind does not read stays in the record unchecked
+        # config_from_mapping leaves an unread value at its default, and a
+        # default passes every check but three, guarded below: lambda's
+        # length, the small-subset assumption and, from k = 102, eps
         _, _, min_k, max_k, reads = KINDS[self.kind]
         if "lambda" in reads:
             if len(self.lam) != self.k:
@@ -94,38 +95,32 @@ class ExperimentConfig:
             raise ValueError(f"{self.kind} needs k >= {min_k}")
         if self.k > max_k:
             raise ValueError(f"{self.kind} needs k <= {max_k}")
-        # the friend-count sampler's caps and small-subset assumption
+        # the friend-count sampler's small-subset assumption
         if "node_cap" in reads:
             analytic.check_small_subsets(self.lam, self.kind)
-            if self.depth_cap < 0 or self.node_cap < 0:
-                raise ValueError("depth_cap and node_cap must be >= 0")
             # a growing sample draws Poisson(lambda_c * nodes) for fewer
             # than node_cap nodes, or for the root alone
             if max(self.lam) * max(self.node_cap, 1) >= POISSON_MAX:
                 raise ValueError(
                     f"{self.kind} needs max lambda * max(node_cap, 1) below "
                     f"numpy's Poisson limit {POISSON_MAX:.3g}")
-        if "n" in reads and not all(0 < n <= MAX_N for n in self.n_list):
+        if not all(0 < n <= MAX_N for n in self.n_list):
             raise ValueError(f"n values must lie in [1, {MAX_N}]")
-        if "replicas" in reads and self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        if "samples" in reads and self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if "d" in reads and not 0 <= self.d <= 2:
+        for key, low in (("replicas", 1), ("samples", 1), ("seed", 0),
+                         ("depth_cap", 0), ("node_cap", 0), ("workers", 1)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}")
+        if not 0 <= self.d <= 2:
             raise ValueError("ball depth d must lie in [0, 2]")
-        if "ell_max" in reads and not 1 <= self.ell_max <= ELL_MAX:
+        if not 1 <= self.ell_max <= ELL_MAX:
             raise ValueError(f"ell_max must lie in [1, {ELL_MAX}]")
         if "eps" in reads:
             analytic.check_eps_grid(self.k, self.eps_grid)
-        if "seed" in reads and self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if "workers" in reads and self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     def to_flat_dict(self) -> dict[str, str]:
-        # out says where a record goes, not what it holds
-        flat = {key: getattr(self, f.name)
-                for key, f in CONFIG_KEYS.items() if key != "out"}
+        """kind, k and the keys the kind reads, as config-file text."""
+        flat = {key: getattr(self, CONFIG_KEYS[key].name)
+                for key in ("kind", "k", *KINDS[self.kind].reads)}
         return {key: ",".join(map(repr, val)) if isinstance(val, tuple)
                 else str(val) for key, val in flat.items()}
 
@@ -171,16 +166,24 @@ def _parse_value(default, text: str):
 
 
 def config_from_mapping(items: dict[str, str]) -> ExperimentConfig:
+    """items' kind, out and the keys the kind reads, k = len(lambda) if it
+    reads lambda; other keys are dropped, so a file can serve many kinds."""
     unknown = sorted(set(items) - set(CONFIG_KEYS))
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    kind = items.get("kind")
+    taken = ("kind", "out", *(KINDS[kind].reads if kind in KINDS else ()))
     kwargs = {}
     for key, text in items.items():
+        if key not in taken:
+            continue
         f = CONFIG_KEYS[key]
         try:
             kwargs[f.name] = _parse_value(f.default, text)
         except ValueError:
             raise ValueError(f"bad value for {key}: {text!r}") from None
+    if "lam" in kwargs:
+        kwargs["k"] = len(kwargs["lam"])
     return ExperimentConfig(**kwargs)
 
 
@@ -536,7 +539,7 @@ KINDS = {
                               "workers")),
     # the constant depends on k alone
     "near-critical": Kind("near-critical", _near_critical, 2, ENGINE_MAX_K,
-                          ("eps",)),
+                          ("k", "eps")),
     "sample-ecer": Kind("sample-ecer", None, 1, math.inf,
                         ("lambda", "n", "seed")),
 }

@@ -7,6 +7,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -22,7 +23,7 @@ import caperc
 from caperc import cap, cli
 from caperc.analytic import f_infinity_inclusion_exclusion
 from caperc.cli import main
-from caperc.experiments import CONFIG_KEYS, KINDS, ExperimentConfig
+from caperc.experiments import CONFIG_KEYS, KINDS
 from caperc.graph import (
     EdgeColoredGraph,
     connected_components,
@@ -51,9 +52,10 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
 
 
 def test_invalid_config_exits_2(capsys):
-    # lambda length does not match k
+    # analytic takes k from lambda's length, so --k is a usage error
     assert main(["analytic", "--k", "3", "--lambda", "2,2"]) == 2
-    assert "config error" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "config error: unrecognized arguments: --k 3\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -143,9 +145,28 @@ def test_invalid_experiment_input_exits_2(tmp_path, capsys, argv):
     ["near-critical", "--k", "3", "--lambda", "0,1"],
     ["analytic", "--lambda", "2,2", "--seed", "-1"],
 ])
-def test_a_value_the_kind_does_not_read_is_not_checked(capsys, argv):
-    assert main(argv) == 0
-    capsys.readouterr()
+def test_a_value_the_kind_does_not_read_is_not_checked(tmp_path, capsys,
+                                                       argv):
+    # as a flag it is a usage error; in a config file it is dropped
+    # unchecked, and the record does not hold it
+    command, reads = argv[0], KINDS[_KIND_OF[argv[0]]].reads
+    flags = list(zip(argv[1::2], argv[2::2]))
+    unread = {flag[2:].replace("-", "_"): value for flag, value in flags}
+    unread = {key: value for key, value in unread.items() if key not in reads}
+    assert unread
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unrecognized arguments: ")
+    assert err.count("\n") == 1
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{key}={val}\n" for key, val in unread.items()))
+    read_flags = [arg for flag, value in flags
+                  if flag[2:].replace("-", "_") in reads
+                  for arg in (flag, value)]
+    assert main([command, *read_flags, "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    if command != "sample-ecer":
+        assert not set(unread) & set(json.loads(out)["config"])
 
 
 def test_unwritable_out_is_reported_before_the_run(tmp_path, capsys,
@@ -193,13 +214,47 @@ def test_sample_ecer_config_file_names_its_own_kind(tmp_path, capsys):
 
 def test_every_subcommand_but_components_is_one_kind():
     parser = cli.build_parser()
-    (action,) = [a for a in parser._actions
-                 if isinstance(a, argparse._SubParsersAction)]
     commands = [spec.command for spec in KINDS.values()]
-    assert sorted(action.choices) == sorted(commands + ["components"])
+    assert sorted(_subparsers()) == sorted(commands + ["components"])
     for kind, spec in KINDS.items():
         assert parser.parse_args([spec.command]).kind == kind
     assert not hasattr(parser.parse_args(["components", "g.txt"]), "kind")
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    (action,) = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _flags(parser: argparse.ArgumentParser) -> list[str]:
+    return [flag for a in parser._actions for flag in a.option_strings
+            if flag not in ("-h", "--help")]
+
+
+def test_each_subcommand_takes_the_flags_its_kind_reads():
+    subparsers = _subparsers()
+    counted = 0
+    for spec in KINDS.values():
+        flags = _flags(subparsers[spec.command])
+        assert sorted(flags) == sorted(
+            ["--config", "--out",
+             *("--" + key.replace("_", "-") for key in spec.reads)])
+        assert ("--k" in flags) == (spec.command == "near-critical")
+        counted += len(flags)
+    assert counted == 38
+
+
+def test_readme_lists_each_subcommand_s_flags():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text().split("## Command line", 1)[1]
+    text = text.split("Exit codes", 1)[0]
+    # "- `command`: ..." items, each up to the next item or blank line
+    listed = {m[1]: sorted(set(re.findall(r"`(--[a-z-]+)", m[2])))
+              for m in re.finditer(r"^- `([a-z-]+)`:(.*?)(?=^- |^$)", text,
+                                   re.M | re.S)}
+    assert listed == {command: sorted(_flags(parser))
+                      for command, parser in _subparsers().items()}
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -216,27 +271,64 @@ def _other_value(default) -> str:
     return str(default + 1)
 
 
+# for each key, a cheap run of a kind that reads it
+_READER = {
+    "k": ["near-critical"],
+    "lambda": ["ecbp-mc", "--samples", "10"],
+    "n": ["convergence", "--replicas", "1"],
+    "replicas": ["convergence", "--n", "10"],
+    "samples": ["ecbp-mc"],
+    "seed": ["convergence", "--n", "10", "--replicas", "1"],
+    "depth_cap": ["ecbp-mc", "--samples", "10"],
+    "node_cap": ["ecbp-mc", "--samples", "10"],
+    "ell_max": ["analytic"],
+    "eps": ["near-critical"],
+    "d": ["local-weak", "--lambda", "1,1", "--n", "50", "--replicas", "1"],
+    # one task: no pool is started
+    "workers": ["convergence", "--n", "10", "--replicas", "1"],
+}
+
+
 @pytest.mark.parametrize(
     "key", [key for key in CONFIG_KEYS if key not in ("kind", "out")])
 def test_flag_and_config_line_give_the_same_config(tmp_path, capsys, key):
-    # near-critical reads none of lambda, n, samples or workers, so one
-    # cheap run checks every key
     value = _other_value(CONFIG_KEYS[key].default)
     path = tmp_path / "run.cfg"
     path.write_text(f"{key} = {value}\n")
     configs = []
-    for argv in (["--" + key.replace("_", "-"), value],
+    for argv in ([], ["--" + key.replace("_", "-"), value],
                  ["--config", str(path)]):
-        assert main(["near-critical", *argv]) == 0
+        assert main([*_READER[key], *argv]) == 0
         configs.append(json.loads(capsys.readouterr().out)["config"])
-    assert configs[0] == configs[1]
-    default = ExperimentConfig(kind="near-critical").to_flat_dict()
-    assert {k for k in default if configs[0][k] != default[k]} == {key}
+    assert configs[1] == configs[2]
+    assert {k for k in configs[0] if configs[1][k] != configs[0][k]} == {key}
 
 
-def test_unknown_kind_protected_by_argparse():
-    with pytest.raises(SystemExit):
-        main(["no-such-command"])
+def test_unknown_kind_protected_by_argparse(capsys):
+    assert main(["no-such-command"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: argument command: invalid choice: "
+                          "'no-such-command' (choose from 'analytic', ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["ecbp-mc", "--samples"], "argument --samples: expected one argument"),
+    (["ecbp-mc", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    # no abbreviations: --n does not stand for --node-cap
+    (["ecbp-mc", "--n", "7"], "unrecognized arguments: --n 7"),
+])
+def test_a_usage_error_is_one_config_error_line(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ecbp-mc", "--help"])
+    assert exc.value.code == 0
+    assert "--node-cap" in capsys.readouterr().out
 
 
 def test_near_critical_cli(capsys):
@@ -271,14 +363,22 @@ def test_near_critical_cli_checks_noise_floors(capsys, argv, passed):
                                                        res["ratios"]))
 
 
-def test_near_critical_cli_reads_no_lambda(capsys):
+def test_near_critical_cli_reads_no_lambda(tmp_path, capsys):
     # the README command: k = 3 alongside the default two-entry lambda
     assert main(["near-critical", "--k", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["k"] == 3
-    # nor does a lambda set k: this runs at the default k = 2
-    assert main(["near-critical", "--lambda", "1,1,1"]) == 0
+    # nor does it take a lambda: as a flag it is a usage error, and a config
+    # file's lambda sets no k, so this runs at the default k = 2
+    assert main(["near-critical", "--lambda", "1,1,1"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: unrecognized arguments: --lambda 1,1,1\n")
+    path = tmp_path / "run.cfg"
+    path.write_text("lambda=1,1,1\n")
+    assert main(["near-critical", "--config", str(path)]) == 0
     record = json.loads(capsys.readouterr().out)
-    assert record["config"]["k"] == "2" and record["results"]["k"] == 2
+    assert record["config"] == {"kind": "near-critical", "k": "2",
+                                "eps": "0.01,0.005,0.002,0.001"}
+    assert record["results"]["k"] == 2
 
 
 def test_analytic_cli_infers_k(capsys):
@@ -714,6 +814,162 @@ def _run_main(argv) -> tuple[int, str, str]:
         assert err.getvalue().startswith("config error: ")
         assert err.getvalue().count("\n") == 1
     return code, out.getvalue(), err.getvalue()
+
+
+def _ints(lo: int, hi: int, edges: list[str]):
+    """One int in [lo, hi], at an edge of it or from _BAD_ENTRIES."""
+    return (st.integers(lo, hi).map(str) | st.sampled_from(edges)
+            | st.sampled_from(_BAD_ENTRIES))
+
+
+# a value for each schema key: in range, with the sizes kept small, at an
+# edge, or bad; workers is 1 in range, as a pool would start processes
+_VALUES = {
+    "k": _K,
+    "lambda": _LAMBDA,
+    "n": _entries(st.integers(1, 60), ["1", "60"]),
+    "replicas": _ints(1, 2, ["1"]),
+    "samples": _ints(1, 200, ["200"]),
+    "seed": _ints(0, 2**32, ["99999999999999999999"]),
+    "depth_cap": _ints(0, 50, ["0"]),
+    "node_cap": _ints(0, 1000, [str(10**19)]),
+    "ell_max": _ints(1, 20, ["1001"]),
+    "eps": _EPS,
+    "d": _ints(0, 2, ["3"]),
+    "workers": st.just("1") | st.sampled_from(_BAD_ENTRIES),
+}
+# the sizes each run is given, so that it stays cheap
+_SIZES = {"ecbp-mc": ["samples"], "convergence": ["n", "replicas"],
+          "local-weak": ["n", "replicas"], "sample-ecer": ["n"]}
+_KIND_OF = {spec.command: kind for kind, spec in KINDS.items()}
+
+
+@st.composite
+def _experiment_argvs(draw, command: str) -> list[str]:
+    """command with its size flags and up to four more schema flags, each
+    one its kind reads or, as often, any schema flag."""
+    reads = KINDS[_KIND_OF[command]].reads
+    more = st.sampled_from(reads) | st.sampled_from(sorted(_VALUES))
+    keys = _SIZES[command] + draw(st.lists(more, max_size=4, unique=True))
+    return [command, *(draw(_flag(key.replace("_", "-"), _VALUES[key]))
+                       for key in keys)]
+
+
+def _check_run(command: str, out_dir: str, code: int, out: str,
+               err: str) -> None:
+    """A run that did not exit 2 wrote its record to stdout, or, for
+    sample-ecer, its dump to out_dir."""
+    if code == 2:
+        return
+    if command == "sample-ecer":
+        (dump,) = Path(out_dir).glob("*.txt")
+        assert err == f"wrote {dump}\n" and not out
+    else:
+        assert not err
+        json.loads(out, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("command", sorted(_SIZES))
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_experiments_exit_0_1_or_2_on_any_flag(command, data):
+    argv = data.draw(_experiment_argvs(command), label="argv")
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "sample-ecer":
+            argv.append(f"--out={tmp}")
+        _check_run(command, tmp, *_run_main(argv))
+
+
+@st.composite
+def _config_files(draw, command: str) -> bytes:
+    """A config file for command: its sizes and up to four more schema
+    keys, read or not, then perhaps an unknown key, a kind line, a comment,
+    a line without "=" or a line given twice, all in any order, and perhaps
+    a byte that is not UTF-8."""
+    keys = _SIZES.get(command, []) + draw(
+        st.lists(st.sampled_from(sorted(_VALUES)), max_size=4))
+    lines = [f"{key}={draw(_VALUES[key])}" for key in dict.fromkeys(keys)]
+    lines += draw(st.lists(st.sampled_from(
+        ["sample=500", f"kind={_KIND_OF[command]}", "kind=ecbp-mc",
+         "# comment", "", "no equals sign"]), max_size=2))
+    lines += draw(st.sampled_from([[], [], [], lines[:1]]))
+    data = "\n".join(draw(st.permutations(lines))).encode()
+    cut = draw(st.integers(0, len(data)))
+    bad_byte = draw(st.sampled_from([b""] * 4 + [b"\xff", b"\xc3"]))
+    return data[:cut] + bad_byte + data[cut:]
+
+
+@given(st.sampled_from(sorted(_KIND_OF)).flatmap(
+    lambda command: st.tuples(st.just(command), _config_files(command))))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_experiments_exit_0_1_or_2_on_any_config_file(case):
+    command, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_bytes(data)
+        argv = [command, "--config", str(path)]
+        if command == "sample-ecer":
+            argv += ["--out", tmp]
+        _check_run(command, tmp, *_run_main(argv))
+
+
+_ELAPSED = re.compile(rb'"elapsed_s": [-+.0-9eE]+')
+# a cheap run of each kind that writes a record, as config-file lines
+_SMALL_RUNS = {
+    "analytic": "lambda=2,2\n",
+    "ecbp-mc": "lambda=2,2\nsamples=50\nseed=1\n",
+    "convergence": "lambda=2,2\nn=30,60\nreplicas=1\n",
+    "local-weak": "lambda=1,1\nn=60\nreplicas=1\n",
+    "near-critical": "k=3\n",
+}
+
+
+@st.composite
+def _unread_lines(draw) -> tuple[str, str]:
+    """A command of _SMALL_RUNS and a config line its kind does not read,
+    with any value: one of _VALUES or printable ASCII text."""
+    command = draw(st.sampled_from(sorted(_SMALL_RUNS)))
+    reads = KINDS[_KIND_OF[command]].reads
+    key = draw(st.sampled_from([key for key in _VALUES if key not in reads]))
+    value = draw(_VALUES[key] | st.text(st.characters(min_codepoint=32,
+                                                      max_codepoint=126)))
+    return command, f"{key}={value}\n"
+
+
+@given(_unread_lines())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_an_unread_config_key_changes_no_byte_of_the_record(case):
+    command, line = case
+    written = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in (("a", ""), ("b", line)):
+            path = Path(tmp) / f"{name}.cfg"
+            path.write_text(_SMALL_RUNS[command] + text)
+            code, out, _ = _run_main([command, "--config", str(path),
+                                      "--out", f"{tmp}/{name}"])
+            assert code == 0
+            (run_dir,) = Path(tmp, name).iterdir()
+            written.append((run_dir.name, _ELAPSED.sub(
+                b"", (run_dir / "record.json").read_bytes())))
+    assert written[0] == written[1]
+
+
+def test_ecbp_mc_writes_one_run_whatever_unread_keys_its_file_names(
+        tmp_path, capsys):
+    argv = ["ecbp-mc", "--lambda", "2,2", "--samples", "2000", "--seed", "1",
+            "--out", str(tmp_path / "runs")]
+    records = set()
+    for line in ("", "eps=0.5,0.1\n", "n=7\n"):
+        path = tmp_path / "run.cfg"
+        path.write_text(line)
+        assert main([*argv, "--config", str(path)]) == 0
+        capsys.readouterr()
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        records.add(_ELAPSED.sub(b"", (run_dir / "record.json").read_bytes()))
+    assert len(records) == 1
+    assert main([*argv, "--eps", "0.5,0.1"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: unrecognized arguments: --eps 0.5,0.1\n")
 
 
 _DUMP_TOKENS = st.integers(-1, 6).map(str) | st.sampled_from(

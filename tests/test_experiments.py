@@ -1,5 +1,6 @@
 """Experiment runner tests: config parsing, hashing, determinism, artifacts."""
 
+import hashlib
 import json
 import math
 from collections import Counter
@@ -14,6 +15,7 @@ from caperc.analytic import near_critical_constant
 from caperc.cli import main
 from caperc.experiments import (
     CONFIG_KEYS,
+    KINDS,
     ExperimentConfig,
     config_from_mapping,
     dumps,
@@ -61,16 +63,21 @@ def test_config_from_mapping_and_file(tmp_path):
 
 
 def test_record_keys_are_the_config_keys():
-    assert set(ExperimentConfig(kind="ecbp-mc").to_flat_dict()) == (
-        set(CONFIG_KEYS) - {"out"})
+    # kind, k and the keys the kind reads, each a schema key
+    for kind, spec in KINDS.items():
+        keys = {"kind", "k", *spec.reads}
+        assert keys <= set(CONFIG_KEYS) - {"out"}
+        assert set(ExperimentConfig(kind=kind).to_flat_dict()) == keys
 
 
+# every key away from its default, each on a kind that reads it
 @pytest.mark.parametrize("cfg", [
-    ExperimentConfig(kind="near-critical"),
+    ExperimentConfig(kind="near-critical", k=3, eps_grid=(0.3, 0.1)),
     ExperimentConfig(kind="ecbp-mc", k=3, lam=(0.1 + 0.2, 0.5, 0.7),
-                     samples=7, depth_cap=0, node_cap=0, workers=2),
+                     samples=7, depth_cap=0, node_cap=0, ell_max=9,
+                     workers=2),
     ExperimentConfig(kind="local-weak-check", n_list=(10, 30), replicas=2,
-                     seed=11, ell_max=9, eps_grid=(0.3, 0.1), d=0),
+                     seed=11, d=0),
 ])
 def test_flat_dict_round_trip(cfg):
     assert config_from_mapping(cfg.to_flat_dict()) == cfg
@@ -81,21 +88,48 @@ def test_unknown_config_key_rejected():
         config_from_mapping({"kind": "ecbp-mc", "sample": "500"})
 
 
-# values computed by the hand-written key lists that preceded CONFIG_KEYS;
-# k as the CLI infers it from lambda
+def test_config_from_mapping_drops_the_keys_its_kind_does_not_read():
+    # unread keys are not parsed; k follows lambda where lambda is read
+    cfg = config_from_mapping({"kind": "ecbp-mc", "k": "5", "lambda": "2,3",
+                               "n": "x", "eps": "", "d": "-1"})
+    assert cfg == ExperimentConfig(kind="ecbp-mc", lam=(2.0, 3.0))
+    cfg = config_from_mapping({"kind": "near-critical", "k": "4",
+                               "lambda": "1", "samples": "0"})
+    assert cfg == ExperimentConfig(kind="near-critical", k=4)
+    with pytest.raises(ValueError, match="bad value for eps"):
+        config_from_mapping({"kind": "near-critical", "eps": "x"})
+
+
+# the sha256 of kind, k and the read keys but workers, as sorted key=value
+# lines
 @pytest.mark.parametrize("items, expected", [
     ({"kind": "ecbp-mc", "k": "2", "lambda": "2,2", "samples": "1000",
-      "seed": "3"}, "ac7926917dc1"),
+      "seed": "3"}, "326fd7cce937"),
     ({"kind": "ecer-convergence", "k": "2", "lambda": "2,2", "n": "200000",
-      "replicas": "1", "seed": "5", "workers": "1"}, "49ed2a7be11b"),
-    ({"kind": "near-critical", "k": "3"}, "1692fb66effb"),
+      "replicas": "1", "seed": "5", "workers": "1"}, "1c88b9279947"),
+    ({"kind": "near-critical", "k": "3"}, "4a91b09945cc"),
     ({"kind": "analytic-report", "k": "3", "lambda": "0.31,0.29,0.333333"},
-     "68f03404d379"),
+     "60f8a21f781e"),
     ({"kind": "near-critical", "k": "2", "eps": "0.02,0.01"},
-     "255ac62f7d74"),
+     "5de7a1387232"),
 ])
 def test_config_hash_pinned(items, expected):
     assert config_from_mapping(items).config_hash() == expected
+
+
+def test_config_hash_is_the_digest_of_kind_k_and_the_read_keys():
+    cfg = config_from_mapping({"kind": "ecbp-mc", "lambda": "2,2",
+                               "samples": "1000", "seed": "3", "n": "7",
+                               "workers": "3"})
+    blob = ("depth_cap=40\nell_max=5\nk=2\nkind=ecbp-mc\nlambda=2.0,2.0\n"
+            "node_cap=1000000\nsamples=1000\nseed=3")
+    assert cfg.config_hash() == hashlib.sha256(blob.encode()).hexdigest()[:12]
+    # a value set on a kind that does not read it is neither recorded nor
+    # hashed
+    unread = ExperimentConfig(kind="ecbp-mc", lam=(2.0, 2.0), samples=1000,
+                              seed=3, workers=3, n_list=(7,), d=2)
+    assert unread.to_flat_dict() == cfg.to_flat_dict()
+    assert unread.config_hash() == cfg.config_hash()
 
 
 @pytest.mark.parametrize("k, grid", [

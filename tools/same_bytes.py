@@ -11,14 +11,15 @@ tree):
     python tools/same_bytes.py /path/to/parent/src src --jobs 2
 
 It prints each difference and a summary, and exits 1 if anything differs.
-The list holds the README's commands and 315 more: `analytic` at k = 2..13
+The list holds the README's commands and 317 more: `analytic` at k = 2..13
 over four lambda ranges, six points each (both regimes of the
 generating-function check, and points below and near criticality), and at
 k = 14..16, one point per range, where the layer tables of the p_I solve
 go from kept to built for each run in blocks, `near-critical --k 2..7`,
 `convergence` at k = 2, 3 and 4 and at lambda = (1, 1), where the meet
 sorts about a quarter of the vertices, `components` on a lambda = (1, 1)
-dump, two `ecbp-mc` runs and `analytic --ell-max 40`.
+dump, two `ecbp-mc` runs, `analytic --ell-max 40`, and `ecbp-mc` and
+`near-critical` run from one config file that names keys for both.
 """
 
 from __future__ import annotations
@@ -34,6 +35,14 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ELAPSED = re.compile(rb'"elapsed_s": [-+.0-9eE]+')
+
+# config files, written into the working directory of each group that
+# names one; each subcommand takes the keys it reads and drops the rest
+CONFIG_FILES = {
+    "two-kinds.cfg": "# ecbp-mc reads lambda, samples and seed, "
+                     "near-critical k and eps\nlambda=0.9,0.8,0.7\n"
+                     "samples=3000\nseed=6\nk=3\neps=0.02,0.01\nn=7\n",
+}
 
 # run in order in one directory, so that components finds sample-ecer's dump
 README = [
@@ -91,6 +100,8 @@ def commands() -> list[list[list[str]]]:
         [["ecbp-mc", "--lambda", "0.9,0.8,0.7", "--samples", "5000",
           "--seed", "2", "--out", "runs/"]],
         [["analytic", "--lambda", "1.5,0.5", "--ell-max", "40"]],
+        [["ecbp-mc", "--config", "two-kinds.cfg", "--out", "runs/"],
+         ["near-critical", "--config", "two-kinds.cfg"]],
     ]
     return groups
 
@@ -100,6 +111,9 @@ def run_group(src: Path, group: list[list[str]]) -> dict[str, bytes]:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     out: dict[str, bytes] = {}
     with tempfile.TemporaryDirectory() as cwd:
+        for name, text in CONFIG_FILES.items():
+            if any(name in argv for argv in group):
+                Path(cwd, name).write_text(text)
         for i, argv in enumerate(group):
             proc = subprocess.run([sys.executable, "-m", "caperc", *argv],
                                   cwd=cwd, env=env, capture_output=True)
