@@ -17,7 +17,6 @@ from .cap import CapDecomposition, color_avoiding_partition
 from .ecbp import (
     FriendCountOutcome,
     mc_component_size_distribution,
-    mc_f_infinity,
 )
 from .graph import (
     EdgeColoredGraph,
@@ -38,7 +37,6 @@ __all__ = [
     "f_infinity_generating_function",
     "f_infinity_inclusion_exclusion",
     "mc_component_size_distribution",
-    "mc_f_infinity",
     "near_critical_constant",
     "sample_ecer",
     "solve_p_system",

@@ -72,8 +72,12 @@ class CapDecomposition:
     @classmethod
     def from_graph(cls, g: EdgeColoredGraph) -> "CapDecomposition":
         labels = color_avoiding_partition(g)
-        _, block_sizes = np.unique(labels, return_counts=True)
-        sizes, counts = np.unique(block_sizes, return_counts=True)
+        # labels are least vertices, so the count at v is the size of the
+        # block v is least of (0 at any other vertex), and counting those
+        # counts gives the number of blocks of each size, with no sort
+        per_size = np.bincount(np.bincount(labels))
+        sizes = np.flatnonzero(per_size[1:]) + 1
+        counts = per_size[sizes]
         size_counts = dict(zip(sizes.tolist(), counts.tolist()))
         hist = {s: Fraction(s * c, g.n) for s, c in size_counts.items()}
         max_size = int(sizes[-1]) if sizes.size else 0

@@ -1,9 +1,8 @@
-"""Edge-colored Poisson branching-process estimators: counts-first core
-growth, batched friend counting (at k = 2 grown as two single-color
-Galton-Watson clusters and drawn from their counts, at k >= 3 resolved in
-numpy with exact typing of the unrevealed subtrees), and Monte Carlo
-estimators of the friend-count distribution and of the infinite-class
-density."""
+"""Edge-colored Poisson branching-process estimators: batched friend
+counting (at k = 2 grown as two single-color Galton-Watson clusters and
+drawn from their counts, at k >= 3 resolved in numpy with exact typing of
+the unrevealed subtrees) and the Monte Carlo estimator of the friend-count
+distribution."""
 
 from __future__ import annotations
 
@@ -15,7 +14,6 @@ import numpy as np
 
 from .analytic import (
     check_small_subsets,
-    classify_lambda,
     extended_type_distribution,
     subset_sums,
     theta_avoid,
@@ -33,10 +31,6 @@ POISSON_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 # the samplers' default caps: levels grown, and nodes held, per sample
 DEPTH_CAP = 40
 NODE_CAP = 10**6
-
-
-class CoreOverflow(Exception):
-    """A core sample has more nodes than the node cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -58,89 +52,6 @@ def _growth_table(lam: LambdaVector, min_bits: int):
     scatter = np.zeros((len(entries), full + 1), dtype=np.int64)
     scatter[np.arange(len(entries)), [cm for *_, cm in entries]] = 1
     return entries, entry_mask, entry_lam, scatter
-
-
-# samples core_counts grows together (fastest of 1024..65536, measured)
-_CORE_BLOCK = 16384
-
-
-def core_counts(lam, samples: int, rng: np.random.Generator,
-                node_cap: int = NODE_CAP) -> np.ndarray:
-    """(samples, 2^k) node totals per avoid-mask on i.i.d. trees: the root
-    in column full, the core (root paths with at most k-2 colors) in the
-    columns with >= 2 bits, its (i,) chronology layer in full ^ (1 << i),
-    and the boundary b_i in column 1 << i.
-
-    Growth is counts-first, from the masks with the most avoided colors
-    down: given the totals above, Poisson(sum of N_m' * lambda_c over
-    entries m' -c-> m) nodes arrive in mask m, and each grows a subcritical
-    Poisson(lambda of the colors m has used) subtree inside m. Boundary
-    nodes (one avoided color) are counted, never grown. Raises CoreOverflow
-    when a sample's core has more than node_cap nodes.
-    """
-    lam = as_lambda(lam)
-    check_small_subsets(lam, "core growth")
-    full = (1 << lam.k) - 1
-    entries, entry_mask, entry_lam, scatter = _growth_table(lam, 2)
-    child = np.array([cm for *_, cm in entries])
-    bits = subset_sums([1] * lam.k)
-    stay = child == entry_mask
-    # mean children that stay in a mask: the colors it has used
-    mu = np.bincount(entry_mask[stay], entry_lam[stay], minlength=full + 1)
-    out = np.zeros((samples, full + 1), dtype=np.int64)
-    out[:, full] = 1
-    for lo in range(0, samples, _CORE_BLOCK):
-        totals = out[lo:lo + _CORE_BLOCK]
-        for p in range(lam.k - 1, 0, -1):
-            into = ~stay & (bits[child] == p)
-            cols = np.flatnonzero(bits == p)
-            arrived = rng.poisson((totals[:, entry_mask[into]]
-                                   * entry_lam[into])
-                                  @ scatter[np.ix_(into, cols)])
-            totals[:, cols] = (_progeny(arrived, mu[cols], rng) if p >= 2
-                               else arrived)
-        if (totals[:, bits >= 2].sum(axis=1) > node_cap).any():
-            raise CoreOverflow(f"core node cap {node_cap} exceeded")
-    return out
-
-
-def _progeny(start: np.ndarray, mean: np.ndarray,
-             rng: np.random.Generator) -> np.ndarray:
-    """Total progeny, start counted, of Poisson(mean[j]) Galton-Watson
-    processes started from start[:, j] individuals, mean[j] < 1."""
-    total = start.copy()
-    flat = total.reshape(-1)
-    idx = np.flatnonzero(flat)
-    gen = flat[idx]
-    mu = np.broadcast_to(mean, start.shape).reshape(-1)[idx]
-    while idx.size:
-        gen = rng.poisson(mu * gen)
-        keep = gen > 0
-        idx, gen, mu = idx[keep], gen[keep], mu[keep]
-        flat[idx] += gen
-    return total
-
-
-def mc_f_infinity(lam, samples: int,
-                  rng: np.random.Generator) -> tuple[float, float]:
-    """Monte Carlo estimate of the infinite-class density: the sample mean of
-    prod_i (1 - (1 - theta_i)^{b_i}) over i.i.d. core samples.
-
-    Returns exactly (0.0, 0.0) outside the fully supercritical regime.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    lam = as_lambda(lam)
-    if not classify_lambda(lam).fully_supercritical:
-        return 0.0, 0.0
-    miss = 1.0 - theta_avoid(lam)
-    boundary = 1 << np.arange(lam.k)
-    # drawn and evaluated one block at a time, so only the values are kept
-    vals = np.concatenate([
-        np.prod(1.0 - miss ** core_counts(
-            lam, min(_CORE_BLOCK, samples - lo), rng)[:, boundary], axis=1)
-        for lo in range(0, samples, _CORE_BLOCK)])
-    return float(vals.mean()), float(vals.std() / math.sqrt(samples))
 
 
 # ---------------------------------------------------------------------------

@@ -18,40 +18,49 @@ MAX_N = math.isqrt(np.iinfo(np.int64).max)
 def _canonical_edges(edges, n: int, color: int,
                      copy: bool = True) -> np.ndarray:
     """Validate and canonicalize one color's edge list to a sorted (m, 2)
-    int64 array with u < v per row, unique rows. The result is never a view
-    of `edges` unless copy is False and `edges` is canonical already."""
+    int64 array with u < v per row, unique rows, column-major so that the u
+    and v columns are contiguous. The result is never a view of `edges`
+    unless copy is False and `edges` is canonical and column-major
+    already."""
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
-    arr = (np.array if copy else np.asarray)(edges, dtype=np.int64)
+    arr = (np.array if copy else np.asarray)(edges, dtype=np.int64,
+                                             order="F")
     if arr.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"color {color}: edge list must be pairs")
     if arr.min() < 0 or arr.max() >= n:
         raise ValueError(f"color {color}: endpoint out of range")
+    u, v = arr[:, 0], arr[:, 1]
     # u < v rows with strictly rising keys (sample_ecer's) are canonical
-    key = arr[:, 0] * n
-    key += arr[:, 1]
-    if np.all(arr[:, 0] < arr[:, 1]) and np.all(key[1:] > key[:-1]):
+    key = u * n
+    key += v
+    if np.all(u < v) and np.all(key[1:] > key[:-1]):
         return arr
-    lo = np.minimum(arr[:, 0], arr[:, 1])
-    hi = np.maximum(arr[:, 0], arr[:, 1])
+    lo = np.minimum(u, v)
+    hi = np.maximum(u, v)
     if np.any(lo == hi):
         raise ValueError(f"color {color}: self-loop")
-    arr = np.stack([lo, hi], axis=1)
     key = lo * n + hi
     order = np.argsort(key, kind="stable")
     key = key[order]
     if np.any(key[1:] == key[:-1]):
         raise ValueError(f"color {color}: duplicate edge within one color")
-    return arr[order]
+    out = np.empty(arr.shape, dtype=np.int64, order="F")
+    np.take(lo, order, out=out[:, 0])
+    np.take(hi, order, out=out[:, 1])
+    return out
 
 
 class EdgeColoredGraph:
     """n vertices plus k per-color edge sets.
 
     Within one color each pair appears at most once; the same pair may appear
-    in several colors. Immutable after construction.
+    in several colors. Each color's edges are a read-only (m, 2) int64 array
+    of u < v rows sorted by (u, v), stored column-major (Fortran order), so
+    that the u and v columns that the checks, the hooking and the pair
+    gathers read are contiguous. Immutable after construction.
     """
 
     def __init__(self, n: int, edge_sets: Sequence[Iterable]):
@@ -92,9 +101,9 @@ class EdgeColoredGraph:
 
 def _pair_index_to_edge(idx: np.ndarray, n: int) -> np.ndarray:
     """Decode int64 linear indices of the row-major upper-triangle pair
-    enumeration ((0,1),(0,2),...,(0,n-1),(1,2),...) into an (m, 2) int64
-    array of (u, v) rows."""
-    edges = np.empty((idx.size, 2), dtype=np.int64)
+    enumeration ((0,1),(0,2),...,(0,n-1),(1,2),...) into a column-major
+    (m, 2) int64 array of (u, v) rows."""
+    edges = np.empty((idx.size, 2), dtype=np.int64, order="F")
     u, v = edges[:, 0], edges[:, 1]
     # u is the largest with idx >= offset(u) = u(2n - 1 - u)/2: take the
     # triangular-root formula's floor, then fix rounding in passes
@@ -129,9 +138,29 @@ def _pair_index_to_edge(idx: np.ndarray, n: int) -> np.ndarray:
     return edges
 
 
+def _geometric(p: float, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m draws of rng.geometric(p), the same values and generator state.
+
+    Below p = 1/3 numpy inverts an exponential draw, ceil(-E / log1p(-p)),
+    with log1p taken once per draw; here it is taken once per call. Values
+    are clamped to 2^62 (numpy clamps at INT64_MAX), which no skip cap
+    reaches. From p = 1/3 on, numpy searches, and that is called as it is.
+    """
+    if p >= 1 / 3:
+        return rng.geometric(p, size=m)
+    buf = rng.standard_exponential(m)
+    with np.errstate(over="ignore"):  # tiny p: the skip is infinite
+        buf /= -math.log1p(-p)
+    np.ceil(buf, out=buf)
+    np.minimum(buf, 2.0 ** 62, out=buf)
+    return buf.astype(np.int64)
+
+
 def _sample_pair_subset(total: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """Strictly increasing linear pair indices, each of the `total` positions
-    included independently with probability p, via geometric skipping."""
+    included independently with probability p, via geometric skipping; the
+    skips are rng.geometric's draws, for p < 1/3 by one inversion of an
+    exponential draw each (`_geometric`)."""
     if total <= 0 or p <= 0.0:
         return np.empty(0, dtype=np.int64)
     if p >= 1.0:
@@ -149,7 +178,7 @@ def _sample_pair_subset(total: int, p: float, rng: np.random.Generator) -> np.nd
         left = max(expect - drawn, 0)
         m = max(256, int(left + 6 * math.sqrt(left)) + 64)
         drawn += m
-        pts = rng.geometric(p, size=m)
+        pts = _geometric(p, m, rng)
         np.minimum(pts, cap, out=pts)
         np.cumsum(pts, out=pts)
         pts += pos
@@ -245,7 +274,9 @@ def load_graph(fh: IO[str]) -> EdgeColoredGraph:
     if bad.any():
         raise ValueError(f"color {rows[bad.argmax(), 0]} out of range")
     # one stable sort by color; each color's rows, in file order, copied
+    # column-major (a copy even where a one-row slice is a contiguous view)
     rows = rows[np.argsort(rows[:, 0], kind="stable")]
     bounds = np.searchsorted(rows[:, 0], np.arange(k + 1))
     return EdgeColoredGraph._adopt(
-        n, [rows[a:b, 1:].copy() for a, b in zip(bounds, bounds[1:])])
+        n, [np.array(rows[a:b, 1:], order="F")
+            for a, b in zip(bounds, bounds[1:])])

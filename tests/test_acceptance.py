@@ -10,7 +10,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from caperc import ecbp
 from caperc.analytic import (
     DEFAULT_EPS_GRID,
     _residuals,
@@ -30,6 +29,7 @@ from caperc.experiments import (
 from caperc.graph import sample_ecer
 from caperc.localweak import ecer_ball_counts, restricted_tv
 from caperc.params import as_lambda
+import oracles
 from oracles import brute_force_cap_partition, color_strings, phi_eval
 
 
@@ -189,9 +189,10 @@ def mc_phi1_estimate(lam, z: dict[tuple[int, ...], float], samples: int,
         raise ValueError("z values must lie in (0, 1]")
     layers = ((1 << lam.k) - 1) ^ (1 << np.arange(lam.k))
     vals = np.concatenate([
-        np.exp(ecbp.core_counts(lam, min(ecbp._CORE_BLOCK, samples - lo),
-                                rng)[:, layers] @ np.log(zvec))
-        for lo in range(0, samples, ecbp._CORE_BLOCK)])
+        np.exp(oracles.core_counts(
+            lam, min(oracles._CORE_BLOCK, samples - lo), rng)[:, layers]
+            @ np.log(zvec))
+        for lo in range(0, samples, oracles._CORE_BLOCK)])
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
 

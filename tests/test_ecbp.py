@@ -24,19 +24,23 @@ from caperc.ecbp import (
     _CELLS,
     DEPTH_CAPPED,
     NODE_CAPPED,
-    CoreOverflow,
     FriendCountOutcome,
     FriendCountSampler,
     McHistogram,
     _code_outcomes,
     _growth_table,
-    core_counts,
     mc_component_size_distribution,
-    mc_f_infinity,
 )
 from caperc.experiments import _CHUNK
 from caperc.params import LambdaVector
-from oracles import core_and_boundary, sample_ecbp
+import oracles
+from oracles import (
+    CoreOverflow,
+    core_and_boundary,
+    core_counts,
+    mc_f_infinity,
+    sample_ecbp,
+)
 from test_acceptance import mc_phi1_estimate
 
 
@@ -188,7 +192,7 @@ def test_mc_f_infinity_three_colors():
 def test_core_estimators_grow_one_block_at_a_time(monkeypatch):
     # 2.5 blocks from one rng give the draws of one core_counts call on the
     # whole array, while no call holds more than a block
-    lam, samples = (0.9, 0.9, 0.9), 5 * ecbp._CORE_BLOCK // 2
+    lam, samples = (0.9, 0.9, 0.9), 5 * oracles._CORE_BLOCK // 2
     colors = np.arange(3)
     miss = 1.0 - theta_avoid(lam)
     z = {(0,): 0.5, (1,): 0.6, (2,): 0.7}
@@ -204,10 +208,10 @@ def test_core_estimators_grow_one_block_at_a_time(monkeypatch):
     def recorded(lam, samples, *args):
         sizes.append(samples)
         return core_counts(lam, samples, *args)
-    monkeypatch.setattr(ecbp, "core_counts", recorded)
+    monkeypatch.setattr(oracles, "core_counts", recorded)
     assert mc_f_infinity(lam, samples, np.random.default_rng(4)) == f_inf
     assert mc_phi1_estimate(lam, z, samples, np.random.default_rng(5)) == phi1
-    assert max(sizes) == ecbp._CORE_BLOCK
+    assert max(sizes) == oracles._CORE_BLOCK
     assert sum(sizes) == 2 * samples
 
 

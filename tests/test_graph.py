@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from caperc.graph import (
     MAX_N,
     EdgeColoredGraph,
     _canonical_edges,
+    _geometric,
     _pair_index_to_edge,
     _sample_pair_subset,
     connected_components,
@@ -115,15 +117,21 @@ def test_edge_arrays_are_owned_and_read_only():
 
 def test_sampled_and_loaded_edge_arrays_are_owned_and_read_only():
     # sample_ecer and load_graph hand over the arrays they build, so those
-    # must be the graph's alone: owners of their data, never views
+    # must be the graph's alone: owners of their data, never views; every
+    # path, the constructor's canonical and sorting ones too, stores them
+    # column-major, so the u and v columns are contiguous
     g = sample_ecer(2000, (1.0, 2.0, 0.5), np.random.default_rng(3))
     buf = io.StringIO()
     dump_graph(g, buf)
     loaded = load_graph(io.StringIO(buf.getvalue()))
-    for graph in (g, loaded):
+    rows = g.edge_sets[1].tolist()
+    shuffled = np.random.default_rng(4).permutation(rows)
+    built = EdgeColoredGraph(g.n, [np.array(rows), rows[::-1], shuffled])
+    assert all(e.tolist() == rows for e in built.edge_sets)
+    for graph in (g, loaded, built):
         for e in graph.edge_sets:
             assert e.flags.owndata and e.base is None
-            assert e.flags.c_contiguous and not e.flags.writeable
+            assert e.flags.f_contiguous and not e.flags.writeable
             with pytest.raises(ValueError):
                 e[0, 0] = 5
 
@@ -202,12 +210,28 @@ def test_pair_subset_matches_concatenating_oracle(total, p):
         assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("p", [1e-16, 1e-9, 1e-5, 1e-2, 0.2, 0.3333])
+def test_geometric_inversion_is_numpys_geometric(p):
+    # below p = 1/3 numpy's geometric inverts one exponential draw per skip;
+    # _geometric must give its values and leave the generator where it does,
+    # or every sampled ECER graph changes
+    for seed in range(5):
+        mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _geometric(p, 10**5, mine)
+        want = ref.geometric(p, size=10**5)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert mine.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("n, lam", [(10**5, (1e-12, 1e-12)),
                                     (10**9, (1e-300,)),
                                     (10, (1e-300, 1e-300))])
 def test_tiny_edge_probability_gives_no_edges(n, lam):
-    # skips this long once summed past int64 and the sampler never ended
-    g = sample_ecer(n, lam, np.random.default_rng(2))
+    # skips this long once summed past int64 and the sampler never ended;
+    # their inversion overflows to infinity, which must pass silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = sample_ecer(n, lam, np.random.default_rng(2))
     assert g.n == n and all(g.edge_count(c) == 0 for c in range(g.k))
 
 

@@ -11,15 +11,17 @@ tree):
     python tools/same_bytes.py /path/to/parent/src src --jobs 2
 
 It prints each difference and a summary, and exits 1 if anything differs.
-The list holds the README's commands and 317 more: `analytic` at k = 2..13
+The list holds the README's commands and 320 more: `analytic` at k = 2..13
 over four lambda ranges, six points each (both regimes of the
 generating-function check, and points below and near criticality), and at
 k = 14..16, one point per range, where the layer tables of the p_I solve
 go from kept to built for each run in blocks, `near-critical --k 2..7`,
 `convergence` at k = 2, 3 and 4 and at lambda = (1, 1), where the meet
 sorts about a quarter of the vertices, `components` on a lambda = (1, 1)
-dump, two `ecbp-mc` runs, `analytic --ell-max 40`, and `ecbp-mc` and
-`near-critical` run from one config file that names keys for both.
+dump, two `ecbp-mc` runs, `analytic --ell-max 40`, `ecbp-mc` and
+`near-critical` run from one config file that names keys for both, and
+`sample-ecer`, `components` and `convergence` at n = 3..5, where edge
+probabilities reach 1/3 and more.
 """
 
 from __future__ import annotations
@@ -102,6 +104,14 @@ def commands() -> list[list[list[str]]]:
         [["analytic", "--lambda", "1.5,0.5", "--ell-max", "40"]],
         [["ecbp-mc", "--config", "two-kinds.cfg", "--out", "runs/"],
          ["near-critical", "--config", "two-kinds.cfg"]],
+        # edge probabilities 0.49 (n = 3) and 0.39 (n = 4), where the pair
+        # sampler's skips are numpy's geometric search, and 0.33 (n = 5),
+        # just below 1/3, where they are its inversion
+        [["sample-ecer", "--lambda", "2,2", "--n", "3", "--seed", "5",
+          "--out", "runs/"],
+         ["components", "runs/ecer-n3-seed5.txt", "--out", "runs/"],
+         ["convergence", "--lambda", "2,2", "--n", "4,5", "--replicas", "3",
+          "--seed", "1"]],
     ]
     return groups
 
