@@ -21,13 +21,12 @@ def color_avoiding_partition(g: EdgeColoredGraph) -> np.ndarray:
     # the projection without an edgeless color is the whole graph, which
     # every other projection refines, so only the colors with edges enter
     # the meet; with none of them, each vertex is its own block
-    edged = [c for c in range(g.k) if g.edge_count(c)]
-    labels = None if edged else np.arange(n, dtype=np.int64)
-    for i in edged:
-        # the projection onto every color but i, as a list of its colors'
-        # edge arrays
+    labels = None if g.colors else np.arange(n, dtype=np.int64)
+    for a, b in zip(g.offsets, g.offsets[1:]):
+        # the projection onto every color but the one in rows a:b of the
+        # color-sorted table: the rows before it and those after it
         col = connected_components(
-            n, [g.edge_sets[c] for c in edged if c != i])
+            n, [part for part in (g.edges[:a], g.edges[b:]) if part.size])
         labels = col if labels is None else _meet(labels, col)
         del col  # free before the next projection
     return labels

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 import warnings
@@ -15,95 +16,92 @@ from .params import LambdaVector, as_lambda
 MAX_N = math.isqrt(np.iinfo(np.int64).max)
 
 
-def _canonical_edges(edges, n: int, color: int,
-                     copy: bool = True) -> np.ndarray:
-    """Validate and canonicalize one color's edge list to a sorted (m, 2)
-    int64 array with u < v per row, unique rows, column-major so that the u
-    and v columns are contiguous. The result is never a view of `edges`
-    unless copy is False and `edges` is canonical and column-major
-    already."""
-    if not isinstance(edges, np.ndarray):
-        edges = list(edges)
-    arr = (np.array if copy else np.asarray)(edges, dtype=np.int64,
-                                             order="F")
-    if arr.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"color {color}: edge list must be pairs")
-    if arr.min() < 0 or arr.max() >= n:
-        raise ValueError(f"color {color}: endpoint out of range")
-    u, v = arr[:, 0], arr[:, 1]
-    # u < v rows with strictly rising keys (sample_ecer's) are canonical
-    key = u * n
-    key += v
-    if np.all(u < v) and np.all(key[1:] > key[:-1]):
-        return arr
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    if np.any(lo == hi):
-        raise ValueError(f"color {color}: self-loop")
-    key = lo * n + hi
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    if np.any(key[1:] == key[:-1]):
-        raise ValueError(f"color {color}: duplicate edge within one color")
-    out = np.empty(arr.shape, dtype=np.int64, order="F")
-    np.take(lo, order, out=out[:, 0])
-    np.take(hi, order, out=out[:, 1])
-    return out
-
-
 class EdgeColoredGraph:
-    """n vertices plus k per-color edge sets.
+    """n vertices, k colors and one table of colored edges.
 
     Within one color each pair appears at most once; the same pair may appear
-    in several colors. Each color's edges are a read-only (m, 2) int64 array
-    of u < v rows sorted by (u, v), stored column-major (Fortran order), so
-    that the u and v columns that the checks, the hooking and the pair
-    gathers read are contiguous. Immutable after construction.
+    in several colors. `edges` is a read-only (m, 2) int64 table that the
+    graph owns, its u < v rows sorted by (color, u, v) and stored
+    column-major, so that the u and v columns that the checks, the hooking
+    and the pair gathers read are contiguous. The rows of colors[j], the
+    j-th color with edges, are edges[offsets[j]:offsets[j + 1]], and no
+    part of a graph grows with k. Immutable after construction.
     """
 
-    def __init__(self, n: int, edge_sets: Sequence[Iterable]):
-        self._build(n, edge_sets, copy=True)
+    def __init__(self, n: int, edge_lists: Sequence[Iterable]):
+        arrays = [np.asarray(es if isinstance(es, np.ndarray) else list(es),
+                             dtype=np.int64) for es in edge_lists]
+        for c, arr in enumerate(arrays):
+            if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
+                raise ValueError(f"color {c}: edge list must be pairs")
+        counts = np.array([arr.size // 2 for arr in arrays], dtype=np.int64)
+        edges = np.empty((counts.sum(), 2), dtype=np.int64, order="F")
+        if arrays:
+            np.concatenate([arr.reshape(-1, 2) for arr in arrays], out=edges)
+        self._build(n, len(arrays), edges, np.arange(len(arrays)), counts)
 
-    @classmethod
-    def _adopt(cls, n: int,
-               edge_sets: Sequence[np.ndarray]) -> "EdgeColoredGraph":
-        """The graph on arrays that nothing else holds: checked and made
-        read-only as by the constructor, but kept without a copy."""
-        g = cls.__new__(cls)
-        g._build(n, edge_sets, copy=False)
-        return g
-
-    def _build(self, n: int, edge_sets, copy: bool) -> None:
+    def _build(self, n: int, k: int, edges: np.ndarray, colors: np.ndarray,
+               counts: np.ndarray) -> None:
+        """Keep `edges`, a fresh column-major (m, 2) int64 table of counts[j]
+        rows for each of the increasing colors[j], checked, sorted in place
+        to u < v rows by (color, u, v) and read-only. Errors name the color
+        of the first faulty row of the first fault: range, loop, repeat."""
         if not 0 <= n <= MAX_N:
             raise ValueError(f"vertex count must lie in [0, {MAX_N}]")
-        if len(edge_sets) < 1:
+        if k < 1:
             raise ValueError("need at least one color")
-        self.n = int(n)
-        self.edge_sets = tuple(
-            _canonical_edges(es, self.n, c, copy)
-            for c, es in enumerate(edge_sets))
-        for arr in self.edge_sets:
-            arr.setflags(write=False)
+        self.n, self.k, self.edges = int(n), int(k), edges
+        self.colors = tuple(colors[counts > 0].tolist())
+        self.offsets = (0, *np.cumsum(counts[counts > 0]).tolist())
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
+            raise self._fault(((edges < 0) | (edges >= n)).any(axis=1),
+                              "endpoint out of range")
+        # of two rows that straddle two colors, either may come first
+        straddle = np.array(self.offsets[1:-1], dtype=np.int64) - 1
+        u, v = edges[:, 0], edges[:, 1]
+        key = u * n
+        key += v
+        rising = key[1:] > key[:-1]
+        rising[straddle] = True
+        # u < v rows whose keys rise within each color (sample_ecer's and
+        # graph dumps') are canonical; the rest are sorted
+        if not (np.all(u < v) and rising.all()):
+            lo, hi = np.minimum(u, v), np.maximum(u, v)
+            if np.any(lo == hi):
+                raise self._fault(lo == hi, "self-loop")
+            key = lo * n + hi
+            order = np.lexsort((key, np.repeat(self.colors,
+                                               np.diff(self.offsets))))
+            repeat = key[order[1:]] == key[order[:-1]]
+            repeat[straddle] = False
+            if repeat.any():
+                raise self._fault(repeat, "duplicate edge within one color")
+            np.take(lo, order, out=u)
+            np.take(hi, order, out=v)
+        edges.setflags(write=False)
 
-    @property
-    def k(self) -> int:
-        return len(self.edge_sets)
+    def _fault(self, rows: np.ndarray, what: str) -> ValueError:
+        j = bisect.bisect_right(self.offsets, int(rows.argmax())) - 1
+        return ValueError(f"color {self.colors[j]}: {what}")
+
+    def color_edges(self, color: int) -> np.ndarray:
+        """Color's edges: a read-only view of its (m, 2) rows of the table."""
+        if not 0 <= color < self.k:
+            raise IndexError(f"color {color} out of range")
+        j = bisect.bisect_left(self.colors, color)
+        if j == len(self.colors) or self.colors[j] != color:
+            return self.edges[:0]
+        return self.edges[self.offsets[j]:self.offsets[j + 1]]
 
     def edge_count(self, color: int) -> int:
-        return int(self.edge_sets[color].shape[0])
-
-    def __repr__(self) -> str:
-        counts = ",".join(str(self.edge_count(c)) for c in range(self.k))
-        return f"EdgeColoredGraph(n={self.n}, k={self.k}, m=[{counts}])"
+        return len(self.color_edges(color))
 
 
-def _pair_index_to_edge(idx: np.ndarray, n: int) -> np.ndarray:
+def _pair_index_to_edge(idx: np.ndarray, n: int,
+                        edges: np.ndarray) -> np.ndarray:
     """Decode int64 linear indices of the row-major upper-triangle pair
-    enumeration ((0,1),(0,2),...,(0,n-1),(1,2),...) into a column-major
-    (m, 2) int64 array of (u, v) rows."""
-    edges = np.empty((idx.size, 2), dtype=np.int64, order="F")
+    enumeration ((0,1),(0,2),...,(0,n-1),(1,2),...) into the (u, v) rows of
+    `edges`, an (m, 2) int64 array with contiguous columns, and return it."""
     u, v = edges[:, 0], edges[:, 1]
     # u is the largest with idx >= offset(u) = u(2n - 1 - u)/2: take the
     # triangular-root formula's floor, then fix rounding in passes
@@ -199,13 +197,16 @@ def sample_ecer(n: int, lam, rng: np.random.Generator) -> EdgeColoredGraph:
     if not 0 < n <= MAX_N:
         raise ValueError(f"vertex count n must lie in [1, {MAX_N}]")
     total = n * (n - 1) // 2
-    edge_sets = []
-    color_rngs = rng.spawn(lam.k)  # independent substream per color
-    for i, crng in enumerate(color_rngs):
-        p = -np.expm1(-lam[i] / n)
-        idx = _sample_pair_subset(total, float(p), crng)
-        edge_sets.append(_pair_index_to_edge(idx, n))
-    return EdgeColoredGraph._adopt(n, edge_sets)
+    idx = [_sample_pair_subset(total, float(-np.expm1(-lam[i] / n)), crng)
+           for i, crng in enumerate(rng.spawn(lam.k))]  # a stream per color
+    counts = np.array([ix.size for ix in idx], dtype=np.int64)
+    edges = np.empty((counts.sum(), 2), dtype=np.int64, order="F")
+    for ix, end in zip(idx, np.cumsum(counts)):  # each color into its rows
+        _pair_index_to_edge(ix, n, edges[end - ix.size:end])
+    del idx, ix  # free before the check
+    g = EdgeColoredGraph.__new__(EdgeColoredGraph)
+    g._build(n, lam.k, edges, np.arange(lam.k), counts)
+    return g
 
 
 def connected_components(n: int, edges) -> np.ndarray:
@@ -252,8 +253,8 @@ def connected_components(n: int, edges) -> np.ndarray:
 def dump_graph(g: EdgeColoredGraph, fh: IO[str]) -> None:
     """Text dump: header `n k`, then one `color u v` line per colored edge."""
     fh.write(f"{g.n} {g.k}\n")
-    for c in range(g.k):
-        fh.writelines(f"{c} {u} {v}\n" for u, v in g.edge_sets[c].tolist())
+    for c, a, b in zip(g.colors, g.offsets, g.offsets[1:]):
+        fh.writelines(f"{c} {u} {v}\n" for u, v in g.edges[a:b].tolist())
 
 
 def load_graph(fh: IO[str]) -> EdgeColoredGraph:
@@ -270,13 +271,14 @@ def load_graph(fh: IO[str]) -> EdgeColoredGraph:
         rows = np.loadtxt(fh, dtype=np.int64, ndmin=2, comments=None)
     if rows.size and rows.shape[1] != 3:
         raise ValueError("expected 'color u v' lines")
+    rows = rows.reshape(-1, 3)
     bad = (rows[:, 0] < 0) | (rows[:, 0] >= k)
     if bad.any():
         raise ValueError(f"color {rows[bad.argmax(), 0]} out of range")
-    # one stable sort by color; each color's rows, in file order, copied
-    # column-major (a copy even where a one-row slice is a contiguous view)
+    # one stable sort by color puts each color's rows, in file order, in
+    # their place in the table
     rows = rows[np.argsort(rows[:, 0], kind="stable")]
-    bounds = np.searchsorted(rows[:, 0], np.arange(k + 1))
-    return EdgeColoredGraph._adopt(
-        n, [np.array(rows[a:b, 1:], order="F")
-            for a, b in zip(bounds, bounds[1:])])
+    colors, counts = np.unique(rows[:, 0], return_counts=True)
+    g = EdgeColoredGraph.__new__(EdgeColoredGraph)
+    g._build(n, k, np.array(rows[:, 1:], order="F"), colors, counts)
+    return g

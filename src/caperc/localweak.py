@@ -26,10 +26,9 @@ class EmptyCatalogError(Exception):
 def _ecer_adjacency(g: EdgeColoredGraph) -> list[dict[int, int]]:
     """Per-vertex map neighbor -> color mask (multi-color edges merged)."""
     adj: list[dict[int, int]] = [dict() for _ in range(g.n)]
-    for c in range(g.k):
+    for c, a, b in zip(g.colors, g.offsets, g.offsets[1:]):
         bit = 1 << c
-        for u, v in g.edge_sets[c]:
-            u, v = int(u), int(v)
+        for u, v in g.edges[a:b].tolist():
             adj[u][v] = adj[u].get(v, 0) | bit
             adj[v][u] = adj[v].get(u, 0) | bit
     return adj

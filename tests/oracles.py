@@ -341,10 +341,10 @@ class ColoredTree:
 
     def to_graph(self, k: int) -> EdgeColoredGraph:
         """View the arena as an edge-colored graph on its node indices."""
-        edge_sets: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+        edge_lists: list[list[tuple[int, int]]] = [[] for _ in range(k)]
         for v in range(1, self.n_nodes):
-            edge_sets[self.edge_color[v]].append((self.parent[v], v))
-        return EdgeColoredGraph(self.n_nodes, edge_sets)
+            edge_lists[self.edge_color[v]].append((self.parent[v], v))
+        return EdgeColoredGraph(self.n_nodes, edge_lists)
 
 
 def sample_ecbp(lam, depth: int, rng: np.random.Generator,
@@ -447,7 +447,7 @@ class ChronologyAtlas:
 def _adjacency(g: EdgeColoredGraph) -> list[dict[int, list[int]]]:
     adj: list[dict[int, list[int]]] = [dict() for _ in range(g.k)]
     for c in range(g.k):
-        for u, v in g.edge_sets[c]:
+        for u, v in g.color_edges(c):
             adj[c].setdefault(int(u), []).append(int(v))
             adj[c].setdefault(int(v), []).append(int(u))
     return adj
@@ -528,9 +528,9 @@ def brute_force_cap_partition(g: EdgeColoredGraph) -> np.ndarray:
     adj: list[list[list[int]]] = []
     for i in range(k):
         nbrs: list[list[int]] = [[] for _ in range(n)]
-        for c, edges in enumerate(g.edge_sets):
+        for c in range(k):
             if c != i:
-                for u, v in edges.tolist():
+                for u, v in g.color_edges(c).tolist():
                     nbrs[u].append(v)
                     nbrs[v].append(u)
         adj.append(nbrs)
@@ -577,7 +577,7 @@ def color_avoiding_partition_by_sort(g: EdgeColoredGraph) -> np.ndarray:
         # the projection onto every color but i, as a list of its colors'
         # edge arrays
         col = connected_components(
-            n, [g.edge_sets[c] for c in edged if c != i])
+            n, [g.color_edges(c) for c in edged if c != i])
         if labels is None:
             labels = col
             continue

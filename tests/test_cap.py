@@ -23,7 +23,7 @@ def _meet_from_zero_key(g):
     n = g.n
     key = np.zeros(n, dtype=np.int64)
     for i in range(g.k):
-        others = [e for c, e in enumerate(g.edge_sets) if c != i]
+        others = [g.color_edges(c) for c in range(g.k) if c != i]
         edges = np.concatenate(others) if others else np.empty((0, 2), int)
         col = connected_components(n, edges)
         _, first, key = np.unique(key * n + col, return_index=True,
@@ -83,14 +83,14 @@ def test_edgeless_colors_agree_with_brute_force():
     for _ in range(60):
         n = int(rng.integers(0, 9))
         k = int(rng.integers(1, 5))
-        edge_sets = [[] for _ in range(k)]
-        g = EdgeColoredGraph(n, edge_sets)
+        edge_lists = [[] for _ in range(k)]
+        g = EdgeColoredGraph(n, edge_lists)
         assert np.array_equal(color_avoiding_partition(g),
                               brute_force_cap_partition(g))
         if n >= 2:
-            edge_sets[int(rng.integers(k))] = sample_ecer(
-                n, (3.0,), rng).edge_sets[0]
-            g = EdgeColoredGraph(n, edge_sets)
+            edge_lists[int(rng.integers(k))] = sample_ecer(
+                n, (3.0,), rng).color_edges(0)
+            g = EdgeColoredGraph(n, edge_lists)
             assert np.array_equal(color_avoiding_partition(g),
                                   brute_force_cap_partition(g))
 
@@ -154,7 +154,7 @@ def test_meet_refines_every_color_avoiding_partition(g):
     labels = color_avoiding_partition(g)
     assert np.array_equal(labels, brute_force_cap_partition(g))
     for i in range(g.k):
-        others = [e for c, e in enumerate(g.edge_sets) if c != i]
+        others = [g.color_edges(c) for c in range(g.k) if c != i]
         coarse = connected_components(g.n, np.concatenate(others))
         assert np.array_equal(coarse[labels], coarse)
 
@@ -197,7 +197,7 @@ def test_csv_output():
 
 
 def test_decomposition_copies_no_edges():
-    # the projections are lists of the graph's own edge arrays, so a
+    # each projection is two views of the graph's own edge table, so a
     # decomposition at n = 2e5, lambda = (2, 2), whose graph holds 6.4 MB of
     # edges, peaks at 4.87 n int64 words (7.80 MB), whether the meet sorts
     # every vertex or only the 1.6% its two roots leave; copying the edges

@@ -719,6 +719,23 @@ def test_components_header_takes_ascii_integers_only(tmp_path, capsys, dump):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("dump", [
+    "3 1000000\n",                    # a million colors, none with edges
+    "3 3000000000\n0 0 1\n",          # 3e9 colors, one edge
+    "3 99999999999999999999\n",       # k beyond int64
+])
+def test_components_on_a_wide_header(dump):
+    # no part of a graph grows with k, so each is three singletons; the
+    # first took 2.5 s and 393 MB, and the second, 22.4 GiB, exited 1 with
+    # a traceback, when every color had an array
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.txt"
+        path.write_text(dump)
+        code, out, err = _run_main(["components", str(path)])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2:] == ["1,1.0,3"]
+
+
 def test_components_csv_matches_per_line_loader(tmp_path, monkeypatch,
                                                capsys):
     g = sample_ecer(200000, (1.0, 1.0), np.random.default_rng(10))
@@ -981,13 +998,12 @@ _DUMP_TOKENS = st.integers(-1, 6).map(str) | st.sampled_from(
 def _graph_dumps(draw) -> bytes:
     """A graph dump: a valid header or, one time in four, tokens, then edges
     (self-loops among them) and blank lines, perhaps an edge repeated,
-    perhaps a row of tokens, and perhaps a byte that is not UTF-8. n and k
-    stay small, since load_graph builds an array for each color the header
-    names."""
-    n, k = draw(st.integers(0, 6)), draw(st.integers(1, 4))
+    perhaps a row of tokens, and perhaps a byte that is not UTF-8. The
+    header's k runs up to 10^12, its rows' colors stay below 5."""
+    n, k = draw(st.integers(0, 6)), draw(st.integers(1, 10**12))
     tokens = st.lists(_DUMP_TOKENS, max_size=4).map(" ".join)
     vertex = st.integers(0, max(n - 1, 0))
-    edge = st.tuples(st.integers(0, k - 1), vertex, vertex).map(
+    edge = st.tuples(st.integers(0, min(k, 5) - 1), vertex, vertex).map(
         lambda row: "%d %d %d" % row)
     header = draw(tokens) if draw(st.integers(0, 3)) == 3 else f"{n} {k}"
     lines = [header, *draw(st.lists(edge | st.just(""), max_size=6))]

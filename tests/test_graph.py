@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from caperc.graph import (
     MAX_N,
     EdgeColoredGraph,
-    _canonical_edges,
     _geometric,
     _pair_index_to_edge,
     _sample_pair_subset,
@@ -27,7 +27,7 @@ from caperc.graph import (
 
 def test_edges_are_canonicalized():
     g = EdgeColoredGraph(4, [[(3, 1), (0, 2)], []])
-    assert g.edge_sets[0].tolist() == [[0, 2], [1, 3]]
+    assert g.color_edges(0).tolist() == [[0, 2], [1, 3]]
     assert g.edge_count(1) == 0
 
 
@@ -44,7 +44,8 @@ def test_construction_errors():
 
 def _sorted_canonical_edges(edges, n, color):
     """Canonicalization by sorting every input, as before the already-sorted
-    shortcut: the oracle for `_canonical_edges` and its error messages."""
+    shortcut: the oracle for the graph's table check and its error messages,
+    color by color."""
     arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
                      dtype=np.int64)
     if arr.size == 0:
@@ -66,9 +67,15 @@ def _sorted_canonical_edges(edges, n, color):
     return arr[order]
 
 
-def _error_or_edges(fn, edges, n):
+def _table_edges(edges, n, color):
+    """One color's edges through the graph's table check, on the graph in
+    which color `color` has them and every lower color has none."""
+    return EdgeColoredGraph(n, [[]] * color + [edges]).color_edges(color)
+
+
+def _error_or_edges(fn, edges, n, color=2):
     try:
-        return fn(edges, n, 2).tolist()
+        return fn(edges, n, color).tolist()
     except ValueError as exc:
         return str(exc)
 
@@ -85,7 +92,7 @@ def test_canonical_edges_matches_sorting_oracle(data, n):
                for u, v in shuffled]
     for variant in (canonical, canonical[::-1], shuffled, flipped):
         arr = np.array(variant, dtype=np.int64).reshape(-1, 2)
-        got = _canonical_edges(arr, n, 2)
+        got = _table_edges(arr, n, 2)
         assert got.dtype == np.int64 and got.tolist() == [list(e) for e in canonical]
     # a self-loop or a repeat inside otherwise sorted input must fail as the
     # sorting path fails, so the sorted-input check may not let it through
@@ -100,40 +107,95 @@ def test_canonical_edges_matches_sorting_oracle(data, n):
             arr = np.array(bad, dtype=np.int64)
             want = _error_or_edges(_sorted_canonical_edges, arr, n)
             assert isinstance(want, str)
-            assert _error_or_edges(_canonical_edges, arr, n) == want
+            assert _error_or_edges(_table_edges, arr, n) == want
+
+
+def _variant(data, canonical):
+    """canonical's rows as given, reversed, shuffled, or shuffled with
+    either endpoint first."""
+    how = data.draw(st.integers(0, 3))
+    if how < 2:
+        return canonical[::-1] if how else canonical
+    shuffled = data.draw(st.permutations(canonical))
+    if how == 2:
+        return shuffled
+    return [(v, u) if data.draw(st.booleans()) else (u, v)
+            for u, v in shuffled]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 8), k=st.integers(2, 5))
+def test_table_check_matches_sorting_oracle_color_by_color(data, n, k):
+    # the whole table is checked and sorted at once, so each color's rows
+    # must still be the oracle's, whatever the order of the other colors'
+    pairs = list(itertools.combinations(range(n), 2))
+    canonical = [sorted(data.draw(st.lists(st.sampled_from(pairs),
+                                           unique=True, max_size=6)))
+                 for _ in range(k)]
+    inputs = [np.array(_variant(data, rows), dtype=np.int64).reshape(-1, 2)
+              for rows in canonical]
+    g = EdgeColoredGraph(n, inputs)
+    for c in range(k):
+        assert g.color_edges(c).tolist() == [list(e) for e in canonical[c]]
+        assert (g.color_edges(c).tolist()
+                == _sorted_canonical_edges(inputs[c], n, c).tolist())
+    # one faulty color, the others valid in any order: the oracle's text
+    f = data.draw(st.integers(0, k - 1))
+    rows = [tuple(e) for e in inputs[f].tolist()]
+    w = data.draw(st.integers(0, n - 1))
+    bad_rows = [(w, w), (w, n), (-1, w)]
+    if rows:
+        u, v = data.draw(st.sampled_from(rows))
+        bad_rows += [(u, v), (v, u)]
+    i = data.draw(st.integers(0, len(rows)))
+    bad = rows[:i] + [data.draw(st.sampled_from(bad_rows))] + rows[i:]
+    inputs[f] = np.array(bad, dtype=np.int64)
+    want = _error_or_edges(_sorted_canonical_edges, inputs[f], n, f)
+    assert isinstance(want, str)
+    with pytest.raises(ValueError) as exc:
+        EdgeColoredGraph(n, inputs)
+    assert str(exc.value) == want
 
 
 def test_edge_arrays_are_owned_and_read_only():
     edges = np.array([[0, 1], [1, 2]], dtype=np.int64)  # already canonical
     g = EdgeColoredGraph(3, [edges, [(2, 0)]])
     edges[0, 0] = 2
-    assert g.edge_sets[0].tolist() == [[0, 1], [1, 2]]
+    assert g.color_edges(0).tolist() == [[0, 1], [1, 2]]
     for c in range(g.k):
         with pytest.raises(ValueError):
-            g.edge_sets[c][0, 0] = 5
+            g.color_edges(c)[0, 0] = 5
     sampled = sample_ecer(50, (2.0, 2.0), np.random.default_rng(3))
-    assert not any(e.flags.writeable for e in sampled.edge_sets)
+    assert not sampled.edges.flags.writeable
 
 
 def test_sampled_and_loaded_edge_arrays_are_owned_and_read_only():
-    # sample_ecer and load_graph hand over the arrays they build, so those
-    # must be the graph's alone: owners of their data, never views; every
-    # path, the constructor's canonical and sorting ones too, stores them
-    # column-major, so the u and v columns are contiguous
+    # every path builds the table it keeps, so the table must be the graph's
+    # alone: the owner of its data, never a view; every path, the
+    # constructor's canonical and sorting ones too, stores it column-major,
+    # so the u and v columns are contiguous, and each color's view of it is
+    # read-only as well
     g = sample_ecer(2000, (1.0, 2.0, 0.5), np.random.default_rng(3))
     buf = io.StringIO()
     dump_graph(g, buf)
     loaded = load_graph(io.StringIO(buf.getvalue()))
-    rows = g.edge_sets[1].tolist()
+    rows = g.color_edges(1).tolist()
     shuffled = np.random.default_rng(4).permutation(rows)
-    built = EdgeColoredGraph(g.n, [np.array(rows), rows[::-1], shuffled])
-    assert all(e.tolist() == rows for e in built.edge_sets)
-    for graph in (g, loaded, built):
-        for e in graph.edge_sets:
-            assert e.flags.owndata and e.base is None
-            assert e.flags.f_contiguous and not e.flags.writeable
+    canonical = EdgeColoredGraph(g.n, [np.array(rows), rows])
+    sorted_ = EdgeColoredGraph(g.n, [rows[::-1], shuffled])
+    for built in (canonical, sorted_):
+        assert all(built.color_edges(c).tolist() == rows for c in range(2))
+    for graph in (g, loaded, canonical, sorted_):
+        e = graph.edges
+        assert e.flags.owndata and e.base is None
+        assert e.flags.f_contiguous and not e.flags.writeable
+        with pytest.raises(ValueError):
+            e[0, 0] = 5
+        for c in range(graph.k):
+            view = graph.color_edges(c)
+            assert not view.flags.writeable
             with pytest.raises(ValueError):
-                e[0, 0] = 5
+                view[0, 0] = 5
 
 
 def test_same_pair_in_two_colors_is_allowed():
@@ -143,11 +205,16 @@ def test_same_pair_in_two_colors_is_allowed():
 
 # -- pair index decoding ----------------------------------------------------
 
+def _decode(idx, n):
+    return _pair_index_to_edge(
+        idx, n, np.empty((idx.size, 2), dtype=np.int64, order="F"))
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 13, 40])
 def test_pair_decode_exhaustive(n):
     expected = list(itertools.combinations(range(n), 2))
     idx = np.arange(len(expected), dtype=np.int64)
-    edges = _pair_index_to_edge(idx, n)
+    edges = _decode(idx, n)
     assert edges.dtype == np.int64 and edges.shape == (len(expected), 2)
     assert [tuple(e) for e in edges.tolist()] == expected
 
@@ -161,7 +228,7 @@ def test_pair_decode_at_large_n():
                     offset[3], offset[3] + 1, offset[4]], dtype=np.int64)
     want = [(0, 1), (0, n - 1), (1, 2), (1, n - 1), (2, 3),
             (n - 3, n - 2), (n - 3, n - 1), (n - 2, n - 1)]
-    assert [tuple(e) for e in _pair_index_to_edge(idx, n).tolist()] == want
+    assert [tuple(e) for e in _decode(idx, n).tolist()] == want
 
 
 def test_pair_subset_skipping_statistics():
@@ -265,7 +332,7 @@ def test_vertex_counts_whose_pair_keys_overflow_are_rejected(rows):
         EdgeColoredGraph(MAX_N + 1, [rows])
     top = [[MAX_N - 2, MAX_N - 1], [0, 1]]
     g = EdgeColoredGraph(MAX_N, [top, top[::-1]])
-    assert g.edge_sets[0].tolist() == g.edge_sets[1].tolist() == top[::-1]
+    assert g.color_edges(0).tolist() == g.color_edges(1).tolist() == top[::-1]
     with pytest.raises(ValueError, match="vertex count"):
         sample_ecer(4 * 10**9, (1.0, 1.0),
                     np.random.default_rng(0))
@@ -285,7 +352,7 @@ def test_ecer_deterministic_given_seed():
     a = sample_ecer(500, (1.5, 0.5), np.random.default_rng(123))
     b = sample_ecer(500, (1.5, 0.5), np.random.default_rng(123))
     for c in range(2):
-        assert np.array_equal(a.edge_sets[c], b.edge_sets[c])
+        assert np.array_equal(a.color_edges(c), b.color_edges(c))
 
 
 # -- color unions -----------------------------------------------------------
@@ -300,7 +367,7 @@ def test_project_union_matches_er_oracle():
     for _ in range(reps):
         g = sample_ecer(n, lam, rng)
         # a pair drawn in both colors is one edge of the union
-        union = np.unique(np.concatenate(g.edge_sets), axis=0)
+        union = np.unique(g.edges, axis=0)
         total += union.shape[0]
     pairs = n * (n - 1) // 2
     p = -np.expm1(-(lam[0] + lam[1]) / n)
@@ -314,11 +381,11 @@ def colored_graphs(draw):
     n = draw(st.integers(2, 8))
     k = draw(st.integers(2, 3))
     pairs = list(itertools.combinations(range(n), 2))
-    edge_sets = []
+    edge_lists = []
     for _ in range(k):
         subset = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8))
-        edge_sets.append(subset)
-    return EdgeColoredGraph(n, edge_sets)
+        edge_lists.append(subset)
+    return EdgeColoredGraph(n, edge_lists)
 
 
 # -- connectivity -----------------------------------------------------------
@@ -414,10 +481,10 @@ def test_connected_components_matches_regather_oracle():
     empty = np.empty((0, 2), dtype=np.int64)
     for g in ecer_graphs():
         # all colors, then each color left out in turn
-        unions = [list(g.edge_sets)]
+        colors = [g.color_edges(c) for c in range(g.k)]
+        unions = [colors]
         if g.k > 1:
-            unions += [list(g.edge_sets[:i] + g.edge_sets[i + 1:])
-                       for i in range(g.k)]
+            unions += [colors[:i] + colors[i + 1:] for i in range(g.k)]
         for parts in unions:
             edges = np.concatenate(parts)
             want = _connected_components_regather(g.n, edges)
@@ -452,7 +519,7 @@ def test_dump_load_roundtrip():
     g2 = load_graph(io.StringIO(text))
     assert g2.n == 4 and g2.k == 3
     for c in range(3):
-        assert np.array_equal(g.edge_sets[c], g2.edge_sets[c])
+        assert np.array_equal(g.color_edges(c), g2.color_edges(c))
 
 
 def test_dump_text_matches_per_row_format():
@@ -461,7 +528,7 @@ def test_dump_text_matches_per_row_format():
     dump_graph(g, buf)
     rows = [f"{g.n} {g.k}\n"]
     for c in range(g.k):
-        for u, v in g.edge_sets[c]:
+        for u, v in g.color_edges(c):
             rows.append(f"{c} {u} {v}\n")
     assert buf.getvalue() == "".join(rows)
 
@@ -472,7 +539,7 @@ def load_graph_by_line(fh):
     if len(header) != 2:
         raise ValueError("bad graph header, expected 'n k'")
     n, k = int(header[0]), int(header[1])
-    edge_sets = [[] for _ in range(k)]
+    edge_lists = [[] for _ in range(k)]
     for line in fh:
         line = line.strip()
         if not line:
@@ -480,8 +547,8 @@ def load_graph_by_line(fh):
         c, u, v = (int(x) for x in line.split())
         if not 0 <= c < k:
             raise ValueError(f"color {c} out of range")
-        edge_sets[c].append((u, v))
-    return EdgeColoredGraph(n, edge_sets)
+        edge_lists[c].append((u, v))
+    return EdgeColoredGraph(n, edge_lists)
 
 
 @pytest.mark.parametrize("text", [
@@ -500,7 +567,7 @@ def test_load_matches_per_line_loader(text):
                                                     load_graph_by_line))
     assert (g.n, g.k) == (want.n, want.k)
     for c in range(g.k):
-        assert np.array_equal(g.edge_sets[c], want.edge_sets[c])
+        assert np.array_equal(g.color_edges(c), want.color_edges(c))
 
 
 def test_load_rejects_bad_input():
@@ -508,3 +575,16 @@ def test_load_rejects_bad_input():
         load_graph(io.StringIO("3\n"))
     with pytest.raises(ValueError):
         load_graph(io.StringIO("3 1\n2 0 1\n"))  # color out of range
+
+
+def test_loading_a_wide_header_keeps_nothing_per_color():
+    # a graph holds nothing for a color without edges, so the header's k
+    # costs no memory: this dump took 393 MB when each color had an array
+    tracemalloc.start()
+    try:
+        g = load_graph(io.StringIO("3 1000000\n"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (g.n, g.k, g.colors, g.edges.shape) == (3, 10**6, (), (0, 2))
+    assert peak < 10**6

@@ -28,8 +28,8 @@ def test_to_graph_roundtrip():
     tree.add_child(a, 1)
     g = tree.to_graph(2)
     assert g.n == 3
-    assert g.edge_sets[0].tolist() == [[0, 1]]
-    assert g.edge_sets[1].tolist() == [[1, 2]]
+    assert g.color_edges(0).tolist() == [[0, 1]]
+    assert g.color_edges(1).tolist() == [[1, 2]]
 
 
 def test_depth_bound_respected():

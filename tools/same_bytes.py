@@ -11,7 +11,7 @@ tree):
     python tools/same_bytes.py /path/to/parent/src src --jobs 2
 
 It prints each difference and a summary, and exits 1 if anything differs.
-The list holds the README's commands and 320 more: `analytic` at k = 2..13
+The list holds the README's commands and 325 more: `analytic` at k = 2..13
 over four lambda ranges, six points each (both regimes of the
 generating-function check, and points below and near criticality), and at
 k = 14..16, one point per range, where the layer tables of the p_I solve
@@ -21,7 +21,10 @@ sorts about a quarter of the vertices, `components` on a lambda = (1, 1)
 dump, two `ecbp-mc` runs, `analytic --ell-max 40`, `ecbp-mc` and
 `near-critical` run from one config file that names keys for both, and
 `sample-ecer`, `components` and `convergence` at n = 3..5, where edge
-probabilities reach 1/3 and more.
+probabilities reach 1/3 and more, `components` on a written dump whose
+header names 1000 colors, few of them with edges, `sample-ecer`,
+`components` and `convergence` at lambda = (2, 1e-6, 2), whose middle
+color has no edges, and `local-weak` at k = 3 and depth 2.
 """
 
 from __future__ import annotations
@@ -38,12 +41,17 @@ from pathlib import Path
 
 ELAPSED = re.compile(rb'"elapsed_s": [-+.0-9eE]+')
 
-# config files, written into the working directory of each group that
-# names one; each subcommand takes the keys it reads and drops the rest
-CONFIG_FILES = {
+# input files, written into the working directory of each group that
+# names one; each subcommand takes the config keys it reads and drops the
+# rest, and the dump's colors with edges are interleaved, their endpoints in
+# either order, with edgeless colors between them and above them
+INPUT_FILES = {
     "two-kinds.cfg": "# ecbp-mc reads lambda, samples and seed, "
                      "near-critical k and eps\nlambda=0.9,0.8,0.7\n"
                      "samples=3000\nseed=6\nk=3\neps=0.02,0.01\nn=7\n",
+    "wide.txt": "12 1000\n999 1 0\n3 0 1\n512 2 1\n3 2 1\n999 1 2\n"
+                "512 0 2\n3 4 3\n999 3 4\n3 5 4\n512 5 4\n999 6 5\n"
+                "512 7 6\n3 8 7\n999 8 9\n512 9 8\n3 10 9\n999 11 10\n",
 }
 
 # run in order in one directory, so that components finds sample-ecer's dump
@@ -112,6 +120,16 @@ def commands() -> list[list[list[str]]]:
          ["components", "runs/ecer-n3-seed5.txt", "--out", "runs/"],
          ["convergence", "--lambda", "2,2", "--n", "4,5", "--replicas", "3",
           "--seed", "1"]],
+        [["components", "wide.txt", "--out", "runs/"]],
+        # an edgeless middle color: the meet takes two projections, each a
+        # run of rows at one end of the table
+        [["sample-ecer", "--lambda", "2,0.000001,2", "--n", "500", "--seed",
+          "6", "--out", "runs/"],
+         ["components", "runs/ecer-n500-seed6.txt", "--out", "runs/"],
+         ["convergence", "--lambda", "2,0.000001,2", "--n", "500",
+          "--replicas", "2", "--seed", "6"]],
+        [["local-weak", "--lambda", "0.6,0.5,0.4", "--n", "2000",
+          "--replicas", "2", "--d", "2"]],
     ]
     return groups
 
@@ -121,7 +139,7 @@ def run_group(src: Path, group: list[list[str]]) -> dict[str, bytes]:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     out: dict[str, bytes] = {}
     with tempfile.TemporaryDirectory() as cwd:
-        for name, text in CONFIG_FILES.items():
+        for name, text in INPUT_FILES.items():
             if any(name in argv for argv in group):
                 Path(cwd, name).write_text(text)
         for i, argv in enumerate(group):
