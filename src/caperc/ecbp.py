@@ -15,7 +15,6 @@ import numpy as np
 from .analytic import (
     check_small_subsets,
     extended_type_distribution,
-    subset_sums,
     theta_avoid,
 )
 from .params import LambdaVector, as_lambda
@@ -37,21 +36,14 @@ NODE_CAP = 10**6
 # Counts-first growth by avoid-mask
 # ---------------------------------------------------------------------------
 
-def _growth_table(lam: LambdaVector, min_bits: int):
-    """Growth entries (m, c, m & ~(1 << c)), one per color c of each
-    avoid-mask m with >= min_bits bits whose children still avoid a color,
-    with their masks, their intensities lambda_c, and the entry -> child
-    mask 0/1 matrix that sums entry totals into counts per mask."""
-    full = (1 << lam.k) - 1
-    bits = subset_sums([1] * lam.k)
-    entries = [(m, c, m & ~(1 << c)) for m in range(1, full + 1)
-               if bits[m] >= min_bits
-               for c in range(lam.k) if m & ~(1 << c)]
-    entry_mask = np.array([m for m, _, _ in entries])
-    entry_lam = np.array([lam[c] for _, c, _ in entries])
-    scatter = np.zeros((len(entries), full + 1), dtype=np.int64)
-    scatter[np.arange(len(entries)), [cm for *_, cm in entries]] = 1
-    return entries, entry_mask, entry_lam, scatter
+def _growth_table(k: int):
+    """Growth entries, one per color c of each avoid-mask m whose children
+    m & ~(1 << c) still avoid a color, mask-major and color-minor: their
+    masks, colors and child masks."""
+    masks = np.repeat(np.arange(1, 1 << k), k)
+    colors = np.tile(np.arange(k), (1 << k) - 1)
+    child = masks & ~(1 << colors)
+    return masks[child > 0], colors[child > 0], child[child > 0]
 
 
 # ---------------------------------------------------------------------------
@@ -191,22 +183,20 @@ class FriendCountSampler:
         k, full = self.k, self._full
         self._type_cdf = np.cumsum(extended_type_distribution(self.lam))
         # every node that avoids a color grows
-        (self._entries, self._entry_mask, self._entry_lam,
-         self._scatter) = _growth_table(self.lam, 1)
-        masks = np.arange(full + 1)
+        self._entry_mask, colors, child = _growth_table(k)
+        self._entry_lam = np.array(self.lam.lam)[colors]
         # member[m, i]: mask-m nodes lie in color i's avoiding cluster
-        self._member = (masks[:, None] >> np.arange(k)) & 1
-        # superset[m, d]: mask-m nodes lie in every cluster that mask d names
-        self._superset = (masks[:, None] & masks) == masks
-        # per entry (m, c, child mask): the child mask, and the bits of a
-        # child's type that it passes up the color-c edge
+        self._member = (np.arange(full + 1)[:, None] >> np.arange(k)) & 1
+        # per entry: the child mask, and the bits of a child's type that it
+        # passes up the edge of the entry's color
         dtype = np.min_scalar_type(full)
-        self._entry_child = np.array([cm for *_, cm in self._entries], dtype)
-        self._entry_keep = np.array([full & ~(1 << c)
-                                     for _, c, _ in self._entries], dtype)
-        # entries ordered by child mask: a level's nodes then come grouped
-        # by (sample, mask)
-        self._by_child = np.argsort(self._entry_child, kind="stable")
+        self._entry_child = child.astype(dtype)
+        self._entry_keep = (full & ~(1 << colors)).astype(dtype)
+        # entries by child mask: a level's nodes then come grouped by
+        # (sample, mask), and masks 1..full-1, the child of m | (1 << c) for
+        # each color c they avoid, own one run each, from _runs on
+        self._by_child = np.argsort(child, kind="stable")
+        self._runs = np.searchsorted(child[self._by_child], np.arange(1, full))
         # lambda_i for the mask {i} (its nodes' undrawn color), else 0
         self._lone_lam = np.zeros(full + 1)
         self._lone_lam[1 << np.arange(k)] = self.lam.lam
@@ -333,7 +323,7 @@ class FriendCountSampler:
                 break
             draws = self._poisson(self._entry_lam
                                   * counts[:, self._entry_mask])
-            counts = draws @ self._scatter
+            counts = self._level_counts(draws[:, self._by_child])
             grown += counts
             history.append((ids, draws))
         if dead:
@@ -352,9 +342,11 @@ class FriendCountSampler:
                                                grown[:, 1], grown[:, 2])
             return
         deadmasks = (cnt == 0) @ (1 << np.arange(self.k))
-        # nodes other than the root in every dead cluster; frontier nodes
-        # are counted too, but none of them lies in a dead cluster
-        rest = (grown * self._superset[:, deadmasks].T).sum(axis=1) > 0
+        # nodes other than the root in every dead cluster (of masks that
+        # hold the deadmask); frontier nodes are counted too, but none of
+        # them lies in a dead cluster
+        d = deadmasks[:, None]
+        rest = ((grown > 0) & ((np.arange(self._full + 1) & d) == d)).any(1)
         codes[ids[~rest]] = 1
         self._resolve(codes, ids[rest], deadmasks[rest], depths[rest],
                       grown[rest].sum(axis=1), history)
@@ -399,9 +391,9 @@ class FriendCountSampler:
         starts = [0, n]
         for d, (grown_ids, draws) in enumerate(history[:depths.max()], 1):
             rows = np.flatnonzero(depths >= d).astype(np.int32)
-            draws = draws[np.searchsorted(grown_ids, ids[rows])]
             # one cell per (sample, entry), the entries by child mask
-            nodes = draws[:, by_child].ravel()
+            cells = draws[np.searchsorted(grown_ids, ids[rows])][:, by_child]
+            nodes = cells.ravel()
             row = np.repeat(rows, by_child.size)
             entry = np.tile(by_child, rows.size)
             pm = self._entry_mask[entry]
@@ -417,9 +409,16 @@ class FriendCountSampler:
             frontier.append(np.repeat(depths[row] == d, nodes))
             starts.append(starts[-1] + pick.size)
             counts = np.zeros_like(counts)
-            counts[rows] = draws @ self._scatter
+            counts[rows] = self._level_counts(cells)
         return (*map(np.concatenate, (sample, mask, keep, parent, frontier)),
                 starts)
+
+    def _level_counts(self, cells) -> np.ndarray:
+        """A level's node counts per avoid-mask from its draws in _by_child
+        order: each child mask's total is the sum of its run."""
+        counts = np.zeros((len(cells), self._full + 1), dtype=np.int64)
+        counts[:, 1:-1] = np.add.reduceat(cells, self._runs, axis=1)
+        return counts
 
     def _types(self, size: int) -> np.ndarray:
         """`size` draws from the extended-type law, as type masks."""

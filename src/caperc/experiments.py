@@ -36,8 +36,8 @@ from .params import LambdaVector
 
 # largest k per kind, from runs on a 2-core Xeon: the 2^k analytic engine
 # (analytic, near-critical, convergence) took 2-4 s and 266 MB for one
-# analytic run at k = 20; ecbp-mc's growth scatter holds k * 4^k int64, and
-# 10 samples took 20 s and 426 MB at k = 11. Local weak balls build neither.
+# analytic run at k = 20; ecbp-mc blocks of >= 1024 samples hold k * 2^k
+# cells each a level (11-12 s, 1.5 GB at k = 12). Local weak balls hold none.
 # Largest ell_max: the two-color series in analytic costs ell_max^2 (1.5 s
 # at ell_max = 1000, 11 s at 3000).
 ENGINE_MAX_K = 20

@@ -36,7 +36,7 @@ from caperc.analytic import (
 from caperc.ecbp import NODE_CAP, _growth_table
 from caperc.graph import EdgeColoredGraph, connected_components
 from caperc.localweak import SIZE_CAP, BallKey
-from caperc.params import as_lambda
+from caperc.params import LambdaVector, as_lambda
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +230,33 @@ class CoreOverflow(Exception):
 _CORE_BLOCK = 16384
 
 
+def dense_scatter(child: np.ndarray, full: int) -> np.ndarray:
+    """The entry -> child mask 0/1 matrix (entries x 2^k, int64) that sums
+    entry totals into counts per mask by one matrix product."""
+    scatter = np.zeros((child.size, full + 1), dtype=np.int64)
+    scatter[np.arange(child.size), child] = 1
+    return scatter
+
+
+def core_growth_table(lam: LambdaVector):
+    """The growth entries of core nodes, which keep two avoided colors (all
+    their children avoid one): their masks, intensities lambda_c, child
+    masks and dense scatter."""
+    masks, colors, child = _growth_table(lam.k)
+    core = subset_sums([1] * lam.k)[masks] >= 2
+    return (masks[core], np.array(lam.lam)[colors[core]], child[core],
+            dense_scatter(child[core], (1 << lam.k) - 1))
+
+
+def scatter_level_counts(sampler):
+    """A stand-in for sampler._level_counts that sums a level's draws, given
+    in _by_child order, by the dense scatter of the sampler's entries."""
+    sampler._build_tables()
+    scatter = dense_scatter(sampler._entry_child, sampler._full)
+    by_child = scatter[sampler._by_child]
+    return lambda cells: cells @ by_child
+
+
 def core_counts(lam, samples: int, rng: np.random.Generator,
                 node_cap: int = NODE_CAP) -> np.ndarray:
     """(samples, 2^k) node totals per avoid-mask on i.i.d. trees: the root
@@ -247,8 +274,7 @@ def core_counts(lam, samples: int, rng: np.random.Generator,
     lam = as_lambda(lam)
     check_small_subsets(lam, "core growth")
     full = (1 << lam.k) - 1
-    entries, entry_mask, entry_lam, scatter = _growth_table(lam, 2)
-    child = np.array([cm for *_, cm in entries])
+    entry_mask, entry_lam, child, scatter = core_growth_table(lam)
     bits = subset_sums([1] * lam.k)
     stay = child == entry_mask
     # mean children that stay in a mask: the colors it has used

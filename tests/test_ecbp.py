@@ -48,20 +48,64 @@ from test_acceptance import mc_phi1_estimate
 def test_growth_table(k):
     lam = LambdaVector([0.1 * (c + 1) for c in range(k)])
     full = (1 << k) - 1
-    friend = _growth_table(lam, 1)
-    core = _growth_table(lam, 2)
+    masks, colors, child = _growth_table(k)
+    entries = list(zip(masks.tolist(), colors.tolist(), child.tolist()))
     # every admissible (mask, color) pair, mask-major and color-minor
-    assert friend[0] == [(m, c, m & ~(1 << c)) for m in range(1, full + 1)
-                         for c in range(k) if m & ~(1 << c)]
+    assert entries == [(m, c, m & ~(1 << c)) for m in range(1, full + 1)
+                       for c in range(k) if m & ~(1 << c)]
     # the entry count mc_component_size_distribution sizes blocks from
-    assert len(friend[0]) == k * (2**k - 2)
+    assert len(entries) == k * (2**k - 2)
     # core nodes keep two avoided colors; all their children avoid one
-    assert core[0] == [e for e in friend[0] if bin(e[0]).count("1") >= 2]
-    for entries, entry_mask, entry_lam, scatter in (friend, core):
-        assert entry_mask.tolist() == [m for m, _, _ in entries]
-        assert entry_lam.tolist() == [lam[c] for _, c, _ in entries]
-        assert scatter.argmax(axis=1).tolist() == [cm for *_, cm in entries]
-        assert (scatter.sum(axis=1) == 1).all()
+    core = [e for e in entries if bin(e[0]).count("1") >= 2]
+    entry_mask, entry_lam, core_child, scatter = oracles.core_growth_table(lam)
+    assert list(zip(entry_mask.tolist(), core_child.tolist())) == [
+        (m, cm) for m, _, cm in core]
+    assert entry_lam.tolist() == [lam[c] for _, c, _ in core]
+    assert scatter.argmax(axis=1).tolist() == [cm for *_, cm in core]
+    assert (scatter.sum(axis=1) == 1).all()
+    # the friend sampler's tables (at a lambda it accepts): its level sums
+    # rely on the child masks being exactly 1..full-1, each one run of the
+    # entries in _by_child order, starting at _runs
+    friend = LambdaVector([0.9 / k] * k)
+    sampler = FriendCountSampler(friend, np.random.default_rng(0))
+    sampler._build_tables()
+    assert sampler._entry_mask.tolist() == [m for m, _, _ in entries]
+    assert sampler._entry_lam.tolist() == [friend[c] for _, c, _ in entries]
+    assert sampler._entry_child.tolist() == [cm for *_, cm in entries]
+    by_child = sampler._entry_child[sampler._by_child]
+    assert sorted(set(by_child.tolist())) == list(range(1, full))
+    assert (np.diff(by_child.astype(int)) >= 0).all()
+    assert by_child[sampler._runs].tolist() == list(range(1, full))
+
+
+def test_table_setup_memory_is_not_4_to_the_k():
+    # at k = 10 a dense entry -> child mask matrix alone would take 84 MB
+    sampler = FriendCountSampler([0.9 / 8] * 10, np.random.default_rng(0))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sampler._build_tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+def test_level_sums_match_the_dense_scatter(k, monkeypatch):
+    # the run sums by child mask against the entry -> child mask matrix
+    # product: from identical seeds, identical codes and generator states
+    # over two consecutive blocks, their dead samples resolved on arenas
+    lam = [0.9 / (k - 2)] * k
+    runs, dense = (FriendCountSampler(lam, np.random.default_rng(40 + k))
+                   for _ in range(2))
+    monkeypatch.setattr(dense, "_level_counts",
+                        oracles.scatter_level_counts(dense))
+    for size in (_BATCH, 500):
+        codes = runs._grow_levels(size)
+        assert np.array_equal(codes, dense._grow_levels(size))
+        assert (codes > 1).any()  # friends found on an arena
+    assert runs._rng.bit_generator.state == dense._rng.bit_generator.state
 
 
 def test_two_color_core_is_root_only():
@@ -453,8 +497,9 @@ def test_one_sample_per_pass(monkeypatch):
 def _history(sampler, levels, samples=1):
     """Level history of `samples` samples that all grow the given totals, one
     {(mask, color): total} dict per level."""
-    sampler._build_tables()
-    entry = {(m, c): e for e, (m, c, _) in enumerate(sampler._entries)}
+    masks, colors, _ = _growth_table(sampler.k)
+    entry = {(m, c): e for e, (m, c)
+             in enumerate(zip(masks.tolist(), colors.tolist()))}
     history = []
     for level in levels:
         draws = np.zeros((samples, len(entry)), dtype=np.int64)
@@ -559,8 +604,9 @@ def _scripted(sampler, *groups):
               for level in zip(*histories)]
     if sampler.k == 2:
         # the entries are (0b01, 1), (0b10, 0), (0b11, 0), (0b11, 1)
-        assert [e[:2] for e in sampler._entries] == [(1, 1), (2, 0), (3, 0),
-                                                     (3, 1)]
+        masks, colors, _ = _growth_table(2)
+        assert list(zip(masks.tolist(), colors.tolist())) == [
+            (1, 1), (2, 0), (3, 0), (3, 1)]
         script = [draws[:, [2, 3] if d == 0 else [0, 1]]
                   for d, draws in enumerate(script)]
     script = iter(script)
@@ -658,7 +704,7 @@ def test_two_color_samples_build_no_k_generic_tables(monkeypatch):
                                           np.random.default_rng(38))
     assert hist.samples == sum(hist.finite_counts.values()) == 5000
     sampler = FriendCountSampler((1.5, 0.5), np.random.default_rng(39))
-    assert not hasattr(sampler, "_entries")
+    assert not hasattr(sampler, "_entry_mask")
     with pytest.raises(AssertionError, match="k-generic"):
         sampler._arena(np.arange(1), np.array([1]), [])
 
@@ -950,11 +996,12 @@ class _Recursion:
         """Pairs ell with the recursion's count for sample i, grown over
         history, its dead clusters named by deadmask."""
         k = self.sampler.k
+        entries = list(zip(*(col.tolist() for col in _growth_table(k))))
         levels = []
         for grown_ids, draws in history:
             row = draws[np.searchsorted(grown_ids, i)].tolist()
             levels.append([(m, c, cm, t) for (m, c, cm), t
-                           in zip(self.sampler._entries, row) if t])
+                           in zip(entries, row) if t])
         arena = _materialize(levels, k, self.rng.random)
         dead = [j for j in range(k) if (deadmask >> j) & 1]
         self.pairs.append((ell, _resolve_friends(k, *arena, dead, self.typed,

@@ -11,14 +11,14 @@ tree):
     python tools/same_bytes.py /path/to/parent/src src --jobs 2
 
 It prints each difference and a summary, and exits 1 if anything differs.
-The list holds the README's commands and 325 more: `analytic` at k = 2..13
+The list holds the README's commands and 327 more: `analytic` at k = 2..13
 over four lambda ranges, six points each (both regimes of the
 generating-function check, and points below and near criticality), and at
 k = 14..16, one point per range, where the layer tables of the p_I solve
 go from kept to built for each run in blocks, `near-critical --k 2..7`,
 `convergence` at k = 2, 3 and 4 and at lambda = (1, 1), where the meet
 sorts about a quarter of the vertices, `components` on a lambda = (1, 1)
-dump, two `ecbp-mc` runs, `analytic --ell-max 40`, `ecbp-mc` and
+dump, `ecbp-mc` at k = 2, 3, 5 and 7, `analytic --ell-max 40`, `ecbp-mc` and
 `near-critical` run from one config file that names keys for both, and
 `sample-ecer`, `components` and `convergence` at n = 3..5, where edge
 probabilities reach 1/3 and more, `components` on a written dump whose
@@ -109,6 +109,12 @@ def commands() -> list[list[list[str]]]:
         [["ecbp-mc", "--lambda", "2,2", "--samples", "20000", "--seed", "1"]],
         [["ecbp-mc", "--lambda", "0.9,0.8,0.7", "--samples", "5000",
           "--seed", "2", "--out", "runs/"]],
+        # k = 5 and 7, where a level's entries sum into 30 and 126 child
+        # masks
+        [["ecbp-mc", "--lambda", "0.3,0.3,0.3,0.3,0.3", "--samples", "3000",
+          "--seed", "4"]],
+        [["ecbp-mc", "--lambda", "0.18,0.18,0.18,0.18,0.18,0.18,0.18",
+          "--samples", "3000", "--seed", "5"]],
         [["analytic", "--lambda", "1.5,0.5", "--ell-max", "40"]],
         [["ecbp-mc", "--config", "two-kinds.cfg", "--out", "runs/"],
          ["near-critical", "--config", "two-kinds.cfg"]],
