@@ -63,10 +63,10 @@ def test_growth_table(k):
     assert entry_lam.tolist() == [lam[c] for _, c, _ in core]
     assert scatter.argmax(axis=1).tolist() == [cm for *_, cm in core]
     assert (scatter.sum(axis=1) == 1).all()
-    # the friend sampler's tables (at a lambda it accepts): its level sums
-    # rely on the child masks being exactly 1..full-1, each one run of the
-    # entries in _by_child order, starting at _runs
-    friend = LambdaVector([0.9 / k] * k)
+    # the friend sampler's tables (at a distinct lambda per color that it
+    # accepts): its level sums rely on the child masks being exactly
+    # 1..full-1, each one run of the entries in _by_child order, at _runs
+    friend = LambdaVector([0.1 * (c + 1) / k for c in range(k)])
     sampler = FriendCountSampler(friend, np.random.default_rng(0))
     sampler._build_tables()
     assert sampler._entry_mask.tolist() == [m for m, _, _ in entries]
