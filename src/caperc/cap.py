@@ -8,7 +8,7 @@ from typing import IO
 
 import numpy as np
 
-from .graph import EdgeColoredGraph, connected_components
+from .graph import EdgeColoredGraph, _pairwise_map, connected_components
 
 
 def color_avoiding_partition(g: EdgeColoredGraph) -> np.ndarray:
@@ -22,13 +22,23 @@ def color_avoiding_partition(g: EdgeColoredGraph) -> np.ndarray:
     # every other projection refines, so only the colors with edges enter
     # the meet; with none of them, each vertex is its own block
     labels = None if g.colors else np.arange(n, dtype=np.int64)
-    for a, b in zip(g.offsets, g.offsets[1:]):
-        # the projection onto every color but the one in rows a:b of the
-        # color-sorted table: the rows before it and those after it
-        col = connected_components(
+    rows = list(zip(g.offsets, g.offsets[1:]))
+
+    def projection(ab):
+        # every color but the one in rows a:b of the color-sorted table:
+        # the rows before it and those after it
+        a, b = ab
+        return connected_components(
             n, [part for part in (g.edges[:a], g.edges[b:]) if part.size])
-        labels = col if labels is None else _meet(labels, col)
-        del col  # free before the next projection
+
+    # two projections at a time, met in color order, so that at most two
+    # projections' labels are held at once
+    for i in range(0, len(rows), 2):
+        cols = _pairwise_map(projection, rows[i:i + 2], n)
+        while cols:
+            col = cols.pop(0)
+            labels = col if labels is None else _meet(labels, col)
+        del col  # free before the next projections
     return labels
 
 

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import bisect
 import math
+import os
 import re
+import threading
 import warnings
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -14,6 +16,54 @@ from .params import LambdaVector, as_lambda
 
 # the most vertices whose pair keys u * n + v fit in int64
 MAX_N = math.isqrt(np.iinfo(np.int64).max)
+
+# vertices, pairs or pair indices per chunk of the decode, the pointer
+# jumps and the compaction: chunks stay in a core's cache, and the helper
+# thread and the caller hand the GIL over once per chunk operation
+_CHUNK = 1 << 15
+# The least n at which a graph's per-color work is shared with the helper
+# thread. sample_ecer plus CapDecomposition.from_graph at lambda = (2, 2),
+# inline -> helper, paired medians of two sessions (2-core Xeon, numpy
+# 2.4): n = 4e3 0.88 -> 1.69 ms; 4e4 6.28 -> 6.09 ms and 7.68 -> 8.26 ms;
+# 1e5 14.1 -> 12.8 ms and 25.9 -> 20.4 ms; 2e5 29.2 -> 23.0 ms and 52.3 ->
+# 40.3 ms
+_PAIR_MIN_N = 100_000
+_helper = None  # a one-thread ThreadPoolExecutor, started on first use
+_helper_lock = threading.Lock()
+
+
+def _use_helper(n: int) -> bool:
+    """Whether a graph of n vertices shares its per-color work with the
+    helper thread: from _PAIR_MIN_N vertices, when this process may run on
+    two CPUs or more."""
+    return (n >= _PAIR_MIN_N and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1)
+
+
+def _pairwise_map(fn: Callable, items: Sequence, n: int) -> list:
+    """[fn(x) for x in items], two at a time for a graph of n vertices: the
+    caller runs items 0, 2, ... and one helper thread items 1, 3, ..., so
+    numpy's GIL-free loops use two cores. Inline when `_use_helper(n)` is
+    false or there is one item."""
+    global _helper
+    if len(items) < 2 or not _use_helper(n):
+        return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor, wait  # 4 ms at import
+    with _helper_lock:
+        if _helper is None:
+            _helper = ThreadPoolExecutor(1, thread_name_prefix="caperc-graph")
+    odd = [_helper.submit(fn, x) for x in items[1::2]]
+    try:
+        even = [fn(x) for x in items[::2]]
+    except BaseException:
+        for f in odd:
+            f.cancel()
+        wait(odd)  # no item of this call outlives it
+        raise
+    out = [None] * len(items)
+    out[::2] = even
+    out[1::2] = [f.result() for f in odd]
+    return out
 
 
 class EdgeColoredGraph:
@@ -101,7 +151,14 @@ def _pair_index_to_edge(idx: np.ndarray, n: int,
                         edges: np.ndarray) -> np.ndarray:
     """Decode int64 linear indices of the row-major upper-triangle pair
     enumeration ((0,1),(0,2),...,(0,n-1),(1,2),...) into the (u, v) rows of
-    `edges`, an (m, 2) int64 array with contiguous columns, and return it."""
+    `edges`, an (m, 2) int64 array with contiguous columns, and return it;
+    a chunk at a time, so that the buffers are chunk-sized."""
+    for a in range(0, idx.size, _CHUNK):
+        _decode_chunk(idx[a:a + _CHUNK], n, edges[a:a + _CHUNK])
+    return edges
+
+
+def _decode_chunk(idx: np.ndarray, n: int, edges: np.ndarray) -> None:
     u, v = edges[:, 0], edges[:, 1]
     # u is the largest with idx >= offset(u) = u(2n - 1 - u)/2: take the
     # triangular-root formula's floor, then fix rounding in passes
@@ -120,7 +177,7 @@ def _pair_index_to_edge(idx: np.ndarray, n: int,
     while True:
         np.subtract(2 * n - 1, u, out=off)
         off *= u
-        off //= 2
+        np.right_shift(off, 1, out=off)  # u(2n - 1 - u) is even and >= 0
         np.greater(off, idx, out=too_hi)
         np.subtract(off, u, out=v)  # offset(u + 1) = offset(u) + n - 1 - u
         v += n - 1
@@ -133,7 +190,6 @@ def _pair_index_to_edge(idx: np.ndarray, n: int,
     np.subtract(idx, off, out=v)
     v += u
     v += 1
-    return edges
 
 
 def _geometric(p: float, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -197,13 +253,15 @@ def sample_ecer(n: int, lam, rng: np.random.Generator) -> EdgeColoredGraph:
     if not 0 < n <= MAX_N:
         raise ValueError(f"vertex count n must lie in [1, {MAX_N}]")
     total = n * (n - 1) // 2
-    idx = [_sample_pair_subset(total, float(-np.expm1(-lam[i] / n)), crng)
-           for i, crng in enumerate(rng.spawn(lam.k))]  # a stream per color
+    draws = [(float(-np.expm1(-lam[i] / n)), crng)  # a stream per color
+             for i, crng in enumerate(rng.spawn(lam.k))]
+    idx = _pairwise_map(lambda d: _sample_pair_subset(total, *d), draws, n)
     counts = np.array([ix.size for ix in idx], dtype=np.int64)
-    edges = np.empty((counts.sum(), 2), dtype=np.int64, order="F")
-    for ix, end in zip(idx, np.cumsum(counts)):  # each color into its rows
-        _pair_index_to_edge(ix, n, edges[end - ix.size:end])
-    del idx, ix  # free before the check
+    ends = np.cumsum(counts).tolist()
+    edges = np.empty((ends[-1], 2), dtype=np.int64, order="F")
+    _pairwise_map(lambda c: _pair_index_to_edge(  # each color into its rows
+        idx[c], n, edges[ends[c] - idx[c].size:ends[c]]), range(lam.k), n)
+    del idx  # free before the check
     g = EdgeColoredGraph.__new__(EdgeColoredGraph)
     g._build(n, lam.k, edges, np.arange(lam.k), counts)
     return g
@@ -219,33 +277,50 @@ def connected_components(n: int, edges) -> np.ndarray:
     the smallest root it meets, then jumps every label to its root; the
     next round sees each such edge as its new pair of roots (the first sees
     the edges themselves, one array at a time). labels[v] <= v throughout,
-    so the roots left are the minima.
+    so the roots left are the minima. Above one chunk of vertices the jumps
+    work in place and the compaction a chunk at a time, so no second
+    n-word array is held.
     """
     labels = np.arange(n, dtype=np.int64)
     parts = [edges] if isinstance(edges, np.ndarray) else edges
     pairs = [(e[:, 0], e[:, 1]) for e in parts]
+    buf = np.empty(min(n, _CHUNK), dtype=np.int64)
     while pairs:
         for lu, lv in pairs:
             # labels[r] <= r, so of the two calls only the one that hooks
             # the larger root changes anything
             np.minimum.at(labels, lu, lv)
             np.minimum.at(labels, lv, lu)
-        jumped = np.empty_like(labels)
-        while True:
-            # labels are in range, so mode="clip" only spares take's copy
-            np.take(labels, labels, out=jumped, mode="clip")
-            if np.array_equal(jumped, labels):
-                break
-            labels, jumped = jumped, labels
-        del jumped
+        # jump until a jump changes no label: then every parent is a root.
+        # labels are in range, so mode="clip" only spares take's copy.
+        if n <= _CHUNK:  # one chunk: jump between labels and buf
+            while True:
+                np.take(labels, labels, out=buf, mode="clip")
+                if (buf == labels).all():
+                    break
+                labels, buf = buf, labels
+        else:
+            # in place, the chunks in order, each until it holds only roots:
+            # a later chunk's parents in it are then reached in one jump, and
+            # reading parents already jumped only shortens paths
+            for a in range(0, n, _CHUNK):
+                part = labels[a:a + _CHUNK]
+                jumped = buf[:part.size]
+                while True:
+                    np.take(labels, part, out=jumped, mode="clip")
+                    if (jumped == part).all():
+                        break
+                    part[...] = jumped
+        # the pairs of roots that still differ, a chunk at a time; each
+        # array of pairs is dropped once read
         live_pairs = []
-        while pairs:  # each array of live roots is dropped once compacted
+        while pairs:
             lu, lv = pairs.pop()
-            lu, lv = labels[lu], labels[lv]
-            live = np.flatnonzero(lu != lv)
-            if live.size:
-                lu = lu[live]
-                live_pairs.append((lu, lv[live]))
+            for a in range(0, lu.size, _CHUNK):
+                cu, cv = labels[lu[a:a + _CHUNK]], labels[lv[a:a + _CHUNK]]
+                live = np.flatnonzero(cu != cv)
+                if live.size:
+                    live_pairs.append((cu[live], cv[live]))
         pairs = live_pairs
     return labels
 

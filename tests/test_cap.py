@@ -3,6 +3,8 @@ exact rational bookkeeping."""
 
 import gc
 import io
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from caperc import cap, graph
 from caperc.cap import CapDecomposition, _meet, color_avoiding_partition
 from caperc.graph import EdgeColoredGraph, connected_components, sample_ecer
 from oracles import brute_force_cap_partition, color_avoiding_partition_by_sort
@@ -199,9 +202,10 @@ def test_csv_output():
 def test_decomposition_copies_no_edges():
     # each projection is two views of the graph's own edge table, so a
     # decomposition at n = 2e5, lambda = (2, 2), whose graph holds 6.4 MB of
-    # edges, peaks at 4.87 n int64 words (7.80 MB), whether the meet sorts
-    # every vertex or only the 1.6% its two roots leave; copying the edges
-    # for each projection and np.unique's meet took it to 11.7 n
+    # edges, peaks at 4.6-5.0 n int64 words (7.4-7.9 MB over eight runs) with
+    # its two projections run at once on two threads, by how their peaks
+    # overlap (4.87 n one at a time, before the jumps went in place); copying
+    # the edges for each projection and np.unique's meet took it to 11.7 n
     n = 200_000
     g = sample_ecer(n, (2.0, 2.0), np.random.default_rng(1))
     gc.collect()
@@ -213,3 +217,68 @@ def test_decomposition_copies_no_edges():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 8 * n
+
+
+@pytest.mark.parametrize("lam", [(2.0, 2.0), (0.9, 0.8, 0.7),
+                                 (0.6, 0.5, 0.4, 0.3, 0.2)])
+def test_helper_thread_changes_no_byte(monkeypatch, lam):
+    # above the size rule, with the helper thread off and then on: the same
+    # edge table, partition labels and generator end state
+    n = graph._PAIR_MIN_N
+    calls = []
+
+    def spied(*args):
+        calls.append(threading.current_thread() is threading.main_thread())
+        return connected_components(*args)
+
+    monkeypatch.setattr(cap, "connected_components", spied)
+    runs = []
+    for on in (False, True):
+        monkeypatch.setattr(graph, "_use_helper", lambda n, on=on: on)
+        calls.clear()
+        rng = np.random.default_rng(41)
+        g = sample_ecer(n, lam, rng)
+        labels = color_avoiding_partition(g)
+        # one projection per color, the odd ones on the helper when it is on
+        assert len(calls) == len(lam)
+        assert calls.count(False) == (len(lam) // 2 if on else 0)
+        runs.append((g.edges, labels, rng.bit_generator.state,
+                     rng.bit_generator.seed_seq.n_children_spawned))
+    (e0, l0, s0, c0), (e1, l1, s1, c1) = runs
+    assert np.array_equal(e0, e1)
+    assert np.array_equal(l0, l1)
+    assert (s0, c0) == (s1, c1)
+
+
+def test_callers_on_several_threads_share_the_helper(monkeypatch):
+    # more callers than cores hand their odd colors to the one helper, with
+    # a short switch interval: each gets the inline edges and labels
+    lams = [(2.0, 2.0), (0.9, 0.8, 0.7), (0.6, 0.5, 0.4, 0.3, 0.2)]
+
+    def decompose(lam, seed):
+        g = sample_ecer(3000, lam, np.random.default_rng(seed))
+        return g.edges, color_avoiding_partition(g)
+
+    monkeypatch.setattr(graph, "_use_helper", lambda n: False)
+    want = [decompose(lam, seed) for seed, lam in enumerate(lams)]
+    monkeypatch.setattr(graph, "_use_helper", lambda n: True)
+    got = [None] * len(lams)
+
+    def run(i):
+        for _ in range(5):
+            got[i] = decompose(lams[i], i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(lams))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for (e0, l0), (e1, l1) in zip(want, got):
+        assert np.array_equal(e0, e1) and np.array_equal(l0, l1)

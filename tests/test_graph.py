@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import threading
 import tracemalloc
 import warnings
 
@@ -10,11 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from caperc import graph
 from caperc.graph import (
+    _CHUNK,
     MAX_N,
     EdgeColoredGraph,
     _geometric,
     _pair_index_to_edge,
+    _pairwise_map,
     _sample_pair_subset,
     connected_components,
     dump_graph,
@@ -492,14 +496,36 @@ def test_connected_components_matches_regather_oracle():
             # that list with an empty array in it
             for arg in (edges, [edges], parts, [parts[0], empty, *parts[1:]]):
                 assert np.array_equal(connected_components(g.n, arg), want)
-    n = 5000
-    perm = np.random.default_rng(4).permutation(n)
-    path = np.stack([perm[:-1], perm[1:]], axis=1)
-    star = np.stack([np.full(n - 1, n - 1), np.arange(n - 1)], axis=1)
-    for edges in (path, path[::-1], star, star[:, ::-1]):
-        labels = connected_components(n, edges)
-        assert np.array_equal(labels, _connected_components_regather(n, edges))
-        assert labels.tolist() == [0] * n
+    # at n = 3 chunks + 5, the jumps and the compaction cross chunk
+    # boundaries
+    for n in (5000, 3 * _CHUNK + 5):
+        perm = np.random.default_rng(4).permutation(n)
+        path = np.stack([perm[:-1], perm[1:]], axis=1)
+        star = np.stack([np.full(n - 1, n - 1), np.arange(n - 1)], axis=1)
+        for edges in (path, path[::-1], star, star[:, ::-1]):
+            labels = connected_components(n, edges)
+            assert np.array_equal(labels,
+                                  _connected_components_regather(n, edges))
+            assert not labels.any()
+
+
+def test_pairwise_map_keeps_item_order_and_raises(monkeypatch):
+    monkeypatch.setattr(graph, "_use_helper", lambda n: True)
+    ran = []
+
+    def square(x):
+        ran.append((x, threading.current_thread() is threading.main_thread()))
+        if x in fail:
+            raise ValueError(f"item {x}")
+        return x * x
+
+    fail = ()
+    assert _pairwise_map(square, range(5), 0) == [0, 1, 4, 9, 16]
+    # the caller runs the even items, the helper the odd ones
+    assert sorted(ran) == [(x, x % 2 == 0) for x in range(5)]
+    for fail in ((3,), (2,)):  # a helper's item, then a caller's
+        with pytest.raises(ValueError, match=f"item {fail[0]}"):
+            _pairwise_map(square, range(5), 0)
 
 
 def test_partition_bookkeeping():

@@ -11,7 +11,7 @@ tree):
     python tools/same_bytes.py /path/to/parent/src src --jobs 2
 
 It prints each difference and a summary, and exits 1 if anything differs.
-The list holds the README's commands and 327 more: `analytic` at k = 2..13
+The list holds the README's commands and 331 more: `analytic` at k = 2..13
 over four lambda ranges, six points each (both regimes of the
 generating-function check, and points below and near criticality), and at
 k = 14..16, one point per range, where the layer tables of the p_I solve
@@ -24,7 +24,11 @@ dump, `ecbp-mc` at k = 2, 3, 5 and 7, `analytic --ell-max 40`, `ecbp-mc` and
 probabilities reach 1/3 and more, `components` on a written dump whose
 header names 1000 colors, few of them with edges, `sample-ecer`,
 `components` and `convergence` at lambda = (2, 1e-6, 2), whose middle
-color has no edges, and `local-weak` at k = 3 and depth 2.
+color has no edges, `local-weak` at k = 3 and depth 2, and at n = 2e5,
+where a graph's per-color work is shared with a helper thread,
+`convergence` at lambda = (2, 2) and (0.7, 0.7, 0.7), whose three colors
+give one pair of projections and one on its own, and `sample-ecer` with
+`components` on its dump.
 """
 
 from __future__ import annotations
@@ -136,6 +140,16 @@ def commands() -> list[list[list[str]]]:
           "--replicas", "2", "--seed", "6"]],
         [["local-weak", "--lambda", "0.6,0.5,0.4", "--n", "2000",
           "--replicas", "2", "--d", "2"]],
+        # above the size from which a graph's per-color work is shared with
+        # a helper thread: two projections at a time, and at k = 3 one pair
+        # and one projection on its own
+        [["convergence", "--lambda", "2,2", "--n", "200000", "--replicas",
+          "2"]],
+        [["convergence", "--lambda", "0.7,0.7,0.7", "--n", "200000",
+          "--replicas", "1"]],
+        [["sample-ecer", "--lambda", "2,2", "--n", "200000", "--seed", "7",
+          "--out", "runs/"],
+         ["components", "runs/ecer-n200000-seed7.txt", "--out", "runs/"]],
     ]
     return groups
 
