@@ -8,20 +8,26 @@ from typing import IO
 
 import numpy as np
 
-from .graph import EdgeColoredGraph, _pairwise_map, connected_components
+from .graph import (
+    EdgeColoredGraph,
+    _pairwise_map,
+    _vertex_dtype,
+    connected_components,
+)
 
 
 def color_avoiding_partition(g: EdgeColoredGraph) -> np.ndarray:
     """Meet of the k per-color partitions: v, w share a block iff for every
     color i they are connected in the projection onto the other colors.
 
-    Returns labels with labels[v] the smallest vertex in v's block.
+    Returns labels with labels[v] the smallest vertex in v's block, in
+    `connected_components`' dtype (int32 for n <= 2^31).
     """
     n = g.n
     # the projection without an edgeless color is the whole graph, which
     # every other projection refines, so only the colors with edges enter
     # the meet; with none of them, each vertex is its own block
-    labels = None if g.colors else np.arange(n, dtype=np.int64)
+    labels = None if g.colors else np.arange(n, dtype=_vertex_dtype(n))
     rows = list(zip(g.offsets, g.offsets[1:]))
 
     def projection(ab):
@@ -48,16 +54,20 @@ def _meet(labels: np.ndarray, col: np.ndarray) -> np.ndarray:
     n = labels.size
     # if v's label r shares v's col block, r is the least vertex of v's
     # meet block, and else so is v's col root s if it shares v's label
-    settled = col[labels] == col
+    # take, as in connected_components, gathers by int32 ids faster than
+    # indexing; the labels are in range, so mode="clip" changes nothing
+    settled = np.take(col, labels, mode="clip") == col
     meet = np.where(settled, labels, col)
-    settled |= labels[col] == labels
+    settled |= np.take(labels, col, mode="clip") == labels
     # every vertex of a meet block gets the same two answers, so the rest
     # form whole blocks: the runs of equal keys (labels[v], col[v]) in
     # sorted order, and a stable sort lists each run's vertices in
     # increasing order, so its first is their label
     rest = np.flatnonzero(~settled)
     del settled
-    key = labels[rest] * n + col[rest]
+    # in int64: labels * n passes 2^31 from about n = 2^16
+    key = np.multiply(labels[rest], n, dtype=np.int64)
+    key += col[rest]
     order = np.argsort(key, kind="stable")
     key = key[order]
     rest = rest[order]
@@ -70,7 +80,8 @@ def _meet(labels: np.ndarray, col: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CapDecomposition:
-    """Color-avoiding partition plus exact (rational) size bookkeeping."""
+    """Color-avoiding partition plus exact (rational) size bookkeeping; the
+    labels are in the graph's vertex dtype (int32 for n <= 2^31)."""
 
     labels: np.ndarray  # labels[v] = smallest vertex in v's block
     n: int

@@ -32,6 +32,14 @@ _helper = None  # a one-thread ThreadPoolExecutor, started on first use
 _helper_lock = threading.Lock()
 
 
+def _vertex_dtype(n: int) -> type:
+    """The dtype of vertex ids below n: int32 while the largest, n - 1,
+    fits it (n <= 2^31), else int64. Pair keys u * n + v, pair offsets and
+    other values that can pass 2^31 are computed in int64 explicitly: an
+    int32 array times a Python int stays int32 and wraps."""
+    return np.int32 if n <= 2**31 else np.int64
+
+
 def _use_helper(n: int) -> bool:
     """Whether a graph of n vertices shares its per-color work with the
     helper thread: from _PAIR_MIN_N vertices, when this process may run on
@@ -70,12 +78,13 @@ class EdgeColoredGraph:
     """n vertices, k colors and one table of colored edges.
 
     Within one color each pair appears at most once; the same pair may appear
-    in several colors. `edges` is a read-only (m, 2) int64 table that the
-    graph owns, its u < v rows sorted by (color, u, v) and stored
-    column-major, so that the u and v columns that the checks, the hooking
-    and the pair gathers read are contiguous. The rows of colors[j], the
-    j-th color with edges, are edges[offsets[j]:offsets[j + 1]], and no
-    part of a graph grows with k. Immutable after construction.
+    in several colors. `edges` is a read-only (m, 2) table of vertex ids that
+    the graph owns, int32 for n <= 2^31 and int64 above (`_vertex_dtype`),
+    its u < v rows sorted by (color, u, v) and stored column-major, so that
+    the u and v columns that the checks, the hooking and the pair gathers
+    read are contiguous. The rows of colors[j], the j-th color with edges,
+    are edges[offsets[j]:offsets[j + 1]], and no part of a graph grows with
+    k. Immutable after construction.
     """
 
     def __init__(self, n: int, edge_lists: Sequence[Iterable]):
@@ -92,15 +101,18 @@ class EdgeColoredGraph:
 
     def _build(self, n: int, k: int, edges: np.ndarray, colors: np.ndarray,
                counts: np.ndarray) -> None:
-        """Keep `edges`, a fresh column-major (m, 2) int64 table of counts[j]
-        rows for each of the increasing colors[j], checked, sorted in place
-        to u < v rows by (color, u, v) and read-only. Errors name the color
-        of the first faulty row of the first fault: range, loop, repeat."""
+        """Keep `edges`, a fresh column-major (m, 2) integer table of
+        counts[j] rows for each of the increasing colors[j], checked, sorted
+        in place to u < v rows by (color, u, v), cast to `_vertex_dtype(n)`
+        if it is in another dtype, and read-only. The checks read the rows
+        as given, before the cast, so that an endpoint out of range cannot
+        wrap into range. Errors name the color of the first faulty row of
+        the first fault: range, loop, repeat."""
         if not 0 <= n <= MAX_N:
             raise ValueError(f"vertex count must lie in [0, {MAX_N}]")
         if k < 1:
             raise ValueError("need at least one color")
-        self.n, self.k, self.edges = int(n), int(k), edges
+        self.n, self.k = int(n), int(k)
         self.colors = tuple(colors[counts > 0].tolist())
         self.offsets = (0, *np.cumsum(counts[counts > 0]).tolist())
         if edges.size and (edges.min() < 0 or edges.max() >= n):
@@ -109,7 +121,7 @@ class EdgeColoredGraph:
         # of two rows that straddle two colors, either may come first
         straddle = np.array(self.offsets[1:-1], dtype=np.int64) - 1
         u, v = edges[:, 0], edges[:, 1]
-        key = u * n
+        key = np.multiply(u, n, dtype=np.int64)
         key += v
         rising = key[1:] > key[:-1]
         rising[straddle] = True
@@ -119,7 +131,8 @@ class EdgeColoredGraph:
             lo, hi = np.minimum(u, v), np.maximum(u, v)
             if np.any(lo == hi):
                 raise self._fault(lo == hi, "self-loop")
-            key = lo * n + hi
+            key = np.multiply(lo, n, dtype=np.int64)
+            key += hi
             order = np.lexsort((key, np.repeat(self.colors,
                                                np.diff(self.offsets))))
             repeat = key[order[1:]] == key[order[:-1]]
@@ -128,7 +141,9 @@ class EdgeColoredGraph:
                 raise self._fault(repeat, "duplicate edge within one color")
             np.take(lo, order, out=u)
             np.take(hi, order, out=v)
+        edges = edges.astype(_vertex_dtype(n), order="F", copy=False)
         edges.setflags(write=False)
+        self.edges = edges
 
     def _fault(self, rows: np.ndarray, what: str) -> ValueError:
         j = bisect.bisect_right(self.offsets, int(rows.argmax())) - 1
@@ -151,8 +166,9 @@ def _pair_index_to_edge(idx: np.ndarray, n: int,
                         edges: np.ndarray) -> np.ndarray:
     """Decode int64 linear indices of the row-major upper-triangle pair
     enumeration ((0,1),(0,2),...,(0,n-1),(1,2),...) into the (u, v) rows of
-    `edges`, an (m, 2) int64 array with contiguous columns, and return it;
-    a chunk at a time, so that the buffers are chunk-sized."""
+    `edges`, an (m, 2) int32 or int64 array with contiguous columns, and
+    return it; a chunk at a time, so that the buffers are chunk-sized. The
+    offsets are computed in int64 whatever the table's dtype."""
     for a in range(0, idx.size, _CHUNK):
         _decode_chunk(idx[a:a + _CHUNK], n, edges[a:a + _CHUNK])
     return edges
@@ -172,16 +188,19 @@ def _decode_chunk(idx: np.ndarray, n: int, edges: np.ndarray) -> None:
     np.clip(buf, 0, n - 2, out=buf)
     u[...] = buf
     off = buf.view(np.int64)  # offset(u), in the float buffer's memory
+    nxt = np.empty(idx.size, dtype=np.int64)  # offset(u + 1)
     too_hi = np.empty(idx.size, dtype=bool)
     too_lo = np.empty(idx.size, dtype=bool)
     while True:
-        np.subtract(2 * n - 1, u, out=off)
+        # in int64: 2n - 1 leaves int32 from n = 2^30, the offsets from
+        # about n = 2^16
+        np.subtract(2 * n - 1, u, out=off, dtype=np.int64)
         off *= u
         np.right_shift(off, 1, out=off)  # u(2n - 1 - u) is even and >= 0
         np.greater(off, idx, out=too_hi)
-        np.subtract(off, u, out=v)  # offset(u + 1) = offset(u) + n - 1 - u
-        v += n - 1
-        np.less_equal(v, idx, out=too_lo)
+        np.subtract(off, u, out=nxt)  # offset(u) + n - 1 - u
+        nxt += n - 1
+        np.less_equal(nxt, idx, out=too_lo)
         if not (too_hi.any() or too_lo.any()):
             break
         u -= too_hi
@@ -258,7 +277,7 @@ def sample_ecer(n: int, lam, rng: np.random.Generator) -> EdgeColoredGraph:
     idx = _pairwise_map(lambda d: _sample_pair_subset(total, *d), draws, n)
     counts = np.array([ix.size for ix in idx], dtype=np.int64)
     ends = np.cumsum(counts).tolist()
-    edges = np.empty((ends[-1], 2), dtype=np.int64, order="F")
+    edges = np.empty((ends[-1], 2), dtype=_vertex_dtype(n), order="F")
     _pairwise_map(lambda c: _pair_index_to_edge(  # each color into its rows
         idx[c], n, edges[ends[c] - idx[c].size:ends[c]]), range(lam.k), n)
     del idx  # free before the check
@@ -279,12 +298,13 @@ def connected_components(n: int, edges) -> np.ndarray:
     the edges themselves, one array at a time). labels[v] <= v throughout,
     so the roots left are the minima. Above one chunk of vertices the jumps
     work in place and the compaction a chunk at a time, so no second
-    n-word array is held.
+    n-word array is held. The labels, and so the live pairs, are in
+    `_vertex_dtype(n)`: int32 for n <= 2^31.
     """
-    labels = np.arange(n, dtype=np.int64)
+    labels = np.arange(n, dtype=_vertex_dtype(n))
     parts = [edges] if isinstance(edges, np.ndarray) else edges
     pairs = [(e[:, 0], e[:, 1]) for e in parts]
-    buf = np.empty(min(n, _CHUNK), dtype=np.int64)
+    buf = np.empty(min(n, _CHUNK), dtype=labels.dtype)
     while pairs:
         for lu, lv in pairs:
             # labels[r] <= r, so of the two calls only the one that hooks
@@ -312,12 +332,14 @@ def connected_components(n: int, edges) -> np.ndarray:
                         break
                     part[...] = jumped
         # the pairs of roots that still differ, a chunk at a time; each
-        # array of pairs is dropped once read
+        # array of pairs is dropped once read. take gathers by int32 ids
+        # faster than indexing, which casts them first.
         live_pairs = []
         while pairs:
             lu, lv = pairs.pop()
             for a in range(0, lu.size, _CHUNK):
-                cu, cv = labels[lu[a:a + _CHUNK]], labels[lv[a:a + _CHUNK]]
+                cu, cv = (np.take(labels, x[a:a + _CHUNK], mode="clip")
+                          for x in (lu, lv))
                 live = np.flatnonzero(cu != cv)
                 if live.size:
                     live_pairs.append((cu[live], cv[live]))

@@ -609,8 +609,10 @@ def color_avoiding_partition_by_sort(g: EdgeColoredGraph) -> np.ndarray:
             continue
         # the meet with this color: the blocks are the runs of equal keys
         # (labels[v], col[v]) in sorted order, and a stable sort lists each
-        # run's vertices in increasing order, so its first is their label
-        key = labels
+        # run's vertices in increasing order, so its first is their label;
+        # the keys pass 2^31 from about n = 2^16, so they are int64 whatever
+        # the labels' dtype
+        key = labels.astype(np.int64)
         key *= n
         key += col
         del labels, col

@@ -3,6 +3,7 @@ package with an explicit tolerance; the pytest -v line per test is the
 pass/fail record. Statistical tests use fixed seeds and 3-standard-error
 windows around independently computed targets."""
 
+import csv
 import math
 import time
 from collections import Counter
@@ -140,6 +141,32 @@ def test_criterion_05_ecer_convergence():
     f1 = sub.results["mean_f1"]["4000"]
     _report("ECER subcritical", f"f_1(G_4000) = {f1:.5f}")
     assert f1 > 0.99
+
+
+def test_three_color_ecer_convergence():
+    # lambda = (0.7,0.7,0.7): the mean f_1..f_3 of 4 ECER replicas at
+    # n = 10^6 lies within 3.5 standard errors of the exact law's values,
+    # the standard error from replica SDs pinned over 160 replicas at this
+    # n and lambda; a friend rule that reads a node's link to infinity
+    # through its own descendants only gives f_2 = 0.07037, about 12 SE off
+    targets = {1: 0.65455, 2: 0.06821, 3: 0.02900}
+    replica_sd = {1: 0.00109, 2: 0.00035, 3: 0.00031}
+    replicas = 4
+    rec = run_experiment(ExperimentConfig(
+        kind="ecer-convergence", k=3, lam=(0.7, 0.7, 0.7), n_list=(10**6,),
+        replicas=replicas, seed=0))
+    rows = list(csv.DictReader(rec.csv["convergence.csv"][1:]))
+    lines = []
+    for ell, target in targets.items():
+        values = [float(r["f_ell"]) for r in rows if int(r["ell"]) == ell]
+        assert len(values) == replicas
+        mean = sum(values) / replicas
+        se = replica_sd[ell] / math.sqrt(replicas)
+        lines.append(f"f_{ell}={mean:.5f} dev={(mean - target) / se:+.2f}se")
+        assert abs(mean - target) < 3.5 * se
+        if ell == 2:
+            assert abs(mean - 0.07037) > 3.5 * se
+    _report("ECER k=3", " ".join(lines))
 
 
 def test_criterion_06_partition_matches_brute_force():

@@ -101,7 +101,7 @@ def test_edgeless_colors_agree_with_brute_force():
 def test_meet_matches_zero_key_oracle():
     for g in ecer_graphs():
         labels = color_avoiding_partition(g)
-        assert labels.dtype == np.int64
+        assert labels.dtype == graph._vertex_dtype(g.n)
         assert np.array_equal(labels, _meet_from_zero_key(g))
 
 
@@ -109,9 +109,10 @@ def test_meet_matches_zero_key_oracle():
                                  (1.5, 0.5), (0.9, 0.8, 0.7), (0.5,) * 4])
 def test_meet_matches_full_sort_oracle(lam):
     # the regimes leave from about 2% (at (2,2)) to about 26% (at (1,1)) of
-    # the vertices of a meet to its sort
+    # the vertices of a meet to its sort; from about n = 2^16 the sort keys
+    # labels * n + col pass int32, as at n = 7e4
     rng = np.random.default_rng(31)
-    for n in (2, 300, 2000, 20000):
+    for n in (2, 300, 2000, 20000) + ((70000,) if lam == (1.0, 1.0) else ()):
         g = sample_ecer(n, lam, rng)
         assert np.array_equal(color_avoiding_partition(g),
                               color_avoiding_partition_by_sort(g))
@@ -129,6 +130,16 @@ def test_meet_sorts_the_blocks_neither_root_settles():
     labels = np.array([0, 1, 1, 0, 0], dtype=np.int64)
     col = np.array([0, 1, 0, 1, 1], dtype=np.int64)
     assert _meet(labels, col).tolist() == [0, 1, 2, 3, 3]
+    # at n = 7e4, int32 labels with two unsettled singletons, 4 and 61359,
+    # whose keys (label, col) are (2, 1) and (61358, 47297): 61356 n + 47296
+    # = 2^32, so keys labels * n + col computed in int32 would merge them
+    n = 70000
+    labels = np.arange(n, dtype=np.int32)
+    col = labels.copy()
+    for x, y, z, w in ((0, 1, 2, 4), (3, 47297, 61358, 61359)):
+        labels[[y, w]] = x, z  # blocks {x, y} and {z, w}
+        col[[z, w]] = x, y     # blocks {x, z} and {y, w}
+    assert np.array_equal(_meet(labels, col), np.arange(n))
 
 
 @st.composite
@@ -201,11 +212,12 @@ def test_csv_output():
 
 def test_decomposition_copies_no_edges():
     # each projection is two views of the graph's own edge table, so a
-    # decomposition at n = 2e5, lambda = (2, 2), whose graph holds 6.4 MB of
-    # edges, peaks at 4.6-5.0 n int64 words (7.4-7.9 MB over eight runs) with
-    # its two projections run at once on two threads, by how their peaks
-    # overlap (4.87 n one at a time, before the jumps went in place); copying
-    # the edges for each projection and np.unique's meet took it to 11.7 n
+    # decomposition at n = 2e5, lambda = (2, 2), whose graph holds 3.2 MB of
+    # int32 edges, peaks at 3.13 n 8-byte words (5.0 MB, in each of eight
+    # runs) with its two projections run at once on two threads; with int64
+    # vertex ids it peaked at 4.6-5.0 n, by how the two projections' peaks
+    # overlapped, and copying the edges for each projection and np.unique's
+    # meet took it to 11.7 n
     n = 200_000
     g = sample_ecer(n, (2.0, 2.0), np.random.default_rng(1))
     gc.collect()

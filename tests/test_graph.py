@@ -20,6 +20,7 @@ from caperc.graph import (
     _pair_index_to_edge,
     _pairwise_map,
     _sample_pair_subset,
+    _vertex_dtype,
     connected_components,
     dump_graph,
     load_graph,
@@ -97,7 +98,8 @@ def test_canonical_edges_matches_sorting_oracle(data, n):
     for variant in (canonical, canonical[::-1], shuffled, flipped):
         arr = np.array(variant, dtype=np.int64).reshape(-1, 2)
         got = _table_edges(arr, n, 2)
-        assert got.dtype == np.int64 and got.tolist() == [list(e) for e in canonical]
+        assert got.dtype == _vertex_dtype(n)
+        assert got.tolist() == [list(e) for e in canonical]
     # a self-loop or a repeat inside otherwise sorted input must fail as the
     # sorting path fails, so the sorted-input check may not let it through
     if canonical:
@@ -209,9 +211,9 @@ def test_same_pair_in_two_colors_is_allowed():
 
 # -- pair index decoding ----------------------------------------------------
 
-def _decode(idx, n):
+def _decode(idx, n, dtype=np.int64):
     return _pair_index_to_edge(
-        idx, n, np.empty((idx.size, 2), dtype=np.int64, order="F"))
+        idx, n, np.empty((idx.size, 2), dtype=dtype, order="F"))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 13, 40])
@@ -232,7 +234,27 @@ def test_pair_decode_at_large_n():
                     offset[3], offset[3] + 1, offset[4]], dtype=np.int64)
     want = [(0, 1), (0, n - 1), (1, 2), (1, n - 1), (2, 3),
             (n - 3, n - 2), (n - 3, n - 1), (n - 2, n - 1)]
-    assert [tuple(e) for e in _decode(idx, n).tolist()] == want
+    # and into a table of the graph's vertex dtype, int32 here, though
+    # 2n - 1 and the offsets are past int32
+    assert _vertex_dtype(n) == np.int32
+    for dtype in (np.int64, np.int32):
+        assert [tuple(e) for e in _decode(idx, n, dtype).tolist()] == want
+
+
+@pytest.mark.parametrize("n, dtype", [(2**31, np.int32),
+                                      (2**31 + 1, np.int64)])
+def test_sampled_tables_cross_the_vertex_dtype_switch(n, dtype):
+    # the most vertices with int32 ids and the fewest with int64: at both,
+    # 2n - 1, the decode's offsets and the table check's keys u * n + v are
+    # past int32, and the edges must be an int64 decode of the same draws
+    lam = (1e-8, 1e-8)  # about 11 edges a color
+    g = sample_ecer(n, lam, np.random.default_rng(0))
+    assert _vertex_dtype(n) == dtype and g.edges.dtype == dtype
+    assert g.edges.size
+    total = n * (n - 1) // 2
+    for c, crng in enumerate(np.random.default_rng(0).spawn(len(lam))):
+        idx = _sample_pair_subset(total, float(-np.expm1(-lam[c] / n)), crng)
+        assert g.color_edges(c).tolist() == _decode(idx, n).tolist()
 
 
 def test_pair_subset_skipping_statistics():
@@ -340,6 +362,18 @@ def test_vertex_counts_whose_pair_keys_overflow_are_rejected(rows):
     with pytest.raises(ValueError, match="vertex count"):
         sample_ecer(4 * 10**9, (1.0, 1.0),
                     np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("row", [(0, 2**32 + 1), (1, 2**32 + 1),
+                                 (2**32 + 1, 3)])
+def test_endpoints_are_checked_before_the_table_narrows(row):
+    # 2^32 + 1 is 1 in int32, so a table narrowed before its checks would
+    # keep the pair (0, 1) or (1, 3), or report a self-loop
+    want = "^color 1: endpoint out of range$"
+    with pytest.raises(ValueError, match=want):
+        EdgeColoredGraph(5, [[(0, 1)], np.array([row], dtype=np.int64)])
+    with pytest.raises(ValueError, match=want):
+        load_graph(io.StringIO(f"5 2\n1 {row[0]} {row[1]}\n0 0 1\n"))
 
 
 def test_ecer_vertex_count_validation():
@@ -462,7 +496,7 @@ def test_connected_components_against_bfs_oracle():
         repeats = rng.integers(0, len(edges), 10) if edges else []
         extra = [edges[i][::-1] for i in repeats]
         labels = connected_components(n, _edge_array(edges + extra))
-        assert labels.dtype == np.int64
+        assert labels.dtype == _vertex_dtype(n)
         assert labels.tolist() == _bfs_components(n, edges)
 
 

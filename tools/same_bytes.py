@@ -11,7 +11,7 @@ tree):
     python tools/same_bytes.py /path/to/parent/src src --jobs 2
 
 It prints each difference and a summary, and exits 1 if anything differs.
-The list holds the README's commands and 331 more: `analytic` at k = 2..13
+The list holds the README's commands and 333 more: `analytic` at k = 2..13
 over four lambda ranges, six points each (both regimes of the
 generating-function check, and points below and near criticality), and at
 k = 14..16, one point per range, where the layer tables of the p_I solve
@@ -28,7 +28,8 @@ color has no edges, `local-weak` at k = 3 and depth 2, and at n = 2e5,
 where a graph's per-color work is shared with a helper thread,
 `convergence` at lambda = (2, 2) and (0.7, 0.7, 0.7), whose three colors
 give one pair of projections and one on its own, and `sample-ecer` with
-`components` on its dump.
+`components` on its dump, and `sample-ecer` at n = 2^31 and 2^31 + 1, the
+most vertices whose ids are int32 and the fewest whose ids are int64.
 """
 
 from __future__ import annotations
@@ -150,6 +151,13 @@ def commands() -> list[list[list[str]]]:
         [["sample-ecer", "--lambda", "2,2", "--n", "200000", "--seed", "7",
           "--out", "runs/"],
          ["components", "runs/ecer-n200000-seed7.txt", "--out", "runs/"]],
+        # either side of the vertex dtype switch: ids are int32 up to
+        # n = 2^31 and int64 above, and at both the pair offsets and keys
+        # are past int32 (about 11 edges a color)
+        [["sample-ecer", "--lambda", "1e-8,1e-8", "--n", "2147483648",
+          "--seed", "0"]],
+        [["sample-ecer", "--lambda", "1e-8,1e-8", "--n", "2147483649",
+          "--seed", "0"]],
     ]
     return groups
 
